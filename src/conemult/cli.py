@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .characterize import (fourier_side_quantity, kernel_side_quantity,
 from .config import effective_text, load_config, resolve
 from .errors import BudgetError, ConfigError, DomainError
 from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
-from .multipliers import (Axis, GammaFamily, GridField,
+from .multipliers import (MAX_AXES, Axis, GammaFamily, GridField,
                           build_dyadic_cone_multiplier, apply_multiplier,
                           check_wraparound, export_field_csv, freq_magnitude,
                           load_field, save_field)
@@ -111,6 +110,9 @@ def grid_multiplier(spec, axes):
 
 
 def build_axes(extent, resolution, ndim):
+    """Axes of a cubic grid, checked before any array is allocated."""
+    if not 1 <= ndim <= MAX_AXES:
+        raise DomainError(f"ndim = {ndim}: grids support 1 to {MAX_AXES} axes")
     return tuple(Axis(extent, resolution) for _ in range(ndim))
 
 
@@ -124,13 +126,6 @@ def input_field(spec, axes):
     if spec.startswith("field:"):
         return load_field(spec.split(":", 1)[1])
     raise ConfigError(f"unknown input field {spec!r}")
-
-
-def _parallel(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +202,7 @@ DEFAULTS = {
 }
 
 
-def run_lorentz_norm(opts, outdir, seed, threads):
+def run_lorentz_norm(opts, outdir, seed):
     if not opts["input"]:
         raise ConfigError("lorentz-norm requires input=<csv path>")
     cols = report.read_csv_columns(opts["input"])
@@ -228,7 +223,7 @@ def run_lorentz_norm(opts, outdir, seed, threads):
     return summary, lambda: []
 
 
-def run_characterize(opts, outdir, seed, threads):
+def run_characterize(opts, outdir, seed):
     params = LorentzParams(opts["p"], opts["nu"])
     dim = opts["dim"]
     trunc_rows = []
@@ -250,6 +245,12 @@ def run_characterize(opts, outdir, seed, threads):
         for r, v in sorted(kq.by_truncation.items()):
             trunc_rows.append(("kernel", float(r), float(v)))
     elif opts["mode"] == "symbol":
+        if not 0 < opts["t_lo"] < opts["t_hi"] < math.inf:
+            raise ConfigError(f"dilation range needs 0 < t_lo < t_hi < inf, "
+                              f"got t_lo = {opts['t_lo']}, "
+                              f"t_hi = {opts['t_hi']}")
+        if opts["t_per_octave"] < 1:
+            raise ConfigError(f"t_per_octave = {opts['t_per_octave']} < 1")
         m0 = radial_symbol(opts["symbol"])
         octaves = math.log2(opts["t_hi"] / opts["t_lo"])
         npts = int(octaves * opts["t_per_octave"]) + 1
@@ -274,7 +275,13 @@ def run_characterize(opts, outdir, seed, threads):
     return summary, lambda: plots.plot_characterize(outdir, summary)
 
 
-def run_br_scan(opts, outdir, seed, threads):
+def run_br_scan(opts, outdir, seed):
+    if not opts["lam_step"] > 0:
+        raise ConfigError(f"lam_step = {opts['lam_step']} must be positive")
+    if not -math.inf < opts["lam_lo"] <= opts["lam_hi"] < math.inf:
+        raise ConfigError(f"order range needs finite lam_lo <= lam_hi, got "
+                          f"lam_lo = {opts['lam_lo']}, "
+                          f"lam_hi = {opts['lam_hi']}")
     lam_grid = np.arange(opts["lam_lo"], opts["lam_hi"] + 1e-9,
                          opts["lam_step"]).round(10).tolist()
     results = critical_scan(opts["dim"], opts["p_list"], lam_grid,
@@ -306,7 +313,7 @@ def run_br_scan(opts, outdir, seed, threads):
     return summary, lambda: plots.plot_br_scan(outdir, summary)
 
 
-def run_wave_check(opts, outdir, seed, threads):
+def run_wave_check(opts, outdir, seed):
     from .wave import MAX_WAVE_SCALE
     n_list = list(range(opts["n_lo"], opts["n_hi"] + 1))
     if not n_list:
@@ -314,8 +321,7 @@ def run_wave_check(opts, outdir, seed, threads):
     if n_list[0] < 1 or n_list[-1] > MAX_WAVE_SCALE:
         raise DomainError(f"scale range {n_list[0]}..{n_list[-1]} outside "
                           f"the supported 1..{MAX_WAVE_SCALE}")
-    # per-scale decompositions are independent; results assembled in order
-    decs = _parallel(lambda n: decompose(n, opts["dim"]), n_list, threads)
+    decs = [decompose(n, opts["dim"]) for n in n_list]
     l1_ratio, rate = summarize_decompositions(decs)
     for dec in decs:
         report.write_csv(os.path.join(outdir, f"omega_n{dec.n}.csv"),
@@ -337,7 +343,7 @@ def run_wave_check(opts, outdir, seed, threads):
     return summary, lambda: plots.plot_wave_check(outdir, summary)
 
 
-def run_sph_probe(opts, outdir, seed, threads):
+def run_sph_probe(opts, outdir, seed):
     r_grid = np.linspace(opts["r_lo"], opts["r_hi"], opts["shells"])
     kernel = SmoothingKernel(opts["dim"], radius0=opts["radius0"],
                              vanishing_order=opts["vanishing_order"])
@@ -355,7 +361,7 @@ def run_sph_probe(opts, outdir, seed, threads):
     return summary, lambda: plots.plot_opnorm(outdir, summary["estimate"])
 
 
-def run_opnorm(opts, outdir, seed, threads):
+def run_opnorm(opts, outdir, seed):
     axes = build_axes(opts["extent"], opts["resolution"], opts["ndim"])
     mult = grid_multiplier(opts["multiplier"], axes)
     if opts["mode"] == "sweep":
@@ -377,7 +383,7 @@ def run_opnorm(opts, outdir, seed, threads):
     raise ConfigError(f"unknown opnorm mode {opts['mode']!r}")
 
 
-def run_apply(opts, outdir, seed, threads):
+def run_apply(opts, outdir, seed):
     axes = build_axes(opts["extent"], opts["resolution"], opts["ndim"])
     f = input_field(opts["input"], axes)
     if not f.same_grid(GridField(axes, np.zeros([a.resolution for a in axes],
@@ -436,7 +442,6 @@ def build_parser():
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--plot", action="store_true",
                        help="render PNG figures (needs matplotlib)")
         for key, (default, kind) in defaults.items():
@@ -461,8 +466,7 @@ def main(argv=None):
         opts = resolve(defaults, file_values, overrides)
         outdir = args.out or f"conemult-{command}"
         os.makedirs(outdir, exist_ok=True)
-        summary, make_figures = RUNNERS[command](opts, outdir, args.seed,
-                                                 args.threads)
+        summary, make_figures = RUNNERS[command](opts, outdir, args.seed)
         summary["command"] = command
         summary["seed"] = args.seed
         report.atomic_write_text(os.path.join(outdir, "config_echo.cfg"),

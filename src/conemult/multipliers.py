@@ -7,6 +7,7 @@ resolution N is xi_m = 2 pi m / L for m = -N/2 .. N/2 - 1.
 """
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from .errors import DomainError, WraparoundWarning
 from .util import CubicSpline1D
 
 _MAGIC = b"CMF1"
+MAX_AXES = 4
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class GridField:
 
     def __post_init__(self):
         self.axes = tuple(self.axes)
-        if not 1 <= len(self.axes) <= 4:
-            raise DomainError("grids support 1 to 4 axes")
+        if not 1 <= len(self.axes) <= MAX_AXES:
+            raise DomainError(f"grids support 1 to {MAX_AXES} axes")
         if self.rep not in ("space", "frequency"):
             raise DomainError(f"unknown representation {self.rep!r}")
         shape = tuple(ax.resolution for ax in self.axes)
@@ -330,20 +332,35 @@ def save_field(f, path):
 
 
 def load_field(path):
+    """Read a field written by ``save_field``.
+
+    The header length, the axis count and the exact payload byte count are
+    checked against the file before the payload is read, so a truncated or
+    foreign file raises DomainError.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != _MAGIC:
             raise DomainError(f"{path} is not a multiplier field file")
-        version, rep, ndim, _ = struct.unpack("<IBBH", fh.read(8))
+        version, rep, ndim, _ = struct.unpack("<IBBH", head[4:])
         if version != 1:
             raise DomainError(f"unsupported field format version {version}")
-        axes = []
-        for _ in range(ndim):
-            extent, res = struct.unpack("<dQ", fh.read(16))
-            axes.append(Axis(extent, int(res)))
+        if not 1 <= ndim <= MAX_AXES:
+            raise DomainError(f"{path}: {ndim} axes, fields have 1 to "
+                              f"{MAX_AXES}")
+        table = fh.read(16 * ndim)
+        if len(table) < 16 * ndim:
+            raise DomainError(f"{path}: header truncated")
+        axes = tuple(Axis(extent, int(res))
+                     for extent, res in struct.iter_unpack("<dQ", table))
         shape = tuple(ax.resolution for ax in axes)
-        count = int(np.prod(shape))
-        payload = np.frombuffer(fh.read(8 * count), dtype="<c8").reshape(shape)
-    return GridField(tuple(axes), payload.astype(complex),
+        nbytes = 8 * math.prod(shape)
+        if size - 12 - 16 * ndim != nbytes:
+            raise DomainError(f"{path}: payload has {size - 12 - 16 * ndim} "
+                              f"bytes, the header needs {nbytes}")
+        payload = np.frombuffer(fh.read(nbytes), dtype="<c8").reshape(shape)
+    return GridField(axes, payload.astype(complex),
                      rep="frequency" if rep else "space")
 
 

@@ -136,6 +136,62 @@ def test_wave_scale_out_of_range_exits_2(tmp_path, capsys):
                     "--n-lo", "12", "--n-hi", "13"]) == 2
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--lam-step", "0"],
+    ["--lam-step", "-0.1"],
+    ["--lam-lo", "1.5", "--lam-hi", "0.5"],
+    ["--lam-hi", "inf"],
+])
+def test_br_scan_bad_order_grid_exits_2(tmp_path, capsys, args):
+    assert run_cli(["br-scan", "--out", str(tmp_path / "s"), *args]) == 2
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["--t-lo", "4", "--t-hi", "1"],
+    ["--t-lo", "0"],
+    ["--t-hi", "inf"],
+    ["--t-per-octave", "0"],
+])
+def test_characterize_symbol_bad_dilation_range_exits_2(tmp_path, capsys,
+                                                        args):
+    assert run_cli(["characterize", "--out", str(tmp_path / "c"),
+                    "--mode", "symbol", *args]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_apply_truncated_field_input_exits_2(tmp_path, capsys):
+    out1 = str(tmp_path / "first")
+    assert run_cli(["apply", "--out", out1, "--ndim", "2", "--extent", "8",
+                    "--resolution", "16", "--input", "gauss:0.5",
+                    "--multiplier", "one"]) == 0
+    capsys.readouterr()
+    path = tmp_path / "cut.cmf"
+    data = (tmp_path / "first" / "output_field.cmf").read_bytes()
+    path.write_bytes(data[:-8])
+    assert run_cli(["apply", "--out", str(tmp_path / "second"), "--ndim",
+                    "2", "--extent", "8", "--resolution", "16",
+                    "--input", f"field:{path}", "--multiplier", "one"]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_opnorm_ndim_outside_grid_range_exits_2(tmp_path, capsys):
+    # tiny resolution: a regression that allocated first would stay small
+    assert run_cli(["opnorm", "--out", str(tmp_path / "o"), "--ndim", "5",
+                    "--resolution", "4"]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    assert run_cli(["wave-check", "--out", str(tmp_path / "w"),
+                    "--threads", "2"]) == 2
+
+
 def test_config_file_resolution_and_echo(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\ndim = 2\nn_lo = 2\nn_hi = 3\n")

@@ -371,6 +371,29 @@ def test_field_binary_roundtrip(tmp_path):
     assert np.array_equal(g.values, f.values)
 
 
+def _set_ndim(data, ndim):
+    return data[:9] + bytes([ndim]) + data[10:]      # header byte 9
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d[:8],                  # header cut inside the fixed part
+    lambda d: d[:12 + 20],            # header cut inside the axis table
+    lambda d: d[:-8],                 # payload one value short
+    lambda d: d + b"\0",              # trailing byte
+    lambda d: _set_ndim(d, 0),
+    lambda d: _set_ndim(d, 5),
+    lambda d: _set_ndim(d, 1),        # axis table read as payload
+], ids=["short-fixed", "short-table", "short-payload", "trailing",
+        "ndim0", "ndim5", "ndim-mismatch"])
+def test_field_load_rejects_malformed_files(tmp_path, mutate):
+    path = tmp_path / "field.cmf"
+    save_field(GridField((Axis(8.0, 16), Axis(4.0, 8)),
+                         np.ones((16, 8), complex)), path)
+    path.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(DomainError):
+        load_field(path)
+
+
 def test_field_csv_export(tmp_path):
     axes = (Axis(2.0, 4), Axis(2.0, 4))
     f = GridField(axes, np.arange(16, dtype=float).reshape(4, 4) + 0j)
