@@ -29,8 +29,16 @@ from .multipliers import (MAX_AXES, Axis, GammaFamily, GridField,
                           check_wraparound, export_field_csv, freq_magnitude,
                           load_field, save_field)
 from .opnorm import estimate_lower, scaling_sweep_experiment
-from .wave import (SmoothingKernel, decompose, shell_l1_ratios,
-                   shell_operator_lower_bound, summarize_decompositions)
+from .wave import (MAX_WAVE_SCALE, SmoothingKernel, decompose,
+                   decompose_radii, shell_l1_ratios,
+                   shell_operator_lower_bound, summarize_decompositions,
+                   wave_kernel_plan)
+
+# Caps on the scan grids (points): each order costs one transform ladder,
+# each dilation one weighted functional, so the caps keep a run to minutes
+# and the grids themselves to a few kilobytes.
+MAX_ORDERS = 1024
+MAX_DILATIONS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +261,11 @@ def run_characterize(opts, outdir, seed):
             raise ConfigError(f"t_per_octave = {opts['t_per_octave']} < 1")
         m0 = radial_symbol(opts["symbol"])
         octaves = math.log2(opts["t_hi"] / opts["t_lo"])
-        npts = int(octaves * opts["t_per_octave"]) + 1
-        t_grid = np.geomspace(opts["t_lo"], opts["t_hi"], npts)
+        npts = octaves * opts["t_per_octave"] + 1
+        if npts > MAX_DILATIONS:
+            raise BudgetError(f"dilation grid of {npts:.3g} points exceeds "
+                              f"the cap {MAX_DILATIONS}")
+        t_grid = np.geomspace(opts["t_lo"], opts["t_hi"], int(npts))
         res = radial_symbol_quantity(m0, dim, params, t_grid=t_grid,
                                      truncation=opts["truncation"],
                                      spatial_truncation=
@@ -282,6 +293,10 @@ def run_br_scan(opts, outdir, seed):
         raise ConfigError(f"order range needs finite lam_lo <= lam_hi, got "
                           f"lam_lo = {opts['lam_lo']}, "
                           f"lam_hi = {opts['lam_hi']}")
+    count = (opts["lam_hi"] + 1e-9 - opts["lam_lo"]) / opts["lam_step"]
+    if count > MAX_ORDERS:
+        raise BudgetError(f"order grid of {count:.3g} points exceeds the cap "
+                          f"{MAX_ORDERS}")
     lam_grid = np.arange(opts["lam_lo"], opts["lam_hi"] + 1e-9,
                          opts["lam_step"]).round(10).tolist()
     results = critical_scan(opts["dim"], opts["p_list"], lam_grid,
@@ -314,13 +329,14 @@ def run_br_scan(opts, outdir, seed):
 
 
 def run_wave_check(opts, outdir, seed):
-    from .wave import MAX_WAVE_SCALE
     n_list = list(range(opts["n_lo"], opts["n_hi"] + 1))
     if not n_list:
         raise ConfigError("empty scale range")
     if n_list[0] < 1 or n_list[-1] > MAX_WAVE_SCALE:
         raise DomainError(f"scale range {n_list[0]}..{n_list[-1]} outside "
                           f"the supported 1..{MAX_WAVE_SCALE}")
+    # the cost grows with n: one check of the largest scale covers them all
+    wave_kernel_plan(n_list[-1], opts["dim"], decompose_radii(n_list[-1])[2])
     decs = [decompose(n, opts["dim"]) for n in n_list]
     l1_ratio, rate = summarize_decompositions(decs)
     for dec in decs:
@@ -344,6 +360,11 @@ def run_wave_check(opts, outdir, seed):
 
 
 def run_sph_probe(opts, outdir, seed):
+    if opts["shells"] < 1:
+        raise ConfigError(f"shells = {opts['shells']} must be at least 1")
+    if not 1.0 <= opts["r_lo"] <= opts["r_hi"] < math.inf:
+        raise ConfigError(f"shell radii need 1 <= r_lo <= r_hi < inf, got "
+                          f"r_lo = {opts['r_lo']}, r_hi = {opts['r_hi']}")
     r_grid = np.linspace(opts["r_lo"], opts["r_hi"], opts["shells"])
     kernel = SmoothingKernel(opts["dim"], radius0=opts["radius0"],
                              vanishing_order=opts["vanishing_order"])

@@ -49,6 +49,21 @@ _GL64 = np.polynomial.legendre.leggauss(64)
 
 MAX_WAVE_SCALE = 12
 MAX_SHELLS = 64
+# Radii of the shell profiles' grid: with MAX_SHELLS rows per spread the
+# basis then stays under 40 MiB a spread (r_hi up to about 680 at the
+# default radius0).
+MAX_RHO_POINTS = 1 << 16
+
+# Elements per block of the array work below: quadrature nodes of the
+# radial convolutions and spherical means, lattice and cosine-sum terms of
+# the wave kernels.  Blocks this small keep their temporaries under the
+# allocator's mmap threshold, so they are reused instead of mapped afresh;
+# at 2^18 the page faults cost as much as the sums.
+_BLOCK = 1 << 12
+
+# Samples of each spread profile psi * u_a across its support, of width
+# 4 r0 at most unless the vanishing order is below 2.
+_SPREAD_SAMPLES = 257
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +101,11 @@ class SmoothingKernel:
     bump_degree: int = 16
 
     def __post_init__(self):
+        if not 0.0 < self.radius0 < math.inf:
+            raise DomainError(f"kernel radius {self.radius0} must be positive "
+                              f"and finite")
+        if self.vanishing_order < 0:
+            raise DomainError(f"vanishing order {self.vanishing_order} < 0")
         if self.bump_degree < 2 * self.vanishing_order + 2:
             raise DomainError("bump degree too low for the requested Laplacian power")
         k = self.bump_degree
@@ -153,8 +173,7 @@ class SmoothingKernel:
                 self.psi0_profile, (0.0, self.radius0),
                 self.psi0_profile, (0.0, self.radius0),
                 self.dim, grid)
-            self._psi_spline = SampledRadial(grid, vals,
-                                             (0.0, self.support_radius))
+            self._psi_spline = CubicSpline1D(grid, vals)
         return self._psi_spline
 
     def max_cell(self, rel=1e-4):
@@ -175,30 +194,53 @@ class SmoothingKernel:
         return float(np.pi / rho_cut)
 
 
-class SampledRadial:
-    """Spline of a radial profile, zero outside its declared support."""
+def _window_integral(g, lo, hi, dim, rho, s):
+    """int g(dist) sin^(d-2)(theta) dtheta over the window lo <= dist <= hi.
 
-    def __init__(self, grid, values, support):
-        self._spline = CubicSpline1D(grid, np.asarray(values, dtype=float))
-        self.support = support
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self._spline(np.clip(r, self.support[0], self.support[1]))
-        return np.where((r >= self.support[0]) & (r <= self.support[1]),
-                        out, 0.0)
+    dist(theta) = |rho e_1 - s omega| = sqrt(rho^2 + s^2 - 2 rho s cos theta)
+    increases with theta, so the window is one interval and the rule is
+    64-node Gauss-Legendre on it.  rho and s broadcast; where rho s = 0 the
+    distance is constant and the window is [0, pi] or empty.
+    """
+    rho, s = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                 np.asarray(s, dtype=float))
+    sq = rho ** 2 + s ** 2
+    denom = 2.0 * rho * s
+    degenerate = denom <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # cos decreases in theta: dist = lo at the smaller angle
+        th_lo = np.arccos(np.clip(np.where(degenerate, 1.0,
+                                           (sq - lo ** 2) / denom), -1.0, 1.0))
+        th_hi = np.arccos(np.clip(np.where(degenerate, -1.0,
+                                           (sq - hi ** 2) / denom), -1.0, 1.0))
+    if np.any(degenerate):
+        const = np.sqrt(sq)
+        inside = (const >= lo) & (const <= hi)
+        th_hi = np.where(degenerate & ~inside, 0.0, th_hi)
+    xt, wt = _GL64
+    half = 0.5 * (th_hi - th_lo)
+    theta = th_lo[..., None] + half[..., None] * (xt + 1.0)
+    dist = np.sqrt(np.maximum(sq[..., None] - denom[..., None]
+                              * np.cos(theta), 0.0))
+    gv = np.asarray(g(dist.ravel()), dtype=float).reshape(dist.shape)
+    return np.sum(gv * np.sin(theta) ** (dim - 2) * (half[..., None] * wt),
+                  axis=-1)
 
 
 def radial_convolution_values(f, f_support, g, g_support, dim, rho,
-                              s_nodes=48, theta_nodes=64, chunk=256):
+                              s_nodes=48):
     """(f * g)(rho) for radial f, g on R^dim.
 
-    Integrates s over the support ball/shell of f and the polar angle over
-    the exact window where |rho e_1 - s omega| lies in the support of g:
+    Integrates s over the narrower of the two supports (convolution is
+    symmetric, and a narrow support resolves a cancelling profile with few
+    nodes) and the polar angle over the exact window where
+    |rho e_1 - s omega| lies in the other support:
 
         (f*g)(rho) = |S^(d-2)| int f(s) s^(d-1)
                      int_window g(dist(rho,s,theta)) sin^(d-2)(theta) dtheta ds.
     """
+    if g_support[1] - g_support[0] < f_support[1] - f_support[0]:
+        f, f_support, g, g_support = g, g_support, f, f_support
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     out = np.zeros(rho.shape)
     xs, ws = np.polynomial.legendre.leggauss(s_nodes)
@@ -206,61 +248,45 @@ def radial_convolution_values(f, f_support, g, g_support, dim, rho,
                                                      f_support[0]) * xs
     sw = 0.5 * (f_support[1] - f_support[0]) * ws
     fs = np.asarray(f(s), dtype=float) * s ** (dim - 1) * sw
-    xt, wt = np.polynomial.legendre.leggauss(theta_nodes)
-    glo, ghi = g_support
     area = surface_area(dim - 1)
-    for start in range(0, len(rho), chunk):
-        rr = rho[start:start + chunk][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = 2.0 * rr * s[None, :]
-            cos_hi = np.where(denom > 0, (rr ** 2 + s[None, :] ** 2 - glo ** 2)
-                              / denom, np.inf)
-            cos_lo = np.where(denom > 0, (rr ** 2 + s[None, :] ** 2 - ghi ** 2)
-                              / denom, -np.inf)
-        # note cos decreasing in theta: dist = glo at the smaller angle
-        th_lo = np.arccos(np.clip(cos_hi, -1.0, 1.0))
-        th_hi = np.arccos(np.clip(cos_lo, -1.0, 1.0))
-        # degenerate center: dist is the constant sqrt(rho^2+s^2)
-        degenerate = denom <= 0
-        if np.any(degenerate):
-            const = np.sqrt(rr ** 2 + s[None, :] ** 2)
-            inside = (const >= glo) & (const <= ghi)
-            th_lo = np.where(degenerate, 0.0, th_lo)
-            th_hi = np.where(degenerate, np.where(inside, np.pi, 0.0), th_hi)
-        half = 0.5 * (th_hi - th_lo)
-        theta = th_lo[..., None] + half[..., None] * (xt + 1.0)
-        wth = half[..., None] * wt
-        dist = np.sqrt(np.maximum(rr[..., None] ** 2 + s[None, :, None] ** 2
-                                  - 2.0 * rr[..., None] * s[None, :, None]
-                                  * np.cos(theta), 0.0))
-        gv = np.asarray(g(dist.ravel()), dtype=float).reshape(dist.shape)
-        inner = np.sum(gv * np.sin(theta) ** (dim - 2) * wth, axis=-1)
-        out[start:start + chunk] = area * inner @ fs
+    rows = max(1, _BLOCK // (s_nodes * len(_GL64[0])))
+    for lo in range(0, len(rho), rows):
+        inner = _window_integral(g, g_support[0], g_support[1], dim,
+                                 rho[lo:lo + rows, None], s)
+        out[lo:lo + rows] = area * inner @ fs
     return out
+
+
+def spherical_mean_values(f, f_support, r, rho, dim):
+    """(f * sigma_r)(rho) for radial f supported in f_support on R^dim.
+
+    sigma_r is the surface measure of the sphere of radius r, so
+
+        (f * sigma_r)(rho) = r^(d-1) |S^(d-2)|
+                             int_window f(dist(rho,r,theta)) sin^(d-2)(theta) dtheta;
+
+    r and rho broadcast, and the pairs are taken in blocks of _BLOCK
+    quadrature nodes.
+    """
+    r, rho = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(rho, dtype=float))
+    shape = r.shape
+    r, rho = r.ravel(), rho.ravel()
+    inner = np.empty(r.shape)
+    rows = max(1, _BLOCK // len(_GL64[0]))
+    for lo in range(0, len(r), rows):
+        inner[lo:lo + rows] = _window_integral(
+            f, f_support[0], f_support[1], dim, rho[lo:lo + rows],
+            r[lo:lo + rows])
+    return (r ** (dim - 1) * surface_area(dim - 1) * inner).reshape(shape)
 
 
 def shell_profile_values(kernel, r, rho):
     """(psi * sigma_r)(rho): the smoothed shell, supported in |rho - r| <= 2 r0."""
-    psi = kernel.psi_profile()
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    d = kernel.dim
-    xt, wt = _GL64
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = 2.0 * rho * r
-        cos_hi = np.where(denom > 0, (rho ** 2 + r ** 2) / denom, np.inf)
-        cos_lo = np.where(denom > 0,
-                          (rho ** 2 + r ** 2 - kernel.support_radius ** 2)
-                          / denom, -np.inf)
-    th_lo = np.arccos(np.clip(cos_hi, -1.0, 1.0))
-    th_hi = np.arccos(np.clip(cos_lo, -1.0, 1.0))
-    half = 0.5 * (th_hi - th_lo)
-    theta = th_lo[:, None] + half[:, None] * (xt + 1.0)
-    wth = half[:, None] * wt
-    dist = np.sqrt(np.maximum(rho[:, None] ** 2 + r ** 2
-                              - 2.0 * rho[:, None] * r * np.cos(theta), 0.0))
-    vals = psi(dist.ravel()).reshape(dist.shape)
-    inner = np.sum(vals * np.sin(theta) ** (d - 2) * wth, axis=-1)
-    return r ** (d - 1) * surface_area(d - 1) * inner
+    return spherical_mean_values(kernel.psi_profile(),
+                                 (0.0, kernel.support_radius), r, rho,
+                                 kernel.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +297,6 @@ def shell_profile_values(kernel, r, rho):
 # (symbol samples plus direct cosine-sum terms, about a minute on one core).
 WAVE_LINE_CAP = 1 << 19
 WAVE_TERM_BUDGET = 400_000_000
-
-# Elements per block of the lattice and cosine sums.  Blocks this small keep
-# their temporaries under the allocator's mmap threshold, so they are reused
-# instead of mapped afresh; at 2^18 the page faults cost as much as the sums.
-_BLOCK = 1 << 12
 
 
 def _uniform_runs(radii):
@@ -377,6 +398,39 @@ def _chirp_sums(line, h, rho0, drho, count):
     return np.exp(1j * (rho * (size - 1) / 2.0 * h - 0.5 * w * j ** 2)) * conv
 
 
+def wave_kernel_plan(n, dim, radii):
+    """Grids of one ``wave_kernel`` call, checked against its budget.
+
+    Returns (h, hu, nt, u_count, runs): the t- and u-steps, the t-points,
+    the u-points of the even-d lattice and the uniform runs of ``radii``.
+    Raises BudgetError past WAVE_LINE_CAP t-points or WAVE_TERM_BUDGET
+    terms (symbol samples plus direct cosine-sum terms), and DomainError
+    for a scale outside 1..MAX_WAVE_SCALE or a dimension below 2; nothing
+    larger than the radii is allocated on the way.
+    """
+    if not 1 <= n <= MAX_WAVE_SCALE:
+        raise DomainError(
+            f"scale n = {n} outside the supported range 1..{MAX_WAVE_SCALE}")
+    if dim != int(dim) or dim < 2:
+        raise DomainError(f"ambient dimension must be an integer >= 2, "
+                          f"got {dim}")
+    b = 2.0 ** n * 8.0
+    margin = 8.0 + 2.0 ** (8 - n)
+    h = 2.0 * np.pi / (2.0 * radii.max(initial=0.0) + margin)
+    hu = 2.0 * np.pi / margin
+    nt = int(b / h) + 2
+    u_count = 1 if dim % 2 else int(b / hu) + 2
+    runs = _uniform_runs(radii)
+    direct = sum(stop - start for start, stop, step in runs if step is None)
+    terms = nt * (u_count + direct)
+    if nt > WAVE_LINE_CAP or terms > WAVE_TERM_BUDGET:
+        raise BudgetError(
+            f"wave kernel at scale {n}, dimension {dim}, radii up to "
+            f"{radii.max():.4g} needs {nt} t-points and {terms:.3g} terms; "
+            f"the caps are {WAVE_LINE_CAP} and {WAVE_TERM_BUDGET:.3g}")
+    return h, hu, nt, u_count, runs
+
+
 def wave_kernel(n, dim, theta=None, sign=1, radii=None):
     """Radial profile of the band-limited half-wave kernel at scale 2^n.
 
@@ -397,15 +451,8 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
     t-points or WAVE_TERM_BUDGET terms raises BudgetError before any array
     is built.
     """
-    if not 1 <= n <= MAX_WAVE_SCALE:
-        raise DomainError(
-            f"scale n = {n} outside the supported range 1..{MAX_WAVE_SCALE}")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    if dim != int(dim) or dim < 2:
-        raise DomainError(f"ambient dimension must be an integer >= 2, "
-                          f"got {dim}")
-    dim = int(dim)
     theta = theta or bumps.band_cutoff
     if radii is None:
         radii = np.linspace(0.0, 8.0, 513)
@@ -414,20 +461,9 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
             or np.any(radii < 0) or np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be finite, nonnegative and strictly "
                           "increasing")
+    h, hu, nt, u_count, runs = wave_kernel_plan(n, dim, radii)
+    dim = int(dim)
     a, b = 2.0 ** n / 8.0, 2.0 ** n * 8.0
-    margin = 8.0 + 2.0 ** (8 - n)
-    h = 2.0 * np.pi / (2.0 * radii.max(initial=0.0) + margin)
-    hu = 2.0 * np.pi / margin
-    nt = int(b / h) + 2
-    u_count = 1 if dim % 2 else int(b / hu) + 2
-    runs = _uniform_runs(radii)
-    direct = sum(stop - start for start, stop, step in runs if step is None)
-    terms = nt * (u_count + direct)
-    if nt > WAVE_LINE_CAP or terms > WAVE_TERM_BUDGET:
-        raise BudgetError(
-            f"wave kernel at scale {n}, dimension {dim}, radii up to "
-            f"{radii.max():.4g} needs {nt} t-points and {terms:.3g} terms; "
-            f"the caps are {WAVE_LINE_CAP} and {WAVE_TERM_BUDGET:.3g}")
 
     def symbol(s):
         out = np.zeros(s.shape, dtype=complex)
@@ -473,6 +509,22 @@ class WaveDecomposition:
         return 2.0 ** (self.n * (self.dim - 1) / 2.0)
 
 
+def decompose_radii(n, annulus=(0.5, 2.0),
+                    error_regions=((0.0, 0.25), (4.0, 8.0))):
+    """Annulus radii, error radii and their sorted union for scale n.
+
+    The annulus grid has step 2^-n / 8, centred in its cells; the error
+    regions have step min(2^-n / 4, 0.02).
+    """
+    step = 2.0 ** (-n) / 8.0
+    a_lo, a_hi = annulus
+    ann_rho = np.arange(a_lo + step / 2, a_hi, step)
+    err_rho = np.concatenate([
+        np.arange(lo, hi + 1e-12, min(step * 2, 0.02)) for lo, hi in
+        error_regions])
+    return ann_rho, err_rho, np.unique(np.concatenate([ann_rho, err_rho]))
+
+
 def decompose(n, dim, theta=None, annulus=(0.5, 2.0),
               error_regions=((0.0, 0.25), (4.0, 8.0)), sign=1):
     """Split the scale-n wave kernel into annulus spherical means plus error.
@@ -489,13 +541,8 @@ def decompose(n, dim, theta=None, annulus=(0.5, 2.0),
     term budget raises BudgetError.
     """
     step = 2.0 ** (-n) / 8.0
-    a_lo, a_hi = annulus
-    ann_rho = np.arange(a_lo + step / 2, a_hi, step)
-    err_rho = np.concatenate([
-        np.arange(lo, hi + 1e-12, min(step * 2, 0.02)) for lo, hi in
-        error_regions])
-    prof = wave_kernel(n, dim, theta, sign,
-                       radii=np.unique(np.concatenate([ann_rho, err_rho])))
+    ann_rho, err_rho, radii = decompose_radii(n, annulus, error_regions)
+    prof = wave_kernel(n, dim, theta, sign, radii=radii)
     interp_r = prof.radii
     kvals = prof.values
     ann_idx = np.searchsorted(interp_r, ann_rho)
@@ -593,24 +640,37 @@ class _ShellBasis:
 
 
 def _build_shell_basis(dim, r_grid, kernel, spread_radii):
+    """Rows u_a * (psi * sigma_r) = (psi * u_a) * sigma_r on a global rho grid.
+
+    By associativity one profile v_a = psi * u_a per spread serves every
+    shell: each row is the spherical mean of v_a, nonzero only where
+    |rho - r| <= a + w.  u_a is a polynomial of degree 4 inside its ball
+    and psi annihilates polynomials of degree below 4M, the order to which
+    its transform vanishes; so for M >= 2 v_a vanishes for |x| < a - w and
+    is sampled on the shell a - w <= |x| <= a + w only.  Its outer integral
+    runs over the narrow support of psi, where 96 nodes resolve that
+    cancellation.
+    """
     r_grid = np.asarray(r_grid, dtype=float)
     w = kernel.support_radius
     dr = r_grid[1] - r_grid[0] if len(r_grid) > 1 else 1.0
     rho_max = r_grid.max() + w + max(spread_radii) + 0.5
+    if rho_max / (kernel.radius0 / 6.0) > MAX_RHO_POINTS:
+        raise BudgetError(f"shell profiles out to {rho_max:.4g} at step "
+                          f"{kernel.radius0 / 6.0:.3g} exceed the cap of "
+                          f"{MAX_RHO_POINTS} radii")
     rho = np.arange(0.0, rho_max, kernel.radius0 / 6.0)
     profiles = {}
-    shells = []
-    for r in r_grid:
-        window = np.linspace(max(r - w, 0.0) - 1e-9, r + w + 1e-9, 257)
-        shells.append(SampledRadial(window, shell_profile_values(kernel, r,
-                                                                 window),
-                                    (window[0], window[-1])))
     for a in spread_radii:
+        lo = max(a - w, 0.0) if kernel.vanishing_order >= 2 else 0.0
+        grid = np.linspace(lo, a + w, _SPREAD_SAMPLES)
+        v = CubicSpline1D(grid, radial_convolution_values(
+            kernel.psi_profile(), (0.0, w), _ball_bump(a), (0.0, a), dim,
+            grid, s_nodes=96))
+        shell, k = np.nonzero(np.abs(rho - r_grid[:, None]) <= a + w)
         rows = np.zeros((len(r_grid), len(rho)))
-        for j, (r, shell) in enumerate(zip(r_grid, shells)):
-            sel = (rho >= r - w - a - 0.1) & (rho <= r + w + a + 0.1)
-            rows[j, sel] = radial_convolution_values(
-                _ball_bump(a), (0.0, a), shell, shell.support, dim, rho[sel])
+        rows[shell, k] = spherical_mean_values(v, (grid[0], grid[-1]),
+                                               r_grid[shell], rho[k], dim)
         profiles[a] = rows
     return _ShellBasis(rho, profiles, r_grid, dr, kernel, dim)
 
@@ -639,8 +699,13 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel=None, budget=60,
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) > MAX_SHELLS:
         raise BudgetError(f"{len(r_grid)} shells exceed the cap {MAX_SHELLS}")
-    if np.any(r_grid < 1.0):
-        raise DomainError("shell radii start at 1")
+    if len(r_grid) == 0 or not np.all(np.isfinite(r_grid)) \
+            or np.any(r_grid < 1.0):
+        raise DomainError("shell radii must be finite and start at 1")
+    if not spread_radii or not all(0.0 < a < math.inf
+                                   for a in spread_radii):
+        raise DomainError(f"spread radii must be positive and finite, got "
+                          f"{list(spread_radii)}")
     kernel = kernel or SmoothingKernel(dim)
     rng = np.random.default_rng(seed)
     basis = _build_shell_basis(dim, r_grid, kernel, spread_radii)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conemult import cli
 from conemult.cli import main
 from conemult.config import (ConfigError, coerce, parse_config_text,
                              resolve)
@@ -162,6 +163,48 @@ def test_characterize_symbol_bad_dilation_range_exits_2(tmp_path, capsys,
                                                         args):
     assert run_cli(["characterize", "--out", str(tmp_path / "c"),
                     "--mode", "symbol", *args]) == 2
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["br-scan", "--lam-step", "1e-9"],
+    ["characterize", "--mode", "symbol", "--t-per-octave", "1000000000"],
+])
+def test_oversized_scan_grid_exits_3(tmp_path, capsys, args):
+    # both grids would take gigabytes; the cap is checked before they exist
+    assert run_cli([*args, "--out", str(tmp_path / "s")]) == 3
+    assert _one_line_error(capsys)
+
+
+def test_wave_check_budget_checked_before_any_scale(tmp_path, capsys,
+                                                    monkeypatch):
+    # in even dim scale 11 is past the term budget; 9 and 10 take seconds
+    computed = []
+    monkeypatch.setattr(cli, "decompose",
+                        lambda n, dim: computed.append(n))
+    assert run_cli(["wave-check", "--out", str(tmp_path / "w"), "--dim", "2",
+                    "--n-lo", "9", "--n-hi", "11"]) == 3
+    assert computed == []
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["--spreads", "0"],
+    ["--spreads", "0.25,nan"],
+    ["--spreads", ","],
+    ["--r-hi", "inf"],
+    ["--shells", "0"],
+    ["--radius0", "0"],
+    ["--vanishing-order", "-1"],
+])
+def test_sph_probe_bad_input_exits_2(tmp_path, capsys, args):
+    assert run_cli(["sph-probe", "--out", str(tmp_path / "s"), *args]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_sph_probe_oversized_radius_grid_exits_3(tmp_path, capsys):
+    assert run_cli(["sph-probe", "--out", str(tmp_path / "s"),
+                    "--r-hi", "100000"]) == 3
     assert _one_line_error(capsys)
 
 

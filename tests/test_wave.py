@@ -378,3 +378,169 @@ def test_shell_bound_stable_under_rmax_doubling():
                                          budget=36, seed=7)
         bounds[rmax] = est.lower_bound
     assert abs(bounds[16.0] - bounds[8.0]) <= 0.2 * bounds[8.0]
+
+
+# ---------------------------------------------------------------------------
+# shell basis by associativity, against the direct route
+
+
+class _SampledRadial:
+    """Spline of a radial profile, zero outside its declared support."""
+
+    def __init__(self, grid, values, support):
+        self._spline = CubicSpline1D(grid, np.asarray(values, dtype=float))
+        self.support = support
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        out = self._spline(np.clip(r, self.support[0], self.support[1]))
+        return np.where((r >= self.support[0]) & (r <= self.support[1]),
+                        out, 0.0)
+
+
+def _direct_convolution_values(f, f_support, g, g_support, dim, rho,
+                               s_nodes=48, theta_nodes=64, chunk=256):
+    """(f * g)(rho) for radial f, g on R^dim.
+
+    Integrates s over the support ball/shell of f and the polar angle over
+    the exact window where |rho e_1 - s omega| lies in the support of g:
+
+        (f*g)(rho) = |S^(d-2)| int f(s) s^(d-1)
+                     int_window g(dist(rho,s,theta)) sin^(d-2)(theta) dtheta ds.
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    out = np.zeros(rho.shape)
+    xs, ws = np.polynomial.legendre.leggauss(s_nodes)
+    s = 0.5 * (f_support[0] + f_support[1]) + 0.5 * (f_support[1] -
+                                                     f_support[0]) * xs
+    sw = 0.5 * (f_support[1] - f_support[0]) * ws
+    fs = np.asarray(f(s), dtype=float) * s ** (dim - 1) * sw
+    xt, wt = np.polynomial.legendre.leggauss(theta_nodes)
+    glo, ghi = g_support
+    area = surface_area(dim - 1)
+    for start in range(0, len(rho), chunk):
+        rr = rho[start:start + chunk][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            denom = 2.0 * rr * s[None, :]
+            cos_hi = np.where(denom > 0, (rr ** 2 + s[None, :] ** 2 - glo ** 2)
+                              / denom, np.inf)
+            cos_lo = np.where(denom > 0, (rr ** 2 + s[None, :] ** 2 - ghi ** 2)
+                              / denom, -np.inf)
+        # note cos decreasing in theta: dist = glo at the smaller angle
+        th_lo = np.arccos(np.clip(cos_hi, -1.0, 1.0))
+        th_hi = np.arccos(np.clip(cos_lo, -1.0, 1.0))
+        # degenerate center: dist is the constant sqrt(rho^2+s^2)
+        degenerate = denom <= 0
+        if np.any(degenerate):
+            const = np.sqrt(rr ** 2 + s[None, :] ** 2)
+            inside = (const >= glo) & (const <= ghi)
+            th_lo = np.where(degenerate, 0.0, th_lo)
+            th_hi = np.where(degenerate, np.where(inside, np.pi, 0.0), th_hi)
+        half = 0.5 * (th_hi - th_lo)
+        theta = th_lo[..., None] + half[..., None] * (xt + 1.0)
+        wth = half[..., None] * wt
+        dist = np.sqrt(np.maximum(rr[..., None] ** 2 + s[None, :, None] ** 2
+                                  - 2.0 * rr[..., None] * s[None, :, None]
+                                  * np.cos(theta), 0.0))
+        gv = np.asarray(g(dist.ravel()), dtype=float).reshape(dist.shape)
+        inner = np.sum(gv * np.sin(theta) ** (dim - 2) * wth, axis=-1)
+        out[start:start + chunk] = area * inner @ fs
+    return out
+
+
+def _direct_shell_rows(dim, r_grid, kernel, a, rho, s_nodes=48,
+                       theta_nodes=64, chunk=256):
+    """Rows u_a * (psi * sigma_r) by the direct route the basis used to take.
+
+    Each shell psi * sigma_r is splined on 257 points, then convolved with
+    the spread bump u_a, integrating over the support of u_a.
+    """
+    w = kernel.support_radius
+    rows = np.zeros((len(r_grid), len(rho)))
+    for j, r in enumerate(r_grid):
+        window = np.linspace(max(r - w, 0.0) - 1e-9, r + w + 1e-9, 257)
+        shell = _SampledRadial(window, shell_profile_values(kernel, r, window),
+                               (window[0], window[-1]))
+        sel = (rho >= r - w - a - 0.1) & (rho <= r + w + a + 0.1)
+        rows[j, sel] = _direct_convolution_values(
+            wave._ball_bump(a), (0.0, a), shell, shell.support, dim, rho[sel],
+            s_nodes, theta_nodes, chunk)
+    return rows
+
+
+def _row_lp(rows, rho, dim, p):
+    return np.sum(np.abs(rows) ** p * rho ** (dim - 1), axis=-1) ** (1.0 / p)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_shell_basis_matches_direct_route(dim):
+    r_grid = np.array([1.0, 4.0, 16.0])
+    a = 0.25
+    kernel = SmoothingKernel(dim)
+    basis = wave._build_shell_basis(dim, r_grid, kernel, (a,))
+    direct = _direct_shell_rows(dim, r_grid, kernel, a, basis.rho,
+                                s_nodes=384, theta_nodes=256, chunk=8)
+    new = _row_lp(basis.profiles[a], basis.rho, dim, 1.2)
+    old = _row_lp(direct, basis.rho, dim, 1.2)
+    assert np.all(np.abs(new - old) <= 1e-2 * old), (new, old)
+
+
+def test_shell_basis_plateau_vanishes_in_dim3(kernel3):
+    # inside |rho - r| < a - w the sphere of radius rho meets all of the
+    # support of psi * u_a, and in d = 3 that spherical mean is
+    # (2 pi r / rho) int v_a(s) s ds = 0 by the vanishing moments of psi
+    r_grid = np.array([1.0, 4.0, 16.0])
+    a = 1.0
+    basis = wave._build_shell_basis(3, r_grid, kernel3, (a,))
+    inner = a - kernel3.support_radius - 0.05
+    for r, row in zip(r_grid, basis.profiles[a]):
+        plateau = np.abs(basis.rho - r) < inner
+        assert np.abs(row[plateau]).max() <= 5e-3 * np.abs(row).max(), r
+
+
+def test_spherical_mean_dim3_closed_form():
+    # (f * sigma_r)(rho) = (2 pi r / rho) int_|rho-r|^(rho+r) f(s) s ds in d = 3
+    lo, hi = 0.75, 1.25
+    poly = np.polynomial.Polynomial.fromroots([lo, lo, hi, hi])
+    f = lambda s: np.where((s >= lo) & (s <= hi), poly(s), 0.0)
+    anti = (poly * np.polynomial.Polynomial([0.0, 1.0])).integ()
+    r = np.array([0.5, 1.0, 3.0])[:, None]
+    rho = np.linspace(0.0, 4.5, 301)[None, :]
+    got = wave.spherical_mean_values(f, (lo, hi), r, rho, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.clip(np.abs(rho - r), lo, hi)
+        b = np.clip(rho + r, lo, hi)
+        want = np.where(rho > 0, 2.0 * np.pi * r / rho * (anti(b) - anti(a)),
+                        4.0 * np.pi * r ** 2 * f(r))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_radial_convolution_argument_order_agrees(kernel3):
+    # psi * u_a with either argument first: the outer integral runs over the
+    # narrow support of psi, which resolves the cancellation of psi
+    d, w = 3, kernel3.support_radius
+    psi = kernel3.psi_profile()
+    for a in (0.05, 1.0):
+        grid = np.linspace(max(a - w, 0.0), a + w, 65)
+        u = wave._ball_bump(a)
+        fg = radial_convolution_values(psi, (0.0, w), u, (0.0, a), d, grid)
+        gf = radial_convolution_values(u, (0.0, a), psi, (0.0, w), d, grid)
+        ref = radial_convolution_values(psi, (0.0, w), u, (0.0, a), d, grid,
+                                        s_nodes=192)
+        scale = np.abs(ref).max()
+        assert np.abs(fg - gf).max() <= 1e-12 * scale
+        assert np.abs(fg - ref).max() <= 1e-2 * scale, a
+
+
+def test_shell_basis_without_vanishing_moments():
+    # M = 0: psi * u_a does not vanish inside the ball, and nothing cancels,
+    # so the direct route at its default nodes is accurate
+    kernel = SmoothingKernel(3, vanishing_order=0)
+    r_grid = np.array([1.0, 4.0])
+    a = 0.25
+    basis = wave._build_shell_basis(3, r_grid, kernel, (a,))
+    direct = _direct_shell_rows(3, r_grid, kernel, a, basis.rho)
+    scale = np.abs(direct).max(axis=1, keepdims=True)
+    assert np.all(np.abs(basis.profiles[a] - direct) <= 1e-6 * scale)
