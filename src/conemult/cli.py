@@ -59,11 +59,10 @@ def line_profile(spec):
     if spec.startswith("br:"):
         return BRProfile(float(spec.split(":", 1)[1]))
     if spec.startswith("csv:"):
-        from .report import read_csv_columns
         from .multipliers import SampledProfile
-        cols = read_csv_columns(spec.split(":", 1)[1])
-        return SampledProfile([float(x) for x in cols["u"]],
-                              [float(x) for x in cols["value"]])
+        u, value = report.read_float_columns(spec.split(":", 1)[1],
+                                             ("u", "value"))
+        return SampledProfile(u, value)
     raise ConfigError(f"unknown line profile {spec!r}")
 
 
@@ -93,10 +92,14 @@ def radial_symbol(spec):
 
 
 def grid_multiplier(spec, axes):
-    """Multiplier usable by apply/opnorm on the given grid."""
+    """Multiplier usable by apply/opnorm on the given grid.
+
+    Radial symbols are evaluated once, as a frequency field on the grid.
+    """
     if spec.startswith(("one", "scalar:", "br:", "gauss", "indicator",
                         "oscillatory:")):
-        return radial_symbol(spec)
+        m0 = radial_symbol(spec)
+        return GridField(axes, m0(freq_magnitude(axes)), rep="frequency")
     if spec == "halfspace":
         xi1 = axes[0].freq_coords()
         shape = [1] * len(axes)
@@ -213,13 +216,8 @@ DEFAULTS = {
 def run_lorentz_norm(opts, outdir, seed):
     if not opts["input"]:
         raise ConfigError("lorentz-norm requires input=<csv path>")
-    cols = report.read_csv_columns(opts["input"])
-    try:
-        values = np.array([float(x) for x in cols["value"]])
-        weights = np.array([float(x) for x in cols["weight"]])
-    except KeyError:
-        raise ConfigError("input CSV needs 'value' and 'weight' columns") \
-            from None
+    values, weights = report.read_float_columns(opts["input"],
+                                                ("value", "weight"))
     samples = WeightedSampleSet(values, weights)
     params = LorentzParams(opts["p"], opts["nu"])
     value = lorentz_quasinorm(samples, params)
@@ -417,12 +415,8 @@ def run_apply(opts, outdir, seed):
     save_field(out, out_path)
     if out.values.size <= opts["csv_limit"]:
         export_field_csv(out, os.path.join(outdir, "output_field.csv"))
-    if isinstance(mult, GridField):
-        sym_max = float(np.abs(mult.values).max())
-    elif hasattr(mult, "grid"):
-        sym_max = float(np.abs(mult.grid.values).max())
-    else:
-        sym_max = float(np.abs(mult(freq_magnitude(axes))).max())
+    sym = mult.values if isinstance(mult, GridField) else mult.grid.values
+    sym_max = float(np.abs(sym).max())
     in_l2 = f.l2_norm()
     out_l2 = out.l2_norm()
     summary = {
@@ -478,6 +472,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    outdir = args.out or f"conemult-{args.command}"
+    fresh = not os.path.isdir(outdir)
+    code = 1   # an unexpected exception propagates with its traceback
+    try:
+        code = _run(args, argv, outdir)
+    finally:
+        # a failed run leaves no empty directory it created itself
+        if code != 0 and fresh and os.path.isdir(outdir) \
+                and not os.listdir(outdir):
+            os.rmdir(outdir)
+    return code
+
+
+def _run(args, argv, outdir):
     command = args.command
     defaults = DEFAULTS[command]
     try:
@@ -485,7 +493,6 @@ def main(argv=None):
         overrides = {key: getattr(args, key) for key in defaults
                      if getattr(args, key) is not None}
         opts = resolve(defaults, file_values, overrides)
-        outdir = args.out or f"conemult-{command}"
         os.makedirs(outdir, exist_ok=True)
         summary, make_figures = RUNNERS[command](opts, outdir, args.seed)
         summary["command"] = command

@@ -88,18 +88,19 @@ def decreasing_rearrangement(samples):
     """Decreasing rearrangement of a weighted sample set.
 
     Equal values are merged into a single constant piece; this does not
-    change any of the derived quasi-norms.
+    change any of the derived quasi-norms.  Each piece's measure is summed
+    in sample order (``bincount`` walks the samples by index), so the sort
+    need not be stable and the result does not depend on how ties sort.
     """
-    order = np.argsort(-samples.values, kind="stable")
+    order = np.argsort(samples.values)
     v = samples.values[order]
-    w = samples.weights[order]
-    keep = np.empty(len(v), dtype=bool)
-    keep[0] = True
-    keep[1:] = v[1:] != v[:-1]
-    idx = np.cumsum(keep) - 1
-    merged = np.zeros(int(keep.sum()))
-    np.add.at(merged, idx, w)
-    levels = v[keep]
+    start = np.empty(len(v), dtype=bool)
+    start[0] = True
+    start[1:] = v[1:] != v[:-1]
+    group = np.empty(len(v), dtype=np.intp)
+    group[order] = np.cumsum(start) - 1
+    merged = np.bincount(group, weights=samples.weights)[::-1]
+    levels = v[start][::-1]
     breakpoints = np.concatenate(([0.0], np.cumsum(merged)))
     return RearrangedFunction(breakpoints, levels)
 

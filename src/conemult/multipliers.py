@@ -259,7 +259,10 @@ def apply_multiplier(f, m):
     if f.rep != "space":
         raise DomainError("input field must be in space representation")
     sym = _symbol_values(f, m)
-    out = np.fft.ifftn(sym * np.fft.fftn(f.values))
+    out = np.fft.fftn(f.values)
+    # sym first: numpy's complex product is not bitwise commutative
+    np.multiply(sym, out, out=out)
+    np.fft.ifftn(out, out=out)
     return GridField(f.axes, out, rep="space")
 
 

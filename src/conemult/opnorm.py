@@ -28,10 +28,28 @@ def grid_norms(f, p, nu=None):
         return 0.0, 0.0
     vol = f.cell_volume()
     lp = float(np.sum((vals / vals.max()) ** p) * vol) ** (1.0 / p) * vals.max()
-    if nu is None:
-        return lp, None
-    samples = WeightedSampleSet(vals, np.full(vals.shape, vol))
-    return lp, lorentz_quasinorm(samples, LorentzParams(p, nu))
+    return lp, None if nu is None else grid_lorentz_norm(f, p, nu)
+
+
+def grid_lorentz_norm(f, p, nu):
+    """||f||_{p,nu} with cell-volume weights."""
+    vals = np.abs(f.values).ravel()
+    if not np.any(vals > 0):
+        return 0.0
+    samples = WeightedSampleSet(vals, np.full(vals.shape, f.cell_volume()))
+    return lorentz_quasinorm(samples, LorentzParams(p, nu))
+
+
+def _witness_norms(operator, spec, axes, p, nu):
+    """(||f||_p, ||T f||_{p,nu}) for the witness f of ``spec``.
+
+    T is not applied when ||f||_p vanishes; the second entry is then None.
+    """
+    f = build_witness(spec, axes)
+    denom, _ = grid_norms(f, p)
+    if denom == 0.0:
+        return 0.0, None
+    return denom, grid_lorentz_norm(operator(f), p, nu)
 
 
 @dataclass
@@ -119,16 +137,22 @@ def _dilation_bounds(axes):
 
 
 class _WitnessStream:
-    """Deterministic exploration sequence cycling through the families."""
+    """Deterministic exploration sequence cycling through the families.
 
-    def __init__(self, axes, families, rng, t_sweep=None):
+    It opens with plain dilated bumps; each step yields ``(spec, norms)``,
+    where ``norms`` is None unless the opening dilation was passed in
+    ``swept`` together with its already computed norms.
+    """
+
+    def __init__(self, axes, families, rng, swept=None):
         self.axes = axes
         self.families = list(families)
         self.rng = rng
         self.tmin, self.tmax = _dilation_bounds(axes)
-        self.queue = [{"family": "dilated_bump", "params": {"t": float(t)}}
-                      for t in (t_sweep if t_sweep is not None else
-                                np.geomspace(self.tmin, self.tmax, 9))]
+        if swept is None:
+            swept = [(t, None) for t in np.geomspace(self.tmin, self.tmax, 9)]
+        self.queue = [({"family": "dilated_bump", "params": {"t": float(t)}},
+                       norms) for t, norms in swept]
         self.counter = 0
 
     def _draw_t(self):
@@ -146,6 +170,9 @@ class _WitnessStream:
     def __next__(self):
         if self.queue:
             return self.queue.pop(0)
+        return self._draw(), None
+
+    def _draw(self):
         family = self.families[self.counter % len(self.families)]
         self.counter += 1
         if family == "dilated_bump":
@@ -202,28 +229,31 @@ def _refine(spec, rng, tmin, tmax):
 
 
 def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
-                   seed=0, t_sweep=None):
+                   seed=0, swept=None):
     """Best witness ratio ||T f||_{p,nu} / ||f||_p within an evaluation budget.
 
     ``operator`` maps GridField -> GridField and must be linear on the grid.
     Witnesses whose norm vanishes are skipped (they still consume budget).
+    ``swept`` lists ``(t, (||f||_p, ||T f||_{p,nu}))`` for dilated bumps
+    f = eta(t .) already evaluated: the search opens with them instead of
+    its default dilations, and their steps reuse the recorded norms.
     """
     if budget < 1:
         raise DomainError("budget must be at least 1")
     rng = np.random.default_rng(seed)
-    stream = _WitnessStream(axes, families, rng, t_sweep)
+    stream = _WitnessStream(axes, families, rng, swept)
     best_ratio = 0.0
     best_spec = None
     improvements = []
     for step in range(budget):
-        refining = best_spec is not None and step % 3 == 2
-        spec = _refine(best_spec, rng, stream.tmin, stream.tmax) \
-            if refining else next(stream)
-        f = build_witness(spec, axes)
-        denom, _ = grid_norms(f, p)
+        if best_spec is not None and step % 3 == 2:
+            spec = _refine(best_spec, rng, stream.tmin, stream.tmax)
+            norms = None
+        else:
+            spec, norms = next(stream)
+        denom, num = norms or _witness_norms(operator, spec, axes, p, nu)
         if denom == 0.0:
             continue
-        _, num = grid_norms(operator(f), p, nu)
         ratio = num / denom
         if ratio > best_ratio:
             best_ratio = ratio
@@ -235,9 +265,9 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
 
 def evaluate_witness(operator, spec, axes, p, nu):
     """Recompute the ratio of a recorded witness (reproducibility check)."""
-    f = build_witness(spec, axes)
-    denom, _ = grid_norms(f, p)
-    _, num = grid_norms(operator(f), p, nu)
+    denom, num = _witness_norms(operator, spec, axes, p, nu)
+    if denom == 0.0:
+        raise DomainError("the witness has zero norm")
     return num / denom
 
 
@@ -279,18 +309,18 @@ def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
         raise DomainError("no admissible dilation in the grid")
 
     operator = lambda f: apply_multiplier(f, m0)
-    rhs_per_t, scale_per_t = {}, {}
+    rhs_per_t, scale_per_t, swept = {}, {}, []
     for t in t_used:
-        f = build_witness({"family": "dilated_bump", "params": {"t": t}}, axes)
-        denom, _ = grid_norms(f, p)
-        _, num = grid_norms(operator(f), p, nu)
+        spec = {"family": "dilated_bump", "params": {"t": t}}
+        denom, num = _witness_norms(operator, spec, axes, p, nu)
+        swept.append((t, (denom, num)))
         rhs_per_t[t] = t ** (d / p) * num
         scale_per_t[t] = t ** (d / p) * denom
     rhs = max(rhs_per_t.values())
     scale_sup = max(scale_per_t.values())
 
     est = estimate_lower(operator, axes, p, nu, budget=budget, seed=seed,
-                         t_sweep=t_used)
+                         swept=swept)
     contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
     return {
         "p": p, "nu": "inf" if math.isinf(nu) else nu, "dim": d,

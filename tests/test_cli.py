@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conemult import cli
 from conemult.cli import main
 from conemult.config import (ConfigError, coerce, parse_config_text,
                              resolve)
-from conemult.multipliers import load_field
+from conemult.multipliers import freq_magnitude, load_field
 
 
 def run_cli(args):
@@ -142,6 +148,10 @@ def _one_line_error(capsys):
     return err.count("\n") == 1 and "Traceback" not in err
 
 
+def _one_line_error_text(err):
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["--lam-step", "0"],
     ["--lam-step", "-0.1"],
@@ -233,6 +243,81 @@ def test_opnorm_ndim_outside_grid_range_exits_2(tmp_path, capsys):
 def test_threads_flag_is_gone(tmp_path, capsys):
     assert run_cli(["wave-check", "--out", str(tmp_path / "w"),
                     "--threads", "2"]) == 2
+
+
+@pytest.mark.parametrize("text, line", [
+    ("value,weight\n1,1\n2\n", 3),           # short row
+    ("value,weight\n1,1,5\n", 2),             # long row
+    ("value,weight\n1,1\n\n2,abc\n", 4),     # not a number
+    ("value,w\n1,1\n", 1),                    # missing column
+    ("", None),                                # no header
+])
+def test_lorentz_norm_malformed_csv_exits_2(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert run_cli(["lorentz-norm", "--out", str(tmp_path / "run"),
+                    "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err)
+    where = str(path) if line is None else f"{path}:{line}:"
+    assert where in err
+
+
+def test_csv_line_profile_ragged_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "prof.csv"
+    path.write_text("u,value\n-0.25,0\n0\n0.25,0\n")
+    assert run_cli(["characterize", "--out", str(tmp_path / "c"),
+                    "--profile", f"csv:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3:" in err and _one_line_error_text(err)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["lorentz-norm", "--input", "/definitely/not/there.csv"], 2),
+    (["br-scan", "--lam-step", "1e-9"], 3),
+])
+def test_failed_run_removes_only_the_empty_directory_it_made(
+        tmp_path, capsys, args, code):
+    made = tmp_path / "made"
+    assert run_cli([*args, "--out", str(made)]) == code
+    assert not made.exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert run_cli([*args, "--out", str(kept)]) == code
+    assert kept.is_dir()
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.text(alphabet="0123456789.-+eEnaif x,\"", max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=0, max_size=4), max_size=6),
+       st.sampled_from(["value,weight", "weight,value", "value", ""]))
+def test_lorentz_norm_any_samples_csv_exits_0_or_2(rows, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\n" + "\n".join(",".join(r) for r in rows))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["lorentz-norm", "--input", path,
+                         "--out", os.path.join(tmp, "run")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("spec", ["br:2.0", "gauss", "one", "oscillatory:3"])
+def test_radial_grid_multiplier_is_the_symbol_on_the_grid(spec):
+    axes = cli.build_axes(8.0, 16, 2)
+    mult = cli.grid_multiplier(spec, axes)
+    assert mult.rep == "frequency"
+    want = np.asarray(cli.radial_symbol(spec)(freq_magnitude(axes)),
+                      dtype=complex)
+    assert np.array_equal(mult.values, want)
 
 
 def test_config_file_resolution_and_echo(tmp_path):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conemult import lorentz
 from conemult.errors import DomainError
-from conemult.lorentz import (LorentzParams, WeightedSampleSet,
+from conemult.lorentz import (LorentzParams, RearrangedFunction,
+                              WeightedSampleSet,
                               decreasing_rearrangement, lorentz_quasinorm,
                               weighted_line_samples,
                               weighted_samples_from_grid, weighted_lp_norm)
@@ -212,3 +216,67 @@ def test_grid_samples_truncation_empty():
     with pytest.raises(DomainError):
         weighted_samples_from_grid(np.linspace(-1, 1, 32), np.ones(32), 1,
                                    truncation=1e-9)
+
+
+def _stable_sort_rearrangement(samples):
+    """The stable-sort route the rearrangement used to take (oracle)."""
+    order = np.argsort(-samples.values, kind="stable")
+    v = samples.values[order]
+    w = samples.weights[order]
+    keep = np.empty(len(v), dtype=bool)
+    keep[0] = True
+    keep[1:] = v[1:] != v[:-1]
+    idx = np.cumsum(keep) - 1
+    merged = np.zeros(int(keep.sum()))
+    np.add.at(merged, idx, w)
+    levels = v[keep]
+    breakpoints = np.concatenate(([0.0], np.cumsum(merged)))
+    return RearrangedFunction(breakpoints, levels)
+
+
+def _assert_same_rearrangement(s):
+    got = decreasing_rearrangement(s)
+    want = _stable_sort_rearrangement(s)
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rearrangement_equals_stable_sort_oracle_on_ties(data):
+    # a few distinct levels plus zeros: nearly every sample ties with others
+    atoms = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    n = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(atoms + [0.0]), n)
+    weights = rng.uniform(1e-3, 10.0, n) * 10.0 ** rng.integers(-3, 4, n)
+    _assert_same_rearrangement(samples(values, weights))
+
+
+def _grid_cases():
+    # |T f| of a Gaussian on 64^3 (mirror ties) and a rounded field
+    x = -8.0 + 0.25 * np.arange(64)
+    c = np.meshgrid(x, x, x, indexing="ij", sparse=True)
+    bump = np.exp(-0.5 * sum(ci ** 2 for ci in c))
+    xi = np.fft.fftfreq(64, 0.25)
+    k = np.meshgrid(xi, xi, xi, indexing="ij", sparse=True)
+    sym = np.clip(1.0 - sum(ki ** 2 for ki in k), 0.0, None) ** 2
+    tf = np.abs(np.fft.ifftn(sym * np.fft.fftn(bump))).ravel()
+    vol = np.full(tf.shape, 0.25 ** 3)
+    rng = np.random.default_rng(5)
+    return [samples(bump.ravel(), vol),
+            samples(tf, vol),
+            samples(np.round(tf, 3), rng.uniform(0.1, 2.0, tf.shape))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_grid_quasinorms_equal_stable_sort_route(case, monkeypatch):
+    s = _grid_cases()[case]
+    _assert_same_rearrangement(s)
+    pairs = [LorentzParams(1.2, math.inf), LorentzParams(1.2, 2.0),
+             LorentzParams(1.5, 1.5)]
+    got = [lorentz_quasinorm(s, prm) for prm in pairs]
+    monkeypatch.setattr(lorentz, "decreasing_rearrangement",
+                        _stable_sort_rearrangement)
+    assert got == [lorentz_quasinorm(s, prm) for prm in pairs]

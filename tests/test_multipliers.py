@@ -402,3 +402,15 @@ def test_field_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x0,x1,re,im"
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 32), (8, 8, 16)])
+def test_apply_in_place_chain_equals_product_route(shape):
+    # a complex symbol: the operand order of the product must be kept
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(Axis(8.0, n) for n in shape)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = apply_multiplier(GridField(axes, vals),
+                           GridField(axes, sym, rep="frequency"))
+    assert np.array_equal(out.values, np.fft.ifftn(sym * np.fft.fftn(vals)))

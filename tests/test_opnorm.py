@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conemult import opnorm
 from conemult.errors import DomainError
 from conemult.multipliers import Axis, GridField, apply_multiplier, \
     freq_magnitude
@@ -134,3 +135,69 @@ def test_no_admissible_dilation_rejected():
 def test_budget_validation():
     with pytest.raises(DomainError):
         estimate_lower(lambda f: f, axes2(res=32), 2.0, 2.0, budget=0)
+
+
+def _double_evaluation_sweep(m0, axes, p, nu, budget, seed):
+    """The sweep as it was: the search evaluates the swept dilations again."""
+    d = len(axes)
+    tmin, tmax = opnorm._dilation_bounds(axes)
+    t_used = [float(t) for t in np.geomspace(tmin, tmax, 13)]
+    operator = lambda f: opnorm.apply_multiplier(f, m0)
+    rhs_per_t, scale_per_t = {}, {}
+    for t in t_used:
+        f = build_witness({"family": "dilated_bump", "params": {"t": t}}, axes)
+        denom, _ = grid_norms(f, p)
+        _, num = grid_norms(operator(f), p, nu)
+        rhs_per_t[t] = t ** (d / p) * num
+        scale_per_t[t] = t ** (d / p) * denom
+    rhs = max(rhs_per_t.values())
+    scale_sup = max(scale_per_t.values())
+    est = estimate_lower(operator, axes, p, nu, budget=budget, seed=seed,
+                         swept=[(t, None) for t in t_used])
+    contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
+    return {
+        "p": p, "nu": "inf" if math.isinf(nu) else nu, "dim": d,
+        "rhs_sup": rhs, "rhs_per_t": rhs_per_t,
+        "lower_bound": est.lower_bound, "witness": est.witness,
+        "scale_sup": scale_sup, "containment_ok": bool(contained),
+        "ratio_band": est.lower_bound * scale_sup / rhs if rhs > 0 else
+        float("inf"),
+        "t_excluded": [], "seed": seed, "improvements": est.improvements,
+    }
+
+
+def _counting_multiplier(monkeypatch):
+    calls = []
+
+    def counted(f, m):
+        calls.append(1)
+        return apply_multiplier(f, m)
+    monkeypatch.setattr(opnorm, "apply_multiplier", counted)
+    return calls
+
+
+@pytest.mark.parametrize("nu", [math.inf, 2.0])
+def test_sweep_evaluates_each_dilation_once(monkeypatch, nu):
+    ax = axes2(extent=16.0, res=64)
+    xi = freq_magnitude(ax)
+    m = GridField(ax, np.clip(1.0 - xi ** 2, 0.0, None) ** 2.0,
+                  rep="frequency")
+    calls = _counting_multiplier(monkeypatch)
+    out = scaling_sweep_experiment(m, ax, 1.2, nu, budget=48, seed=3)
+    assert len(out["rhs_per_t"]) == 13 and not out["t_excluded"]
+    assert len(calls) == 48
+    calls.clear()
+    assert out == _double_evaluation_sweep(m, ax, 1.2, nu, 48, 3)
+    assert len(calls) == 13 + 48
+
+
+def test_sweep_budget_below_dilation_count_fills_every_dilation(monkeypatch):
+    ax = axes2(extent=16.0, res=64)
+    m0 = lambda r: np.exp(-0.5 * np.asarray(r, float) ** 2)
+    calls = _counting_multiplier(monkeypatch)
+    out = scaling_sweep_experiment(m0, ax, 1.2, math.inf, budget=5, seed=0)
+    assert len(out["rhs_per_t"]) == 13
+    assert all(v > 0 for v in out["rhs_per_t"].values())
+    # the 13 dilations, then the refinement at step 2; the other 4 steps
+    # reuse swept dilations
+    assert len(calls) == 13 + 1
