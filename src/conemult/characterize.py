@@ -54,7 +54,15 @@ class QuantityResult:
 
 
 def transform_line_quantity(sigma, ghat, dim, p, nu, truncation):
-    """Weighted Lorentz quasi-norm of a tabulated transform on |s| <= R."""
+    """Weighted Lorentz quasi-norm of a tabulated transform on |s| <= R.
+
+    ``sigma`` ascends; a grid that stops short of R is rejected rather than
+    silently cut off there.
+    """
+    if sigma[-1] < truncation:
+        raise DomainError(
+            f"frequency grid reaches |s| = {sigma[-1]:.3g} < R = "
+            f"{truncation:.6g}; raise the resolution")
     vals = np.abs(ghat) / (1.0 + np.abs(sigma)) ** ((dim - 1) / 2.0)
     samples = weighted_samples_from_grid(sigma, vals, dim - 1, truncation)
     return lorentz_quasinorm(samples, LorentzParams(p, nu))
@@ -69,10 +77,6 @@ def fourier_side_quantity(gamma, dim, params, truncation=4096.0,
     reported at truncations R/2^doublings .. R for convergence assessment.
     """
     sigma, ghat = fourier_1d(gamma, spatial_truncation, resolution)
-    if sigma.max() < truncation:
-        raise DomainError(
-            f"frequency grid reaches |s| = {sigma.max():.3g} < R = {truncation}; "
-            f"raise the resolution")
     by_r = {}
     for i in range(doublings, -1, -1):
         r = truncation / 2 ** i
@@ -151,7 +155,7 @@ def default_dilation_grid(lo=2.0 ** -6, hi=2.0 ** 6, points_per_octave=64):
 
 def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
                            truncation=4096.0, spatial_truncation=8.0,
-                           resolution=2 ** 14, doublings=3):
+                           resolution=2 ** 15, doublings=3):
     """Global radial-symbol functional: sup_t of the windowed-dilate quantity.
 
     For each dilation t the symbol is windowed to phi(r) m0(t r) (phi a fixed

@@ -105,6 +105,35 @@ def decreasing_rearrangement(samples):
     return RearrangedFunction(breakpoints, levels)
 
 
+def rounded_up(samples, bits=4):
+    """Pointwise majorant of ``samples`` on a coarse level grid.
+
+    Each positive value is raised to the top of its bin, the bins cutting
+    every binade [2^e, 2^(e+1)) into 2^bits equal pieces; zeros stay zero.
+    The bins are read off the float64 bit pattern, so the map is monotone
+    and exact, and each value grows by a factor below 1 + 2^-bits (a
+    subnormal one by less than 2^(-1022-bits)).  The weights of a bin are
+    summed into one sample, leaving at most 2^bits samples per binade
+    present.  As the Lorentz quasi-norms are monotone under pointwise
+    majorants and homogeneous,
+
+        ||f||_{p,nu} <= ||rounded_up(f)||_{p,nu} <= (1 + 2^-bits) ||f||_{p,nu},
+
+    the right-hand inequality for samples free of subnormals.
+
+    A value in the top bin below the float64 overflow threshold has no
+    finite majorant there and is rejected like any non-finite sample.
+    """
+    shift = 52 - bits
+    v = samples.values
+    keys = (v.view(np.int64) >> shift) + (v > 0)
+    k0 = int(keys.min())
+    merged = np.bincount(keys - k0, weights=samples.weights)
+    present = np.flatnonzero(merged)
+    tops = ((present + k0) << shift).view(np.float64)
+    return WeightedSampleSet(tops, merged[present])
+
+
 def lorentz_quasinorm(samples, params):
     """Lorentz L^{p,nu} quasi-norm of a weighted sample set."""
     r = decreasing_rearrangement(samples)

@@ -4,17 +4,19 @@ Only lower bounds are claimed: the estimate is the best Rayleigh-type ratio
 ||Tf||_{p,nu} / ||f||_p over an explicitly recorded witness family, so it is
 valid by construction.  The search is an anytime loop (two exploration steps,
 one refinement step, repeating), which makes the estimate nondecreasing in
-the evaluation budget for a fixed seed.
+the step budget for a fixed seed.
 """
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
+from .lorentz import (LorentzParams, WeightedSampleSet, lorentz_quasinorm,
+                      rounded_up)
 from .multipliers import GridField, apply_multiplier, freq_magnitude
 
 FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
@@ -31,25 +33,47 @@ def grid_norms(f, p, nu=None):
     return lp, None if nu is None else grid_lorentz_norm(f, p, nu)
 
 
-def grid_lorentz_norm(f, p, nu):
-    """||f||_{p,nu} with cell-volume weights."""
+def _grid_samples(f):
+    """|f| with cell-volume weights, or None when f vanishes."""
     vals = np.abs(f.values).ravel()
     if not np.any(vals > 0):
+        return None
+    return WeightedSampleSet(vals, np.full(vals.shape, f.cell_volume()))
+
+
+def grid_lorentz_norm(f, p, nu):
+    """||f||_{p,nu} with cell-volume weights."""
+    samples = _grid_samples(f)
+    if samples is None:
         return 0.0
-    samples = WeightedSampleSet(vals, np.full(vals.shape, f.cell_volume()))
     return lorentz_quasinorm(samples, LorentzParams(p, nu))
 
 
-def _witness_norms(operator, spec, axes, p, nu):
+# relative slack of the majorant test; it covers the rounding of the cumsum
+# and the powers in the two quasi-norms it compares
+_MAJORANT_SLACK = 1e-9
+
+
+def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
     """(||f||_p, ||T f||_{p,nu}) for the witness f of ``spec``.
 
     T is not applied when ||f||_p vanishes; the second entry is then None.
+    It is None as well when the ratio cannot exceed ``beat > 0``: the norm
+    of the rounded-up majorant of |T f| (``lorentz.rounded_up``) bounds
+    ||T f||_{p,nu} from above and is checked before the exact rearrangement.
     """
     f = build_witness(spec, axes)
     denom, _ = grid_norms(f, p)
     if denom == 0.0:
         return 0.0, None
-    return denom, grid_lorentz_norm(operator(f), p, nu)
+    samples = _grid_samples(operator(f))
+    if samples is None:
+        return denom, 0.0
+    params = LorentzParams(p, nu)
+    if beat > 0.0 and lorentz_quasinorm(rounded_up(samples), params) \
+            <= beat * denom * (1.0 - _MAJORANT_SLACK):
+        return denom, None
+    return denom, lorentz_quasinorm(samples, params)
 
 
 @dataclass
@@ -85,10 +109,11 @@ def _space_radius_sq(axes, center=None, scale=1.0):
 
 
 def _modulation(axes, freqs):
+    """exp(i freqs . x) on the grid, as a product of per-axis factors."""
     coords = np.meshgrid(*[ax.space_coords() for ax in axes],
                          indexing="ij", sparse=True)
-    phase = sum(w * c for w, c in zip(freqs, coords))
-    return np.exp(1j * phase)
+    return functools.reduce(np.multiply, [np.exp(1j * (w * c))
+                                          for w, c in zip(freqs, coords)])
 
 
 def build_witness(spec, axes):
@@ -230,13 +255,19 @@ def _refine(spec, rng, tmin, tmax):
 
 def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
                    seed=0, swept=None):
-    """Best witness ratio ||T f||_{p,nu} / ||f||_p within an evaluation budget.
+    """Best witness ratio ||T f||_{p,nu} / ||f||_p within a budget of steps.
 
     ``operator`` maps GridField -> GridField and must be linear on the grid.
-    Witnesses whose norm vanishes are skipped (they still consume budget).
+    Each step proposes one witness.  A witness whose norm vanishes, or
+    that was proposed before, is skipped without an operator call; one
+    whose rounded-up majorant shows that its ratio cannot beat the best so
+    far is skipped after T f, without the exact Lorentz norm.  Skipped
+    witnesses still consume budget.
     ``swept`` lists ``(t, (||f||_p, ||T f||_{p,nu}))`` for dilated bumps
     f = eta(t .) already evaluated: the search opens with them instead of
-    its default dilations, and their steps reuse the recorded norms.
+    its default dilations, and their steps reuse the recorded norms.  Those
+    the budget does not reach are scored after the last step, as steps
+    ``budget, budget + 1, ...``, at no operator call.
     """
     if budget < 1:
         raise DomainError("budget must be at least 1")
@@ -245,20 +276,33 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
     best_ratio = 0.0
     best_spec = None
     improvements = []
-    for step in range(budget):
-        if best_spec is not None and step % 3 == 2:
-            spec = _refine(best_spec, rng, stream.tmin, stream.tmax)
-            norms = None
-        else:
-            spec, norms = next(stream)
-        denom, num = norms or _witness_norms(operator, spec, axes, p, nu)
-        if denom == 0.0:
-            continue
+    seen = set()
+
+    def score(step, spec, norms):
+        nonlocal best_ratio, best_spec
+        key = repr(spec)
+        if key in seen:
+            return
+        seen.add(key)
+        denom, num = norms or _witness_norms(operator, spec, axes, p, nu,
+                                             best_ratio)
+        if denom == 0.0 or num is None:
+            return
         ratio = num / denom
         if ratio > best_ratio:
             best_ratio = ratio
             best_spec = spec
             improvements.append((step, float(ratio)))
+
+    for step in range(budget):
+        if best_spec is not None and step % 3 == 2:
+            score(step, _refine(best_spec, rng, stream.tmin, stream.tmax),
+                  None)
+        else:
+            score(step, *next(stream))
+    leftover = [(spec, norms) for spec, norms in stream.queue if norms]
+    for step, (spec, norms) in enumerate(leftover, start=budget):
+        score(step, spec, norms)
     return OpNormEstimate(float(best_ratio), best_spec, p, nu, budget, seed,
                           improvements)
 

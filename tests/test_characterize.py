@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from conemult.bessel import surface_area
 from conemult.bumps import BumpPhi, smooth_window
@@ -9,6 +10,7 @@ from conemult.characterize import (compare_sides, default_dilation_grid,
                                    fourier_side_quantity,
                                    kernel_side_quantity, polar_sample_set,
                                    radial_symbol_quantity)
+from conemult.errors import DomainError
 from conemult.lorentz import LorentzParams
 
 
@@ -141,23 +143,31 @@ def test_symbol_scan_cone_mean_symbols():
     br1 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None)
     res = radial_symbol_quantity(br1, 4, LorentzParams(p, math.inf),
                                  t_grid=np.geomspace(0.25, 4.0, 33),
-                                 resolution=2 ** 13, truncation=2048.0)
+                                 resolution=2 ** 14, truncation=2048.0)
     assert not res.trend["divergent"]
     assert 0.25 <= res.arg_sup <= 4.0
     # below the threshold the singular slab carries the sup
     br05 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
     res2 = radial_symbol_quantity(br05, 4, LorentzParams(p, math.inf),
                                   t_grid=np.geomspace(0.25, 4.0, 33),
-                                  resolution=2 ** 13, truncation=2048.0)
+                                  resolution=2 ** 14, truncation=2048.0)
     assert 0.5 <= res2.arg_sup <= 2.0
 
 
 def test_symbol_scan_jump_symbol_diverges():
     ind = lambda r: (np.asarray(r, dtype=float) <= 1.0).astype(float)
     res = radial_symbol_quantity(ind, 4, LorentzParams(8.0 / 7.0, math.inf),
-                                 t_grid=np.array([1.0]), resolution=2 ** 14,
-                                 truncation=4096.0)
+                                 t_grid=np.array([1.0]), truncation=4096.0)
     assert res.trend["divergent"]
+
+
+def test_symbol_scan_rejects_grid_short_of_truncation():
+    # 2^13 points on [-8, 8) reach |s| = 1608 only
+    ind = lambda r: (np.asarray(r, dtype=float) <= 1.0).astype(float)
+    with pytest.raises(DomainError, match="raise the resolution"):
+        radial_symbol_quantity(ind, 4, LorentzParams(1.2, math.inf),
+                               t_grid=np.array([1.0]), resolution=2 ** 13,
+                               truncation=2048.0)
 
 
 def test_symbol_scan_reduces_to_fourier_side_at_unit_dilation():

@@ -240,6 +240,25 @@ def test_opnorm_ndim_outside_grid_range_exits_2(tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+def test_br_scan_grid_short_of_truncation_exits_2(tmp_path, capsys):
+    # 1024 points on [-4, 4) reach |s| = 401, far short of R/8 = 2048
+    out = tmp_path / "s"
+    assert run_cli(["br-scan", "--out", str(out), "--resolution", "1024"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "raise the resolution" in err
+    assert not out.exists()
+
+
+def test_opnorm_sweep_containment_holds_at_small_budget(tmp_path):
+    # the budget reaches 2 of the 13 swept dilations; the rest are scored free
+    out = str(tmp_path / "o")
+    assert run_cli(["opnorm", "--out", out, "--multiplier", "oscillatory:3",
+                    "--budget", "3"]) == 0
+    summary = read_summary(out)
+    assert summary["containment_ok"]
+    assert summary["ratio_band"] >= 1.0 - 1e-12
+
+
 def test_threads_flag_is_gone(tmp_path, capsys):
     assert run_cli(["wave-check", "--out", str(tmp_path / "w"),
                     "--threads", "2"]) == 2

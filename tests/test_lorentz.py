@@ -10,6 +10,7 @@ from conemult.errors import DomainError
 from conemult.lorentz import (LorentzParams, RearrangedFunction,
                               WeightedSampleSet,
                               decreasing_rearrangement, lorentz_quasinorm,
+                              rounded_up,
                               weighted_line_samples,
                               weighted_samples_from_grid, weighted_lp_norm)
 
@@ -280,3 +281,49 @@ def test_grid_quasinorms_equal_stable_sort_route(case, monkeypatch):
     monkeypatch.setattr(lorentz, "decreasing_rearrangement",
                         _stable_sort_rearrangement)
     assert got == [lorentz_quasinorm(s, prm) for prm in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rounded_up_bounds_every_quasinorm(data):
+    # tied levels from a small pool, zeros, and normal values across
+    # 2^-900 .. 2^900
+    pool = data.draw(st.lists(
+        st.tuples(st.floats(1.0, 2.0, exclude_max=True),
+                  st.integers(-900, 900)),
+        min_size=1, max_size=6))
+    atoms = [math.ldexp(m, e) for m, e in pool] + [0.0]
+    n = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    p = data.draw(st.floats(0.5, 4.0))
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(atoms), n)
+    weights = rng.uniform(1e-3, 10.0, n) * 10.0 ** rng.integers(-3, 4, n)
+    s = samples(values, weights)
+    up = rounded_up(s)
+    assert np.all(np.diff(np.sort(up.values)) > 0)
+    assert math.isclose(up.total_measure, s.total_measure, rel_tol=1e-12)
+    # up to the rounding of the two cumsums: the factor 17/16 is attained
+    # (one bin [1, 1.0625) holding 1 and 1.03125), and then either side
+    # can come out one ulp over it
+    for nu in (p, 2.0 * p, math.inf):
+        prm = LorentzParams(p, nu)
+        exact = lorentz_quasinorm(s, prm)
+        bound = lorentz_quasinorm(up, prm)
+        assert exact <= bound * (1.0 + 1e-12)
+        assert bound <= (1.0 + 2.0 ** -4) * exact * (1.0 + 1e-12)
+
+
+def test_rounded_up_bin_tops():
+    # 1.0 opens its bin and rises by the full 1/16; the top of one bin
+    # opens the next; zeros stay zero and merge
+    s = samples([1.0, 1.0 + 1 / 16, 0.0, 1.0 + 1 / 32, 0.0, 3.0],
+                [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    up = rounded_up(s)
+    order = np.argsort(up.values)
+    assert up.values[order].tolist() == [0.0, 1.0625, 1.125, 3.125]
+    assert up.weights[order].tolist() == [8.0, 5.0, 2.0, 6.0]
+    got = lorentz_quasinorm(rounded_up(samples([1.0], [2.0])),
+                            LorentzParams(1.5, math.inf))
+    assert got == 1.0625 * 2.0 ** (1 / 1.5)
+    assert rounded_up(s, bits=1).values.max() == 4.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conemult import opnorm
+from conemult import cli, opnorm
 from conemult.errors import DomainError
 from conemult.multipliers import Axis, GridField, apply_multiplier, \
     freq_magnitude
@@ -152,8 +152,8 @@ def _double_evaluation_sweep(m0, axes, p, nu, budget, seed):
         scale_per_t[t] = t ** (d / p) * denom
     rhs = max(rhs_per_t.values())
     scale_sup = max(scale_per_t.values())
-    est = estimate_lower(operator, axes, p, nu, budget=budget, seed=seed,
-                         swept=[(t, None) for t in t_used])
+    est = _oracle_estimate_lower(operator, axes, p, nu, budget=budget,
+                                 seed=seed, swept=[(t, None) for t in t_used])
     contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
     return {
         "p": p, "nu": "inf" if math.isinf(nu) else nu, "dim": d,
@@ -185,7 +185,8 @@ def test_sweep_evaluates_each_dilation_once(monkeypatch, nu):
     calls = _counting_multiplier(monkeypatch)
     out = scaling_sweep_experiment(m, ax, 1.2, nu, budget=48, seed=3)
     assert len(out["rhs_per_t"]) == 13 and not out["t_excluded"]
-    assert len(calls) == 48
+    # 13 swept steps come free and 11 refinements repeat an earlier witness
+    assert len(calls) == 37
     calls.clear()
     assert out == _double_evaluation_sweep(m, ax, 1.2, nu, 48, 3)
     assert len(calls) == 13 + 48
@@ -201,3 +202,124 @@ def test_sweep_budget_below_dilation_count_fills_every_dilation(monkeypatch):
     # the 13 dilations, then the refinement at step 2; the other 4 steps
     # reuse swept dilations
     assert len(calls) == 13 + 1
+
+
+def _oracle_estimate_lower(operator, axes, p, nu, families=opnorm.FAMILIES,
+                           budget=48, seed=0, swept=None):
+    """The search as it was: no seen-set, no majorant, no leftover scoring."""
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+    rng = np.random.default_rng(seed)
+    stream = opnorm._WitnessStream(axes, families, rng, swept)
+    best_ratio = 0.0
+    best_spec = None
+    improvements = []
+    for step in range(budget):
+        if best_spec is not None and step % 3 == 2:
+            spec = opnorm._refine(best_spec, rng, stream.tmin, stream.tmax)
+            norms = None
+        else:
+            spec, norms = next(stream)
+        denom, num = norms or opnorm._witness_norms(operator, spec, axes, p,
+                                                    nu)
+        if denom == 0.0:
+            continue
+        ratio = num / denom
+        if ratio > best_ratio:
+            best_ratio = ratio
+            best_spec = spec
+            improvements.append((step, float(ratio)))
+    return opnorm.OpNormEstimate(float(best_ratio), best_spec, p, nu, budget,
+                                 seed, improvements)
+
+
+def _grid_operator(spec, res=32):
+    axes = cli.build_axes(16.0, res, 3)
+    mult = cli.grid_multiplier(spec, axes)
+    return axes, lambda f: apply_multiplier(f, mult)
+
+
+@pytest.mark.parametrize("spec", ["cone_tent", "br:2.0", "oscillatory:3",
+                                  "halfspace"])
+def test_search_matches_the_plain_loop(spec):
+    axes, op = _grid_operator(spec)
+    for nu in (math.inf, 2.0):
+        for budget in (1, 5, 48):
+            got = estimate_lower(op, axes, 1.2, nu, budget=budget, seed=7)
+            want = _oracle_estimate_lower(op, axes, 1.2, nu, budget=budget,
+                                          seed=7)
+            assert got.to_dict() == want.to_dict()
+
+
+def test_search_skips_repeated_witnesses():
+    axes, op = _grid_operator("cone_tent")
+    calls = []
+
+    def counted(f):
+        calls.append(1)
+        return op(f)
+    got = estimate_lower(counted, axes, 1.2, math.inf, budget=48, seed=7)
+    new_calls = len(calls)
+    calls.clear()
+    want = _oracle_estimate_lower(counted, axes, 1.2, math.inf, budget=48,
+                                  seed=7)
+    assert got.to_dict() == want.to_dict()
+    assert new_calls < len(calls) == 48
+
+
+def test_majorant_rejects_losers_without_the_exact_norm(monkeypatch):
+    axes, op = _grid_operator("cone_tent")
+    exact = []
+    norm = opnorm.lorentz_quasinorm
+
+    def counted(samples, params):
+        if len(samples.values) == 32 ** 3:
+            exact.append(1)
+        return norm(samples, params)
+    monkeypatch.setattr(opnorm, "lorentz_quasinorm", counted)
+    spec = {"family": "dilated_bump", "params": {"t": 1.0}}
+    denom, num = opnorm._witness_norms(op, spec, axes, 1.2, math.inf)
+    assert len(exact) == 1
+    # a ratio to beat just below the witness's own keeps the exact norm
+    assert opnorm._witness_norms(op, spec, axes, 1.2, math.inf,
+                                 0.5 * num / denom) == (denom, num)
+    assert len(exact) == 2
+    # one 1.1 times above it is out of reach of the 17/16 majorant
+    assert opnorm._witness_norms(op, spec, axes, 1.2, math.inf,
+                                 1.1 * num / denom) == (denom, None)
+    assert len(exact) == 2
+
+
+def _full_grid_modulation(axes, freqs):
+    """exp(i freqs . x) from the phase summed over the full grid."""
+    coords = np.meshgrid(*[ax.space_coords() for ax in axes],
+                         indexing="ij", sparse=True)
+    phase = sum(w * c for w, c in zip(freqs, coords))
+    return np.exp(1j * phase)
+
+
+def test_modulation_matches_full_grid_phase():
+    rng = np.random.default_rng(5)
+    for axes in (cli.build_axes(16.0, 64, 3), axes2(),
+                 (Axis(8.0, 32), Axis(16.0, 64), Axis(12.0, 16))):
+        for _ in range(4):
+            freqs = [float(rng.uniform(-0.5, 0.5) * np.pi / ax.step)
+                     for ax in axes]
+            got = opnorm._modulation(axes, freqs)
+            want = _full_grid_modulation(axes, freqs)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_sweep_scores_dilations_the_budget_does_not_reach(monkeypatch):
+    axes = cli.build_axes(16.0, 64, 2)
+    m = cli.grid_multiplier("oscillatory:3", axes)
+    calls = _counting_multiplier(monkeypatch)
+    out = scaling_sweep_experiment(m, axes, 1.2, math.inf, budget=3, seed=0)
+    assert out["containment_ok"]
+    assert out["ratio_band"] >= 1.0 - 1e-12
+    # the 13 swept dilations, then one refinement at step 2; the 11 swept
+    # dilations left over are scored as steps 3 .. 13
+    assert len(calls) == 13 + 1
+    steps = [step for step, _ in out["improvements"]]
+    assert 3 <= max(steps) <= 13
