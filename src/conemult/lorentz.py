@@ -105,26 +105,29 @@ def decreasing_rearrangement(samples):
     return RearrangedFunction(breakpoints, levels)
 
 
-def rounded_up(samples, bits=4):
+_BITS = 4
+
+
+def rounded_up(samples):
     """Pointwise majorant of ``samples`` on a coarse level grid.
 
     Each positive value is raised to the top of its bin, the bins cutting
-    every binade [2^e, 2^(e+1)) into 2^bits equal pieces; zeros stay zero.
+    every binade [2^e, 2^(e+1)) into 16 equal pieces; zeros stay zero.
     The bins are read off the float64 bit pattern, so the map is monotone
-    and exact, and each value grows by a factor below 1 + 2^-bits (a
-    subnormal one by less than 2^(-1022-bits)).  The weights of a bin are
-    summed into one sample, leaving at most 2^bits samples per binade
-    present.  As the Lorentz quasi-norms are monotone under pointwise
-    majorants and homogeneous,
+    and exact, and each value grows by a factor of at most 17/16, attained
+    at the bottom of the first bin of a binade (a subnormal value grows by
+    less than 2^-1026).  The weights of a bin are summed into one sample,
+    leaving at most 16 samples per binade present.  As the Lorentz
+    quasi-norms are monotone under pointwise majorants and homogeneous,
 
-        ||f||_{p,nu} <= ||rounded_up(f)||_{p,nu} <= (1 + 2^-bits) ||f||_{p,nu},
+        ||f||_{p,nu} <= ||rounded_up(f)||_{p,nu} <= (17/16) ||f||_{p,nu},
 
     the right-hand inequality for samples free of subnormals.
 
     A value in the top bin below the float64 overflow threshold has no
     finite majorant there and is rejected like any non-finite sample.
     """
-    shift = 52 - bits
+    shift = 52 - _BITS
     v = samples.values
     keys = (v.view(np.int64) >> shift) + (v > 0)
     k0 = int(keys.min())

@@ -143,14 +143,14 @@ def test_symbol_scan_cone_mean_symbols():
     br1 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None)
     res = radial_symbol_quantity(br1, 4, LorentzParams(p, math.inf),
                                  t_grid=np.geomspace(0.25, 4.0, 33),
-                                 resolution=2 ** 14, truncation=2048.0)
+                                 resolution=2 ** 16, truncation=2048.0)
     assert not res.trend["divergent"]
     assert 0.25 <= res.arg_sup <= 4.0
     # below the threshold the singular slab carries the sup
     br05 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
     res2 = radial_symbol_quantity(br05, 4, LorentzParams(p, math.inf),
                                   t_grid=np.geomspace(0.25, 4.0, 33),
-                                  resolution=2 ** 14, truncation=2048.0)
+                                  resolution=2 ** 16, truncation=2048.0)
     assert 0.5 <= res2.arg_sup <= 2.0
 
 

@@ -326,4 +326,3 @@ def test_rounded_up_bin_tops():
     got = lorentz_quasinorm(rounded_up(samples([1.0], [2.0])),
                             LorentzParams(1.5, math.inf))
     assert got == 1.0625 * 2.0 ** (1 / 1.5)
-    assert rounded_up(s, bits=1).values.max() == 4.0
