@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .characterize import transform_line_quantity
+from .characterize import line_rearrangements
 from .errors import DomainError
-from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
+from .lorentz import LorentzParams, rearranged_quasinorm
 from .multipliers import ConeMultiplierField, GridField, freq_magnitude
 from .radial import fourier_1d
 from .util import doubling_trend, dyadic_envelope_fit
@@ -204,37 +204,28 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
             raise DomainError(
                 f"lambda grid [{lam_grid[0]}, {lam_grid[-1]}] does not bracket "
                 f"the predicted threshold {pred:.4f} for p = {p}")
-    transforms = {}
+    radii = [truncation / 2 ** i for i in (3, 2, 1, 0)]
+    windows = [(0.0, r) for r in radii] + \
+        [(detector_window, r) for r in radii]
+    tables = [[] for _ in p_list]
     for lam in lam_grid:
-        transforms[lam] = fourier_1d(BRProfile(lam), spatial_truncation,
-                                     resolution)
-    results = []
-    for p in p_list:
-        table = []
-        estimate = float("nan")
-        for lam in lam_grid:
-            sigma, ghat = transforms[lam]
-            full, tail = {}, {}
-            for i in (3, 2, 1, 0):
-                r = truncation / 2 ** i
-                full[r] = transform_line_quantity(sigma, ghat, dim, p,
-                                                  math.inf, truncation=r)
-                tail[r] = _tail_weak_quantity(sigma, ghat, dim, p,
-                                              detector_window, r)
+        # one transform and one sort per order, dropped before the next
+        sigma, ghat = fourier_1d(BRProfile(lam), spatial_truncation,
+                                 resolution)
+        rearranged = line_rearrangements(sigma, ghat, dim, windows)
+        del sigma, ghat
+        for p, table in zip(p_list, tables):
+            params = LorentzParams(p, math.inf)
+            values = [rearranged_quasinorm(r, params) for r in rearranged]
+            full = dict(zip(radii, values[:4]))
+            tail = dict(zip(radii, values[4:]))
             trend = doubling_trend(tail, growth_threshold)
             table.append((lam, full, tail, trend["divergent"]))
-            if not trend["divergent"] and math.isnan(estimate):
-                estimate = lam
+    results = []
+    for p, table in zip(p_list, tables):
+        unflagged = [lam for lam, _, _, div in table if not div]
+        estimate = unflagged[0] if unflagged else float("nan")
         gap = abs(critical_exponent(dim, p) - critical_exponent_alt(dim, p))
-        results.append(CriticalScanResult(p, predictions[p], estimate, table,
-                                          gap))
+        results.append(CriticalScanResult(p, predictions[p], estimate,
+                                          table, gap))
     return results
-
-
-def _tail_weak_quantity(sigma, ghat, dim, p, lo, hi):
-    keep = (np.abs(sigma) >= lo) & (np.abs(sigma) <= hi)
-    vals = np.abs(ghat[keep]) / (1.0 + np.abs(sigma[keep])) ** ((dim - 1) / 2.0)
-    h = sigma[1] - sigma[0]
-    weights = h * (1.0 + np.abs(sigma[keep])) ** (dim - 1)
-    samples = WeightedSampleSet(vals, weights)
-    return lorentz_quasinorm(samples, LorentzParams(p, math.inf))

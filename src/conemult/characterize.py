@@ -23,8 +23,8 @@ import numpy as np
 from .bessel import surface_area
 from .bumps import BumpPhi
 from .errors import DomainError
-from .lorentz import (LorentzParams, lorentz_quasinorm,
-                      weighted_samples_from_grid, WeightedSampleSet)
+from .lorentz import (WeightedSampleSet, lorentz_quasinorm,
+                      rearranged_quasinorm, subset_rearrangements)
 from .radial import fourier_1d, radial_transform
 from .util import doubling_trend, geometric_grid
 
@@ -53,19 +53,54 @@ class QuantityResult:
         }
 
 
-def transform_line_quantity(sigma, ghat, dim, p, nu, truncation):
-    """Weighted Lorentz quasi-norm of a tabulated transform on |s| <= R.
+class LineSamples:
+    """Weighted samples of |g_hat(s)| (1+|s|)^(-(d-1)/2) on |s| <= R.
 
-    ``sigma`` ascends; a grid that stops short of R is rejected rather than
-    silently cut off there.
+    Each grid point of ``sigma`` (ascending, uniform) inside the truncation
+    carries the cell measure h (1+|s|)^(d-1).  Everything but |g_hat| is
+    fixed by the grid, d and R, so one instance serves every transform
+    tabulated on the same grid.  A truncation that is not finite and
+    positive, or that the grid stops short of, is rejected rather than
+    silently cut off.
     """
+
+    def __init__(self, sigma, dim, truncation):
+        _check_truncation(sigma, truncation)
+        h = sigma[1] - sigma[0]
+        self.keep = np.abs(sigma) <= truncation
+        self.abs_s = np.abs(sigma[self.keep])
+        self.divisor = (1.0 + self.abs_s) ** ((dim - 1) / 2.0)
+        self.weights = h * (1.0 + self.abs_s) ** (dim - 1)
+
+    def samples(self, ghat):
+        return WeightedSampleSet(np.abs(ghat[self.keep]) / self.divisor,
+                                 self.weights)
+
+
+def _check_truncation(sigma, truncation):
+    if not 0 < truncation < math.inf:
+        raise DomainError(f"truncation R = {truncation} must be finite and "
+                          f"positive")
     if sigma[-1] < truncation:
         raise DomainError(
             f"frequency grid reaches |s| = {sigma[-1]:.3g} < R = "
             f"{truncation:.6g}; raise the resolution")
-    vals = np.abs(ghat) / (1.0 + np.abs(sigma)) ** ((dim - 1) / 2.0)
-    samples = weighted_samples_from_grid(sigma, vals, dim - 1, truncation)
-    return lorentz_quasinorm(samples, LorentzParams(p, nu))
+
+
+def line_rearrangements(sigma, ghat, dim, windows):
+    """Rearranged weighted line samples on each window lo <= |s| <= hi.
+
+    One sort of the samples on the widest window serves them all.  The
+    windows' upper ends are checked in ascending order, so a grid short
+    of several is reported at the smallest.
+    """
+    tops = sorted(hi for _, hi in windows)
+    for hi in tops:
+        _check_truncation(sigma, hi)
+    line = LineSamples(sigma, dim, tops[-1])
+    a = line.abs_s
+    return subset_rearrangements(line.samples(ghat),
+                                 [(a >= lo) & (a <= hi) for lo, hi in windows])
 
 
 def fourier_side_quantity(gamma, dim, params, truncation=4096.0,
@@ -73,15 +108,16 @@ def fourier_side_quantity(gamma, dim, params, truncation=4096.0,
                           doublings=3):
     """Weighted Lorentz size of the profile's 1-d Fourier transform.
 
-    The transform is computed once on the FFT-dual grid; the quasi-norm is
-    reported at truncations R/2^doublings .. R for convergence assessment.
+    The transform is computed and its samples sorted once; the quasi-norm
+    is reported at truncations R/2^doublings .. R for convergence
+    assessment.
     """
     sigma, ghat = fourier_1d(gamma, spatial_truncation, resolution)
-    by_r = {}
-    for i in range(doublings, -1, -1):
-        r = truncation / 2 ** i
-        by_r[r] = transform_line_quantity(sigma, ghat, dim, params.p,
-                                          params.nu, r)
+    radii = [truncation / 2 ** i for i in range(doublings, -1, -1)]
+    rearranged = line_rearrangements(sigma, ghat, dim,
+                                     [(0.0, r) for r in radii])
+    by_r = {r: rearranged_quasinorm(rr, params)
+            for r, rr in zip(radii, rearranged)}
     trend = doubling_trend(by_r, GROWTH_THRESHOLD)
     return QuantityResult(by_r[truncation], by_r, trend,
                           {"side": "fourier", "dim": dim, "p": params.p,
@@ -167,11 +203,13 @@ def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
     if t_grid is None:
         t_grid = default_dilation_grid(2.0 ** -4, 2.0 ** 4, 16)
     per_t = {}
+    line = None
     for t in np.asarray(t_grid, dtype=float):
         windowed = _windowed_dilate(m0, phi, t)
         sigma, khat = fourier_1d(windowed, spatial_truncation, resolution)
-        per_t[float(t)] = transform_line_quantity(sigma, khat, dim, params.p,
-                                                  params.nu, truncation)
+        if line is None:    # every dilate shares the grid
+            line = LineSamples(sigma, dim, truncation)
+        per_t[float(t)] = lorentz_quasinorm(line.samples(khat), params)
     arg = max(per_t, key=per_t.get)
     best = _windowed_dilate(m0, phi, arg)
     diag = fourier_side_quantity(best, dim, params, truncation,

@@ -93,13 +93,43 @@ def decreasing_rearrangement(samples):
     need not be stable and the result does not depend on how ties sort.
     """
     order = np.argsort(samples.values)
-    v = samples.values[order]
+    return _tie_merged(samples.values, samples.weights, order)
+
+
+def subset_rearrangements(samples, masks):
+    """Decreasing rearrangement of each masked subset of one sample set.
+
+    The set is sorted once; each subset reads its ascending order off that
+    sort.  Its result is bit-identical to ``decreasing_rearrangement`` of
+    the subset, since ties are merged in sample order as there.  An empty
+    subset raises DomainError.
+    """
+    order = np.argsort(samples.values)
+    out = []
+    for keep in masks:
+        keep = np.asarray(keep, dtype=bool)
+        if not keep.any():
+            raise DomainError("subset mask selects no sample")
+        out.append(_tie_merged(samples.values, samples.weights,
+                               order[keep[order]], keep))
+    return out
+
+
+def _tie_merged(values, weights, order, keep=None):
+    """Rearrangement of the samples ``order`` lists in ascending value.
+
+    ``keep`` marks the samples ``order`` covers when it is not all of
+    them; the merged measures are summed over those in index order.
+    """
+    v = values[order]
     start = np.empty(len(v), dtype=bool)
     start[0] = True
     start[1:] = v[1:] != v[:-1]
-    group = np.empty(len(v), dtype=np.intp)
+    group = np.empty(len(values), dtype=np.intp)
     group[order] = np.cumsum(start) - 1
-    merged = np.bincount(group, weights=samples.weights)[::-1]
+    if keep is not None:
+        group, weights = group[keep], weights[keep]
+    merged = np.bincount(group, weights=weights)[::-1]
     levels = v[start][::-1]
     breakpoints = np.concatenate(([0.0], np.cumsum(merged)))
     return RearrangedFunction(breakpoints, levels)
@@ -139,7 +169,11 @@ def rounded_up(samples):
 
 def lorentz_quasinorm(samples, params):
     """Lorentz L^{p,nu} quasi-norm of a weighted sample set."""
-    r = decreasing_rearrangement(samples)
+    return rearranged_quasinorm(decreasing_rearrangement(samples), params)
+
+
+def rearranged_quasinorm(r, params):
+    """Lorentz L^{p,nu} quasi-norm from the decreasing rearrangement ``r``."""
     t = r.breakpoints
     lv = r.levels
     peak = lv[0]
@@ -183,19 +217,3 @@ def weighted_line_samples(f, weight_exponent, truncation, resolution):
         raise DomainError(f"f is not finite at s = {s[bad][0]}")
     weights = h * (1.0 + np.abs(s)) ** weight_exponent
     return WeightedSampleSet(np.abs(vals), weights)
-
-
-def weighted_samples_from_grid(s, values, weight_exponent, truncation=None):
-    """Weighted samples from values already tabulated on a uniform grid."""
-    s = np.asarray(s, dtype=float)
-    values = np.abs(np.asarray(values))
-    if len(s) < 2:
-        raise DomainError("need at least two grid points")
-    h = s[1] - s[0]
-    if truncation is not None:
-        keep = np.abs(s) <= truncation
-        s, values = s[keep], values[keep]
-        if len(s) == 0:
-            raise DomainError("truncation removed every sample")
-    weights = h * (1.0 + np.abs(s)) ** weight_exponent
-    return WeightedSampleSet(values, weights)

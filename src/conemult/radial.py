@@ -12,12 +12,14 @@ one times (2 pi)^(-d).
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_j_scaled, surface_area
 from .errors import BudgetError, DomainError
+from .report import read_float_columns
 from .util import CubicSpline1D, geometric_grid, panel_nodes
 
 
@@ -58,12 +60,9 @@ class RadialProfile:
 
     @classmethod
     def from_csv(cls, path, dim):
-        radii, vals = [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                radii.append(float(row["radius"]))
-                vals.append(float(row["re"]) + 1j * float(row.get("im", 0.0) or 0.0))
-        return cls(np.array(radii), np.array(vals), dim)
+        """Read what ``to_csv`` writes; a malformed row raises ConfigError."""
+        radii, re, im = read_float_columns(path, ("radius", "re", "im"))
+        return cls(radii, re + 1j * im, dim)
 
 
 def space_grid(truncation, resolution):
@@ -81,21 +80,28 @@ def fourier_1d(f, truncation, resolution):
     trapezoid rule, spectrally accurate once f decays below round-off
     near +-R.  Returns (sigma, values) on the ascending FFT-dual grid
     sigma_m = pi m / R, m = -N/2 .. N/2 - 1.
+
+    The phase exp(i R sigma_m) of the shift to x_0 = -R is exactly
+    (-1)^m, so it is applied as a sign rather than computed.
     """
     n = int(resolution)
     if n < 2 or (n & (n - 1)) != 0:
         raise DomainError(f"resolution must be a power of two, got {resolution}")
-    if not truncation > 0:
-        raise DomainError("truncation must be positive")
+    if not 0 < truncation < math.inf:
+        raise DomainError(f"spatial truncation must be finite and positive, "
+                          f"got {truncation}")
     x = space_grid(truncation, n)
     samples = np.asarray(f(x) if callable(f) else f, dtype=complex)
     if samples.shape != (n,):
         raise DomainError(f"expected {n} samples, got shape {samples.shape}")
     h = 2.0 * truncation / n
-    sigma = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    vals = h * np.exp(1j * truncation * sigma) * np.fft.fft(samples)
-    order = np.argsort(sigma)
-    return sigma[order], vals[order]
+    sigma = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=h))
+    vals = np.fft.fft(samples)
+    vals *= h
+    # unshifted index j carries m = j or j - N, so (-1)^m = (-1)^j
+    odd = vals[1::2]
+    np.negative(odd, out=odd)
+    return sigma, np.fft.fftshift(vals)
 
 
 def _as_callable(m0):

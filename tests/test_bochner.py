@@ -9,9 +9,12 @@ from conemult.bochner import (BRProfile, CriticalScanResult,
                               critical_scan, edge_decay_fit, edge_profile)
 from conemult.characterize import fourier_side_quantity
 from conemult.errors import DomainError
-from conemult.lorentz import LorentzParams
+from conemult.lorentz import LorentzParams, WeightedSampleSet, \
+    lorentz_quasinorm
 from conemult.multipliers import Axis, ModulatedFamily, freq_magnitude, \
     build_modulated_cone_multiplier
+from conemult.radial import fourier_1d
+from conemult.util import doubling_trend
 
 
 def test_profile_point_values():
@@ -141,3 +144,113 @@ def test_scan_small_case():
     assert r.identity_gap == 0.0
     assert abs(r.prediction - (3.0 / 1.2 - 2.0)) <= 1e-12
     assert abs(r.estimate - r.prediction) <= 0.2 + 1e-9
+
+
+# The per-(order, p, truncation, window) route critical_scan used to take,
+# kept verbatim as the oracle for the one-sort-per-order scan; the two
+# helpers it called are inlined from their old forms.
+
+def _oracle_grid_samples(s, values, weight_exponent, truncation=None):
+    s = np.asarray(s, dtype=float)
+    values = np.abs(np.asarray(values))
+    if len(s) < 2:
+        raise DomainError("need at least two grid points")
+    h = s[1] - s[0]
+    if truncation is not None:
+        keep = np.abs(s) <= truncation
+        s, values = s[keep], values[keep]
+        if len(s) == 0:
+            raise DomainError("truncation removed every sample")
+    weights = h * (1.0 + np.abs(s)) ** weight_exponent
+    return WeightedSampleSet(values, weights)
+
+
+def _oracle_transform_line_quantity(sigma, ghat, dim, p, nu, truncation):
+    if sigma[-1] < truncation:
+        raise DomainError(
+            f"frequency grid reaches |s| = {sigma[-1]:.3g} < R = "
+            f"{truncation:.6g}; raise the resolution")
+    vals = np.abs(ghat) / (1.0 + np.abs(sigma)) ** ((dim - 1) / 2.0)
+    samples = _oracle_grid_samples(sigma, vals, dim - 1, truncation)
+    return lorentz_quasinorm(samples, LorentzParams(p, nu))
+
+
+def _oracle_critical_scan(dim, p_list, lam_grid, truncation=16384.0,
+                          resolution=2 ** 17, spatial_truncation=4.0,
+                          growth_threshold=1.10, detector_window=256.0):
+    lam_grid = sorted(lam_grid)
+    if truncation / 8.0 <= 2.0 * detector_window:
+        raise DomainError(
+            f"truncation ladder starting at {truncation / 8.0:.0f} is too "
+            f"shallow for a detector window at {detector_window:.0f}")
+    predictions = {p: critical_exponent(dim, p) for p in p_list}
+    for p, pred in predictions.items():
+        if not (lam_grid[0] < pred < lam_grid[-1]):
+            raise DomainError(
+                f"lambda grid [{lam_grid[0]}, {lam_grid[-1]}] does not bracket "
+                f"the predicted threshold {pred:.4f} for p = {p}")
+    transforms = {}
+    for lam in lam_grid:
+        transforms[lam] = fourier_1d(BRProfile(lam), spatial_truncation,
+                                     resolution)
+    results = []
+    for p in p_list:
+        table = []
+        estimate = float("nan")
+        for lam in lam_grid:
+            sigma, ghat = transforms[lam]
+            full, tail = {}, {}
+            for i in (3, 2, 1, 0):
+                r = truncation / 2 ** i
+                full[r] = _oracle_transform_line_quantity(
+                    sigma, ghat, dim, p, math.inf, truncation=r)
+                tail[r] = _tail_weak_quantity(sigma, ghat, dim, p,
+                                              detector_window, r)
+            trend = doubling_trend(tail, growth_threshold)
+            table.append((lam, full, tail, trend["divergent"]))
+            if not trend["divergent"] and math.isnan(estimate):
+                estimate = lam
+        gap = abs(critical_exponent(dim, p) - critical_exponent_alt(dim, p))
+        results.append(CriticalScanResult(p, predictions[p], estimate, table,
+                                          gap))
+    return results
+
+
+def _tail_weak_quantity(sigma, ghat, dim, p, lo, hi):
+    keep = (np.abs(sigma) >= lo) & (np.abs(sigma) <= hi)
+    vals = np.abs(ghat[keep]) / (1.0 + np.abs(sigma[keep])) ** ((dim - 1) / 2.0)
+    h = sigma[1] - sigma[0]
+    weights = h * (1.0 + np.abs(sigma[keep])) ** (dim - 1)
+    samples = WeightedSampleSet(vals, weights)
+    return lorentz_quasinorm(samples, LorentzParams(p, math.inf))
+
+
+@pytest.mark.parametrize("dim, p_list, lam_grid", [
+    (3, [1.2, 1.1, 1.2], [0.2, 0.4, 0.6, 0.8, 1.0, 1.2]),
+    (4, [1.05, 8.0 / 7.0], [0.6, 0.8, 1.0, 1.2, 1.4, 1.6]),
+])
+def test_scan_matches_per_truncation_oracle(dim, p_list, lam_grid):
+    # 2^14 points on [-4, 4) reach |s| = 6434; the ladder is 768 .. 6144
+    kwargs = dict(truncation=6144.0, resolution=2 ** 14)
+    got = critical_scan(dim, p_list, lam_grid, **kwargs)
+    want = _oracle_critical_scan(dim, p_list, lam_grid, **kwargs)
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+    assert any(div for r in got for *_, div in r.table)
+
+
+def test_scan_nan_truncation_names_r():
+    with pytest.raises(DomainError, match="R = nan must be finite"):
+        critical_scan(4, [8.0 / 7.0], [0.6, 1.6], truncation=math.nan,
+                      resolution=2 ** 10)
+
+
+def test_fourier_side_matches_per_truncation_route():
+    params = LorentzParams(8.0 / 7.0, 2.0)
+    gamma = BRProfile(0.8)
+    q = fourier_side_quantity(gamma, 4, params, truncation=2048.0,
+                              spatial_truncation=4.0, resolution=2 ** 13)
+    sigma, ghat = fourier_1d(gamma, 4.0, 2 ** 13)
+    want = {r: _oracle_transform_line_quantity(sigma, ghat, 4, params.p,
+                                               params.nu, r)
+            for r in (256.0, 512.0, 1024.0, 2048.0)}
+    assert q.by_truncation == want

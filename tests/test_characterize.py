@@ -183,6 +183,21 @@ def test_symbol_scan_reduces_to_fourier_side_at_unit_dilation():
     assert math.isclose(res.value, q.value, rel_tol=1e-10)
 
 
+def test_symbol_scan_matches_per_dilation_route():
+    # the grid parts shared across dilations change no value
+    phi = BumpPhi()
+    m0 = annulus_bump(1.2, 0.4)
+    params = LorentzParams(1.3, 2.0)
+    t_grid = np.geomspace(0.5, 2.0, 5)
+    res = radial_symbol_quantity(m0, 3, params, t_grid=t_grid, phi=phi,
+                                 resolution=2 ** 13, truncation=512.0)
+    for t in t_grid:
+        q = fourier_side_quantity(lambda u: phi(u) * m0(t * u), 3, params,
+                                  truncation=512.0, resolution=2 ** 13,
+                                  doublings=0)
+        assert res.per_t[float(t)] == q.value
+
+
 def test_dilation_unit_ratio_exact():
     br05 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
     ratio, _, _ = dilation_invariance_ratio(br05, 4,

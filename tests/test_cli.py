@@ -246,7 +246,24 @@ def test_br_scan_grid_short_of_truncation_exits_2(tmp_path, capsys):
     assert run_cli(["br-scan", "--out", str(out), "--resolution", "1024"]) == 2
     err = capsys.readouterr().err
     assert _one_line_error_text(err) and "raise the resolution" in err
+    assert "|s| = 401 < R = 2048;" in err     # the smallest short rung
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, what", [
+    (["characterize", "--spatial-truncation", "inf"],
+     "spatial truncation must be finite"),
+    (["characterize", "--mode", "symbol", "--spatial-truncation", "inf"],
+     "spatial truncation must be finite"),
+    (["br-scan", "--truncation", "nan"], "R = nan must be finite"),
+    (["characterize", "--truncation", "nan"], "R = nan must be finite"),
+    (["characterize", "--mode", "symbol", "--truncation", "nan"],
+     "R = nan must be finite"),
+])
+def test_non_finite_truncation_exits_2(tmp_path, capsys, args, what):
+    assert run_cli([*args, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and what in err
 
 
 def test_opnorm_sweep_containment_holds_at_small_budget(tmp_path):

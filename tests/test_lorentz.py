@@ -10,9 +10,9 @@ from conemult.errors import DomainError
 from conemult.lorentz import (LorentzParams, RearrangedFunction,
                               WeightedSampleSet,
                               decreasing_rearrangement, lorentz_quasinorm,
-                              rounded_up,
-                              weighted_line_samples,
-                              weighted_samples_from_grid, weighted_lp_norm)
+                              rearranged_quasinorm, rounded_up,
+                              subset_rearrangements,
+                              weighted_line_samples, weighted_lp_norm)
 
 
 def samples(values, weights):
@@ -201,22 +201,22 @@ def test_power_law_divergence_rate():
 
 def test_ghat_weak_norm_stabilizes_at_critical_order():
     from conemult.bochner import BRProfile
+    from conemult.characterize import line_rearrangements
     from conemult.radial import fourier_1d
     sigma, ghat = fourier_1d(BRProfile(1.0), 4.0, 2 ** 16)
     d, p = 4, 8.0 / 7.0
-    vals = []
-    for r in (1e2, 1e3, 1e4):
-        s = weighted_samples_from_grid(
-            sigma, np.abs(ghat) / (1 + np.abs(sigma)) ** ((d - 1) / 2),
-            d - 1, truncation=r)
-        vals.append(lorentz_quasinorm(s, LorentzParams(p, math.inf)))
+    vals = [rearranged_quasinorm(r, LorentzParams(p, math.inf))
+            for r in line_rearrangements(sigma, ghat, d, [(0.0, 1e2),
+                                                          (0.0, 1e3),
+                                                          (0.0, 1e4)])]
     assert max(vals) / min(vals) <= 1.05
 
 
 def test_grid_samples_truncation_empty():
+    from conemult.characterize import LineSamples
+    line = LineSamples(np.linspace(-1, 1, 32), 1, truncation=1e-9)
     with pytest.raises(DomainError):
-        weighted_samples_from_grid(np.linspace(-1, 1, 32), np.ones(32), 1,
-                                   truncation=1e-9)
+        line.samples(np.ones(32))
 
 
 def _stable_sort_rearrangement(samples):
@@ -269,6 +269,34 @@ def _grid_cases():
     return [samples(bump.ravel(), vol),
             samples(tf, vol),
             samples(np.round(tf, 3), rng.uniform(0.1, 2.0, tf.shape))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subset_rearrangements_equal_rearranging_each_subset(data):
+    # tied levels, zeros and distinct values under mixed-magnitude weights
+    atoms = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    n = data.draw(st.integers(1, 300))
+    n_masks = data.draw(st.integers(1, 6))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(atoms + [0.0]), n)
+    free = rng.random(n) < rng.random()
+    values[free] = rng.uniform(0.0, 1e3, int(free.sum()))
+    weights = rng.uniform(1e-3, 10.0, n) * 10.0 ** rng.integers(-3, 4, n)
+    masks = rng.random((n_masks, n)) < rng.random((n_masks, 1))
+    masks[np.arange(n_masks), rng.integers(0, n, n_masks)] = True
+    s = samples(values, weights)
+    for keep, got in zip(masks, subset_rearrangements(s, masks)):
+        want = decreasing_rearrangement(samples(values[keep], weights[keep]))
+        assert np.array_equal(got.levels, want.levels)
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+
+
+def test_subset_rearrangements_reject_empty_subset():
+    s = samples([1.0, 2.0, 2.0], [1.0, 1.0, 1.0])
+    with pytest.raises(DomainError, match="no sample"):
+        subset_rearrangements(s, [[True, False, True], [False] * 3])
 
 
 @pytest.mark.parametrize("case", range(3))

@@ -5,7 +5,7 @@ import pytest
 
 from conemult.bessel import surface_area
 from conemult.bumps import smooth_window
-from conemult.errors import DomainError
+from conemult.errors import ConfigError, DomainError
 from conemult.radial import (RadialProfile, fourier_1d, plancherel_radial,
                              radial_transform, space_grid,
                              sphere_hat_values, sphere_measure_transform)
@@ -49,6 +49,44 @@ def test_real_even_gives_real_even():
     # sigma grid is asymmetric by one bin; compare matched pairs
     assert np.allclose(vals[half + 1:].real, vals[1:half][::-1].real,
                        atol=1e-10 * np.max(np.abs(vals.real)))
+
+
+def _exp_phase_fourier_1d(f, truncation, resolution):
+    """The computed-phase route fourier_1d used to take (oracle)."""
+    n = int(resolution)
+    x = space_grid(truncation, n)
+    samples = np.asarray(f(x), dtype=complex)
+    h = 2.0 * truncation / n
+    sigma = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    vals = h * np.exp(1j * truncation * sigma) * np.fft.fft(samples)
+    order = np.argsort(sigma)
+    return sigma[order], vals[order]
+
+
+def test_exact_phase_matches_exp_phase_oracle():
+    # a smooth bump plus an off-centre kink, so no transform is real
+    f = lambda s: np.exp(-s ** 2) + np.clip(1.0 - np.abs(s - 0.3), 0, None)
+    for k in range(1, 15):
+        n = 2 ** k
+        sigma, vals = fourier_1d(f, 3.0, n)
+        sigma0, vals0 = _exp_phase_fourier_1d(f, 3.0, n)
+        assert np.array_equal(sigma, sigma0)
+        assert np.max(np.abs(vals - vals0)) <= 1e-9 * np.max(np.abs(vals0))
+
+
+def test_exact_phase_sign_at_two_points():
+    # N = 2: x = (-R, 0), sigma = (-pi/R, 0); the sign at sigma_-1 is -1
+    sigma, vals = fourier_1d(np.array([2.0, 5.0]), 1.0, 2)
+    assert np.array_equal(sigma, [-np.pi, 0.0])
+    assert np.array_equal(vals, [5.0 - 2.0, 5.0 + 2.0])
+
+
+@pytest.mark.parametrize("truncation", [math.inf, math.nan, 0.0, -1.0])
+def test_non_finite_truncation_rejected_before_sampling(truncation):
+    def f(s):
+        raise AssertionError("sampled on an invalid grid")
+    with pytest.raises(DomainError, match="finite and positive"):
+        fourier_1d(f, truncation, 2 ** 4)
 
 
 def test_power_of_two_required():
@@ -152,6 +190,17 @@ def test_profile_roundtrip_csv(tmp_path):
     back = RadialProfile.from_csv(path, 3)
     assert np.allclose(back.radii, prof.radii)
     assert np.allclose(back.values, prof.values)
+
+
+@pytest.mark.parametrize("row, what", [
+    ("0.5,1.0\n", "2 cells"),
+    ("0.5,one,0.0\n", "'one' is not a number"),
+])
+def test_profile_csv_malformed_row_names_file_and_line(tmp_path, row, what):
+    path = tmp_path / "prof.csv"
+    path.write_text("radius,re,im\n0.1,1.0,0.0\n" + row)
+    with pytest.raises(ConfigError, match=f"prof.csv:3: {what}"):
+        RadialProfile.from_csv(path, 3)
 
 
 def test_profile_validation():
