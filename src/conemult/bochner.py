@@ -23,7 +23,8 @@ from . import bumps
 from .characterize import line_rearrangements
 from .errors import DomainError
 from .lorentz import LorentzParams, rearranged_quasinorm
-from .multipliers import ConeMultiplierField, GridField, freq_magnitude
+from .multipliers import (ConeMultiplierField, GridField, _check_profile_support,
+                          freq_magnitude)
 from .radial import fourier_1d
 from .util import doubling_trend, dyadic_envelope_fit
 
@@ -45,20 +46,24 @@ class BRProfile:
     lam: float
     b: object = None
 
+    support = (-0.25, 0.0)
+
     def __post_init__(self):
         if not self.lam > 0:
             raise DomainError(f"order lambda must be positive, got {self.lam}")
         if self.b is None:
             self.b = bumps.edge_flat_bump
+        # the profile is evaluated on its support alone, exact when b
+        # vanishes to its left
+        _check_profile_support(self.b, -self.support[0], "cutoff b",
+                               sides=(-1.0,))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
-        neg = u < 0
-        out[neg] = (-u[neg]) ** self.lam * self.b(u[neg])
+        inside = (u > self.support[0]) & (u < self.support[1])
+        out[inside] = (-u[inside]) ** self.lam * self.b(u[inside])
         return out
-
-    support = (-0.25, 0.0)
 
 
 def edge_profile(lam, b=None):

@@ -111,13 +111,18 @@ class SampledProfile:
         return np.where((u > lo) & (u < hi), out, 0.0)
 
 
-def _check_profile_support(profile, radius, name):
-    """Probe a profile outside (-radius, radius) and insist it vanishes."""
-    probes = np.concatenate([-radius - np.linspace(0.0, 3.0 * radius, 40),
-                             radius + np.linspace(0.0, 3.0 * radius, 40)])
-    vals = np.asarray(profile(probes), dtype=complex)
+def _check_profile_support(profile, radius, name, sides=(-1.0, 1.0)):
+    """Probe a profile past -radius and radius and insist it vanishes.
+
+    ``sides`` picks the half-lines probed: (-1,) probes u <= -radius only.
+    """
+    span = radius + np.linspace(0.0, 3.0 * radius, 40)
+    vals = np.asarray(profile(np.concatenate([s * span for s in sides])),
+                      dtype=complex)
     if np.any(np.abs(vals) > 1e-12):
-        raise DomainError(f"{name} does not vanish outside (-{radius}, {radius})")
+        where = " or ".join(f"u <= {-radius}" if s < 0 else f"u >= {radius}"
+                             for s in sides)
+        raise DomainError(f"{name} does not vanish at {where}")
 
 
 @dataclass

@@ -9,6 +9,11 @@ Bessel-kernel integral
 with nu = d/2 - 1 and g_nu(z) = J_nu(z)/z^nu, which is entire, so the same
 formula runs smoothly through xi = 0.  The inverse transform is the forward
 one times (2 pi)^(-d).
+
+``inverse_radial`` takes the inverse transform of a closed-form symbol by
+the projection-slice theorem instead: one 1-d cosine transform of the
+symbol's projection onto a line gives every radius, and no Bessel function
+is evaluated on the way.
 """
 
 import csv
@@ -20,7 +25,21 @@ import numpy as np
 from .bessel import bessel_j_scaled, surface_area
 from .errors import BudgetError, DomainError
 from .report import read_float_columns
-from .util import CubicSpline1D, geometric_grid, panel_nodes
+from .util import CubicSpline1D, geometric_grid, next_pow2, panel_nodes
+
+# Elements per block of the array work below and in the wave module:
+# quadrature nodes, lattice and cosine-sum terms.  Blocks this small keep
+# their temporaries under the allocator's mmap threshold, so they are reused
+# instead of mapped afresh; at 2^18 the page faults cost as much as the sums.
+_BLOCK = 1 << 12
+
+# Budget of one inverse_radial call: t-grid points, the length of its
+# longest FFT (a few complex arrays of it, about 0.3 GiB at the cap), and
+# terms (symbol samples plus direct cosine-sum terms, about a minute on one
+# core).
+INVERSE_LINE_CAP = 1 << 19
+INVERSE_FFT_CAP = 1 << 21
+INVERSE_TERM_BUDGET = 400_000_000
 
 
 @dataclass
@@ -205,3 +224,312 @@ def plancherel_radial(profile_values, radii, dim):
     r = np.asarray(radii, dtype=float)
     f2 = np.abs(np.asarray(profile_values)) ** 2 * r ** (dim - 1)
     return surface_area(dim) * float(np.trapezoid(f2, r))
+
+
+# ---------------------------------------------------------------------------
+# inverse transforms of closed-form symbols by projection-slice
+
+
+def _uniform_runs(radii):
+    """Split ascending radii into (start, stop, step) runs of equal spacing.
+
+    Runs of fewer than 16 radii carry step None and are merged with a
+    neighbouring short run; they go to direct cosine sums.
+    """
+    steps = np.diff(radii)
+    bends = np.flatnonzero(np.abs(np.diff(steps)) > 1e-9 * steps[1:]) + 1
+    runs, i, n = [], 0, len(radii)
+
+    def add(i, j):
+        if j - i >= 16:
+            runs.append((i, j, (radii[j - 1] - radii[i]) / (j - 1 - i)))
+        elif runs and runs[-1][2] is None:
+            runs[-1] = (runs[-1][0], j, None)
+        else:
+            runs.append((i, j, None))
+
+    # stretches of equal steps end at the bends; a run from radius i covers
+    # the rest of the stretch that holds step i
+    for end in [*bends.tolist(), n - 1]:
+        if end > i:
+            add(i, end + 1)
+            i = end + 1
+    if i < n:
+        add(i, n)
+    return runs
+
+
+def _walk(proj, h):
+    """Projection for dimension d + 2 from that for d, on the same t-grid.
+
+    P_(d+2)(t) = 2 pi int_t^inf P_d(s) s ds.  The antiderivative is taken
+    spectrally on a zero-padded periodic line: s P_d(s) is odd, smooth and
+    compactly supported, so its mean vanishes and the result is exact up to
+    the grid's aliasing.
+    """
+    nt = len(proj)
+    size = next_pow2(2 * nt)
+    line = np.zeros(size, dtype=complex)
+    line[:nt] = proj
+    line[size - nt + 1:] = proj[:0:-1]
+    spec = np.fft.fft(h * np.fft.fftfreq(size, 1.0 / size) * line)
+    omega = 2.0 * np.pi * np.fft.fftfreq(size, h)
+    spec[0] = 0.0
+    spec[1:] /= 1j * omega[1:]
+    anti = np.fft.ifft(spec)
+    # anti is constant on the padding, where s P_d(s) vanishes
+    return 2.0 * np.pi * (anti[size // 2] - anti[:nt])
+
+
+def _line_projection(symbol, dim, h, hu, nt, u_count):
+    """Samples P(k h), k = 0..nt-1, of the projection of symbol(|xi|) onto a line.
+
+    P(t) = |S^(d-2)| int_0^inf m(sqrt(t^2 + u^2)) u^(d-2) du.  The walk
+    in steps of two dimensions starts at d = 1, where P is the symbol
+    itself, or at d = 2, where P is a trapezoid sum across the line; that
+    integrand is even, smooth and compactly supported in u, so the sum is
+    spectrally accurate.
+    """
+    t = h * np.arange(nt)
+    if dim % 2:
+        proj = symbol(t)
+    else:
+        u = hu * np.arange(u_count)
+        wu = np.full(u_count, 2.0 * hu)
+        wu[0] = hu
+        proj = np.empty(nt, dtype=complex)
+        rows = max(1, _BLOCK // u_count)
+        for lo in range(0, nt, rows):
+            tt = t[lo:lo + rows, None]
+            proj[lo:lo + rows] = symbol(np.sqrt(tt ** 2 + u ** 2)) @ wu
+    for _ in range((dim - 1) // 2):
+        proj = _walk(proj, h)
+    return proj
+
+
+def _chirp_sums(line, h, rho0, drho, count):
+    """sum_q line[q] exp(-i rho_j (q - c) h) at rho_j = rho0 + j drho.
+
+    ``line`` holds samples at t = (q - c) h with c = (len(line) - 1) / 2;
+    Bluestein's chirp-z turns the sums into one FFT convolution.
+    """
+    size = len(line)
+    q = np.arange(size, dtype=float)
+    w = drho * h
+    nfft = next_pow2(size + count - 1)
+    pre = line * np.exp(-1j * (rho0 * h * q + 0.5 * w * q ** 2))
+    lag = np.arange(-(size - 1), count, dtype=float)
+    chirp = np.exp(0.5j * w * lag ** 2)
+    kern = np.zeros(nfft, dtype=complex)
+    kern[:count] = chirp[size - 1:]
+    kern[nfft - size + 1:] = chirp[:size - 1]
+    conv = np.fft.ifft(np.fft.fft(pre, nfft) * np.fft.fft(kern))[:count]
+    j = np.arange(count, dtype=float)
+    rho = rho0 + drho * j
+    return np.exp(1j * (rho * (size - 1) / 2.0 * h - 0.5 * w * j ** 2)) * conv
+
+
+def inverse_radial_plan(dim, radii, band, margin):
+    """Grids of one ``inverse_radial`` call, checked against its budget.
+
+    Returns (h, hu, nt, u_count, runs): the t- and u-steps, the t-points,
+    the u-points of the even-d lattice and the uniform runs of ``radii``.
+    Raises DomainError for a dimension below 2 or radii that are not finite,
+    nonnegative and strictly increasing, and BudgetError past
+    INVERSE_LINE_CAP t-points, an FFT longer than INVERSE_FFT_CAP or
+    INVERSE_TERM_BUDGET terms (symbol samples plus direct cosine-sum terms);
+    nothing larger than the radii is allocated on the way.
+    """
+    if dim != int(dim) or dim < 2:
+        raise DomainError(f"ambient dimension must be an integer >= 2, "
+                          f"got {dim}")
+    if radii.ndim != 1 or not np.all(np.isfinite(radii)) \
+            or np.any(radii < 0) or np.any(np.diff(radii) <= 0):
+        raise DomainError("radii must be finite, nonnegative and strictly "
+                          "increasing")
+    h = 2.0 * np.pi / (2.0 * radii.max(initial=0.0) + margin)
+    hu = 2.0 * np.pi / margin
+    nt = int(band / h) + 2
+    u_count = 1 if dim % 2 else int(band / hu) + 2
+    runs = _uniform_runs(radii)
+    direct = sum(stop - start for start, stop, step in runs if step is None)
+    longest = max((stop - start for start, stop, step in runs
+                   if step is not None), default=0)
+    fft = next_pow2(max(2 * nt, 2 * nt + longest - 2))
+    terms = nt * (u_count + direct)
+    if nt > INVERSE_LINE_CAP or fft > INVERSE_FFT_CAP \
+            or terms > INVERSE_TERM_BUDGET:
+        raise BudgetError(
+            f"inverse transform at band {band:.4g}, dimension {dim}, radii "
+            f"up to {radii.max(initial=0.0):.4g} needs {nt} t-points, an FFT of {fft} "
+            f"and {terms:.3g} terms; the caps are {INVERSE_LINE_CAP}, "
+            f"{INVERSE_FFT_CAP} and {INVERSE_TERM_BUDGET:.3g}")
+    return h, hu, nt, u_count, runs
+
+
+def inverse_radial(symbol, dim, radii, band, margin):
+    """(2 pi)^(-d) int symbol(|xi|) exp(i <x, xi>) dxi at |x| in ``radii``.
+
+    ``symbol`` maps an array of |xi| to values and must be negligible past
+    ``band``.  Projection-slice route: the even projection P(t) of the
+    symbol onto a line (see ``_line_projection``) is supported in
+    |t| < band, and the transform at rho is 2 (2 pi)^(-d) int_0^inf P(t)
+    cos(rho t) dt.  The t-integral is a trapezoid sum, spectrally accurate;
+    its step h = 2 pi / (2 max(radii) + margin) puts every alias of a
+    requested radius at least ``margin`` past max(radii), so a function
+    supported in |x| <= max(radii) + margin is exact up to the symbol's
+    tail past the band.  Uniform runs of radii are summed by chirp-z, the
+    rest directly.  The symbol is sampled on the t-grid only in odd d, and
+    on a (t, u) lattice in even d; ``inverse_radial_plan`` checks the
+    budget before any array is built.  Returns complex values.
+    """
+    radii = np.asarray(radii, dtype=float)
+    h, hu, nt, u_count, runs = inverse_radial_plan(dim, radii, band, margin)
+    dim = int(dim)
+    proj = _line_projection(symbol, dim, h, hu, nt, u_count)
+    pref = (2.0 * np.pi) ** (-dim) * h
+    line = np.concatenate([proj[:0:-1], proj])
+    t = h * np.arange(nt)
+    folded = np.where(t > 0, 2.0, 1.0) * proj    # the even line, t >= 0
+    values = np.empty(len(radii), dtype=complex)
+    for start, stop, step in runs:
+        if step is not None:
+            values[start:stop] = pref * _chirp_sums(line, h, radii[start],
+                                                    step, stop - start)
+            continue
+        rows = max(1, _BLOCK // nt)
+        for lo in range(start, stop, rows):
+            rr = radii[lo:min(lo + rows, stop), None]
+            values[lo:lo + len(rr)] = pref * (np.cos(rr * t) @ folded)
+    return values
+
+
+# ---------------------------------------------------------------------------
+# spherical means in odd dimension from antiderivative tables
+
+# Cells of the tables past the outer edge of the support, where f is zero.
+_TABLE_PAD = 8
+# Pairs per block of SphericalMeans evaluations.
+_PAIR_BLOCK = 1 << 12
+
+
+def _antiderivative(g, step, odd):
+    """int_(x_0)^(x_q) g on a uniform grid, exact up to aliasing.
+
+    g must vanish smoothly at both ends of the grid, or be the x >= 0 half
+    of an odd function (``odd``), which is mirrored before the spectral
+    antiderivative; the mean of the periodic line integrates to a ramp.
+    """
+    n = len(g)
+    size = next_pow2(2 * n)
+    line = np.zeros(size)
+    line[:n] = g
+    if odd:
+        line[size - n + 1:] = -g[:0:-1]
+    mean = line.mean()
+    spec = np.fft.rfft(line - mean)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(size, step)
+    spec[0] = 0.0
+    spec[1:] /= 1j * omega[1:]
+    anti = np.fft.irfft(spec, size)[:n]
+    return anti - anti[0] + mean * step * np.arange(n)
+
+
+class SphericalMeans:
+    """Spherical means (f * sigma_r)(rho) of a radial f in odd dimension d >= 3.
+
+    f is the inverse transform of ``symbol(|xi|)`` (see ``inverse_radial``),
+    zero for |x| < lo and |x| > hi, and sigma_r is the surface measure of
+    the sphere of radius r.  Polar coordinates about rho e_1, with the
+    distance s = |rho e_1 - r omega| as variable, give
+
+        (f * sigma_r)(rho) = |S^(d-2)| r^(d-2) rho^-1 (2 rho r)^(3-d)
+            int_|rho-r|^(rho+r) f(s) s [(s^2 - (rho-r)^2)((rho+r)^2 - s^2)]^((d-3)/2) ds.
+
+    In odd d the bracket is a polynomial of degree d - 3 in s^2, so every
+    value combines the antiderivatives A_j(x) = int_0^x s^(2j+1) f(s) ds,
+    j = 0..d-3, at the two ends of the window: O(1) per (r, rho) pair.
+    The tables hold A_j on the grid x_q = lo + q ``step`` from one inverse
+    transform of the symbol; between nodes they are read by cubic Hermite
+    interpolation with the exact slopes x^(2j+1) f(x).  At rho = 0 the
+    mean is |S^(d-1)| r^(d-1) f(r), with f(r) transformed directly.
+    """
+
+    def __init__(self, symbol, dim, support, step, band):
+        if dim != int(dim) or dim < 3 or dim % 2 == 0:
+            raise DomainError(f"spherical-mean tables need an odd dimension "
+                              f">= 3, got {dim}")
+        lo, hi = float(support[0]), float(support[1])
+        if not (0.0 <= lo < hi < math.inf and step > 0):
+            raise DomainError(f"invalid support ({lo}, {hi}) or step {step}")
+        self.dim, self.step, self.lo = int(dim), float(step), lo
+        # any positive alias margin puts the aliases of the table radii
+        # past hi, where f vanishes
+        self.symbol, self.band, self.margin = symbol, band, hi - lo
+        count = int(math.ceil((hi - lo) / step)) + 1 + _TABLE_PAD
+        if count > INVERSE_FFT_CAP:
+            raise BudgetError(f"spherical-mean tables of {count} points exceed "
+                              f"the cap of {INVERSE_FFT_CAP}")
+        x = lo + step * np.arange(count)
+        self.values = inverse_radial(symbol, dim, x, band, self.margin).real
+        slope = x * self.values
+        self.slopes = np.empty((self.dim - 2, count))
+        self.tables = np.empty((self.dim - 2, count))
+        for j in range(self.dim - 2):
+            self.slopes[j] = slope
+            self.tables[j] = _antiderivative(slope, step, odd=lo == 0.0)
+            slope = slope * x ** 2
+        self.top = x[-1]
+
+    def antiderivatives(self, x):
+        """A_j(x) for j = 0..d-3, shape (d - 2, len(x)); zero below lo."""
+        y = (np.clip(x, self.lo, self.top) - self.lo) / self.step
+        i = np.minimum(y.astype(int), len(self.values) - 2)
+        t = y - i
+        u = 1.0 - t
+        a0, a1 = self.tables[:, i], self.tables[:, i + 1]
+        s0, s1 = self.slopes[:, i], self.slopes[:, i + 1]
+        return (u * u * (1.0 + 2.0 * t) * a0 + t * t * (3.0 - 2.0 * t) * a1
+                + self.step * t * u * (u * s0 - t * s1))
+
+    def __call__(self, r, rho):
+        """(f * sigma_r)(rho); r > 0 and rho >= 0 broadcast."""
+        r, rho = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                     np.asarray(rho, dtype=float))
+        shape = r.shape
+        r, rho = r.ravel(), rho.ravel()
+        out = np.empty(r.shape)
+        for lo in range(0, len(r), _PAIR_BLOCK):
+            sl = slice(lo, lo + _PAIR_BLOCK)
+            out[sl] = self._means(r[sl], rho[sl])
+        centre = rho == 0
+        if np.any(centre):
+            rc = r[centre]
+            inside = (rc >= self.lo) & (rc <= self.top)
+            f = np.zeros(rc.shape)
+            if np.any(inside):
+                radii, back = np.unique(rc[inside], return_inverse=True)
+                f[inside] = inverse_radial(self.symbol, self.dim, radii,
+                                           self.band, self.margin).real[back]
+            out[centre] = surface_area(self.dim) * rc ** (self.dim - 1) * f
+        return out.reshape(shape)
+
+    def _means(self, r, rho):
+        n = (self.dim - 3) // 2
+        near, far = np.abs(rho - r), rho + r
+        diff = self.antiderivatives(far) - self.antiderivatives(near)
+        # coefficients of [(u - alpha)(beta - u)]^n in powers of u = s^2
+        alpha, beta = near ** 2, far ** 2
+        factor = (-alpha * beta, alpha + beta, -np.ones_like(r))
+        coef = [np.ones_like(r)]
+        for _ in range(n):
+            nxt = [np.zeros_like(r) for _ in range(len(coef) + 2)]
+            for i, c in enumerate(coef):
+                for k, q in enumerate(factor):
+                    nxt[i + k] += c * q
+            coef = nxt
+        total = sum(c * d for c, d in zip(coef, diff))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pref = surface_area(self.dim - 1) * r ** (self.dim - 2) / rho \
+                * (2.0 * rho * r) ** (-2 * n)
+            return np.where(rho > 0, pref * total, 0.0)

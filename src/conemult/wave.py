@@ -15,9 +15,10 @@ verifies the two quantitative features that make the split useful: the
 L1 mass of omega_n is uniformly bounded in n, and the error decays fast
 in n away from the annulus.
 
-Kernels are computed by the projection-slice theorem: one 1-d cosine
-transform of the symbol's projection onto a line gives every radius, so no
-Bessel function is evaluated on the way.
+Kernels are computed by the projection-slice theorem
+(``radial.inverse_radial``): one 1-d cosine transform of the symbol's
+projection onto a line gives every radius, so no Bessel function is
+evaluated on the way.
 
 Also here: smoothed spherical shells psi * sigma_r built from a compactly
 supported kernel psi = psi0 * psi0 whose transform vanishes to high order
@@ -41,8 +42,9 @@ from .errors import BudgetError, DomainError
 from .lorentz import lorentz_quasinorm, LorentzParams
 from .multipliers import GridField, apply_multiplier, freq_magnitude
 from .opnorm import OpNormEstimate
-from .radial import RadialProfile, sphere_hat_values
-from .util import CubicSpline1D, next_pow2
+from .radial import (_BLOCK, RadialProfile, SphericalMeans, inverse_radial,
+                     inverse_radial_plan, sphere_hat_values)
+from .util import CubicSpline1D
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL64 = np.polynomial.legendre.leggauss(64)
@@ -54,16 +56,15 @@ MAX_SHELLS = 64
 # default radius0).
 MAX_RHO_POINTS = 1 << 16
 
-# Elements per block of the array work below: quadrature nodes of the
-# radial convolutions and spherical means, lattice and cosine-sum terms of
-# the wave kernels.  Blocks this small keep their temporaries under the
-# allocator's mmap threshold, so they are reused instead of mapped afresh;
-# at 2^18 the page faults cost as much as the sums.
-_BLOCK = 1 << 12
-
-# Samples of each spread profile psi * u_a across its support, of width
-# 4 r0 at most unless the vanishing order is below 2.
+# The quadrature route: samples of the psi spline, samples of each spread
+# profile psi * u_a across its support (of width 4 r0 at most unless the
+# vanishing order is below 2), and nodes of its outer integral.
+_PSI_SAMPLES = 1025
 _SPREAD_SAMPLES = 257
+_SPREAD_NODES = 96
+# Cells per radius0 of the antiderivative tables (odd d): doubling the
+# cells moves the shell rows by about 1e-10 of their peak.
+_TABLE_CELLS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,14 @@ def _laplacian_iterate(coeffs, dim, times):
             out[j - 1] += c[j] * 2.0 * j * (2.0 * j - 2.0 + dim)
         c = out
     return c
+
+
+def _bump_hat(dim, degree, radius, rho, scale=1.0):
+    """Transform of scale (1 - |x/radius|^2)_+^degree at |xi| = rho."""
+    pref = scale * radius ** dim * math.gamma(degree + 1) \
+        * 2.0 ** (degree + dim / 2.0) * math.pi ** (dim / 2.0)
+    return pref * bessel_j_scaled(dim / 2.0 + degree,
+                                  radius * np.asarray(rho, float))
 
 
 @dataclass
@@ -132,10 +141,8 @@ class SmoothingKernel:
     # -- frequency side -----------------------------------------------------
 
     def _bump_hat(self, rho):
-        d, k, r0 = self.dim, self.bump_degree, self.radius0
-        pref = self._scale * r0 ** d * math.gamma(k + 1) \
-            * 2.0 ** (k + d / 2.0) * math.pi ** (d / 2.0)
-        return pref * bessel_j_scaled(d / 2.0 + k, r0 * np.asarray(rho, float))
+        return _bump_hat(self.dim, self.bump_degree, self.radius0, rho,
+                         self._scale)
 
     def _bump_hat0(self):
         d, k, r0 = self.dim, self.bump_degree, self.radius0
@@ -168,13 +175,27 @@ class SmoothingKernel:
     def psi_profile(self):
         """Radial spline of psi = psi0 * psi0 (computed once, cached)."""
         if self._psi_spline is None:
-            grid = np.linspace(0.0, self.support_radius, 1025)
+            grid = np.linspace(0.0, self.support_radius, _PSI_SAMPLES)
             vals = radial_convolution_values(
                 self.psi0_profile, (0.0, self.radius0),
                 self.psi0_profile, (0.0, self.radius0),
                 self.dim, grid)
             self._psi_spline = CubicSpline1D(grid, vals)
         return self._psi_spline
+
+    def band(self):
+        """Frequency past which |psi_hat(rho)| rho^d stays below 1e-16 of its peak.
+
+        Inverse transforms of symbols with the factor psi_hat are cut there;
+        the weight rho^d makes 1e-16 about the share of the transform's
+        mass that the cut drops.
+        """
+        rho = np.geomspace(1.0 / self.radius0, 2.0 ** 16 / self.radius0, 1024)
+        mag = np.abs(self.psi_hat(rho)) * rho ** self.dim
+        last = np.flatnonzero(mag > 1e-16 * mag.max())[-1]
+        if last == len(rho) - 1:
+            raise DomainError("kernel transform does not decay in the scan range")
+        return float(rho[last + 1])
 
     def max_cell(self, rel=1e-4):
         """Largest grid cell that resolves the kernel spectrally.
@@ -292,143 +313,22 @@ def shell_profile_values(kernel, r, rho):
 # ---------------------------------------------------------------------------
 # wave kernels and their decomposition
 
-# Budget of one wave_kernel call: t-grid points (the FFTs hold a few
-# complex arrays of twice this length, about 0.3 GiB at the cap) and terms
-# (symbol samples plus direct cosine-sum terms, about a minute on one core).
-WAVE_LINE_CAP = 1 << 19
-WAVE_TERM_BUDGET = 400_000_000
-
-
-def _uniform_runs(radii):
-    """Split ascending radii into (start, stop, step) runs of equal spacing.
-
-    Runs of fewer than 16 radii carry step None and are merged with a
-    neighbouring short run; they go to direct cosine sums.
-    """
-    steps = np.diff(radii)
-    bends = np.flatnonzero(np.abs(np.diff(steps)) > 1e-9 * steps[1:]) + 1
-    runs, i, n = [], 0, len(radii)
-
-    def add(i, j):
-        if j - i >= 16:
-            runs.append((i, j, (radii[j - 1] - radii[i]) / (j - 1 - i)))
-        elif runs and runs[-1][2] is None:
-            runs[-1] = (runs[-1][0], j, None)
-        else:
-            runs.append((i, j, None))
-
-    # stretches of equal steps end at the bends; a run from radius i covers
-    # the rest of the stretch that holds step i
-    for end in [*bends.tolist(), n - 1]:
-        if end > i:
-            add(i, end + 1)
-            i = end + 1
-    if i < n:
-        add(i, n)
-    return runs
-
-
-def _walk(proj, h):
-    """Projection for dimension d + 2 from that for d, on the same t-grid.
-
-    P_(d+2)(t) = 2 pi int_t^inf P_d(s) s ds.  The antiderivative is taken
-    spectrally on a zero-padded periodic line: s P_d(s) is odd, smooth and
-    compactly supported, so its mean vanishes and the result is exact up to
-    the grid's aliasing.
-    """
-    nt = len(proj)
-    size = next_pow2(2 * nt)
-    line = np.zeros(size, dtype=complex)
-    line[:nt] = proj
-    line[size - nt + 1:] = proj[:0:-1]
-    spec = np.fft.fft(h * np.fft.fftfreq(size, 1.0 / size) * line)
-    omega = 2.0 * np.pi * np.fft.fftfreq(size, h)
-    spec[0] = 0.0
-    spec[1:] /= 1j * omega[1:]
-    anti = np.fft.ifft(spec)
-    # anti is constant on the padding, where s P_d(s) vanishes
-    return 2.0 * np.pi * (anti[size // 2] - anti[:nt])
-
-
-def _line_projection(symbol, dim, h, hu, nt, u_count):
-    """Samples P(k h), k = 0..nt-1, of the projection of symbol(|xi|) onto a line.
-
-    P(t) = |S^(d-2)| int_0^inf m(sqrt(t^2 + u^2)) u^(d-2) du.  The walk
-    in steps of two dimensions starts at d = 1, where P is the symbol
-    itself, or at d = 2, where P is a trapezoid sum across the line; that
-    integrand is even, smooth and compactly supported in u, so the sum is
-    spectrally accurate.
-    """
-    t = h * np.arange(nt)
-    if dim % 2:
-        proj = symbol(t)
-    else:
-        u = hu * np.arange(u_count)
-        wu = np.full(u_count, 2.0 * hu)
-        wu[0] = hu
-        proj = np.empty(nt, dtype=complex)
-        rows = max(1, _BLOCK // u_count)
-        for lo in range(0, nt, rows):
-            tt = t[lo:lo + rows, None]
-            proj[lo:lo + rows] = symbol(np.sqrt(tt ** 2 + u ** 2)) @ wu
-    for _ in range((dim - 1) // 2):
-        proj = _walk(proj, h)
-    return proj
-
-
-def _chirp_sums(line, h, rho0, drho, count):
-    """sum_q line[q] exp(-i rho_j (q - c) h) at rho_j = rho0 + j drho.
-
-    ``line`` holds samples at t = (q - c) h with c = (len(line) - 1) / 2;
-    Bluestein's chirp-z turns the sums into one FFT convolution.
-    """
-    size = len(line)
-    q = np.arange(size, dtype=float)
-    w = drho * h
-    nfft = next_pow2(size + count - 1)
-    pre = line * np.exp(-1j * (rho0 * h * q + 0.5 * w * q ** 2))
-    lag = np.arange(-(size - 1), count, dtype=float)
-    chirp = np.exp(0.5j * w * lag ** 2)
-    kern = np.zeros(nfft, dtype=complex)
-    kern[:count] = chirp[size - 1:]
-    kern[nfft - size + 1:] = chirp[:size - 1]
-    conv = np.fft.ifft(np.fft.fft(pre, nfft) * np.fft.fft(kern))[:count]
-    j = np.arange(count, dtype=float)
-    rho = rho0 + drho * j
-    return np.exp(1j * (rho * (size - 1) / 2.0 * h - 0.5 * w * j ** 2)) * conv
+def _wave_grid(n):
+    """Band and alias margin of the scale-n wave kernel (see ``wave_kernel``)."""
+    if not 1 <= n <= MAX_WAVE_SCALE:
+        raise DomainError(
+            f"scale n = {n} outside the supported range 1..{MAX_WAVE_SCALE}")
+    return 2.0 ** n * 8.0, 8.0 + 2.0 ** (8 - n)
 
 
 def wave_kernel_plan(n, dim, radii):
     """Grids of one ``wave_kernel`` call, checked against its budget.
 
-    Returns (h, hu, nt, u_count, runs): the t- and u-steps, the t-points,
-    the u-points of the even-d lattice and the uniform runs of ``radii``.
-    Raises BudgetError past WAVE_LINE_CAP t-points or WAVE_TERM_BUDGET
-    terms (symbol samples plus direct cosine-sum terms), and DomainError
-    for a scale outside 1..MAX_WAVE_SCALE or a dimension below 2; nothing
-    larger than the radii is allocated on the way.
+    Returns ``inverse_radial_plan`` of the scale-n band; raises DomainError
+    for a scale outside 1..MAX_WAVE_SCALE or a dimension below 2, and
+    BudgetError before anything larger than the radii is allocated.
     """
-    if not 1 <= n <= MAX_WAVE_SCALE:
-        raise DomainError(
-            f"scale n = {n} outside the supported range 1..{MAX_WAVE_SCALE}")
-    if dim != int(dim) or dim < 2:
-        raise DomainError(f"ambient dimension must be an integer >= 2, "
-                          f"got {dim}")
-    b = 2.0 ** n * 8.0
-    margin = 8.0 + 2.0 ** (8 - n)
-    h = 2.0 * np.pi / (2.0 * radii.max(initial=0.0) + margin)
-    hu = 2.0 * np.pi / margin
-    nt = int(b / h) + 2
-    u_count = 1 if dim % 2 else int(b / hu) + 2
-    runs = _uniform_runs(radii)
-    direct = sum(stop - start for start, stop, step in runs if step is None)
-    terms = nt * (u_count + direct)
-    if nt > WAVE_LINE_CAP or terms > WAVE_TERM_BUDGET:
-        raise BudgetError(
-            f"wave kernel at scale {n}, dimension {dim}, radii up to "
-            f"{radii.max():.4g} needs {nt} t-points and {terms:.3g} terms; "
-            f"the caps are {WAVE_LINE_CAP} and {WAVE_TERM_BUDGET:.3g}")
-    return h, hu, nt, u_count, runs
+    return inverse_radial_plan(dim, radii, *_wave_grid(n))
 
 
 def wave_kernel(n, dim, theta=None, sign=1, radii=None):
@@ -437,19 +337,12 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
     K_n(x) = (2 pi)^(-d) integral exp(i sign |xi|) theta(2^-n |xi|)
              exp(i <x, xi>) dxi,  theta supported in the band (1/8, 8).
 
-    Projection-slice route: the even projection P(t) of the symbol onto a
-    line (see ``_line_projection``) is smooth and supported in |t| < 2^n 8,
-    and K_n(rho) = 2 (2 pi)^(-d) int_0^inf P(t) cos(rho t) dt.  The
-    t-integral is a trapezoid sum, spectrally accurate; its step
-    h = 2 pi / (2 max(radii) + 8 + 2^(8-n)) puts every alias of a requested
-    radius at least 8 + 2^(8-n) past max(radii), where the kernel has
-    decayed (the decay length shrinks like 2^-n; for the band cutoff the
-    aliasing error stays below 1e-11 of the peak at every n).  Uniform runs
-    of radii are summed by chirp-z, the rest directly.  The symbol is sampled on the t-grid only
-    in odd d, and on a (t, u) lattice in even d; the work grows like 2^n
-    and 4^n respectively, and a call that would exceed WAVE_LINE_CAP
-    t-points or WAVE_TERM_BUDGET terms raises BudgetError before any array
-    is built.
+    The symbol is supported in |xi| < 2^n 8 and goes through
+    ``inverse_radial`` with the alias margin 8 + 2^(8-n): past max(radii)
+    the kernel has decayed (the decay length shrinks like 2^-n; for the
+    band cutoff the aliasing error stays below 1e-11 of the peak at every
+    n).  The work grows like 2^n in odd d and 4^n in even d, and a call
+    past the budget raises BudgetError before any array is built.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -457,13 +350,8 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
     if radii is None:
         radii = np.linspace(0.0, 8.0, 513)
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or not np.all(np.isfinite(radii)) \
-            or np.any(radii < 0) or np.any(np.diff(radii) <= 0):
-        raise DomainError("radii must be finite, nonnegative and strictly "
-                          "increasing")
-    h, hu, nt, u_count, runs = wave_kernel_plan(n, dim, radii)
-    dim = int(dim)
-    a, b = 2.0 ** n / 8.0, 2.0 ** n * 8.0
+    band, margin = _wave_grid(n)
+    a, b = 2.0 ** n / 8.0, band
 
     def symbol(s):
         out = np.zeros(s.shape, dtype=complex)
@@ -472,22 +360,8 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
         out[inside] = np.exp(1j * sign * si) * theta(si / 2.0 ** n)
         return out
 
-    proj = _line_projection(symbol, dim, h, hu, nt, u_count)
-    pref = (2.0 * np.pi) ** (-dim) * h
-    line = np.concatenate([proj[:0:-1], proj])
-    t = h * np.arange(nt)
-    folded = np.where(t > 0, 2.0, 1.0) * proj    # the even line, t >= 0
-    values = np.empty(len(radii), dtype=complex)
-    for start, stop, step in runs:
-        if step is not None:
-            values[start:stop] = pref * _chirp_sums(line, h, radii[start],
-                                                    step, stop - start)
-            continue
-        rows = max(1, _BLOCK // nt)
-        for lo in range(start, stop, rows):
-            rr = radii[lo:min(lo + rows, stop), None]
-            values[lo:lo + len(rr)] = pref * (np.cos(rr * t) @ folded)
-    return RadialProfile(radii, values, dim)
+    values = inverse_radial(symbol, dim, radii, band, margin)
+    return RadialProfile(radii, values, int(dim))
 
 
 @dataclass
@@ -639,17 +513,58 @@ class _ShellBasis:
     dim: int
 
 
+def _spread_support(kernel, a):
+    """Radii between which v_a = psi * u_a can be nonzero.
+
+    u_a is a polynomial of degree 4 inside its ball and psi annihilates
+    polynomials of degree below 4M, the order to which its transform
+    vanishes; so for M >= 2 v_a vanishes for |x| < a - w.
+    """
+    w = kernel.support_radius
+    lo = max(a - w, 0.0) if kernel.vanishing_order >= 2 else 0.0
+    return lo, a + w
+
+
+def _spread_means(dim, kernel, a):
+    """Spherical means (v_a * sigma_r)(rho) of v_a = psi * u_a, odd d.
+
+    v_a has the closed-form transform psi_hat times the K = 2 bump
+    transform of radius a, so its antiderivative tables come from one
+    inverse transform (``radial.SphericalMeans``), with
+    _TABLE_CELLS cells per radius0.
+    """
+    def symbol(rho):
+        return kernel.psi_hat(rho) * _bump_hat(dim, 2, a, rho)
+    return SphericalMeans(symbol, dim, _spread_support(kernel, a),
+                          kernel.radius0 / _TABLE_CELLS, kernel.band())
+
+
+def _quadrature_spread_means(dim, kernel, a):
+    """Spherical means of v_a = psi * u_a by quadrature, any d.
+
+    v_a is splined on _SPREAD_SAMPLES points of its support; its outer
+    integral runs over the narrow support of psi, on _SPREAD_NODES nodes.
+    The psi spline and those nodes leave errors of up to 2.4e-3 of a row's
+    peak in d = 3 and 0.21 in d = 5, where the rows cancel more; this is
+    the even-d route until even d has closed-form tables.
+    """
+    w = kernel.support_radius
+    grid = np.linspace(*_spread_support(kernel, a), _SPREAD_SAMPLES)
+    v = CubicSpline1D(grid, radial_convolution_values(
+        kernel.psi_profile(), (0.0, w), _ball_bump(a), (0.0, a), dim,
+        grid, s_nodes=_SPREAD_NODES))
+    return lambda r, rho: spherical_mean_values(v, (grid[0], grid[-1]), r,
+                                                rho, dim)
+
+
 def _build_shell_basis(dim, r_grid, kernel, spread_radii):
     """Rows u_a * (psi * sigma_r) = (psi * u_a) * sigma_r on a global rho grid.
 
     By associativity one profile v_a = psi * u_a per spread serves every
     shell: each row is the spherical mean of v_a, nonzero only where
-    |rho - r| <= a + w.  u_a is a polynomial of degree 4 inside its ball
-    and psi annihilates polynomials of degree below 4M, the order to which
-    its transform vanishes; so for M >= 2 v_a vanishes for |x| < a - w and
-    is sampled on the shell a - w <= |x| <= a + w only.  Its outer integral
-    runs over the narrow support of psi, where 96 nodes resolve that
-    cancellation.
+    |rho - r| <= a + w.  In odd d the means come from antiderivative
+    tables of v_a (``_spread_means``), in even d by quadrature
+    (``_quadrature_spread_means``).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     w = kernel.support_radius
@@ -660,17 +575,13 @@ def _build_shell_basis(dim, r_grid, kernel, spread_radii):
                           f"{kernel.radius0 / 6.0:.3g} exceed the cap of "
                           f"{MAX_RHO_POINTS} radii")
     rho = np.arange(0.0, rho_max, kernel.radius0 / 6.0)
+    spread_means = _spread_means if dim % 2 else _quadrature_spread_means
+    means = {a: spread_means(dim, kernel, a) for a in spread_radii}
     profiles = {}
     for a in spread_radii:
-        lo = max(a - w, 0.0) if kernel.vanishing_order >= 2 else 0.0
-        grid = np.linspace(lo, a + w, _SPREAD_SAMPLES)
-        v = CubicSpline1D(grid, radial_convolution_values(
-            kernel.psi_profile(), (0.0, w), _ball_bump(a), (0.0, a), dim,
-            grid, s_nodes=96))
         shell, k = np.nonzero(np.abs(rho - r_grid[:, None]) <= a + w)
         rows = np.zeros((len(r_grid), len(rho)))
-        rows[shell, k] = spherical_mean_values(v, (grid[0], grid[-1]),
-                                               r_grid[shell], rho[k], dim)
+        rows[shell, k] = means[a](r_grid[shell], rho[k])
         profiles[a] = rows
     return _ShellBasis(rho, profiles, r_grid, dr, kernel, dim)
 
@@ -741,13 +652,23 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel=None, budget=60,
 
 
 def shell_l1_ratios(dim, r_grid, kernel=None):
-    """||psi * sigma_r||_1 r^-(d-1) over the shell grid (p = 1 diagnostics)."""
+    """||psi * sigma_r||_1 r^-(d-1) over the shell grid (p = 1 diagnostics).
+
+    The shells come from closed-form tables of psi in odd d, by quadrature
+    in even d.
+    """
     kernel = kernel or SmoothingKernel(dim)
     out = {}
     w = kernel.support_radius
+    if dim % 2:
+        shell = SphericalMeans(kernel.psi_hat, dim, (0.0, w),
+                               kernel.radius0 / _TABLE_CELLS, kernel.band())
+    else:
+        def shell(r, rho):
+            return shell_profile_values(kernel, r, rho)
     for r in np.asarray(r_grid, dtype=float):
         window = np.linspace(max(r - w, 0.0), r + w, 513)
-        vals = shell_profile_values(kernel, r, window)
+        vals = shell(r, window)
         mass = surface_area(dim) * np.trapezoid(np.abs(vals)
                                                 * window ** (dim - 1), window)
         out[float(r)] = float(mass / r ** (dim - 1))

@@ -38,6 +38,26 @@ def test_profile_continuity_at_zero():
     assert gamma(np.array([-1e-12]))[0] <= 1e-3
 
 
+def test_profile_evaluates_on_its_support_alone():
+    # the restriction to -1/4 < u < 0 changes no value of the default
+    # profile, and is exact for a custom cutoff that vanishes to its left
+    u = np.linspace(-4.0, 4.0, 4097)
+    for lam, b in ((0.5, None), (1.0, lambda v: np.exp(-np.asarray(v) ** 2)
+                                 * (np.asarray(v) > -0.25))):
+        gamma = BRProfile(lam, b)
+        neg = u < 0
+        full = np.zeros_like(u)
+        full[neg] = (-u[neg]) ** lam * gamma.b(u[neg])
+        assert np.array_equal(gamma(u), full)
+
+
+def test_profile_rejects_cutoff_wider_than_its_support():
+    with pytest.raises(DomainError, match="u <= -0.25"):
+        BRProfile(1.0, lambda v: np.exp(-np.asarray(v) ** 2))
+    with pytest.raises(DomainError):
+        edge_profile(0.5, lambda v: np.ones_like(np.asarray(v)))
+
+
 def test_invalid_order_rejected():
     with pytest.raises(DomainError):
         BRProfile(0.0)

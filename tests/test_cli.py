@@ -218,6 +218,26 @@ def test_sph_probe_oversized_radius_grid_exits_3(tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("args", [
+    # smallest radius0 the profile radii admit at the default spreads, and
+    # with a small spread
+    ["--radius0", "0.000229", "--r-hi", "1", "--shells", "1"],
+    ["--radius0", "0.00014", "--r-hi", "1", "--shells", "1",
+     "--spreads", "0.01"],
+    # largest spread they admit at the default radius0: past the line cap
+    ["--spreads", "681", "--r-hi", "1", "--shells", "1"],
+    ["--spreads", "0.25,600", "--shells", "64", "--r-hi", "16"],
+])
+def test_sph_probe_profile_radius_corners_exit_cleanly(tmp_path, capsys,
+                                                        args):
+    code = run_cli(["sph-probe", "--out", str(tmp_path / "s"), *args])
+    assert code in (0, 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert _one_line_error_text(err)
+
+
 def test_apply_truncated_field_input_exits_2(tmp_path, capsys):
     out1 = str(tmp_path / "first")
     assert run_cli(["apply", "--out", out1, "--ndim", "2", "--extent", "8",

@@ -5,8 +5,9 @@ import pytest
 
 from conemult.bessel import surface_area
 from conemult.bumps import smooth_window
-from conemult.errors import ConfigError, DomainError
-from conemult.radial import (RadialProfile, fourier_1d, plancherel_radial,
+from conemult.errors import BudgetError, ConfigError, DomainError
+from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
+                             inverse_radial, plancherel_radial,
                              radial_transform, space_grid,
                              sphere_hat_values, sphere_measure_transform)
 from conemult.util import dyadic_envelope_fit
@@ -208,3 +209,70 @@ def test_profile_validation():
         RadialProfile(np.array([0.2, 0.1]), np.array([1.0, 2.0]), 3)
     with pytest.raises(DomainError):
         RadialProfile(np.array([0.1, 0.2]), np.array([1.0, 2.0]), 1)
+
+
+# ---------------------------------------------------------------------------
+# inverse transforms of closed-form symbols, spherical means in odd d
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_inverse_radial_gaussian_closed_form(dim):
+    # F^-1[exp(-|xi|^2 / 2)] = (2 pi)^(-d/2) exp(-|x|^2 / 2); a uniform run
+    # goes through chirp-z, the short tail of radii through direct sums
+    radii = np.concatenate([np.linspace(0.0, 6.0, 97), [6.5, 7.25, 9.0]])
+    got = inverse_radial(lambda s: np.exp(-0.5 * s ** 2), dim, radii, 40.0,
+                         8.0)
+    want = (2.0 * np.pi) ** (-dim / 2.0) * np.exp(-0.5 * radii ** 2)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def test_inverse_radial_budget_checked_before_allocation():
+    import tracemalloc
+    gauss = lambda s: np.exp(-0.5 * s ** 2)
+    tracemalloc.start()
+    try:
+        # a t-line far past the cap: nothing of its length is allocated
+        with pytest.raises(BudgetError):
+            inverse_radial(gauss, 3, np.array([0.0, 1e7]), 10.0, 8.0)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(BudgetError):               # longest chirp past the cap
+        inverse_radial(gauss, 3, np.linspace(0.0, 1.0, 2_500_000), 10.0,
+                       8.0)
+    with pytest.raises(BudgetError):               # lattice terms, even d
+        inverse_radial(gauss, 4, np.linspace(0.0, 8.0, 64), 3e4, 8.0)
+    with pytest.raises(DomainError):
+        inverse_radial(gauss, 3, np.array([1.0, 0.5]), 10.0, 8.0)
+
+
+def _ball_bump_means(dim, a, r, rho):
+    """(u * sigma_r)(rho) for u = (1 - |x/a|^2)_+^4 by 400-node angular quadrature."""
+    theta, w = np.polynomial.legendre.leggauss(400)
+    theta = 0.5 * np.pi * (theta + 1.0)
+    dist2 = rho ** 2 + r ** 2 - 2.0 * rho * r * np.cos(theta)
+    u = np.clip(1.0 - dist2 / a ** 2, 0.0, None) ** 4
+    return r ** (dim - 1) * surface_area(dim - 1) * 0.5 * np.pi * np.sum(
+        u * np.sin(theta) ** (dim - 2) * w)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_spherical_means_against_angular_quadrature(dim):
+    # u = (1 - |x|^2)_+^4 is C^3 with the closed-form K = 4 bump transform,
+    # so its tables converge; rho = 0 takes the direct transform
+    a, k = 1.0, 4
+    from conemult.bessel import bessel_j_scaled
+
+    def symbol(s):
+        return a ** dim * math.factorial(k) * 2.0 ** (k + dim / 2.0) \
+            * np.pi ** (dim / 2.0) * bessel_j_scaled(dim / 2.0 + k, a * s)
+
+    means = SphericalMeans(symbol, dim, (0.0, a), 1.0 / 2048, 4000.0)
+    pairs = [(0.5, 0.0), (0.5, 0.2), (1.0, 0.4), (3.0, 2.5), (3.0, 3.6),
+             (0.3, 1.1)]
+    got = means(np.array([r for r, _ in pairs]),
+                np.array([rho for _, rho in pairs]))
+    want = np.array([_ball_bump_means(dim, a, r, rho) for r, rho in pairs])
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    with pytest.raises(DomainError):
+        SphericalMeans(symbol, 4, (0.0, a), 1e-3, 100.0)

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conemult import bumps, wave
+from conemult import bumps, radial, wave
 from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.bumps import band_cutoff
 from conemult.errors import BudgetError, DomainError
@@ -544,3 +545,206 @@ def test_shell_basis_without_vanishing_moments():
     direct = _direct_shell_rows(3, r_grid, kernel, a, basis.rho)
     scale = np.abs(direct).max(axis=1, keepdims=True)
     assert np.all(np.abs(basis.profiles[a] - direct) <= 1e-6 * scale)
+
+
+# ---------------------------------------------------------------------------
+# shell rows from closed-form symbols (odd d), against the quadrature route
+
+
+def _quadrature_rows(dim, r_grid, kernel, a, rho):
+    """Rows of the basis by the quadrature route, on the basis's pairs."""
+    means = wave._quadrature_spread_means(dim, kernel, a)
+    shell, k = np.nonzero(np.abs(rho - r_grid[:, None])
+                          <= a + kernel.support_radius)
+    rows = np.zeros((len(r_grid), len(rho)))
+    rows[shell, k] = means(r_grid[shell], rho[k])
+    return rows
+
+
+def _refine_closed_form(monkeypatch):
+    """Double the band, halve the table step and the t-step of the odd-d route."""
+    band = SmoothingKernel.band
+    monkeypatch.setattr(SmoothingKernel, "band",
+                        lambda self: 2.0 * band(self))
+    monkeypatch.setattr(wave, "_TABLE_CELLS", 2 * wave._TABLE_CELLS)
+    inverse = radial.inverse_radial
+    monkeypatch.setattr(
+        radial, "inverse_radial",
+        lambda symbol, dim, radii, band, margin: inverse(
+            symbol, dim, radii, band, 2.0 * radii.max() + 2.0 * margin))
+
+
+def _peak_error(rows, ref):
+    return (np.abs(rows - ref).max(axis=1) / np.abs(ref).max(axis=1)).max()
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0])
+def test_closed_form_rows_match_quadrature_route_dim3(kernel3, a):
+    # the quadrature route at its own nodes is off by up to 2.4e-3 of a
+    # row's peak (a = 1), the closed-form route by about 1e-10
+    r_grid = np.array([1.0, 4.0, 16.0])
+    basis = wave._build_shell_basis(3, r_grid, kernel3, (a,))
+    oracle = _quadrature_rows(3, r_grid, kernel3, a, basis.rho)
+    assert _peak_error(basis.profiles[a], oracle) <= 5e-3
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a", [0.25, 1.0])
+def test_closed_form_rows_match_refined_quadrature_route_dim5(monkeypatch, a):
+    # in d = 5 the rows cancel more: at its own nodes the quadrature route
+    # is off by up to 0.21 of a row's peak (a = 1, r = 16), so the oracle
+    # is that route with a 4097-point psi, 192 outer nodes and 1025 samples
+    # of v_a, which brings it within 6.1e-4
+    for name, value in (("_PSI_SAMPLES", 4097), ("_SPREAD_NODES", 192),
+                        ("_SPREAD_SAMPLES", 1025)):
+        monkeypatch.setattr(wave, name, value)
+    kernel = SmoothingKernel(5)
+    r_grid = np.array([1.0, 4.0, 16.0])
+    basis = wave._build_shell_basis(5, r_grid, kernel, (a,))
+    oracle = _quadrature_rows(5, r_grid, kernel, a, basis.rho)
+    assert _peak_error(basis.profiles[a], oracle) <= 5e-3
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_closed_form_rows_converged(monkeypatch, dim):
+    kernel = SmoothingKernel(dim)
+    r_grid = np.array([1.0, 4.0, 16.0])
+    spreads = (0.25, 1.0)
+    basis = wave._build_shell_basis(dim, r_grid, kernel, spreads)
+    _refine_closed_form(monkeypatch)
+    fine = wave._build_shell_basis(dim, r_grid, kernel, spreads)
+    for a in spreads:
+        assert _peak_error(basis.profiles[a], fine.profiles[a]) <= 1e-7, a
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_closed_form_rho_zero_row_is_its_limit(dim):
+    # (v_a * sigma_r)(0) = |S^(d-1)| r^(d-1) v_a(r); v_a(r) here from a
+    # direct transform on a coarser t-grid than the route's
+    kernel = SmoothingKernel(dim)
+    a = 1.0
+    r_grid = np.array([1.0, 1.05])
+    basis = wave._build_shell_basis(dim, r_grid, kernel, (a,))
+    v = radial.inverse_radial(
+        lambda s: kernel.psi_hat(s) * wave._bump_hat(dim, 2, a, s), dim,
+        r_grid, kernel.band(), 8.0).real
+    want = surface_area(dim) * r_grid ** (dim - 1) * v
+    got = basis.profiles[a][:, 0]
+    assert basis.rho[0] == 0.0
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    assert np.abs(want).min() > 1e-3 * np.abs(basis.profiles[a]).max()
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("order, tol", [(0, 1e-6), (1, 5e-3)])
+def test_closed_form_rows_without_enough_vanishing_moments(dim, order, tol):
+    # M < 2: v_a does not vanish inside the ball, so its tables start at 0
+    # and the rows do not vanish on the plateau |rho - r| < a - w
+    kernel = SmoothingKernel(dim, vanishing_order=order)
+    r_grid = np.array([1.0, 4.0])
+    w = kernel.support_radius
+    for a in (0.25, 1.0):
+        basis = wave._build_shell_basis(dim, r_grid, kernel, (a,))
+        rows = basis.profiles[a]
+        oracle = _quadrature_rows(dim, r_grid, kernel, a, basis.rho)
+        assert _peak_error(rows, oracle) <= tol, a
+        plateau = np.abs(basis.rho - r_grid[1]) < a - w - 0.05
+        assert np.abs(rows[1, plateau]).max() >= 1e-2 * np.abs(rows[1]).max()
+
+
+def test_closed_form_shell_l1_ratios_match_quadrature(kernel3):
+    r_grid = np.array([1.0, 4.0, 16.0])
+    got = shell_l1_ratios(3, r_grid, kernel3)
+    w = kernel3.support_radius
+    for r in r_grid:
+        window = np.linspace(r - w, r + w, 513)
+        vals = shell_profile_values(kernel3, r, window)
+        mass = surface_area(3) * np.trapezoid(np.abs(vals) * window ** 2,
+                                              window)
+        assert math.isclose(got[float(r)], mass / r ** 2, rel_tol=1e-6)
+
+
+def _exact_spread_profile(kernel, a, rhos):
+    """v_a = psi * u_a in d = 3 at 50 digits, from piecewise polynomials.
+
+    In d = 3, (f * g)(rho) = (2 pi / rho) int f(s) s [G(rho + s) - G(|rho - s|)] ds
+    with G(x) = int_0^x g(t) t dt.  psi0, G0 and u_a's G are polynomials on
+    their supports, so psi (2 pieces) and then v_a are integrals of
+    polynomials between known breakpoints, which 32-node Gauss-Legendre
+    rules take exactly.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 50
+    nodes, weights = mp.gauss_quadrature(32, "legendre")
+
+    def integral(f, lo, hi, breaks):
+        pts = sorted({lo, hi, *[b for b in breaks if lo < b < hi]})
+        total = mp.mpf(0)
+        for x0, x1 in zip(pts[:-1], pts[1:]):
+            half, mid = (x1 - x0) / 2, (x1 + x0) / 2
+            total += half * sum(w * f(mid + half * x)
+                                for x, w in zip(nodes, weights))
+        return total
+
+    def poly(coeffs, x):
+        acc = mp.mpf(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    r0, a = mp.mpf(kernel.radius0), mp.mpf(a)
+    c = [mp.mpf(float(x)) for x in kernel._psi0_coeffs]  # in u = s^2
+    g = [cj / (2 * j + 2) for j, cj in enumerate(c)]      # G0 / x^2
+
+    def psi0(s):
+        return poly(c, s * s) if s <= r0 else mp.mpf(0)
+
+    def big_g0(x):
+        y = min(abs(x), r0)
+        return poly(g, y * y) * y * y
+
+    def s_psi(s):            # s psi(s)
+        return 2 * mp.pi * integral(
+            lambda t: psi0(t) * t * (big_g0(s + t) - big_g0(s - t)),
+            mp.mpf(0), r0, (r0 - s, s - r0))
+
+    def big_u(x):
+        y = min(abs(x), a)
+        return y ** 2 / 2 - y ** 4 / (2 * a * a) + y ** 6 / (6 * a ** 4)
+
+    out = []
+    for rho in rhos:
+        rho = mp.mpf(float(rho))
+        val = integral(lambda s: s_psi(s) * (big_u(rho + s) - big_u(rho - s)),
+                       mp.mpf(0), 2 * r0, (r0, a - rho, rho - a, rho + a))
+        out.append(float(2 * mp.pi / rho * val))
+    return np.array(out)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a", [0.25, 1.0])
+def test_closed_form_spread_profile_matches_exact_convolution(kernel3, a):
+    means = wave._spread_means(3, kernel3, a)
+    x = means.lo + means.step * np.arange(len(means.values))
+    idx = np.searchsorted(x, [a - 0.05, a, a + 0.04])
+    exact = _exact_spread_profile(kernel3, a, x[idx])
+    peak = np.abs(means.values).max()
+    assert np.abs(means.values[idx] - exact).max() <= 1e-7 * peak
+    assert np.abs(exact).min() >= 1e-3 * peak
+
+
+# Default d = 3 sph-probe bounds from a run with twice the band, half the
+# table step and half the t-step of the closed-form route.
+_PINNED_BOUNDS = {(): 1.108153554268738e-06,
+                  ("--shells", "64", "--r-hi", "16"): 1.0814941629162192e-06}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_BOUNDS))
+def test_default_sph_probe_bound_is_pinned(tmp_path, args):
+    from conemult.cli import main
+    out = tmp_path / "s"
+    assert main(["sph-probe", *args, "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        bound = json.load(fh)["estimate"]["lower_bound"]
+    assert math.isclose(bound, _PINNED_BOUNDS[args], rel_tol=1e-8)
