@@ -29,6 +29,7 @@ from .multipliers import (MAX_AXES, Axis, GammaFamily, GridField,
                           check_wraparound, export_field_csv, freq_magnitude,
                           load_field, save_field)
 from .opnorm import estimate_lower, scaling_sweep_experiment
+from .util import CubicSpline1D
 from .wave import (MAX_WAVE_SCALE, SmoothingKernel, decompose,
                    decompose_radii, shell_l1_ratios,
                    shell_operator_lower_bound, summarize_decompositions,
@@ -39,6 +40,9 @@ from .wave import (MAX_WAVE_SCALE, SmoothingKernel, decompose,
 # and the grids themselves to a few kilobytes.
 MAX_ORDERS = 1024
 MAX_DILATIONS = 4096
+# cap on the cells of an apply/opnorm grid: at 2^24 cells one complex
+# field is 256 MiB, and a run holds a few at once
+MAX_GRID_CELLS = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +63,15 @@ def line_profile(spec):
     if spec.startswith("br:"):
         return BRProfile(float(spec.split(":", 1)[1]))
     if spec.startswith("csv:"):
-        from .multipliers import SampledProfile
         u, value = report.read_float_columns(spec.split(":", 1)[1],
                                              ("u", "value"))
-        return SampledProfile(u, value)
+        spline = CubicSpline1D(u, value)
+        lo, hi = float(u[0]), float(u[-1])
+
+        def sampled(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > lo) & (x < hi), spline(x), 0.0)
+        return sampled
     raise ConfigError(f"unknown line profile {spec!r}")
 
 
@@ -124,7 +133,11 @@ def build_axes(extent, resolution, ndim):
     """Axes of a cubic grid, checked before any array is allocated."""
     if not 1 <= ndim <= MAX_AXES:
         raise DomainError(f"ndim = {ndim}: grids support 1 to {MAX_AXES} axes")
-    return tuple(Axis(extent, resolution) for _ in range(ndim))
+    axes = tuple(Axis(extent, resolution) for _ in range(ndim))
+    if resolution ** ndim > MAX_GRID_CELLS:
+        raise BudgetError(f"grid of {resolution}^{ndim} cells exceeds the cap "
+                          f"{MAX_GRID_CELLS}")
+    return axes
 
 
 def input_field(spec, axes):
@@ -393,8 +406,7 @@ def run_opnorm(opts, outdir, seed):
         out["rhs_per_t"] = {repr(k): v for k, v in out["rhs_per_t"].items()}
         return out, lambda: plots.plot_opnorm(outdir, out)
     if opts["mode"] == "estimate":
-        operator = lambda f: apply_multiplier(f, mult)
-        est = estimate_lower(operator, axes, opts["p"], opts["nu"],
+        est = estimate_lower(mult, axes, opts["p"], opts["nu"],
                              budget=opts["budget"], seed=seed)
         summary = est.to_dict()
         summary["multiplier"] = opts["multiplier"]

@@ -38,7 +38,11 @@ class LorentzParams:
 
 @dataclass
 class WeightedSampleSet:
-    """Finitely many |value| samples carrying positive measure weights."""
+    """Finitely many |value| samples carrying positive measure weights.
+
+    ``weights`` is a 1-d array of one weight per sample, or a scalar: the
+    weight every sample carries (a uniform measure, such as grid cells).
+    """
 
     values: np.ndarray
     weights: np.ndarray
@@ -46,8 +50,10 @@ class WeightedSampleSet:
     def __post_init__(self):
         self.values = np.abs(np.asarray(self.values, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.values.ndim != 1 or self.values.shape != self.weights.shape:
-            raise DomainError("values and weights must be 1-d arrays of equal length")
+        if self.values.ndim != 1 or not (self.uniform or
+                                         self.values.shape == self.weights.shape):
+            raise DomainError("values must be a 1-d array, weights a scalar "
+                              "or an array of the same length")
         if len(self.values) == 0:
             raise DomainError("sample set must be nonempty")
         if not np.all(np.isfinite(self.values)):
@@ -56,7 +62,14 @@ class WeightedSampleSet:
             raise DomainError("weights must be positive and finite")
 
     @property
+    def uniform(self):
+        """True when every sample carries the one scalar weight."""
+        return self.weights.ndim == 0
+
+    @property
     def total_measure(self):
+        if self.uniform:
+            return float(self.weights * len(self.values))
         return float(self.weights.sum())
 
     def scaled(self, c):
@@ -91,7 +104,10 @@ def decreasing_rearrangement(samples):
     change any of the derived quasi-norms.  Each piece's measure is summed
     in sample order (``bincount`` walks the samples by index), so the sort
     need not be stable and the result does not depend on how ties sort.
+    Under a scalar weight the values are sorted alone, with the same sums.
     """
+    if samples.uniform:
+        return _uniform_merged(np.sort(samples.values), samples.weights)
     order = np.argsort(samples.values)
     return _tie_merged(samples.values, samples.weights, order)
 
@@ -110,8 +126,12 @@ def subset_rearrangements(samples, masks):
         keep = np.asarray(keep, dtype=bool)
         if not keep.any():
             raise DomainError("subset mask selects no sample")
-        out.append(_tie_merged(samples.values, samples.weights,
-                               order[keep[order]], keep))
+        sub = order[keep[order]]
+        if samples.uniform:
+            out.append(_uniform_merged(samples.values[sub], samples.weights))
+        else:
+            out.append(_tie_merged(samples.values, samples.weights, sub,
+                                   keep))
     return out
 
 
@@ -133,6 +153,38 @@ def _tie_merged(values, weights, order, keep=None):
     levels = v[start][::-1]
     breakpoints = np.concatenate(([0.0], np.cumsum(merged)))
     return RearrangedFunction(breakpoints, levels)
+
+
+def _uniform_merged(v, weight):
+    """Rearrangement of the ascending values ``v``, each of measure ``weight``."""
+    start = np.empty(len(v), dtype=bool)
+    start[0] = True
+    np.not_equal(v[1:], v[:-1], out=start[1:])
+    breakpoints = np.empty(int(start.sum()) + 1)
+    breakpoints[0] = 0.0
+    if len(breakpoints) > len(v):
+        # no ties: every piece is one sample
+        levels = v[::-1]
+        breakpoints[1:] = weight
+    else:
+        first = np.flatnonzero(start)
+        levels = v[first[::-1]]
+        counts = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=counts[:-1])
+        counts[-1] = len(v) - first[-1]
+        breakpoints[1:] = _repeated_sums(counts[::-1], weight)
+    np.cumsum(breakpoints[1:], out=breakpoints[1:])
+    return RearrangedFunction(breakpoints, levels)
+
+
+def _repeated_sums(counts, weight):
+    """``weight`` summed ``c`` times in sequence, for each count c >= 1.
+
+    The running sums are the ones ``bincount`` forms when it adds the same
+    weight once per sample, so a uniform measure merges bit-identically to
+    the array of its weights.
+    """
+    return np.cumsum(np.full(int(counts.max()), weight))[counts - 1]
 
 
 _BITS = 4
@@ -161,10 +213,16 @@ def rounded_up(samples):
     v = samples.values
     keys = (v.view(np.int64) >> shift) + (v > 0)
     k0 = int(keys.min())
-    merged = np.bincount(keys - k0, weights=samples.weights)
-    present = np.flatnonzero(merged)
+    if samples.uniform:
+        counts = np.bincount(keys - k0)
+        present = np.flatnonzero(counts)
+        merged = _repeated_sums(counts[present], samples.weights)
+    else:
+        merged = np.bincount(keys - k0, weights=samples.weights)
+        present = np.flatnonzero(merged)
+        merged = merged[present]
     tops = ((present + k0) << shift).view(np.float64)
-    return WeightedSampleSet(tops, merged[present])
+    return WeightedSampleSet(tops, merged)
 
 
 def lorentz_quasinorm(samples, params):

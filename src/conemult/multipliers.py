@@ -27,8 +27,9 @@ class Axis:
     resolution: int
 
     def __post_init__(self):
-        if not self.extent > 0:
-            raise DomainError(f"axis extent must be positive, got {self.extent}")
+        if not (self.extent > 0 and math.isfinite(self.extent)):
+            raise DomainError(f"axis extent must be positive and finite, "
+                              f"got {self.extent}")
         n = self.resolution
         if n < 2 or (n & (n - 1)) != 0:
             raise DomainError(f"axis resolution must be a power of two, got {n}")
@@ -94,21 +95,6 @@ def space_magnitude(axes):
     coords = np.meshgrid(*[ax.space_coords() for ax in axes],
                          indexing="ij", sparse=True)
     return np.sqrt(sum(c ** 2 for c in coords))
-
-
-class SampledProfile:
-    """Cubic interpolant of a sampled 1-d profile, zero outside its support."""
-
-    def __init__(self, points, values, support=None):
-        self._spline = CubicSpline1D(points, values)
-        self.support = support if support is not None else \
-            (float(points[0]), float(points[-1]))
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self._spline(u)
-        lo, hi = self.support
-        return np.where((u > lo) & (u < hi), out, 0.0)
 
 
 def _check_profile_support(profile, radius, name, sides=(-1.0, 1.0)):
@@ -259,14 +245,16 @@ def apply_multiplier(f, m):
     """Apply a Fourier multiplier: inverse DFT of (symbol * forward DFT).
 
     Circular convolution semantics; the discrete energy bound
-    ||Tf||_2 <= max|m| ||f||_2 holds exactly.
+    ||Tf||_2 <= max|m| ||f||_2 holds exactly.  A field in frequency form
+    is taken as the forward DFT of the input, which is not recomputed.
     """
-    if f.rep != "space":
-        raise DomainError("input field must be in space representation")
     sym = _symbol_values(f, m)
-    out = np.fft.fftn(f.values)
     # sym first: numpy's complex product is not bitwise commutative
-    np.multiply(sym, out, out=out)
+    if f.rep == "frequency":
+        out = np.multiply(sym, f.values)
+    else:
+        out = np.fft.fftn(f.values)
+        np.multiply(sym, out, out=out)
     np.fft.ifftn(out, out=out)
     return GridField(f.axes, out, rep="space")
 
@@ -373,16 +361,22 @@ def load_field(path):
 
 
 def export_field_csv(f, path, max_cells=65536):
-    """Plot-ready CSV (one row per cell) for small grids."""
-    import csv as _csv
+    """Plot-ready CSV (one row per cell, C order) for small grids.
+
+    The rows are those of a ``csv.writer``: ``repr`` of each float,
+    comma-separated, ended by CRLF.
+    """
     if f.values.size > max_cells:
         raise DomainError(f"grid too large for CSV export ({f.values.size} cells)")
-    coords = [ax.space_coords() if f.rep == "space" else ax.freq_coords()
-              for ax in f.axes]
+    rows = [""]
+    for ax in f.axes:
+        coords = ax.space_coords() if f.rep == "space" else ax.freq_coords()
+        cells = [f"{c!r}," for c in coords.tolist()]
+        rows = [row + cell for row in rows for cell in cells]
+    values = f.values.ravel()
+    header = ",".join([f"x{i}" for i in range(f.ndim)] + ["re", "im"])
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(f.ndim)] + ["re", "im"])
-        for idx in np.ndindex(*f.values.shape):
-            row = [repr(float(coords[i][j])) for i, j in enumerate(idx)]
-            v = f.values[idx]
-            w.writerow(row + [repr(float(v.real)), repr(float(v.imag))])
+        fh.write(header + "\r\n")
+        fh.write("".join([f"{row}{re!r},{im!r}\r\n" for row, re, im in
+                          zip(rows, values.real.tolist(),
+                              values.imag.tolist())]))

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DomainError
 from .lorentz import (LorentzParams, WeightedSampleSet, lorentz_quasinorm,
                       rounded_up)
-from .multipliers import GridField, apply_multiplier, freq_magnitude
+from .multipliers import (ConeMultiplierField, GridField, apply_multiplier,
+                          freq_magnitude)
 
 FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
@@ -38,7 +39,7 @@ def _grid_samples(f):
     vals = np.abs(f.values).ravel()
     if not np.any(vals > 0):
         return None
-    return WeightedSampleSet(vals, np.full(vals.shape, f.cell_volume()))
+    return WeightedSampleSet(vals, f.cell_volume())
 
 
 def grid_lorentz_norm(f, p, nu):
@@ -57,16 +58,23 @@ _MAJORANT_SLACK = 1e-9
 def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
     """(||f||_p, ||T f||_{p,nu}) for the witness f of ``spec``.
 
+    A multiplier field T is applied to f's spectrum (``witness_input``);
+    any other operator is called on f in space (``build_witness``).
     T is not applied when ||f||_p vanishes; the second entry is then None.
     It is None as well when the ratio cannot exceed ``beat > 0``: the norm
     of the rounded-up majorant of |T f| (``lorentz.rounded_up``) bounds
     ||T f||_{p,nu} from above and is checked before the exact rearrangement.
     """
-    f = build_witness(spec, axes)
-    denom, _ = grid_norms(f, p)
+    multiplier = isinstance(operator, (GridField, ConeMultiplierField))
+    if multiplier:
+        denom, f = witness_input(spec, axes, p)
+    else:
+        f = build_witness(spec, axes)
+        denom, _ = grid_norms(f, p)
     if denom == 0.0:
         return 0.0, None
-    samples = _grid_samples(operator(f))
+    samples = _grid_samples(apply_multiplier(f, operator) if multiplier
+                            else operator(f))
     if samples is None:
         return denom, 0.0
     params = LorentzParams(p, nu)
@@ -110,10 +118,14 @@ def _space_radius_sq(axes, center=None, scale=1.0):
 
 def _modulation(axes, freqs):
     """exp(i freqs . x) on the grid, as a product of per-axis factors."""
-    coords = np.meshgrid(*[ax.space_coords() for ax in axes],
-                         indexing="ij", sparse=True)
-    return functools.reduce(np.multiply, [np.exp(1j * (w * c))
-                                          for w, c in zip(freqs, coords)])
+    return _outer([np.exp(1j * (w * ax.space_coords()))
+                   for w, ax in zip(freqs, axes)])
+
+
+def _outer(factors):
+    """The full-grid outer product of per-axis factors."""
+    return functools.reduce(np.multiply, np.meshgrid(*factors, indexing="ij",
+                                                     sparse=True))
 
 
 def build_witness(spec, axes):
@@ -139,17 +151,88 @@ def build_witness(spec, axes):
         vals = np.exp(-0.5 * ((rad - prm["a"]) / prm["s"]) ** 2).astype(complex)
         return GridField(axes, vals)
     if family == "annulus_knapp":
-        xi_mag = freq_magnitude(axes)
-        window = np.exp(-0.5 * ((xi_mag - prm["r0"]) / prm["w"]) ** 2)
-        if prm.get("sector_width") and len(axes) >= 2:
-            coords = np.meshgrid(*[ax.freq_coords() for ax in axes],
-                                 indexing="ij", sparse=True)
-            angle = np.arctan2(coords[1], coords[0] + 1e-300)
-            delta = np.angle(np.exp(1j * (angle - prm["sector_angle"])))
-            window = window * np.exp(-0.5 * (delta / prm["sector_width"]) ** 2)
-        vals = np.fft.ifftn(window.astype(complex))
-        return GridField(axes, vals)
+        return GridField(axes, np.fft.ifftn(_knapp_window(axes, prm)))
     raise DomainError(f"unknown witness family {spec['family']!r}")
+
+
+def _knapp_window(axes, prm):
+    """Spectrum of an ``annulus_knapp`` witness (FFT order)."""
+    xi_mag = freq_magnitude(axes)
+    window = np.exp(-0.5 * ((xi_mag - prm["r0"]) / prm["w"]) ** 2)
+    if prm.get("sector_width") and len(axes) >= 2:
+        coords = np.meshgrid(*[ax.freq_coords() for ax in axes],
+                             indexing="ij", sparse=True)
+        angle = np.arctan2(coords[1], coords[0] + 1e-300)
+        delta = np.angle(np.exp(1j * (angle - prm["sector_angle"])))
+        window = window * np.exp(-0.5 * (delta / prm["sector_width"]) ** 2)
+    return window.astype(complex)
+
+
+def _bump_factors(axes, prm, coef=1.0):
+    """Per-axis factors of coef * eta(t (x - center)) exp(i freqs . x).
+
+    The bump is the outer product of the factors, so its DFT is the outer
+    product of their 1-d DFTs.  ``coef`` is folded into the first factor.
+    """
+    center = prm.get("center") or [0.0] * len(axes)
+    freqs = prm.get("freqs")
+    factors = []
+    for k, ax in enumerate(axes):
+        x = ax.space_coords()
+        g = default_eta(((x - center[k]) * prm["t"]) ** 2).astype(complex)
+        if freqs:
+            g *= np.exp(1j * (freqs[k] * x))
+        factors.append(g)
+    factors[0] = coef * factors[0]
+    return factors
+
+
+def _separable_lp_norm(factors, cell_volume, p):
+    """||f||_p of the outer product f of ``factors``, from per-axis sums."""
+    mags = [np.abs(g) for g in factors]
+    peaks = [float(m.max()) for m in mags]
+    if min(peaks) == 0.0:
+        return 0.0
+    total = math.prod(float(np.sum((m / peak) ** p))
+                      for m, peak in zip(mags, peaks))
+    return (total * cell_volume) ** (1.0 / p) * math.prod(peaks)
+
+
+def witness_input(spec, axes, p):
+    """(||f||_p, F) for the witness f of ``spec``, F ready for a multiplier.
+
+    F is f's forward DFT, in frequency form, where that is cheaper than f:
+    a dilated bump and each piece of a superposition are outer products of
+    per-axis factors, and an annulus-Knapp witness is defined by its
+    spectrum.  A radial focus is built in space (``build_witness``).  The
+    norm of a single bump is taken from per-axis sums, so no full-grid
+    space values are built for it.
+    """
+    family = spec["family"]
+    prm = spec["params"]
+    if family == "dilated_bump":
+        factors = _bump_factors(axes, prm)
+        spectrum = _outer([np.fft.fft(g) for g in factors])
+        denom = _separable_lp_norm(factors, math.prod(ax.step for ax in axes),
+                                   p)
+        return denom, GridField(axes, spectrum, rep="frequency")
+    if family == "random_superposition":
+        shape = [ax.resolution for ax in axes]
+        space = np.zeros(shape, dtype=complex)
+        spectrum = np.zeros(shape, dtype=complex)
+        for piece in prm["pieces"]:
+            factors = _bump_factors(axes, piece, piece["coef_re"]
+                                    + 1j * piece["coef_im"])
+            space += _outer(factors)
+            spectrum += _outer([np.fft.fft(g) for g in factors])
+        denom, _ = grid_norms(GridField(axes, space), p)
+        return denom, GridField(axes, spectrum, rep="frequency")
+    if family == "annulus_knapp":
+        window = _knapp_window(axes, prm)
+        denom, _ = grid_norms(GridField(axes, np.fft.ifftn(window)), p)
+        return denom, GridField(axes, window, rep="frequency")
+    f = build_witness(spec, axes)
+    return grid_norms(f, p)[0], f
 
 
 def _dilation_bounds(axes):
@@ -257,7 +340,10 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
                    seed=0, swept=None):
     """Best witness ratio ||T f||_{p,nu} / ||f||_p within a budget of steps.
 
-    ``operator`` maps GridField -> GridField and must be linear on the grid.
+    ``operator`` is a multiplier field (a GridField in frequency form or a
+    ConeMultiplierField), applied through each witness's spectrum, or any
+    map GridField -> GridField, linear on the grid, called on the witness
+    in space.
     Each step proposes one witness.  A witness whose norm vanishes, or
     that was proposed before, is skipped without an operator call; one
     whose rounded-up majorant shows that its ratio cannot beat the best so
@@ -271,6 +357,7 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
     """
     if budget < 1:
         raise DomainError("budget must be at least 1")
+    LorentzParams(p, nu)   # checked before any witness norm divides by p
     rng = np.random.default_rng(seed)
     stream = _WitnessStream(axes, families, rng, swept)
     best_ratio = 0.0
@@ -340,8 +427,10 @@ def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
         RHS <= (best ratio) * sup_t t^{d/p} ||eta(t .)||_p,
 
     which is asserted here and reported.  Dilations whose bump the grid
-    cannot resolve are excluded and flagged.
+    cannot resolve are excluded and flagged.  ``m0`` is a multiplier field
+    or a radial symbol callable, which is evaluated once on the grid.
     """
+    LorentzParams(p, nu)   # checked before any witness norm divides by p
     d = len(axes)
     tmin, tmax = _dilation_bounds(axes)
     if t_grid is None:
@@ -352,18 +441,19 @@ def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
     if not t_used:
         raise DomainError("no admissible dilation in the grid")
 
-    operator = lambda f: apply_multiplier(f, m0)
+    if not isinstance(m0, (GridField, ConeMultiplierField)):
+        m0 = GridField(axes, m0(freq_magnitude(axes)), rep="frequency")
     rhs_per_t, scale_per_t, swept = {}, {}, []
     for t in t_used:
         spec = {"family": "dilated_bump", "params": {"t": t}}
-        denom, num = _witness_norms(operator, spec, axes, p, nu)
+        denom, num = _witness_norms(m0, spec, axes, p, nu)
         swept.append((t, (denom, num)))
         rhs_per_t[t] = t ** (d / p) * num
         scale_per_t[t] = t ** (d / p) * denom
     rhs = max(rhs_per_t.values())
     scale_sup = max(scale_per_t.values())
 
-    est = estimate_lower(operator, axes, p, nu, budget=budget, seed=seed,
+    est = estimate_lower(m0, axes, p, nu, budget=budget, seed=seed,
                          swept=swept)
     contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
     return {

@@ -260,6 +260,61 @@ def test_opnorm_ndim_outside_grid_range_exits_2(tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("extent", ["inf", "nan"])
+def test_non_finite_grid_extent_exits_2(tmp_path, capsys, extent):
+    out = tmp_path / "a"
+    assert run_cli(["apply", "--out", str(out), "--extent", extent,
+                    "--resolution", "8"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["apply", "opnorm"])
+def test_grid_past_the_cell_cap_exits_3_before_allocating(tmp_path, capsys,
+                                                          command):
+    # 2^80 cells: numpy refuses such an array at once, so a missing cap
+    # shows as another exit, not as a long run
+    out = tmp_path / "g"
+    assert run_cli([command, "--out", str(out), "--ndim", "4",
+                    "--resolution", "1048576"]) == 3
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "exceeds the cap" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["estimate", "sweep"])
+@pytest.mark.parametrize("p", ["0", "-1", "nan"])
+def test_opnorm_bad_exponent_exits_2(tmp_path, capsys, mode, p):
+    out = tmp_path / "o"
+    assert run_cli(["opnorm", "--out", str(out), "--mode", mode, "--p", p,
+                    "--budget", "1", "--resolution", "16"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "p must be a positive real" in err
+    assert not out.exists()
+
+
+def test_grid_at_the_cell_cap_is_accepted():
+    axes = cli.build_axes(16.0, 4096, 2)
+    assert 4096 ** 2 == cli.MAX_GRID_CELLS and len(axes) == 2
+
+
+def test_csv_line_profile_is_the_spline_on_its_open_support(tmp_path):
+    from conemult.util import CubicSpline1D
+    u = np.linspace(-0.25, 0.25, 11)
+    value = np.cos(4.0 * u) * (1.0 - 16.0 * u ** 2)
+    path = tmp_path / "prof.csv"
+    path.write_text("u,value\n" + "".join(f"{a!r},{b!r}\n"
+                                           for a, b in zip(u.tolist(),
+                                                           value.tolist())))
+    prof = cli.line_profile(f"csv:{path}")
+    x = np.linspace(-0.5, 0.5, 401)
+    want = np.where((x > -0.25) & (x < 0.25), CubicSpline1D(u, value)(x), 0.0)
+    assert np.array_equal(prof(x), want)
+    assert prof(-0.25) == prof(0.25) == prof(0.3) == 0.0
+    assert prof(0.0) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_br_scan_grid_short_of_truncation_exits_2(tmp_path, capsys):
     # 1024 points on [-4, 4) reach |s| = 401, far short of R/8 = 2048
     out = tmp_path / "s"

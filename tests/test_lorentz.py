@@ -354,3 +354,65 @@ def test_rounded_up_bin_tops():
     got = lorentz_quasinorm(rounded_up(samples([1.0], [2.0])),
                             LorentzParams(1.5, math.inf))
     assert got == 1.0625 * 2.0 ** (1 / 1.5)
+
+
+def _assert_same_samples(got, want):
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.weights, want.weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scalar_weight_equals_its_full_array_bit_for_bit(data):
+    # tied levels and zeros, with a share of free values, under one weight
+    atoms = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    n = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.array(atoms + [0.0]), n)
+    free = rng.random(n) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    values[free] = rng.uniform(0.0, 1e3, int(free.sum()))
+    weight = float(rng.uniform(1e-3, 10.0) * 10.0 ** rng.integers(-6, 7))
+    uniform = WeightedSampleSet(values, weight)
+    full = samples(values, np.full(n, weight))
+    assert uniform.uniform and not full.uniform
+    got, want = decreasing_rearrangement(uniform), decreasing_rearrangement(full)
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+    for nu in (math.inf, 2.0):
+        prm = LorentzParams(1.2, nu)
+        assert lorentz_quasinorm(uniform, prm) == lorentz_quasinorm(full, prm)
+    _assert_same_samples(rounded_up(uniform), rounded_up(full))
+    assert weighted_lp_norm(uniform, 1.3) == weighted_lp_norm(full, 1.3)
+    masks = rng.random((3, n)) < rng.random((3, 1))
+    masks[:, 0] = True
+    for a, b in zip(subset_rearrangements(uniform, masks),
+                    subset_rearrangements(full, masks)):
+        assert np.array_equal(a.levels, b.levels)
+        assert np.array_equal(a.breakpoints, b.breakpoints)
+    # the measure is n * weight, rounded once
+    assert uniform.total_measure == float(np.float64(weight) * n)
+    assert math.isclose(uniform.total_measure, full.total_measure,
+                        rel_tol=1e-12)
+    _assert_same_samples(uniform.scaled(-2.0), samples(2.0 * values, weight))
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+def test_scalar_weight_must_be_positive_and_finite(weight):
+    with pytest.raises(DomainError, match="positive and finite"):
+        WeightedSampleSet(np.ones(3), weight)
+
+
+@pytest.mark.parametrize("values, weights", [
+    (np.ones((2, 2)), 1.0),               # values not 1-d
+    (np.ones(3), np.ones(2)),             # one weight short
+    (np.ones(3), np.ones((3, 1))),        # weights not 1-d
+])
+def test_sample_shapes_validated(values, weights):
+    with pytest.raises(DomainError, match="1-d"):
+        WeightedSampleSet(values, weights)
+
+
+def test_scalar_weight_rejects_non_finite_values():
+    with pytest.raises(DomainError, match="finite"):
+        WeightedSampleSet(np.array([1.0, math.inf]), 1.0)

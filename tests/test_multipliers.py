@@ -6,7 +6,7 @@ import pytest
 
 from conemult.errors import DomainError, WraparoundWarning
 from conemult.multipliers import (Axis, ConeMultiplierField, GammaFamily,
-                                  GridField, ModulatedFamily, SampledProfile,
+                                  GridField, ModulatedFamily,
                                   apply_multiplier, apply_shell_combination,
                                   apply_shell_multiplier,
                                   build_dyadic_cone_multiplier,
@@ -14,6 +14,7 @@ from conemult.multipliers import (Axis, ConeMultiplierField, GammaFamily,
                                   check_wraparound, export_field_csv,
                                   freq_magnitude, load_field, save_field,
                                   wraparound_fraction)
+from conemult.util import CubicSpline1D
 
 
 def tent(u):
@@ -73,7 +74,11 @@ def test_dyadic_sampled_profile_matches_pointwise_oracle():
     rng = np.random.default_rng(5)
     u_pts = np.linspace(-0.25, 0.25, 41)
     vals = np.sin(6 * u_pts) * tent(u_pts)
-    prof = SampledProfile(u_pts, vals, support=(-0.25, 0.25))
+    spline = CubicSpline1D(u_pts, vals)
+
+    def prof(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(np.abs(u) < 0.25, spline(u), 0.0)
     fam = GammaFamily.constant(prof, range(-4, 6))
     axes = cone_axes()
     cone = build_dyadic_cone_multiplier(fam, axes)
@@ -414,3 +419,57 @@ def test_apply_in_place_chain_equals_product_route(shape):
     out = apply_multiplier(GridField(axes, vals),
                            GridField(axes, sym, rep="frequency"))
     assert np.array_equal(out.values, np.fft.ifftn(sym * np.fft.fftn(vals)))
+
+
+@pytest.mark.parametrize("extent", [0.0, -1.0, math.inf, math.nan])
+def test_axis_extent_positive_and_finite(extent):
+    with pytest.raises(DomainError, match="positive and finite"):
+        Axis(extent, 8)
+
+
+def _csv_writer_export(f, path):
+    """The CSV export as it was: a csv.writer row per cell (oracle)."""
+    import csv
+    coords = [ax.space_coords() if f.rep == "space" else ax.freq_coords()
+              for ax in f.axes]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"x{i}" for i in range(f.ndim)] + ["re", "im"])
+        for idx in np.ndindex(*f.values.shape):
+            row = [repr(float(coords[i][j])) for i, j in enumerate(idx)]
+            v = f.values[idx]
+            w.writerow(row + [repr(float(v.real)), repr(float(v.imag))])
+
+
+@pytest.mark.parametrize("shape, rep", [((8,), "space"),
+                                        ((4, 8), "frequency"),
+                                        ((8, 4, 16), "space"),
+                                        ((2, 4, 2, 4), "frequency")])
+def test_field_csv_export_equals_csv_writer_bytes(tmp_path, shape, rep):
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(Axis(3.0 + i, n) for i, n in enumerate(shape))
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) \
+        + 1j * rng.standard_normal(shape)
+    vals.flat[:3] = [0.0, -0.0, complex(-0.0, -0.0)]
+    f = GridField(axes, vals, rep=rep)
+    export_field_csv(f, tmp_path / "got.csv")
+    _csv_writer_export(f, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 32), (8, 8, 16)])
+def test_apply_to_a_spectrum_equals_the_space_route(shape):
+    # a field in frequency form is taken as the forward DFT of the input
+    rng = np.random.default_rng(len(shape))
+    axes = tuple(Axis(8.0, n) for n in shape)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym = GridField(axes, rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape), rep="frequency")
+    spectrum = GridField(axes, np.fft.fftn(vals), rep="frequency")
+    kept = spectrum.values.copy()
+    out = apply_multiplier(spectrum, sym)
+    assert out.rep == "space"
+    assert np.array_equal(out.values,
+                          apply_multiplier(GridField(axes, vals), sym).values)
+    assert np.array_equal(spectrum.values, kept)

@@ -166,6 +166,29 @@ def _double_evaluation_sweep(m0, axes, p, nu, budget, seed):
     }
 
 
+# outputs of a sweep or an estimate that are ratios of norms (or their
+# sups); everything else must agree exactly
+_RATIO_KEYS = ("rhs_sup", "lower_bound", "scale_sup", "ratio_band")
+
+
+def _assert_same_up_to_ratios(got, want, rel=1e-12):
+    """Equal outputs, except the ratios, which agree to ``rel`` relative."""
+    close = lambda x: pytest.approx(x, rel=rel, abs=0.0)
+    exact = set(want) - set(_RATIO_KEYS) - {"rhs_per_t", "improvements"}
+    assert set(got) == set(want)
+    assert {k: got[k] for k in exact} == {k: want[k] for k in exact}
+    for key in set(_RATIO_KEYS) & set(want):
+        assert got[key] == close(want[key])
+    if "rhs_per_t" in want:
+        assert list(got["rhs_per_t"]) == list(want["rhs_per_t"])
+        assert list(got["rhs_per_t"].values()) == \
+            close(list(want["rhs_per_t"].values()))
+    assert [step for step, _ in got["improvements"]] == \
+        [step for step, _ in want["improvements"]]
+    assert [r for _, r in got["improvements"]] == \
+        close([r for _, r in want["improvements"]])
+
+
 def _counting_multiplier(monkeypatch):
     calls = []
 
@@ -188,7 +211,10 @@ def test_sweep_evaluates_each_dilation_once(monkeypatch, nu):
     # 13 swept steps come free and 11 refinements repeat an earlier witness
     assert len(calls) == 37
     calls.clear()
-    assert out == _double_evaluation_sweep(m, ax, 1.2, nu, 48, 3)
+    # the search goes through the witnesses' spectra, the oracle through
+    # their space values: the ratios agree to rounding
+    _assert_same_up_to_ratios(out, _double_evaluation_sweep(m, ax, 1.2, nu,
+                                                            48, 3))
     assert len(calls) == 13 + 48
 
 
@@ -241,19 +267,37 @@ def _full_grid_modulation(axes, freqs):
     return np.exp(1j * phase)
 
 
-def _grid_operator(spec, res=32):
+def _grid_multiplier(spec, res=32):
     axes = cli.build_axes(16.0, res, 3)
-    mult = cli.grid_multiplier(spec, axes)
+    return axes, cli.grid_multiplier(spec, axes)
+
+
+def _grid_operator(spec, res=32):
+    axes, mult = _grid_multiplier(spec, res)
     return axes, lambda f: apply_multiplier(f, mult)
 
 
 @pytest.mark.parametrize("spec", ["cone_tent", "br:2.0", "oscillatory:3",
                                   "halfspace"])
 def test_search_matches_the_plain_loop(monkeypatch, spec):
-    axes, op = _grid_operator(spec)
+    axes, mult = _grid_multiplier(spec)
+    space_calls = []
+
+    def op(f):
+        space_calls.append(1)
+        return apply_multiplier(f, mult)
+    spectrum_calls = _counting_multiplier(monkeypatch)
     for nu in (math.inf, 2.0):
         for budget in (1, 5, 48):
+            # the multiplier itself: each witness enters by its spectrum,
+            # with the same operator calls
+            space_calls.clear()
+            spectrum_calls.clear()
+            by_spectrum = estimate_lower(mult, axes, 1.2, nu, budget=budget,
+                                         seed=7)
             got = estimate_lower(op, axes, 1.2, nu, budget=budget, seed=7)
+            assert len(spectrum_calls) == len(space_calls)
+            _assert_same_up_to_ratios(by_spectrum.to_dict(), got.to_dict())
             # the oracle builds its modulated witnesses from the full-grid
             # phase, as the search did
             with monkeypatch.context() as mp:
@@ -327,3 +371,71 @@ def test_sweep_scores_dilations_the_budget_does_not_reach(monkeypatch):
     assert len(calls) == 13 + 1
     steps = [step for step, _ in out["improvements"]]
     assert 3 <= max(steps) <= 13
+
+
+def _family_specs(axes, family, count=4, seed=0):
+    stream = opnorm._WitnessStream(axes, [family], np.random.default_rng(seed))
+    stream.queue = []
+    specs = [stream._draw() for _ in range(count)]
+    if family == "dilated_bump":
+        # the swept form: no center, no modulation
+        specs.append({"family": family, "params": {"t": stream.tmax}})
+    return specs
+
+
+@pytest.mark.parametrize("family", opnorm.FAMILIES)
+@pytest.mark.parametrize("axes", [cli.build_axes(16.0, 32, 3), axes2(),
+                                  (Axis(8.0, 32), Axis(16.0, 64),
+                                   Axis(12.0, 16))])
+def test_witness_spectrum_matches_space_witness_and_fftn(family, axes):
+    for spec in _family_specs(axes, family):
+        for p in (1.2, 2.0):
+            denom, f = opnorm.witness_input(spec, axes, p)
+            space = build_witness(spec, axes)
+            want_denom, _ = grid_norms(space, p)
+            assert denom == pytest.approx(want_denom, rel=1e-12, abs=0.0)
+            if family == "radial_focus":
+                # no cheaper form: the space witness itself
+                assert f.rep == "space"
+                assert np.array_equal(f.values, space.values)
+                continue
+            want = np.fft.fftn(space.values)
+            assert f.rep == "frequency" and f.same_grid(space)
+            err = np.max(np.abs(f.values - want)) / np.max(np.abs(want))
+            assert err <= 1e-12
+
+
+def test_general_operators_take_the_space_route(monkeypatch):
+    axes, mult = _grid_multiplier("br:2.0")
+    built, spectra, seen = [], [], []
+    build, spectrum = opnorm.build_witness, opnorm.witness_input
+
+    def counted_build(spec, ax):
+        built.append(spec["family"])
+        return build(spec, ax)
+
+    def counted_spectrum(spec, ax, p):
+        spectra.append(spec["family"])
+        return spectrum(spec, ax, p)
+    monkeypatch.setattr(opnorm, "build_witness", counted_build)
+    monkeypatch.setattr(opnorm, "witness_input", counted_spectrum)
+
+    def op(f):
+        seen.append(f.rep)
+        return apply_multiplier(f, mult)
+    by_space = estimate_lower(op, axes, 1.2, math.inf, budget=24, seed=7)
+    assert not spectra and set(seen) == {"space"}
+    assert len(built) == len(seen) > 0
+    n_space = len(built)
+    built.clear()
+    by_spectrum = estimate_lower(mult, axes, 1.2, math.inf, budget=24, seed=7)
+    # the multiplier field takes the spectrum route; only a radial focus
+    # is still built in space
+    assert len(spectra) == n_space
+    assert built == [f for f in spectra if f == "radial_focus"]
+    assert set(spectra) == set(opnorm.FAMILIES)
+    _assert_same_up_to_ratios(by_spectrum.to_dict(), by_space.to_dict())
+    # a multiplier GridField must be in frequency form
+    space_field = GridField(axes, mult.values)
+    with pytest.raises(DomainError, match="frequency form"):
+        estimate_lower(space_field, axes, 1.2, math.inf, budget=1)
