@@ -62,19 +62,37 @@ class LineSamples:
     tabulated on the same grid.  A truncation that is not finite and
     positive, or that the grid stops short of, is rejected rather than
     silently cut off.
+
+    When the kept points are mirror-symmetric, as on the grid of
+    ``fourier_1d``, and |g_hat| is too (the transform of a real profile),
+    the line folds: the s >= 0 half is kept, each s > 0 cell with twice
+    its weight.  Each such sample then stands for a tied pair of the full
+    line, so the rearrangement is the full line's, bit for bit while the
+    only ties are mirror pairs.
     """
 
     def __init__(self, sigma, dim, truncation):
         _check_truncation(sigma, truncation)
         h = sigma[1] - sigma[0]
         self.keep = np.abs(sigma) <= truncation
-        self.abs_s = np.abs(sigma[self.keep])
+        s = sigma[self.keep]
+        self.abs_s = np.abs(s)
         self.divisor = (1.0 + self.abs_s) ** ((dim - 1) / 2.0)
         self.weights = h * (1.0 + self.abs_s) ** (dim - 1)
+        self.half = None    # the s >= 0 points, when the line can fold
+        if np.array_equal(s, -s[::-1]):
+            self.half = slice(len(s) // 2, None)
+            self.half_weights = np.where(s[self.half] > 0, 2.0, 1.0) \
+                * self.weights[self.half]
 
     def samples(self, ghat):
-        return WeightedSampleSet(np.abs(ghat[self.keep]) / self.divisor,
-                                 self.weights)
+        """(|s|, weighted samples) of ``ghat``, on the folded line if it folds."""
+        g = np.abs(ghat[self.keep])
+        half = self.half
+        if half is not None and np.array_equal(g, g[::-1]):
+            return self.abs_s[half], WeightedSampleSet(
+                g[half] / self.divisor[half], self.half_weights)
+        return self.abs_s, WeightedSampleSet(g / self.divisor, self.weights)
 
 
 def _check_truncation(sigma, truncation):
@@ -97,9 +115,8 @@ def line_rearrangements(sigma, ghat, dim, windows):
     tops = sorted(hi for _, hi in windows)
     for hi in tops:
         _check_truncation(sigma, hi)
-    line = LineSamples(sigma, dim, tops[-1])
-    a = line.abs_s
-    return subset_rearrangements(line.samples(ghat),
+    a, samples = LineSamples(sigma, dim, tops[-1]).samples(ghat)
+    return subset_rearrangements(samples,
                                  [(a >= lo) & (a <= hi) for lo, hi in windows])
 
 
@@ -209,7 +226,7 @@ def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
         sigma, khat = fourier_1d(windowed, spatial_truncation, resolution)
         if line is None:    # every dilate shares the grid
             line = LineSamples(sigma, dim, truncation)
-        per_t[float(t)] = lorentz_quasinorm(line.samples(khat), params)
+        per_t[float(t)] = lorentz_quasinorm(line.samples(khat)[1], params)
     arg = max(per_t, key=per_t.get)
     best = _windowed_dilate(m0, phi, arg)
     diag = fourier_side_quantity(best, dim, params, truncation,
@@ -221,8 +238,15 @@ def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
 
 
 def _windowed_dilate(m0, phi, t):
+    """phi(r) m0(t r), with m0 evaluated only where phi(r) != 0."""
     def windowed(r):
-        return phi(r) * np.asarray(m0(t * np.asarray(r, dtype=float)))
+        r = np.asarray(r, dtype=float)
+        w = phi(r)
+        on = w != 0
+        vals = w[on] * np.asarray(m0(t * r[on]))
+        out = np.zeros(r.shape, dtype=vals.dtype)
+        out[on] = vals
+        return out
     return windowed
 
 

@@ -137,6 +137,18 @@ def build_axes(extent, resolution, ndim):
     if resolution ** ndim > MAX_GRID_CELLS:
         raise BudgetError(f"grid of {resolution}^{ndim} cells exceeds the cap "
                           f"{MAX_GRID_CELLS}")
+    # |x|^2 and |xi|^2 sum the squared coordinates over the axes, the
+    # largest being the half extent and the Nyquist frequency pi N / L;
+    # every norm carries the cell volume (L / N)^ndim
+    space, freq = 0.5 * extent, math.pi * resolution / extent
+    for size, what in ((ndim * space * space, "squared space coordinates"),
+                       (ndim * freq * freq, "squared frequency coordinates"),
+                       (math.prod([extent / resolution] * ndim),
+                        "cell volume")):
+        if not 0 < size < math.inf:
+            raise DomainError(f"extent = {extent} over {ndim} axes of "
+                              f"{resolution} cells puts the {what} out of "
+                              f"the float range")
     return axes
 
 

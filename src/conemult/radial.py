@@ -17,6 +17,7 @@ is evaluated on the way.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +91,18 @@ def space_grid(truncation, resolution):
     return -truncation + h * np.arange(resolution)
 
 
+@functools.lru_cache(maxsize=1)
+def _line_grids(truncation, n):
+    """Read-only (x, sigma) of ``fourier_1d``; the last pair is kept, as
+    scans transform many profiles on one grid."""
+    h = 2.0 * truncation / n
+    x = space_grid(truncation, n)
+    sigma = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=h))
+    x.flags.writeable = False
+    sigma.flags.writeable = False
+    return x, sigma
+
+
 def fourier_1d(f, truncation, resolution):
     """Discrete approximation of integral f(s) exp(-i s sigma) ds.
 
@@ -98,10 +111,15 @@ def fourier_1d(f, truncation, resolution):
     endpoints x_j = -R + j h (h = 2R/N); the quadrature is the periodic
     trapezoid rule, spectrally accurate once f decays below round-off
     near +-R.  Returns (sigma, values) on the ascending FFT-dual grid
-    sigma_m = pi m / R, m = -N/2 .. N/2 - 1.
+    sigma_m = pi m / R, m = -N/2 .. N/2 - 1.  The grid a callable is
+    sampled on and the returned ``sigma`` are read-only arrays, shared
+    by the calls on one (R, N).
 
     The phase exp(i R sigma_m) of the shift to x_0 = -R is exactly
-    (-1)^m, so it is applied as a sign rather than computed.
+    (-1)^m, so it is applied as a sign rather than computed.  Real
+    samples take a real FFT of the m >= 0 half, and the line is completed
+    by the conjugate mirror values(-sigma) = conj(values(sigma)), so it
+    is exactly Hermitian; the bin m = -N/2 is the real FFT's last.
     """
     n = int(resolution)
     if n < 2 or (n & (n - 1)) != 0:
@@ -109,18 +127,27 @@ def fourier_1d(f, truncation, resolution):
     if not 0 < truncation < math.inf:
         raise DomainError(f"spatial truncation must be finite and positive, "
                           f"got {truncation}")
-    x = space_grid(truncation, n)
-    samples = np.asarray(f(x) if callable(f) else f, dtype=complex)
+    x, sigma = _line_grids(truncation, n)
+    samples = np.asarray(f(x) if callable(f) else f)
     if samples.shape != (n,):
         raise DomainError(f"expected {n} samples, got shape {samples.shape}")
     h = 2.0 * truncation / n
-    sigma = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=h))
-    vals = np.fft.fft(samples)
+    real = not np.iscomplexobj(samples)
+    if real:
+        vals = np.fft.rfft(samples.astype(float, copy=False))
+    else:
+        vals = np.fft.fft(samples.astype(complex, copy=False))
     vals *= h
     # unshifted index j carries m = j or j - N, so (-1)^m = (-1)^j
     odd = vals[1::2]
     np.negative(odd, out=odd)
-    return sigma, np.fft.fftshift(vals)
+    if not real:
+        return sigma, np.fft.fftshift(vals)
+    mid = n // 2
+    out = np.empty(n, dtype=complex)
+    out[mid:] = vals[:mid]
+    np.conjugate(vals[mid:0:-1], out=out[:mid])
+    return sigma, out
 
 
 def _as_callable(m0):

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -260,3 +262,59 @@ def test_polar_sample_set_measures():
     s = polar_sample_set(rho, np.ones_like(rho), 3)
     ball = 4.0 * math.pi / 3.0 * (2.0 + (rho[1] - rho[0]) / 2) ** 3
     assert abs(s.total_measure - ball) <= 0.05 * ball
+
+
+def _assert_close_summaries(got, want, path=""):
+    """Floats within 1e-9 relative, everything else (estimates, flags,
+    keys) equal."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for k in want:
+            _assert_close_summaries(got[k], want[k], f"{path}/{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close_summaries(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(want, bool):
+        assert math.isclose(got, want, rel_tol=1e-9), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", [
+    ["br-scan"],
+    ["characterize", "--mode", "profile"],
+    ["characterize", "--mode", "symbol"],
+])
+def test_default_runs_match_the_complex_route(tmp_path, monkeypatch, argv):
+    # the complex route gives no exactly Hermitian line, so it also takes
+    # the unfolded line samples: the whole old route
+    from test_radial import _complex_fourier_1d
+    from conemult import bochner, characterize
+    from conemult.cli import main
+    assert main([*argv, "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(bochner, "fourier_1d", _complex_fourier_1d)
+    monkeypatch.setattr(characterize, "fourier_1d", _complex_fourier_1d)
+    assert main([*argv, "--out", str(tmp_path / "old")]) == 0
+    got, want = (_run_outputs(tmp_path / d) for d in ("new", "old"))
+    assert got.keys() == want.keys() and "summary.json" in got
+    _assert_close_summaries(got, want)
+
+
+def _run_outputs(outdir):
+    """summary.json and every CSV table of a run, numbers as floats."""
+    out = {"summary.json": json.loads((outdir / "summary.json").read_text())}
+    for path in outdir.glob("*.csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        out[path.name] = [rows[0]] + [[_cell(c) for c in row]
+                                      for row in rows[1:]]
+    return out
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text

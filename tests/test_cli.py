@@ -498,3 +498,38 @@ def test_resolve_precedence():
     assert merged == {"a": 2.0, "b": "y"}
     with pytest.raises(ConfigError):
         resolve(defaults, {"zzz": "1"}, {})
+
+
+def test_characterize_complex_symbol_takes_the_complex_route(tmp_path,
+                                                              monkeypatch):
+    # oscillatory:W is complex, so its windowed dilates keep the complex
+    # FFT: the run is byte-identical with that route patched in
+    from test_radial import _complex_fourier_1d
+    from conemult import characterize
+    argv = ["characterize", "--mode", "symbol", "--symbol", "oscillatory:3"]
+    assert run_cli([*argv, "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(characterize, "fourier_1d", _complex_fourier_1d)
+    assert run_cli([*argv, "--out", str(tmp_path / "old")]) == 0
+    for name in ("summary.json", "per_t.csv", "truncation.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "old" / name).read_bytes()
+    scan = read_summary(str(tmp_path / "new"))["scan"]
+    assert scan["value"] > 0 and 0.0625 <= scan["arg_sup"] <= 16.0
+
+
+@pytest.mark.parametrize("command", ["apply", "opnorm"])
+@pytest.mark.parametrize("extent, what", [
+    ("1e300", "squared space coordinates"),
+    ("1e-300", "squared space coordinates"),
+    ("1e-155", "squared frequency coordinates"),
+    ("1e150", "cell volume"),
+    ("1e-120", "cell volume"),
+])
+def test_extent_overflowing_the_coordinates_exits_2(tmp_path, capsys,
+                                                     command, extent, what):
+    out = tmp_path / "g"
+    assert run_cli([command, "--out", str(out), "--ndim", "3", "--extent",
+                    extent, "--resolution", "8"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and what in err
+    assert not out.exists()

@@ -5,7 +5,9 @@ import pytest
 
 from conemult.bessel import surface_area
 from conemult.bumps import smooth_window
+from conemult.characterize import LineSamples, line_rearrangements
 from conemult.errors import BudgetError, ConfigError, DomainError
+from conemult.lorentz import WeightedSampleSet, decreasing_rearrangement
 from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
                              inverse_radial, plancherel_radial,
                              radial_transform, space_grid,
@@ -47,9 +49,122 @@ def test_real_even_gives_real_even():
                              24.0, 2 ** 13)
     assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(vals.real))
     half = len(sigma) // 2
-    # sigma grid is asymmetric by one bin; compare matched pairs
-    assert np.allclose(vals[half + 1:].real, vals[1:half][::-1].real,
-                       atol=1e-10 * np.max(np.abs(vals.real)))
+    # sigma grid is asymmetric by one bin; compare matched pairs, which a
+    # real profile's line makes exact conjugates
+    assert np.array_equal(vals[half + 1:], np.conj(vals[1:half][::-1]))
+
+
+def _complex_fourier_1d(f, truncation, resolution):
+    """The complex-FFT route fourier_1d took for every profile (oracle)."""
+    n = int(resolution)
+    if n < 2 or (n & (n - 1)) != 0:
+        raise DomainError(f"resolution must be a power of two, got {resolution}")
+    if not 0 < truncation < math.inf:
+        raise DomainError(f"spatial truncation must be finite and positive, "
+                          f"got {truncation}")
+    x = space_grid(truncation, n)
+    samples = np.asarray(f(x) if callable(f) else f, dtype=complex)
+    if samples.shape != (n,):
+        raise DomainError(f"expected {n} samples, got shape {samples.shape}")
+    h = 2.0 * truncation / n
+    sigma = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=h))
+    vals = np.fft.fft(samples)
+    vals *= h
+    # unshifted index j carries m = j or j - N, so (-1)^m = (-1)^j
+    odd = vals[1::2]
+    np.negative(odd, out=odd)
+    return sigma, np.fft.fftshift(vals)
+
+
+# a smooth bump, an off-centre kink and a one-sided edge profile: no
+# transform of these is real, and the last decays slowly
+_REAL_PROFILES = [
+    lambda s: np.exp(-s ** 2) + np.clip(1.0 - np.abs(s - 0.3), 0, None),
+    lambda s: np.where(s < 0, np.abs(s) ** 0.7 * np.exp(-s ** 2), 0.0),
+]
+
+
+@pytest.mark.parametrize("f", _REAL_PROFILES)
+def test_complex_samples_take_the_complex_route_bit_for_bit(f):
+    g = lambda s: f(s) * np.exp(1j * 3.0 * s)
+    for k in range(1, 15):
+        sigma, vals = fourier_1d(g, 3.0, 2 ** k)
+        sigma0, vals0 = _complex_fourier_1d(g, 3.0, 2 ** k)
+        assert np.array_equal(sigma, sigma0)
+        assert np.array_equal(vals, vals0)
+
+
+@pytest.mark.parametrize("f", _REAL_PROFILES)
+def test_real_samples_match_the_complex_route(f):
+    for k in range(1, 17):
+        n = 2 ** k
+        sigma, vals = fourier_1d(f, 3.0, n)
+        sigma0, vals0 = _complex_fourier_1d(f, 3.0, n)
+        assert np.array_equal(sigma, sigma0)
+        assert np.max(np.abs(vals - vals0)) <= 1e-12 * np.max(np.abs(vals0))
+        # exactly Hermitian: values(-sigma_m) = conj(values(sigma_m))
+        m = np.arange(1, n // 2)
+        assert np.array_equal(vals[n // 2 - m], np.conj(vals[n // 2 + m]))
+        assert vals[n // 2].imag == 0.0 and vals[0].imag == 0.0
+
+
+def _full_line_rearrangement(line, ghat):
+    """The unfolded samples of ``line`` on its whole window (oracle)."""
+    g = np.abs(ghat[line.keep])
+    return decreasing_rearrangement(
+        WeightedSampleSet(g / line.divisor, line.weights))
+
+
+@pytest.mark.parametrize("f", _REAL_PROFILES)
+@pytest.mark.parametrize("dim", [2, 4])
+def test_line_fold_matches_the_full_line_exactly(f, dim):
+    sigma, ghat = fourier_1d(f, 3.0, 2 ** 12)
+    line = LineSamples(sigma, dim, 600.0)
+    a, samples = line.samples(ghat)
+    assert len(a) == (line.keep.sum() + 1) // 2 and a[0] == 0.0
+    want = _full_line_rearrangement(line, ghat)
+    got = decreasing_rearrangement(samples)
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+    # the windows of one sort, against each window's full line
+    windows = [(0.0, 150.0), (0.0, 600.0), (40.0, 300.0)]
+    for (lo, hi), r in zip(windows, line_rearrangements(sigma, ghat, dim,
+                                                        windows)):
+        full = np.abs(sigma[line.keep])
+        keep = (full >= lo) & (full <= hi)
+        g = np.abs(ghat[line.keep])[keep]
+        want = decreasing_rearrangement(WeightedSampleSet(
+            g / line.divisor[keep], line.weights[keep]))
+        assert np.array_equal(r.levels, want.levels)
+        assert np.array_equal(r.breakpoints, want.breakpoints)
+
+
+def test_line_with_one_perturbed_value_is_not_folded():
+    sigma, ghat = fourier_1d(_REAL_PROFILES[0], 3.0, 2 ** 12)
+    ghat = ghat.copy()
+    ghat[len(ghat) // 2 + 7] *= 1.0 + 2.0 ** -40
+    line = LineSamples(sigma, 3, 600.0)
+    a, samples = line.samples(ghat)
+    assert len(a) == line.keep.sum()
+    want = _full_line_rearrangement(line, ghat)
+    got = decreasing_rearrangement(samples)
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+
+
+def test_line_grids_are_shared_and_read_only():
+    seen = []
+    def f(s):
+        seen.append(s)
+        return np.exp(-s ** 2)
+    sigma1, _ = fourier_1d(f, 4.0, 2 ** 8)
+    sigma2, _ = fourier_1d(f, 4.0, 2 ** 8)
+    assert sigma1 is sigma2 and seen[0] is seen[1]
+    assert np.array_equal(seen[0], space_grid(4.0, 2 ** 8))
+    with pytest.raises(ValueError):
+        sigma1[0] = 0.0
+    with pytest.raises(ValueError):
+        seen[0][0] = 0.0
 
 
 def _exp_phase_fourier_1d(f, truncation, resolution):
