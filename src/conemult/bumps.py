@@ -10,20 +10,26 @@ import numpy as np
 from .errors import DomainError
 
 
-def _expstep(x, a):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-a / x[pos])
-    return out
-
-
 def transition(x, steepness=1.0):
-    """C-infinity monotone step: 0 for x <= 0, 1 for x >= 1."""
-    g0 = _expstep(x, steepness)
-    g1 = _expstep(1.0 - np.asarray(x, dtype=float), steepness)
-    with np.errstate(invalid="ignore"):
-        out = np.where(g0 + g1 > 0, g0 / (g0 + g1), 0.0)
+    """C-infinity monotone step: 0 for x <= 0, 1 for x >= 1.
+
+    With g0 = exp(-a/x) and g1 = exp(-a/(1 - x)), each 0 off its half
+    line, the step is g0 / (g0 + g1).  Off the open ramp 0 < x < 1 that
+    quotient is exactly 1 (x >= 1) or 0 (x <= 0, and NaN, where g0 = g1 =
+    0), as long as exp(-a) is a positive normal float, so the exponentials
+    are evaluated on the ramp alone.
+    """
+    if not 0.0 < steepness <= 700.0:
+        raise DomainError(f"steepness must lie in (0, 700], got {steepness}")
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    ramp = (x > 0.0) & (x < 1.0)
+    xr = x[ramp]
+    # -a/x overflows to -inf near a subnormal x, and exp takes it to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0 = np.exp(-steepness / xr)
+        g1 = np.exp(-steepness / (1.0 - xr))
+        out[ramp] = np.where(g0 + g1 > 0, g0 / (g0 + g1), 0.0)
     return out
 
 

@@ -47,8 +47,30 @@ class WeightedSampleSet:
     values: np.ndarray
     weights: np.ndarray
 
+    # set by ``of_magnitudes``: the values array belongs to the set alone
+    _owns_values = False
+
     def __post_init__(self):
         self.values = np.abs(np.asarray(self.values, dtype=float))
+        self._check()
+
+    @classmethod
+    def of_magnitudes(cls, magnitudes, weights):
+        """The sample set over ``magnitudes`` itself, taken without a copy.
+
+        ``magnitudes`` is a 1-d float64 array of values >= 0, such as
+        ``np.abs`` returns, that no one else reads afterwards: under a
+        scalar weight the rearrangement sorts it in place, which leaves the
+        set (values of equal weight, in no particular order) unchanged.
+        """
+        samples = cls.__new__(cls)
+        samples.values = magnitudes
+        samples.weights = weights
+        samples._owns_values = True
+        samples._check()
+        return samples
+
+    def _check(self):
         self.weights = np.asarray(self.weights, dtype=float)
         if self.values.ndim != 1 or not (self.uniform or
                                          self.values.shape == self.weights.shape):
@@ -56,7 +78,8 @@ class WeightedSampleSet:
                               "or an array of the same length")
         if len(self.values) == 0:
             raise DomainError("sample set must be nonempty")
-        if not np.all(np.isfinite(self.values)):
+        # the values are >= 0 or NaN, so they are finite when their max is
+        if not math.isfinite(self.values.max()):
             raise DomainError("sample values must be finite")
         if not (np.all(self.weights > 0) and np.all(np.isfinite(self.weights))):
             raise DomainError("weights must be positive and finite")
@@ -104,9 +127,13 @@ def decreasing_rearrangement(samples):
     change any of the derived quasi-norms.  Each piece's measure is summed
     in sample order (``bincount`` walks the samples by index), so the sort
     need not be stable and the result does not depend on how ties sort.
-    Under a scalar weight the values are sorted alone, with the same sums.
+    Under a scalar weight the values are sorted alone, with the same sums,
+    in place when the set owns them (``WeightedSampleSet.of_magnitudes``).
     """
     if samples.uniform:
+        if samples._owns_values:
+            samples.values.sort()
+            return _uniform_merged(samples.values, samples.weights)
         return _uniform_merged(np.sort(samples.values), samples.weights)
     order = np.argsort(samples.values)
     return _tie_merged(samples.values, samples.weights, order)
@@ -190,7 +217,7 @@ def _repeated_sums(counts, weight):
 _BITS = 4
 
 
-def rounded_up(samples):
+def rounded_up(samples, out=None):
     """Pointwise majorant of ``samples`` on a coarse level grid.
 
     Each positive value is raised to the top of its bin, the bins cutting
@@ -208,17 +235,22 @@ def rounded_up(samples):
 
     A value in the top bin below the float64 overflow threshold has no
     finite majorant there and is rejected like any non-finite sample.
+
+    ``out``, an int64 array with one entry per sample, receives the bin
+    keys instead of a new array.
     """
     shift = 52 - _BITS
     v = samples.values
-    keys = (v.view(np.int64) >> shift) + (v > 0)
+    keys = np.right_shift(v.view(np.int64), shift, out=out)
+    keys += v > 0
     k0 = int(keys.min())
+    keys -= k0
     if samples.uniform:
-        counts = np.bincount(keys - k0)
+        counts = np.bincount(keys)
         present = np.flatnonzero(counts)
         merged = _repeated_sums(counts[present], samples.weights)
     else:
-        merged = np.bincount(keys - k0, weights=samples.weights)
+        merged = np.bincount(keys, weights=samples.weights)
         present = np.flatnonzero(merged)
         merged = merged[present]
     tops = ((present + k0) << shift).view(np.float64)

@@ -225,17 +225,22 @@ def build_modulated_cone_multiplier(family, axes, radial_cutoff=None,
                                        "slopes": dict(family.slopes)})
 
 
+def field_symbol(m, axes):
+    """The symbol array of the multiplier field ``m`` on the grid of ``axes``."""
+    grid = m.grid if isinstance(m, ConeMultiplierField) else m
+    if grid.rep != "frequency":
+        raise DomainError("multiplier GridField must be in frequency form")
+    axes = tuple(axes)
+    if not (len(axes) == grid.ndim and all(
+            a.extent == b.extent and a.resolution == b.resolution
+            for a, b in zip(axes, grid.axes))):
+        raise DomainError("field and multiplier grids do not match")
+    return grid.values
+
+
 def _symbol_values(f, m):
-    if isinstance(m, ConeMultiplierField):
-        if not f.same_grid(m.grid):
-            raise DomainError("field and multiplier grids do not match")
-        return m.grid.values
-    if isinstance(m, GridField):
-        if m.rep != "frequency":
-            raise DomainError("multiplier GridField must be in frequency form")
-        if not f.same_grid(m):
-            raise DomainError("field and multiplier grids do not match")
-        return m.values
+    if isinstance(m, (GridField, ConeMultiplierField)):
+        return field_symbol(m, f.axes)
     if callable(m):
         return np.asarray(m(freq_magnitude(f.axes)), dtype=complex)
     raise DomainError("multiplier must be a field or a radial symbol callable")

@@ -9,6 +9,7 @@ the step budget for a fixed seed.
 
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .lorentz import (LorentzParams, WeightedSampleSet, lorentz_quasinorm,
                       rounded_up)
-from .multipliers import (ConeMultiplierField, GridField, apply_multiplier,
+from .multipliers import (ConeMultiplierField, GridField, field_symbol,
                           freq_magnitude)
 
 FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
@@ -26,25 +27,33 @@ FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
 
 def grid_norms(f, p, nu=None):
     """(||f||_p, ||f||_{p,nu}) with cell-volume weights; nu=None skips the second."""
-    vals = np.abs(f.values).ravel()
-    if not np.any(vals > 0):
+    lp = _lp_norm(np.abs(f.values).ravel(), f.cell_volume(), p)
+    if lp == 0.0:
         return 0.0, 0.0
-    vol = f.cell_volume()
-    lp = float(np.sum((vals / vals.max()) ** p) * vol) ** (1.0 / p) * vals.max()
     return lp, None if nu is None else grid_lorentz_norm(f, p, nu)
 
 
-def _grid_samples(f):
-    """|f| with cell-volume weights, or None when f vanishes."""
-    vals = np.abs(f.values).ravel()
-    if not np.any(vals > 0):
+def _lp_norm(mags, cell_volume, p):
+    """||f||_p from the raveled |f| ``mags``, which it overwrites."""
+    if not np.any(mags > 0):
+        return 0.0
+    peak = mags.max()
+    mags /= peak
+    mags **= p
+    return float(np.sum(mags) * cell_volume) ** (1.0 / p) * peak
+
+
+def _grid_samples(mags, cell_volume):
+    """The raveled |f| ``mags`` with cell-volume weights, or None when f
+    vanishes; the sample set takes ``mags`` over."""
+    if not np.any(mags > 0):
         return None
-    return WeightedSampleSet(vals, f.cell_volume())
+    return WeightedSampleSet.of_magnitudes(mags, cell_volume)
 
 
 def grid_lorentz_norm(f, p, nu):
     """||f||_{p,nu} with cell-volume weights."""
-    samples = _grid_samples(f)
+    samples = _grid_samples(np.abs(f.values).ravel(), f.cell_volume())
     if samples is None:
         return 0.0
     return lorentz_quasinorm(samples, LorentzParams(p, nu))
@@ -58,30 +67,120 @@ _MAJORANT_SLACK = 1e-9
 def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
     """(||f||_p, ||T f||_{p,nu}) for the witness f of ``spec``.
 
-    A multiplier field T is applied to f's spectrum (``witness_input``);
-    any other operator is called on f in space (``build_witness``).
+    A multiplier field T, or the ``_Workspace`` of one, is applied to f's
+    spectrum (``witness_input``) in the workspace's memory; any other
+    operator is called on f in space (``build_witness``).
     T is not applied when ||f||_p vanishes; the second entry is then None.
     It is None as well when the ratio cannot exceed ``beat > 0``: the norm
     of the rounded-up majorant of |T f| (``lorentz.rounded_up``) bounds
     ||T f||_{p,nu} from above and is checked before the exact rearrangement.
     """
-    multiplier = isinstance(operator, (GridField, ConeMultiplierField))
-    if multiplier:
-        denom, f = witness_input(spec, axes, p)
+    work = _Workspace.of(operator, axes)
+    if work is not None:
+        denom, f = witness_input(spec, axes, p, work)
+        if denom == 0.0:
+            return 0.0, None
+        samples, keys = work.apply(f), work.keys
     else:
         f = build_witness(spec, axes)
         denom, _ = grid_norms(f, p)
-    if denom == 0.0:
-        return 0.0, None
-    samples = _grid_samples(apply_multiplier(f, operator) if multiplier
-                            else operator(f))
+        if denom == 0.0:
+            return 0.0, None
+        tf = operator(f)
+        samples = _grid_samples(np.abs(tf.values).ravel(), tf.cell_volume())
+        keys = None
     if samples is None:
         return denom, 0.0
     params = LorentzParams(p, nu)
-    if beat > 0.0 and lorentz_quasinorm(rounded_up(samples), params) \
+    if beat > 0.0 and lorentz_quasinorm(rounded_up(samples, keys), params) \
             <= beat * denom * (1.0 - _MAJORANT_SLACK):
         return denom, None
     return denom, lorentz_quasinorm(samples, params)
+
+
+class _Workspace:
+    """The memory every witness of one search through a multiplier reuses.
+
+    It holds the symbol, its support box (per axis, the index runs in FFT
+    order outside which the symbol vanishes on each whole hyperplane), one
+    complex grid buffer for the witness's spectrum and T f, and one float64
+    grid buffer for |f| and |T f|.  The majorant's int64 bin keys go into
+    the complex buffer, which is free once |T f| is taken.  Without a
+    multiplier it holds the buffers alone.
+    """
+
+    def __init__(self, axes, multiplier=None):
+        shape = tuple(ax.resolution for ax in axes)
+        if multiplier is not None:
+            self.sym = field_symbol(multiplier, axes)
+            self.box = _support_box(self.sym)
+        self.cell_volume = float(np.prod([ax.step for ax in axes]))
+        self.spectrum = np.empty(shape, dtype=complex)
+        self.magnitude = np.empty(shape)
+        self.keys = self.spectrum.reshape(-1).view(np.int64)[:math.prod(shape)]
+
+    @classmethod
+    def of(cls, operator, axes):
+        """The workspace of a multiplier field, None for any other operator."""
+        if isinstance(operator, cls):
+            return operator
+        if isinstance(operator, (GridField, ConeMultiplierField)):
+            return cls(axes, operator)
+        return None
+
+    def apply(self, f):
+        """|T f| as grid samples (None when T f vanishes); f's values are
+        the complex buffer, a spectrum or, for a space field, the witness."""
+        out = f.values
+        if f.rep == "space":
+            np.fft.fftn(out, out=out)
+        # sym first: numpy's complex product is not bitwise commutative
+        np.multiply(self.sym, out, out=out)
+        _inverse_in_place(out, self.box)
+        mags = np.abs(out, out=self.magnitude).reshape(-1)
+        return _grid_samples(mags, self.cell_volume)
+
+
+def _support_box(sym):
+    """Per axis, the index slices (FFT order) outside which ``sym`` vanishes.
+
+    Each axis gets the shortest cyclic run holding every index where some
+    value of ``sym`` is nonzero: one slice, or two when the run wraps
+    around the end.  A symbol that vanishes everywhere has no slices.
+    """
+    nonzero = sym != 0
+    box = []
+    for k, n in enumerate(sym.shape):
+        hit = np.flatnonzero(np.any(nonzero, axis=tuple(
+            j for j in range(sym.ndim) if j != k)))
+        if len(hit) == 0:
+            return [[] for _ in sym.shape]
+        if len(hit) == n:
+            box.append([slice(None)])
+            continue
+        # the run starts after the largest cyclic gap between hits
+        last = int(np.argmax(np.diff(hit, append=hit[0] + n)))
+        start, stop = int(hit[(last + 1) % len(hit)]), int(hit[last]) + 1
+        box.append([slice(start, stop)] if start < stop else
+                   [slice(start, n), slice(0, stop)])
+    return box
+
+
+def _inverse_in_place(values, box):
+    """``np.fft.ifftn(values, out=values)``, bit for bit, on fewer lines.
+
+    The values vanish outside the support ``box``.  Axes are transformed
+    in numpy's order, last first; on each axis only the lines inside the
+    box of the axes not yet transformed can be nonzero, so only those are
+    transformed.  A line transforms alone, so the result is that of the
+    full transform (up to the sign of zeros).
+    """
+    if not all(box):
+        return   # the values vanish everywhere
+    for k in reversed(range(values.ndim)):
+        for block in itertools.product(*box[:k]):
+            lines = values[block]
+            np.fft.ifft(lines, axis=k, out=lines)
 
 
 @dataclass
@@ -122,10 +221,16 @@ def _modulation(axes, freqs):
                    for w, ax in zip(freqs, axes)])
 
 
-def _outer(factors):
-    """The full-grid outer product of per-axis factors."""
-    return functools.reduce(np.multiply, np.meshgrid(*factors, indexing="ij",
-                                                     sparse=True))
+def _outer(factors, out=None):
+    """The full-grid outer product of per-axis factors (into ``out``)."""
+    grids = np.meshgrid(*factors, indexing="ij", sparse=True)
+    if out is None:
+        return functools.reduce(np.multiply, grids)
+    if len(grids) == 1:
+        out[...] = grids[0]
+        return out
+    return np.multiply(functools.reduce(np.multiply, grids[:-1]), grids[-1],
+                       out=out)
 
 
 def build_witness(spec, axes):
@@ -198,41 +303,58 @@ def _separable_lp_norm(factors, cell_volume, p):
     return (total * cell_volume) ** (1.0 / p) * math.prod(peaks)
 
 
-def witness_input(spec, axes, p):
+def witness_input(spec, axes, p, work=None):
     """(||f||_p, F) for the witness f of ``spec``, F ready for a multiplier.
 
     F is f's forward DFT, in frequency form, where that is cheaper than f:
     a dilated bump and each piece of a superposition are outer products of
     per-axis factors, and an annulus-Knapp witness is defined by its
-    spectrum.  A radial focus is built in space (``build_witness``).  The
-    norm of a single bump is taken from per-axis sums, so no full-grid
-    space values are built for it.
+    spectrum.  A radial focus is built in space.  The norm of a single
+    bump is taken from per-axis sums, so no full-grid space values are
+    built for it.  F's values are the complex buffer of ``work`` (a
+    ``_Workspace``, or new arrays when None), whose float buffer holds the
+    |f| a norm is taken of.
     """
+    work = work or _Workspace(axes)
+    out, mags = work.spectrum, work.magnitude.reshape(-1)
     family = spec["family"]
     prm = spec["params"]
     if family == "dilated_bump":
         factors = _bump_factors(axes, prm)
-        spectrum = _outer([np.fft.fft(g) for g in factors])
+        _outer([np.fft.fft(g) for g in factors], out)
         denom = _separable_lp_norm(factors, math.prod(ax.step for ax in axes),
                                    p)
-        return denom, GridField(axes, spectrum, rep="frequency")
+        return denom, GridField(axes, out, rep="frequency")
+    vol = work.cell_volume
     if family == "random_superposition":
-        shape = [ax.resolution for ax in axes]
-        space = np.zeros(shape, dtype=complex)
-        spectrum = np.zeros(shape, dtype=complex)
-        for piece in prm["pieces"]:
-            factors = _bump_factors(axes, piece, piece["coef_re"]
-                                    + 1j * piece["coef_im"])
-            space += _outer(factors)
-            spectrum += _outer([np.fft.fft(g) for g in factors])
-        denom, _ = grid_norms(GridField(axes, space), p)
-        return denom, GridField(axes, spectrum, rep="frequency")
+        pieces = [_bump_factors(axes, piece, piece["coef_re"]
+                                + 1j * piece["coef_im"])
+                  for piece in prm["pieces"]]
+        out[...] = 0.0
+        for factors in pieces:
+            out += _outer(factors)
+        denom = _lp_norm(np.abs(out.reshape(-1), out=mags), vol, p)
+        out[...] = 0.0
+        for factors in pieces:
+            out += _outer([np.fft.fft(g) for g in factors])
+        return denom, GridField(axes, out, rep="frequency")
     if family == "annulus_knapp":
         window = _knapp_window(axes, prm)
-        denom, _ = grid_norms(GridField(axes, np.fft.ifftn(window)), p)
-        return denom, GridField(axes, window, rep="frequency")
-    f = build_witness(spec, axes)
-    return grid_norms(f, p)[0], f
+        out[...] = window
+        space = np.fft.ifftn(window, out=window)
+        denom = _lp_norm(np.abs(space.reshape(-1), out=mags), vol, p)
+        return denom, GridField(axes, out, rep="frequency")
+    if family == "radial_focus":
+        # build_witness's exp(-((|x| - a) / s)^2 / 2), step by step in place
+        rad = np.sqrt(_space_radius_sq(axes), out=work.magnitude)
+        rad -= prm["a"]
+        rad /= prm["s"]
+        rad **= 2
+        rad *= -0.5
+        np.exp(rad, out=rad)
+        out[...] = rad
+        return _lp_norm(mags, vol, p), GridField(axes, out)
+    raise DomainError(f"unknown witness family {spec['family']!r}")
 
 
 def _dilation_bounds(axes):
@@ -358,6 +480,7 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
     if budget < 1:
         raise DomainError("budget must be at least 1")
     LorentzParams(p, nu)   # checked before any witness norm divides by p
+    operator = _Workspace.of(operator, axes) or operator
     rng = np.random.default_rng(seed)
     stream = _WitnessStream(axes, families, rng, swept)
     best_ratio = 0.0
@@ -443,17 +566,18 @@ def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
 
     if not isinstance(m0, (GridField, ConeMultiplierField)):
         m0 = GridField(axes, m0(freq_magnitude(axes)), rep="frequency")
+    work = _Workspace(axes, m0)   # shared by the dilations and the search
     rhs_per_t, scale_per_t, swept = {}, {}, []
     for t in t_used:
         spec = {"family": "dilated_bump", "params": {"t": t}}
-        denom, num = _witness_norms(m0, spec, axes, p, nu)
+        denom, num = _witness_norms(work, spec, axes, p, nu)
         swept.append((t, (denom, num)))
         rhs_per_t[t] = t ** (d / p) * num
         scale_per_t[t] = t ** (d / p) * denom
     rhs = max(rhs_per_t.values())
     scale_sup = max(scale_per_t.values())
 
-    est = estimate_lower(m0, axes, p, nu, budget=budget, seed=seed,
+    est = estimate_lower(work, axes, p, nu, budget=budget, seed=seed,
                          swept=swept)
     contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
     return {

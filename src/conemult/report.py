@@ -127,7 +127,10 @@ def read_float_columns(path, names):
     """The named columns of a CSV file with a header row, as float arrays.
 
     A missing column, a ragged row or a cell that is not a float raises
-    ConfigError naming the file and line.
+    ConfigError naming the file and line.  The data rows are parsed as one
+    table by ``np.loadtxt``; whenever that fails (quoted cells, columns
+    that are not numbers, any malformed row, no data row), the rows are
+    read one by one by the csv module, which words the error.
     """
     from array import array
 
@@ -138,6 +141,10 @@ def read_float_columns(path, names):
     if missing:
         raise ConfigError(f"{path}:1: header lacks column(s) "
                           f"{', '.join(missing)}")
+    table = _float_table(path, len(header))
+    if table is not None:
+        rows.close()
+        return tuple(table[:, header.index(name)].copy() for name in names)
     # float arrays, not lists of str: a few MiB for 1e5 rows, not tens
     cols = [array("d") for _ in names]
     fill = [(col.append, header.index(name)) for col, name in zip(cols, names)]
@@ -149,3 +156,19 @@ def read_float_columns(path, names):
             raise ConfigError(f"{path}:{line}: {row[i]!r} is not a "
                               f"number") from None
     return tuple(np.array(col, dtype=float) for col in cols)
+
+
+def _float_table(path, width):
+    """The data rows of a CSV file as a float array of ``width`` columns,
+    or None when ``np.loadtxt`` cannot read them so (or warns)."""
+    import warnings
+
+    import numpy as np
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               ndmin=2)
+    except Exception:   # the row-wise reader words whatever went wrong
+        return None
+    return table if table.shape[1] == width else None

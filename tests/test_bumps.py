@@ -49,3 +49,46 @@ def test_named_cutoff_supports():
     y = bumps.edge_flat_bump(x)
     assert np.all(y[(x <= -0.25) | (x >= 4.0)] == 0.0)
     assert np.all(y[np.abs(x) <= 0.125] == 1.0)
+
+
+def _expstep(x, a):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = np.exp(-a / x[pos])
+    return out
+
+
+def _oracle_transition(x, steepness=1.0):
+    """The step as it was: both exponentials on the whole line."""
+    g0 = _expstep(x, steepness)
+    g1 = _expstep(1.0 - np.asarray(x, dtype=float), steepness)
+    with np.errstate(invalid="ignore"):
+        return np.where(g0 + g1 > 0, g0 / (g0 + g1), 0.0)
+
+
+def test_transition_equals_the_whole_line_formula():
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                        1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 0.5, 1e-300,
+                        np.finfo(float).tiny, 1e300, -1e300])
+    rng = np.random.default_rng(3)
+    points = [special, rng.uniform(-0.5, 1.5, 2001),
+              rng.uniform(0.0, 1.0, 513), rng.standard_normal(257) * 1e3,
+              np.linspace(-1.0, 2.0, 3001)]
+    for x in points:
+        for a in (1.0, 0.25, 7.5, 700.0):
+            got = bumps.transition(x, a)
+            with np.errstate(over="ignore"):   # -a/x at a subnormal x
+                want = _oracle_transition(x, a)
+            assert np.array_equal(got, want)
+            assert got.dtype == float and got.shape == x.shape
+    for scalar in (0.0, 0.3, 1.0, np.nan):
+        got = bumps.transition(scalar)
+        assert got.shape == () and got == _oracle_transition(scalar)
+
+
+def test_transition_steepness_validation():
+    for a in (0.0, -1.0, 701.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            bumps.transition(0.5, a)

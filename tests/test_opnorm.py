@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,7 +144,7 @@ def _double_evaluation_sweep(m0, axes, p, nu, budget, seed):
     d = len(axes)
     tmin, tmax = opnorm._dilation_bounds(axes)
     t_used = [float(t) for t in np.geomspace(tmin, tmax, 13)]
-    operator = lambda f: opnorm.apply_multiplier(f, m0)
+    operator = lambda f: _oracle_apply(f, m0)
     rhs_per_t, scale_per_t = {}, {}
     for t in t_used:
         f = build_witness({"family": "dilated_bump", "params": {"t": t}}, axes)
@@ -189,13 +191,26 @@ def _assert_same_up_to_ratios(got, want, rel=1e-12):
         close([r for _, r in want["improvements"]])
 
 
-def _counting_multiplier(monkeypatch):
-    calls = []
+def _oracle_apply(f, m):
+    """The multiplier as the oracles apply it."""
+    return apply_multiplier(f, m)
 
-    def counted(f, m):
+
+def _counting_multiplier(monkeypatch):
+    """Count the multiplier applications of the search (the apply step of
+    its workspace) and of the oracles (``_oracle_apply``)."""
+    calls = []
+    apply = opnorm._Workspace.apply
+
+    def counted(work, f):
+        calls.append(1)
+        return apply(work, f)
+
+    def counted_oracle(f, m):
         calls.append(1)
         return apply_multiplier(f, m)
-    monkeypatch.setattr(opnorm, "apply_multiplier", counted)
+    monkeypatch.setattr(opnorm._Workspace, "apply", counted)
+    monkeypatch.setattr(sys.modules[__name__], "_oracle_apply", counted_oracle)
     return calls
 
 
@@ -414,9 +429,9 @@ def test_general_operators_take_the_space_route(monkeypatch):
         built.append(spec["family"])
         return build(spec, ax)
 
-    def counted_spectrum(spec, ax, p):
+    def counted_spectrum(spec, ax, p, work=None):
         spectra.append(spec["family"])
-        return spectrum(spec, ax, p)
+        return spectrum(spec, ax, p, work)
     monkeypatch.setattr(opnorm, "build_witness", counted_build)
     monkeypatch.setattr(opnorm, "witness_input", counted_spectrum)
 
@@ -429,13 +444,184 @@ def test_general_operators_take_the_space_route(monkeypatch):
     n_space = len(built)
     built.clear()
     by_spectrum = estimate_lower(mult, axes, 1.2, math.inf, budget=24, seed=7)
-    # the multiplier field takes the spectrum route; only a radial focus
-    # is still built in space
+    # the multiplier field takes the spectrum route; a radial focus is
+    # still built in space, but in the search's workspace
     assert len(spectra) == n_space
-    assert built == [f for f in spectra if f == "radial_focus"]
+    assert not built and "radial_focus" in spectra
     assert set(spectra) == set(opnorm.FAMILIES)
     _assert_same_up_to_ratios(by_spectrum.to_dict(), by_space.to_dict())
     # a multiplier GridField must be in frequency form
     space_field = GridField(axes, mult.values)
     with pytest.raises(DomainError, match="frequency form"):
         estimate_lower(space_field, axes, 1.2, math.inf, budget=1)
+
+
+def _spectrum_route_input(spec, axes, p):
+    """witness_input as it was: new arrays for every witness."""
+    family = spec["family"]
+    prm = spec["params"]
+    if family == "dilated_bump":
+        factors = opnorm._bump_factors(axes, prm)
+        spectrum = opnorm._outer([np.fft.fft(g) for g in factors])
+        denom = opnorm._separable_lp_norm(
+            factors, math.prod(ax.step for ax in axes), p)
+        return denom, GridField(axes, spectrum, rep="frequency")
+    if family == "random_superposition":
+        shape = [ax.resolution for ax in axes]
+        space = np.zeros(shape, dtype=complex)
+        spectrum = np.zeros(shape, dtype=complex)
+        for piece in prm["pieces"]:
+            factors = opnorm._bump_factors(axes, piece, piece["coef_re"]
+                                           + 1j * piece["coef_im"])
+            space += opnorm._outer(factors)
+            spectrum += opnorm._outer([np.fft.fft(g) for g in factors])
+        denom = _oracle_lp_norm(GridField(axes, space), p)
+        return denom, GridField(axes, spectrum, rep="frequency")
+    if family == "annulus_knapp":
+        window = opnorm._knapp_window(axes, prm)
+        denom = _oracle_lp_norm(GridField(axes, np.fft.ifftn(window)), p)
+        return denom, GridField(axes, window, rep="frequency")
+    f = build_witness(spec, axes)
+    return _oracle_lp_norm(f, p), f
+
+
+def _oracle_lp_norm(f, p):
+    """grid_norms' ||f||_p as it was, from new arrays."""
+    vals = np.abs(f.values).ravel()
+    if not np.any(vals > 0):
+        return 0.0
+    vol = f.cell_volume()
+    return float(np.sum((vals / vals.max()) ** p) * vol) ** (1.0 / p) \
+        * vals.max()
+
+
+def test_grid_norms_equal_the_new_array_route():
+    rng = np.random.default_rng(8)
+    for axes in (axes2(res=32), cli.build_axes(16.0, 16, 3)):
+        shape = [ax.resolution for ax in axes]
+        field = GridField(axes, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+        for p in (1.2, 2.0, 3.0):
+            assert grid_norms(field, p)[0] == _oracle_lp_norm(field, p)
+    assert grid_norms(GridField(axes, np.zeros(shape)), 1.2) == (0.0, 0.0)
+
+
+def _spectrum_route(mult):
+    """_witness_norms of the multiplier ``mult`` as it was: the witness's
+    spectrum through apply_multiplier, and new arrays at every step."""
+    def norms(operator, spec, axes, p, nu, beat=0.0):
+        denom, f = _spectrum_route_input(spec, axes, p)
+        if denom == 0.0:
+            return 0.0, None
+        tf = apply_multiplier(f, mult)
+        vals = np.abs(tf.values).ravel()
+        if not np.any(vals > 0):
+            return denom, 0.0
+        samples = opnorm.WeightedSampleSet(vals, tf.cell_volume())
+        params = opnorm.LorentzParams(p, nu)
+        if beat > 0.0 and opnorm.lorentz_quasinorm(
+                opnorm.rounded_up(samples), params) \
+                <= beat * denom * (1.0 - opnorm._MAJORANT_SLACK):
+            return denom, None
+        return denom, opnorm.lorentz_quasinorm(samples, params)
+    return norms
+
+
+@pytest.mark.parametrize("spec", ["cone_tent", "br:2.0", "oscillatory:3",
+                                  "halfspace"])
+def test_workspace_search_equals_the_spectrum_route(monkeypatch, spec):
+    axes, mult = _grid_multiplier(spec)
+    for nu in (math.inf, 2.0):
+        for budget in (1, 5, 48):
+            got = estimate_lower(mult, axes, 1.2, nu, budget=budget, seed=7)
+            sweep = scaling_sweep_experiment(mult, axes, 1.2, nu,
+                                             budget=budget, seed=7)
+            with monkeypatch.context() as mp:
+                mp.setattr(opnorm, "_witness_norms", _spectrum_route(mult))
+                want = estimate_lower(mult, axes, 1.2, nu, budget=budget,
+                                      seed=7)
+                want_sweep = scaling_sweep_experiment(mult, axes, 1.2, nu,
+                                                      budget=budget, seed=7)
+            assert got.to_dict() == want.to_dict()
+            assert sweep == want_sweep
+
+
+def _boxed_symbol(rng, shape, cut):
+    """A random complex symbol whose support box is a cyclic run of indices
+    on each axis in ``cut``, strictly shorter than the axis, and the whole
+    of every other axis; returns the symbol and the runs."""
+    sym = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym[rng.random(shape) < 0.3] = 0.0   # zeros inside the box too
+    runs, kept = [], []
+    for k, n in enumerate(shape):
+        start, length = int(rng.integers(n)), int(rng.integers(1, n))
+        runs.append((start, length) if k in cut else None)
+        kept.append((start + np.arange(length)) % n if k in cut
+                    else np.arange(n))
+    keep = np.zeros(shape, dtype=bool)
+    keep[np.ix_(*kept)] = True
+    sym[~keep] = 0.0
+    # every kept hyperplane of every axis carries a nonzero value
+    for k, indices in enumerate(kept):
+        point = [int(other[0]) for other in kept]
+        for i in indices:
+            point[k] = int(i)
+            sym[tuple(point)] = 1.0
+    return sym, runs
+
+
+def _run_indices(slices, n):
+    return np.concatenate([np.arange(n)[s] for s in slices])
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 16), (4, 8, 16), (8, 4, 4, 8)])
+def test_pruned_inverse_equals_ifftn(shape):
+    rng = np.random.default_rng(len(shape))
+    ndim = len(shape)
+    cuts = [set(c) for r in range(ndim + 1)
+            for c in itertools.combinations(range(ndim), r)]
+    for cut in cuts:
+        for _ in range(3):
+            sym, runs = _boxed_symbol(rng, shape, cut)
+            box = opnorm._support_box(sym)
+            for k, n in enumerate(shape):
+                if runs[k] is None:
+                    assert box[k] == [slice(None)]
+                else:
+                    start, length = runs[k]
+                    want = (start + np.arange(length)) % n
+                    assert np.array_equal(_run_indices(box[k], n), want)
+            spectrum = rng.standard_normal(shape) \
+                + 1j * rng.standard_normal(shape)
+            got = np.multiply(sym, spectrum)
+            opnorm._inverse_in_place(got, box)
+            assert np.array_equal(got, np.fft.ifftn(sym * spectrum))
+    # the zero field, and a symbol nonzero everywhere
+    for sym in (np.zeros(shape, dtype=complex),
+                1.0 + rng.random(shape) + 0j):
+        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = np.multiply(sym, spectrum)
+        opnorm._inverse_in_place(got, opnorm._support_box(sym))
+        assert np.array_equal(got, np.fft.ifftn(sym * spectrum))
+
+
+def test_rejected_bump_allocates_less_than_a_grid_array():
+    import tracemalloc
+    axes, mult = _grid_multiplier("br:2.0", res=64)
+    work = opnorm._Workspace(axes, mult)
+    spec = {"family": "dilated_bump",
+            "params": {"t": 1.0, "center": [0.5, -0.25, 0.0],
+                       "freqs": [0.3, 0.0, -0.2]}}
+    denom, num = opnorm._witness_norms(work, spec, axes, 1.2, math.inf)
+    beat = 1.1 * num / denom   # out of reach of the 17/16 majorant
+    assert opnorm._witness_norms(work, spec, axes, 1.2, math.inf, beat) \
+        == (denom, None)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert opnorm._witness_norms(work, spec, axes, 1.2, math.inf, beat) \
+            == (denom, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < work.magnitude.nbytes

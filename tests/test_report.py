@@ -1,0 +1,90 @@
+import os
+import tempfile
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conemult import report
+from conemult.errors import ConfigError
+
+_CELLS = ["1", "-2.5", "0", "-0", "1e300", "1e-320", "inf", "-inf", "nan",
+          "+nan", "Infinity", "1_0", " 3 ", "\t4", '"5"', '"6,7"', "", "x",
+          "0x10", "1d5", "#8", ".5", "5.", "+.25e2", "1e400", " 9",
+          "١"]
+
+
+@st.composite
+def _csv_texts(draw):
+    header = draw(st.sampled_from(["value,weight", "weight,value",
+                                   "value,weight,note", "value", "",
+                                   '"value",weight']))
+    width = max(1, header.count(",") + 1)
+    number = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    if draw(st.booleans()):
+        # numbers only, in full rows, and blank lines: the table path
+        cell = st.one_of(number, st.sampled_from(_CELLS[:11]))
+        row = st.one_of(st.lists(cell, min_size=width,
+                                 max_size=width).map(",".join), st.just(""))
+    else:
+        cell = st.one_of(st.sampled_from(_CELLS), number)
+        row = st.one_of(
+            st.lists(cell, min_size=width, max_size=width).map(",".join),
+            st.lists(cell, min_size=0, max_size=width + 2).map(",".join),
+            st.sampled_from(["", "   ", "\t", ","]))
+    rows = draw(st.lists(row, max_size=8))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    final = draw(st.sampled_from(["", end]))
+    return end.join([header, *rows]) + final
+
+
+def _read(path, by_row):
+    """read_float_columns, or (error text) the ConfigError it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(report, "_float_table",
+                               (lambda path, width: None) if by_row
+                               else report._float_table):
+            try:
+                return report.read_float_columns(path, ("value", "weight"))
+            except ConfigError as exc:
+                return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_table_reader_equals_the_row_wise_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "samples.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got, want = _read(path, False), _read(path, True)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == float and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+def test_table_reader_reads_the_named_columns(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("note,weight,value\n1,2,3\n\n4,5.5,-6\n")
+    value, weight = report.read_float_columns(path, ("value", "weight"))
+    assert value.tolist() == [3.0, -6.0] and weight.tolist() == [2.0, 5.5]
+    assert value.flags.c_contiguous and weight.flags.c_contiguous
+
+
+@pytest.mark.parametrize("text", ["value,weight\n", "value,weight\n\n\n"])
+def test_header_only_file_reads_no_rows_and_no_warning(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, weight = report.read_float_columns(path, ("value", "weight"))
+    assert value.shape == weight.shape == (0,)
