@@ -1,14 +1,16 @@
 """Bessel functions J_nu for integer and half-integer orders.
 
-Regimes:
-  * power series for x <= 8 (cancellation past that point costs digits),
-  * cosine integral representation (64-point trapezoid, exact to aliasing
-    order J_{128-n}) for integer orders on 8 < x < 20,
-  * Hankel asymptotic expansion for J_0, J_1 at x >= 20,
-  * closed trigonometric forms j_0, j_1 plus order recurrences for
-    half-integer orders at x > 8,
-  * upward recurrence for order < 0.9 x, Miller downward recurrence with
-    normalization otherwise.
+Each argument takes its regime by itself, so a value never depends on the
+other arguments of the call.  For x <= 8 the power series (past that
+point cancellation costs digits).  For x > 8, writing nu = nu0 + n with
+nu0 in {0, 1/2}:
+  * the starting pair J_nu0, J_(nu0+1): for nu0 = 0 the cosine integral
+    representation (64-point trapezoid, exact to aliasing order J_(128-n))
+    on x < 20 and the Hankel asymptotic expansion past it; for nu0 = 1/2
+    the closed forms sqrt(2x/pi) (sin x/x, sin x/x^2 - cos x/x);
+  * one recurrence J_(k+1) = (2 (k + nu0) / x) J_k - J_(k-1), run upward
+    where n < 0.9 x and, from an index above n, downward (Miller) with
+    normalization against the starting pair elsewhere.
 
 Absolute accuracy target is 1e-12 for x <= 1e4; the test-suite checks this
 against an independent high-precision oracle.
@@ -24,13 +26,32 @@ _SERIES_CUT = 8.0
 _ASYMPTOTIC_CUT = 20.0
 _SERIES_TERMS = 34
 _ASYM_TERMS = 17  # c_k/x^k for k < 17; at x = 20 the tail is below 1e-14
+# nodes, -sin(nodes) and weights of the 64-interval trapezoid rule on [0, pi]
+_THETA = np.linspace(0.0, np.pi, 65)
+_MINUS_SIN = -np.sin(_THETA)
+_TRAPEZOID = np.full(65, 1.0 / 64)
+_TRAPEZOID[[0, -1]] = 0.5 / 64
 
 
-def _check_order(order):
+def _arguments(order, x):
+    """(order, x as a 1-d array, whether x was a scalar), both checked."""
     k2 = 2.0 * order
     if order < 0 or abs(k2 - round(k2)) > 1e-12:
         raise DomainError(f"order must be a nonnegative half-integer, got {order}")
-    return round(k2) / 2.0
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError("argument must be nonnegative")
+    return round(k2) / 2.0, np.atleast_1d(x), x.ndim == 0
+
+
+def _split(mask, x, inside, outside):
+    """inside(x) where ``mask`` holds and outside(x) elsewhere."""
+    out = np.empty_like(x)
+    if np.any(mask):
+        out[mask] = inside(x[mask])
+    if np.any(~mask):
+        out[~mask] = outside(x[~mask])
+    return out
 
 
 def _series(order, x, scaled):
@@ -67,88 +88,48 @@ def _asymptotic_int(n, x):
 
 
 def _integral_rep_int(n, x):
-    """(1/pi) * integral_0^pi cos(n t - x sin t) dt via 64-interval trapezoid."""
-    m = 64
-    theta = np.linspace(0.0, np.pi, m + 1)
-    w = np.full(m + 1, np.pi / m)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    phase = n * theta[None, :] - x[:, None] * np.sin(theta)[None, :]
-    return (np.cos(phase) @ w) / np.pi
+    """(1/pi) * integral_0^pi cos(n t - x sin t) dt via 64-interval trapezoid.
+
+    Each row is summed on its own: a matrix-vector product would make a
+    value depend on how many rows there are.
+    """
+    rows = x[:, None] * _MINUS_SIN
+    rows += n * _THETA
+    np.cos(rows, out=rows)
+    rows *= _TRAPEZOID
+    return rows.sum(axis=1)
 
 
-def _j01_int(n, x):
-    """J_0 or J_1 on x > 8, split at the asymptotic switch point."""
-    out = np.empty_like(x)
-    mid = x < _ASYMPTOTIC_CUT
-    if np.any(mid):
-        out[mid] = _integral_rep_int(n, x[mid])
-    if np.any(~mid):
-        out[~mid] = _asymptotic_int(n, x[~mid])
-    return out
+def _pair(nu0, k, x):
+    """J_(nu0 + k)(x) on x > 8 for k in {0, 1}: the recurrence's start."""
+    if nu0 == 0.0:
+        return _split(x < _ASYMPTOTIC_CUT, x,
+                      lambda y: _integral_rep_int(k, y),
+                      lambda y: _asymptotic_int(k, y))
+    if k == 0:
+        closed = np.sin(x) / x
+    else:
+        closed = np.sin(x) / (x * x) - np.cos(x) / x
+    return np.sqrt(2.0 * x / np.pi) * closed
 
 
-def _upward_int(n, x):
-    jm = _j01_int(0, x)
-    jc = _j01_int(1, x)
+def _upward(nu0, n, x):
+    jm, jc = _pair(nu0, 0, x), _pair(nu0, 1, x)
     for k in range(1, n):
-        jm, jc = jc, (2.0 * k / x) * jc - jm
-    return jc if n >= 1 else jm
+        jm, jc = jc, (2.0 * (k + nu0) / x) * jc - jm
+    return jc
 
 
-def _miller_int(n, x):
-    """Downward recurrence with Neumann-series normalization, n >= 0.9 x."""
-    m_start = int(max(n, np.max(x))) + int(math.sqrt(40.0 * max(n, 1))) + 14
-    if m_start % 2:
-        m_start += 1
+def _miller(nu0, n, x):
+    """Downward recurrence for x <= n / 0.9, so its start depends on n alone;
+    normalized at whichever of orders nu0, nu0 + 1 it makes larger."""
+    m_start = int(n / 0.9) + int(math.sqrt(40.0 * n)) + 14
     jp = np.zeros_like(x)
     jc = np.full_like(x, 1e-30)
     ans = np.zeros_like(x)
-    norm = np.zeros_like(x)
-    for k in range(m_start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm
-        big = np.abs(jc) > 1e10
-        if np.any(big):
-            scale = np.where(big, 1e-10, 1.0)
-            jc *= scale
-            jp *= scale
-            ans *= scale
-            norm *= scale
-        if (k - 1) == n:
-            ans = jc.copy()
-        if (k - 1) % 2 == 0:
-            norm += jc if (k - 1) == 0 else 2.0 * jc
-    return ans / norm
-
-
-def _sph_closed(n, x):
-    """Spherical j_n for n in {0, 1} from closed trigonometric forms."""
-    if n == 0:
-        return np.sin(x) / x
-    return np.sin(x) / (x * x) - np.cos(x) / x
-
-
-def _sph_upward(n, x):
-    jm = _sph_closed(0, x)
-    jc = _sph_closed(1, x)
-    for k in range(1, n):
-        jm, jc = jc, ((2.0 * k + 1.0) / x) * jc - jm
-    return jc if n >= 1 else jm
-
-
-def _sph_miller(n, x):
-    m_start = int(max(n, np.max(x))) + int(math.sqrt(40.0 * max(n, 1))) + 14
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
-    ans = np.zeros_like(x)
-    v0 = np.zeros_like(x)
     v1 = np.zeros_like(x)
     for k in range(m_start, 0, -1):
-        jm = ((2.0 * k + 1.0) / x) * jc - jp
-        jp = jc
-        jc = jm
+        jp, jc = jc, (2.0 * (k + nu0) / x) * jc - jp
         big = np.abs(jc) > 1e10
         if np.any(big):
             scale = np.where(big, 1e-10, 1.0)
@@ -156,58 +137,32 @@ def _sph_miller(n, x):
             jp *= scale
             ans *= scale
             v1 *= scale
-        if (k - 1) == n:
+        if k - 1 == n:
             ans = jc.copy()
-        if (k - 1) == 1:
+        if k - 1 == 1:
             v1 = jc.copy()
-        if (k - 1) == 0:
-            v0 = jc.copy()
-    t0, t1 = _sph_closed(0, x), _sph_closed(1, x)
-    use0 = np.abs(v0) >= np.abs(v1)
-    ratio = np.where(use0, t0 / np.where(v0 != 0, v0, 1.0),
-                     t1 / np.where(v1 != 0, v1, 1.0))
-    return ans * ratio
+    use0 = np.abs(jc) >= np.abs(v1)
+    pair = _split(use0, x, lambda y: _pair(nu0, 0, y),
+                  lambda y: _pair(nu0, 1, y))
+    return ans * (pair / np.where(use0, jc, v1))
 
 
 def _large_x(order, x):
-    if order == round(order):
-        n = int(order)
-        if n <= 1:
-            return _j01_int(n, x)
-        if n < 0.9 * np.min(x):
-            return _upward_int(n, x)
-        return _miller_int(n, x)
-    n = int(order - 0.5)
-    pref = np.sqrt(2.0 * x / np.pi)
+    """J_order on x > 8, order = nu0 + n with nu0 in {0, 1/2}."""
+    n = int(order)
+    nu0 = order - n
     if n <= 1:
-        return pref * _sph_closed(n, x)
-    if n < 0.9 * np.min(x):
-        return pref * _sph_upward(n, x)
-    return pref * _sph_miller(n, x)
+        return _pair(nu0, n, x)
+    return _split(0.9 * x > n, x, lambda y: _upward(nu0, n, y),
+                  lambda y: _miller(nu0, n, y))
 
 
 def bessel_j(order, x):
     """J_nu(x) for half-integer or integer nu >= 0 and x >= 0."""
-    order = _check_order(order)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0):
-        raise DomainError("argument must be nonnegative")
-    out = np.empty_like(x)
-    small = x <= _SERIES_CUT
-    if np.any(small):
-        out[small] = _series(order, x[small], scaled=False)
-    if np.any(~small):
-        # split the large lane again so the recurrence regime switch
-        # (which compares order against min(x)) stays sharp
-        xl = x[~small]
-        res = np.empty_like(xl)
-        lo = xl < max(2.0 * order, _ASYMPTOTIC_CUT)
-        for lane in (lo, ~lo):
-            if np.any(lane):
-                res[lane] = _large_x(order, xl[lane])
-        out[~small] = res
+    order, x, scalar = _arguments(order, x)
+    out = _split(x <= _SERIES_CUT, x,
+                 lambda y: _series(order, y, scaled=False),
+                 lambda y: _large_x(order, y))
     return float(out[0]) if scalar else out
 
 
@@ -217,19 +172,10 @@ def bessel_j_scaled(order, x):
     This is the natural kernel for radial transforms: the integrand
     m(r) * scaled(r*rho) * r^(d-1) stays smooth through rho = 0.
     """
-    order = _check_order(order)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0):
-        raise DomainError("argument must be nonnegative")
-    out = np.empty_like(x)
-    small = x <= _SERIES_CUT
-    if np.any(small):
-        out[small] = _series(order, x[small], scaled=True)
-    if np.any(~small):
-        xb = x[~small]
-        out[~small] = bessel_j(order, xb) / xb ** order
+    order, x, scalar = _arguments(order, x)
+    out = _split(x <= _SERIES_CUT, x,
+                 lambda y: _series(order, y, scaled=True),
+                 lambda y: bessel_j(order, y) / y ** order)
     return float(out[0]) if scalar else out
 
 

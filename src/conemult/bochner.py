@@ -20,13 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .characterize import line_rearrangements
+from .characterize import GROWTH_THRESHOLD, line_rearrangements
 from .errors import DomainError
 from .lorentz import LorentzParams, rearranged_quasinorm
 from .multipliers import (ConeMultiplierField, GridField, _check_profile_support,
                           freq_magnitude)
 from .radial import fourier_1d
 from .util import doubling_trend, dyadic_envelope_fit
+
+# critical_scan: half-width of the profile's sample line, and the lower end
+# |s| of the tail window its divergence flags read
+_SCAN_SPATIAL_TRUNCATION = 4.0
+_DETECTOR_WINDOW = 256.0
 
 
 def critical_exponent(dim, p):
@@ -64,11 +69,6 @@ class BRProfile:
         inside = (u > self.support[0]) & (u < self.support[1])
         out[inside] = (-u[inside]) ** self.lam * self.b(u[inside])
         return out
-
-
-def edge_profile(lam, b=None):
-    """The one-sided edge profile as a plain callable."""
-    return BRProfile(lam, b)
 
 
 def build_bochner_riesz_cone(lam, axes):
@@ -184,13 +184,12 @@ class CriticalScanResult:
 
 
 def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
-                  resolution=2 ** 17, spatial_truncation=4.0,
-                  growth_threshold=1.10, detector_window=256.0):
+                  resolution=2 ** 17):
     """Estimate, per p, the smallest order lambda with a convergent functional.
 
     For each lambda the weak-type weighted functional of the edge profile's
     transform is evaluated at nested truncations R/8 .. R, both over the full
-    line and restricted to |s| >= ``detector_window``.  The divergence flag
+    line and restricted to |s| >= ``_DETECTOR_WINDOW``.  The divergence flag
     (>= 10% growth per doubling across three doublings) is taken from the
     windowed values: the admissible flat bump's width-1/8 ramp contributes a
     fixed spectral hump below s ~ 250 that otherwise pins the supremum and
@@ -199,10 +198,10 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
     d/p - (d+1)/2, whose two equivalent forms are also compared exactly.
     """
     lam_grid = sorted(lam_grid)
-    if truncation / 8.0 <= 2.0 * detector_window:
+    if truncation / 8.0 <= 2.0 * _DETECTOR_WINDOW:
         raise DomainError(
             f"truncation ladder starting at {truncation / 8.0:.0f} is too "
-            f"shallow for a detector window at {detector_window:.0f}")
+            f"shallow for a detector window at {_DETECTOR_WINDOW:.0f}")
     predictions = {p: critical_exponent(dim, p) for p in p_list}
     for p, pred in predictions.items():
         if not (lam_grid[0] < pred < lam_grid[-1]):
@@ -211,11 +210,11 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
                 f"the predicted threshold {pred:.4f} for p = {p}")
     radii = [truncation / 2 ** i for i in (3, 2, 1, 0)]
     windows = [(0.0, r) for r in radii] + \
-        [(detector_window, r) for r in radii]
+        [(_DETECTOR_WINDOW, r) for r in radii]
     tables = [[] for _ in p_list]
     for lam in lam_grid:
         # one transform and one sort per order, dropped before the next
-        sigma, ghat = fourier_1d(BRProfile(lam), spatial_truncation,
+        sigma, ghat = fourier_1d(BRProfile(lam), _SCAN_SPATIAL_TRUNCATION,
                                  resolution)
         rearranged = line_rearrangements(sigma, ghat, dim, windows)
         del sigma, ghat
@@ -224,7 +223,7 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
             values = [rearranged_quasinorm(r, params) for r in rearranged]
             full = dict(zip(radii, values[:4]))
             tail = dict(zip(radii, values[4:]))
-            trend = doubling_trend(tail, growth_threshold)
+            trend = doubling_trend(tail, GROWTH_THRESHOLD)
             table.append((lam, full, tail, trend["divergent"]))
     results = []
     for p, table in zip(p_list, tables):

@@ -29,6 +29,10 @@ from .radial import fourier_1d, radial_transform
 from .util import doubling_trend, geometric_grid
 
 GROWTH_THRESHOLD = 1.10  # per-doubling growth that flags divergence
+# kernel side: truncations rho_max / 2^i for i <= _KERNEL_DOUBLINGS, and the
+# smallest radius of its geometric grid
+_KERNEL_DOUBLINGS = 3
+_KERNEL_RHO_MIN = 1e-2
 
 
 @dataclass
@@ -163,17 +167,17 @@ def polar_sample_set(radii, values, dim):
 
 
 def kernel_side_quantity(gamma, dim, params, support=None, rho_max=256.0,
-                         points_per_octave=48, doublings=3, rho_min=1e-2,
-                         panel_budget=400_000):
+                         points_per_octave=48):
     """L^{p,nu}(R^d) size of the inverse transform of gamma(|xi|)."""
-    radii = np.concatenate(([rho_min / 2], geometric_grid(rho_min, rho_max,
-                                                          points_per_octave)))
+    radii = np.concatenate(([_KERNEL_RHO_MIN / 2],
+                            geometric_grid(_KERNEL_RHO_MIN, rho_max,
+                                           points_per_octave)))
     prof = radial_transform(gamma, dim, radii=radii, support=support,
-                            inverse=True, panel_budget=panel_budget)
+                            inverse=True)
     ok = prof.reliable
     radii, vals = prof.radii[ok], np.abs(prof.values[ok])
     by_r = {}
-    for i in range(doublings, -1, -1):
+    for i in range(_KERNEL_DOUBLINGS, -1, -1):
         r = rho_max / 2 ** i
         keep = radii <= r
         samples = polar_sample_set(radii[keep], vals[keep], dim)
@@ -201,11 +205,6 @@ class SymbolScanResult:
                 "trend": self.trend, "meta": self.meta}
 
 
-def default_dilation_grid(lo=2.0 ** -6, hi=2.0 ** 6, points_per_octave=64):
-    """Geometric dilation scan grid; the reported sup is a lower bound."""
-    return geometric_grid(lo, hi, points_per_octave)
-
-
 def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
                            truncation=4096.0, spatial_truncation=8.0,
                            resolution=2 ** 15, doublings=3):
@@ -218,7 +217,7 @@ def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
     """
     phi = phi or BumpPhi()
     if t_grid is None:
-        t_grid = default_dilation_grid(2.0 ** -4, 2.0 ** 4, 16)
+        t_grid = geometric_grid(2.0 ** -4, 2.0 ** 4, 16)
     per_t = {}
     line = None
     for t in np.asarray(t_grid, dtype=float):

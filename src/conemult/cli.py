@@ -30,10 +30,9 @@ from .multipliers import (MAX_AXES, Axis, GammaFamily, GridField,
                           load_field, save_field)
 from .opnorm import estimate_lower, scaling_sweep_experiment
 from .util import CubicSpline1D
-from .wave import (MAX_WAVE_SCALE, SmoothingKernel, decompose,
-                   decompose_radii, shell_l1_ratios,
-                   shell_operator_lower_bound, summarize_decompositions,
-                   wave_kernel_plan)
+from .wave import (MAX_WAVE_SCALE, SmoothingKernel, decompose_radii,
+                   decompose_range, shell_l1_ratios,
+                   shell_operator_lower_bound, wave_kernel_plan)
 
 # Caps on the scan grids (points): each order costs one transform ladder,
 # each dilation one weighted functional, so the caps keep a run to minutes
@@ -360,8 +359,7 @@ def run_wave_check(opts, outdir, seed):
                           f"the supported 1..{MAX_WAVE_SCALE}")
     # the cost grows with n: one check of the largest scale covers them all
     wave_kernel_plan(n_list[-1], opts["dim"], decompose_radii(n_list[-1])[2])
-    decs = [decompose(n, opts["dim"]) for n in n_list]
-    l1_ratio, rate = summarize_decompositions(decs)
+    decs, l1_ratio, rate = decompose_range(n_list, opts["dim"])
     for dec in decs:
         report.write_csv(os.path.join(outdir, f"omega_n{dec.n}.csv"),
                          ["rho", "re", "im"],

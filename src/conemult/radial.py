@@ -42,6 +42,9 @@ INVERSE_LINE_CAP = 1 << 19
 INVERSE_FFT_CAP = 1 << 21
 INVERSE_TERM_BUDGET = 400_000_000
 
+# Quadrature nodes per oscillation of the Bessel kernel in radial_transform.
+_NODES_PER_PERIOD = 16
+
 
 @dataclass
 class RadialProfile:
@@ -160,7 +163,7 @@ def _as_callable(m0):
 
 
 def radial_transform(m0, dim, radii=None, support=None, inverse=False,
-                     nodes_per_period=16, panel_budget=400_000):
+                     panel_budget=400_000):
     """Radial profile of the d-dimensional Fourier transform of m0(|.|).
 
     ``support = (a, b)`` bounds the integration range; it is required for
@@ -198,7 +201,7 @@ def radial_transform(m0, dim, radii=None, support=None, inverse=False,
         idx = order[sel]
         rho_max = radii[idx].max()
         try:
-            r, w = panel_nodes(a, b, rho_max, nodes_per_period, panel_budget)
+            r, w = panel_nodes(a, b, rho_max, _NODES_PER_PERIOD, panel_budget)
         except BudgetError:
             values[idx] = np.nan
             reliable[idx] = False
@@ -289,23 +292,15 @@ def _uniform_runs(radii):
 def _walk(proj, h):
     """Projection for dimension d + 2 from that for d, on the same t-grid.
 
-    P_(d+2)(t) = 2 pi int_t^inf P_d(s) s ds.  The antiderivative is taken
-    spectrally on a zero-padded periodic line: s P_d(s) is odd, smooth and
-    compactly supported, so its mean vanishes and the result is exact up to
-    the grid's aliasing.
+    P_(d+2)(t) = 2 pi int_t^inf P_d(s) s ds = 2 pi (A(inf) - A(t)) with
+    A the spectral antiderivative of the odd function s P_d(s), taken on
+    its real and imaginary parts; P_d vanishes at the last grid point.
     """
-    nt = len(proj)
-    size = next_pow2(2 * nt)
-    line = np.zeros(size, dtype=complex)
-    line[:nt] = proj
-    line[size - nt + 1:] = proj[:0:-1]
-    spec = np.fft.fft(h * np.fft.fftfreq(size, 1.0 / size) * line)
-    omega = 2.0 * np.pi * np.fft.fftfreq(size, h)
-    spec[0] = 0.0
-    spec[1:] /= 1j * omega[1:]
-    anti = np.fft.ifft(spec)
-    # anti is constant on the padding, where s P_d(s) vanishes
-    return 2.0 * np.pi * (anti[size // 2] - anti[:nt])
+    g = h * np.arange(len(proj)) * proj
+    anti = _antiderivative(g.real, h, odd=True)
+    if np.iscomplexobj(g):
+        anti = anti + 1j * _antiderivative(g.imag, h, odd=True)
+    return 2.0 * np.pi * (anti[-1] - anti)
 
 
 def _line_projection(symbol, dim, h, hu, nt, u_count):
@@ -403,12 +398,14 @@ def inverse_radial(symbol, dim, radii, band, margin):
     |t| < band, and the transform at rho is 2 (2 pi)^(-d) int_0^inf P(t)
     cos(rho t) dt.  The t-integral is a trapezoid sum, spectrally accurate;
     its step h = 2 pi / (2 max(radii) + margin) puts every alias of a
-    requested radius at least ``margin`` past max(radii), so a function
-    supported in |x| <= max(radii) + margin is exact up to the symbol's
-    tail past the band.  Uniform runs of radii are summed by chirp-z, the
-    rest directly.  The symbol is sampled on the t-grid only in odd d, and
-    on a (t, u) lattice in even d; ``inverse_radial_plan`` checks the
-    budget before any array is built.  Returns complex values.
+    requested radius at least ``margin`` past max(radii).  The symbol is
+    sampled on the t-grid only in odd d, and on a (t, u) lattice in even
+    d, whose u-step 2 pi / margin aliases at perpendicular distance
+    ``margin``.  So a function supported in |x| <= max(radii) + margin is
+    exact up to the symbol's tail past the band in odd d; in even d its
+    support radius must also be at most ``margin``.  Uniform runs of radii
+    are summed by chirp-z, the rest directly; ``inverse_radial_plan``
+    checks the budget before any array is built.  Returns complex values.
     """
     radii = np.asarray(radii, dtype=float)
     h, hu, nt, u_count, runs = inverse_radial_plan(dim, radii, band, margin)
@@ -446,6 +443,8 @@ def _antiderivative(g, step, odd):
     g must vanish smoothly at both ends of the grid, or be the x >= 0 half
     of an odd function (``odd``), which is mirrored before the spectral
     antiderivative; the mean of the periodic line integrates to a ramp.
+    An odd line's mean is zero, and is not summed: its rounding would add
+    a ramp of its own.
     """
     n = len(g)
     size = next_pow2(2 * n)
@@ -453,7 +452,7 @@ def _antiderivative(g, step, odd):
     line[:n] = g
     if odd:
         line[size - n + 1:] = -g[:0:-1]
-    mean = line.mean()
+    mean = 0.0 if odd else line.mean()
     spec = np.fft.rfft(line - mean)
     omega = 2.0 * np.pi * np.fft.rfftfreq(size, step)
     spec[0] = 0.0

@@ -6,7 +6,7 @@ import pytest
 from conemult.bochner import (BRProfile, CriticalScanResult,
                               build_bochner_riesz_cone, cone_split_fields,
                               critical_exponent, critical_exponent_alt,
-                              critical_scan, edge_decay_fit, edge_profile)
+                              critical_scan, edge_decay_fit)
 from conemult.characterize import fourier_side_quantity
 from conemult.errors import DomainError
 from conemult.lorentz import LorentzParams, WeightedSampleSet, \
@@ -55,14 +55,14 @@ def test_profile_rejects_cutoff_wider_than_its_support():
     with pytest.raises(DomainError, match="u <= -0.25"):
         BRProfile(1.0, lambda v: np.exp(-np.asarray(v) ** 2))
     with pytest.raises(DomainError):
-        edge_profile(0.5, lambda v: np.ones_like(np.asarray(v)))
+        BRProfile(0.5, lambda v: np.ones_like(np.asarray(v)))
 
 
 def test_invalid_order_rejected():
     with pytest.raises(DomainError):
         BRProfile(0.0)
     with pytest.raises(DomainError):
-        edge_profile(-1.0)
+        BRProfile(-1.0)
 
 
 def test_decay_fit_meets_analytic_rate():

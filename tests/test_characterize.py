@@ -7,13 +7,13 @@ import pytest
 
 from conemult.bessel import surface_area
 from conemult.bumps import BumpPhi, smooth_window
-from conemult.characterize import (compare_sides, default_dilation_grid,
-                                   dilation_invariance_ratio,
+from conemult.characterize import (compare_sides, dilation_invariance_ratio,
                                    fourier_side_quantity,
                                    kernel_side_quantity, polar_sample_set,
                                    radial_symbol_quantity)
 from conemult.errors import DomainError
 from conemult.lorentz import LorentzParams
+from conemult.util import geometric_grid
 
 
 def gauss_windowed(u):
@@ -224,7 +224,7 @@ def test_dilation_off_grid_within_scan_tolerance():
     br05 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
     ratio, _, _ = dilation_invariance_ratio(
         br05, 4, LorentzParams(8.0 / 7.0, math.inf), 3.0,
-        t_grid=default_dilation_grid(2.0 ** -4, 2.0 ** 4, 64),
+        t_grid=geometric_grid(2.0 ** -4, 2.0 ** 4, 64),
         resolution=2 ** 13, truncation=1024.0)
     assert abs(ratio - 1.0) <= 0.02
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conemult import cli
+from conemult import cli, wave
 from conemult.cli import main
 from conemult.config import (ConfigError, coerce, parse_config_text,
                              resolve)
@@ -190,8 +190,8 @@ def test_wave_check_budget_checked_before_any_scale(tmp_path, capsys,
                                                     monkeypatch):
     # in even dim scale 11 is past the term budget; 9 and 10 take seconds
     computed = []
-    monkeypatch.setattr(cli, "decompose",
-                        lambda n, dim: computed.append(n))
+    monkeypatch.setattr(wave, "decompose",
+                        lambda n, dim, theta=None: computed.append(n))
     assert run_cli(["wave-check", "--out", str(tmp_path / "w"), "--dim", "2",
                     "--n-lo", "9", "--n-hi", "11"]) == 3
     assert computed == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conemult import radial, wave
 from conemult.bessel import surface_area
 from conemult.bumps import smooth_window
 from conemult.characterize import LineSamples, line_rearrangements
@@ -12,7 +13,7 @@ from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
                              inverse_radial, plancherel_radial,
                              radial_transform, space_grid,
                              sphere_hat_values, sphere_measure_transform)
-from conemult.util import dyadic_envelope_fit
+from conemult.util import dyadic_envelope_fit, next_pow2
 
 
 def test_tent_transform_closed_form():
@@ -339,6 +340,45 @@ def test_inverse_radial_gaussian_closed_form(dim):
                          8.0)
     want = (2.0 * np.pi) ** (-dim / 2.0) * np.exp(-0.5 * radii ** 2)
     assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("margin", [1.0, 2.0])
+def test_inverse_radial_bump_closed_form(dim, margin):
+    # (1 - |x|^2)_+^8 from its closed-form transform; in even d the (t, u)
+    # lattice aliases at distance ``margin``, so exactness needs the
+    # support radius 1 to be at most the margin
+    radii = np.linspace(0.0, 1.2, 49)
+    got = inverse_radial(lambda s: wave._bump_hat(dim, 8, 1.0, s), dim,
+                         radii, 400.0, margin)
+    want = np.clip(1.0 - radii ** 2, 0.0, None) ** 8
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def _complex_line_walk(proj, h):
+    """The walk as a complex FFT of s P_d(s) on the zero-padded line."""
+    nt = len(proj)
+    size = next_pow2(2 * nt)
+    line = np.zeros(size, dtype=complex)
+    line[:nt] = proj
+    line[size - nt + 1:] = proj[:0:-1]
+    spec = np.fft.fft(h * np.fft.fftfreq(size, 1.0 / size) * line)
+    omega = 2.0 * np.pi * np.fft.fftfreq(size, h)
+    spec[0] = 0.0
+    spec[1:] /= 1j * omega[1:]
+    anti = np.fft.ifft(spec)
+    return 2.0 * np.pi * (anti[size // 2] - anti[:nt])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_walk_matches_complex_line_oracle(dim, monkeypatch):
+    for n in range(3, 7):
+        radii = wave.decompose_radii(n)[2]
+        got = wave.wave_kernel(n, dim, radii=radii).values
+        with monkeypatch.context() as m:
+            m.setattr(radial, "_walk", _complex_line_walk)
+            want = wave.wave_kernel(n, dim, radii=radii).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
 
 
 def test_inverse_radial_budget_checked_before_allocation():
