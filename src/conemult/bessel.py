@@ -24,7 +24,11 @@ from .errors import DomainError
 
 _SERIES_CUT = 8.0
 _ASYMPTOTIC_CUT = 20.0
-_SERIES_TERMS = 34
+# x_M = 2 (1e-17 (M!)^2)^(1/2M): past M terms the series of J_nu(x) on
+# x <= x_M is below 1e-17 of its first term, for every nu >= 0 (the M-th
+# term is at most (x^2/4)^M / (M!)^2 of the first); 23 terms reach x = 8.
+_SERIES_REACH = np.array([2.0 * (1e-17 * math.factorial(m) ** 2)
+                          ** (0.5 / m) for m in range(1, 35)])
 _ASYM_TERMS = 17  # c_k/x^k for k < 17; at x = 20 the tail is below 1e-14
 # nodes, -sin(nodes) and weights of the 64-interval trapezoid rule on [0, pi]
 _THETA = np.linspace(0.0, np.pi, 65)
@@ -55,17 +59,25 @@ def _split(mask, x, inside, outside):
 
 
 def _series(order, x, scaled):
-    """Power series; with scaled=True returns J_nu(x)/x^nu (entire part)."""
+    """Power series; with scaled=True returns J_nu(x)/x^nu (entire part).
+
+    Each argument sums the terms its own x needs (``_SERIES_REACH``), so
+    no value depends on the other arguments: the terms are running
+    products of the factors -x^2 / (4 m (m + nu)), and their running sums
+    are read at each argument's own count.
+    """
     q = 0.25 * x * x
+    count = np.searchsorted(_SERIES_REACH, x) + 1
+    m = np.arange(1, count.max())[:, None]
+    terms = np.empty((len(m) + 1, len(x)))
     if scaled:
-        term = np.full_like(x, 2.0 ** (-order) / math.gamma(order + 1.0))
+        terms[0] = 2.0 ** (-order) / math.gamma(order + 1.0)
     else:
-        term = (0.5 * x) ** order / math.gamma(order + 1.0)
-    acc = term.copy()
-    for m in range(1, _SERIES_TERMS):
-        term = term * (-q) / (m * (m + order))
-        acc += term
-    return acc
+        terms[0] = (0.5 * x) ** order / math.gamma(order + 1.0)
+    np.divide(-q, m * (m + order), out=terms[1:])
+    np.cumprod(terms, axis=0, out=terms)
+    np.cumsum(terms, axis=0, out=terms)
+    return terms[count - 1, np.arange(len(x))]
 
 
 def _asymptotic_int(n, x):

@@ -18,6 +18,7 @@ is evaluated on the way.
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,18 +30,46 @@ from .report import read_float_columns
 from .util import CubicSpline1D, geometric_grid, next_pow2, panel_nodes
 
 # Elements per block of the array work below and in the wave module:
-# quadrature nodes, lattice and cosine-sum terms.  Blocks this small keep
+# quadrature nodes, u-sum and cosine-sum terms.  Blocks this small keep
 # their temporaries under the allocator's mmap threshold, so they are reused
 # instead of mapped afresh; at 2^18 the page faults cost as much as the sums.
 _BLOCK = 1 << 12
 
 # Budget of one inverse_radial call: t-grid points, the length of its
-# longest FFT (a few complex arrays of it, about 0.3 GiB at the cap), and
-# terms (symbol samples plus direct cosine-sum terms, about a minute on one
-# core).
+# longest FFT (a few complex arrays of it, about 0.3 GiB at the cap), terms
+# (symbol samples, near-origin u-sum terms and direct cosine-sum terms,
+# about a minute on one core), and in even d the multiply-adds of the Abel
+# rule (a few seconds on one core).
 INVERSE_LINE_CAP = 1 << 19
 INVERSE_FFT_CAP = 1 << 21
 INVERSE_TERM_BUDGET = 400_000_000
+INVERSE_ABEL_BUDGET = 1_000_000_000
+
+# The Abel step of even d (see ``_abel_projection``): a trapezoid rule on
+# the t-line corrected near its square-root singularity (Navot, J. Math.
+# Phys. 40 (1961); Kapur & Rokhlin, SIAM J. Numer. Anal. 34 (1997)).
+# zeta(1/2 - p), p = 0..26, the coefficients of Navot's error expansion.
+_ZETA_HALF = (
+    -1.4603545088095868, -0.20788622497735457, -0.025485201889833036,
+    0.008516928777850331, 0.004441011335479432, -0.0030916692472158338,
+    -0.0026714580198992244, 0.0027467679395368687, 0.00326903957260022,
+    -0.00441603287300489, -0.006672172296466641, 0.011146122473942813,
+    0.02039697871594279, -0.04057496748119458, -0.08717525590621725,
+    0.2011740493842269, 0.4962712199120576, -1.303229250705114,
+    -3.629759299774574, 10.687327069021993, 33.168325785694606,
+    -108.21747505877606, -370.3018783754786, 1326.0458117490157,
+    4959.598315043044, -19338.94198837462, -78486.1485692177,
+)
+# Powers of 1/(2K) kept in the correction weights of the row t = K h/q.
+_ABEL_POWERS = 12
+# The correction's nodes reach this many samples below the singular node,
+# so rows with K below it take the u-sum.
+_ABEL_REACH = 8
+# Relative accuracy asked of the rule, the sample refinement it may take
+# and the elements per block of its far-field weights.
+_ABEL_TOL = 1e-13
+_ABEL_Q_CAP = 16
+_ABEL_BLOCK = 1 << 14
 
 # Quadrature nodes per oscillation of the Bessel kernel in radial_transform.
 _NODES_PER_PERIOD = 16
@@ -303,27 +332,153 @@ def _walk(proj, h):
     return 2.0 * np.pi * (anti[-1] - anti)
 
 
+def _abel_table(width):
+    """Nodes i and weights A[i, m] of the Abel rule's correction.
+
+    With s = t + x, P_2(t) = int_0^inf x^(-1/2) psi(x) f(x) dx, where
+    psi(x) = 2 m(s) s is smooth across s = t and f(x) = (2 t + x)^(-1/2)
+    is known.  The trapezoid sum over x = j h, j >= 1, exceeds the integral
+    by sum_p zeta(1/2 - p) (psi f)^(p)(0) h^(p+1/2) / p! (Navot).  psi's
+    derivatives are taken from its interpolating polynomial on the nodes
+    i = -width/2 .. width/2 - 1, f's exactly, so in units of h the row
+    t = K h takes the correction (2K)^(-1/2) sum_i c_i(K) psi(i h) / h
+    with c_i(K) = sum_m A[i, m] (2K)^(-m).
+    """
+    nodes = range(-(width // 2), width - width // 2)
+    full = [1]                  # prod_j (x - j), highest power first
+    for j in nodes:
+        full = [a - j * b for a, b in zip(full + [0], [0] + full)]
+    lagrange = np.empty((width, width))     # [r, i]: x^r coefficient of l_i
+    for col, i in enumerate(nodes):
+        # prod_(j != i) (x - j) by synthetic division; its integer
+        # coefficients and l_i's denominator stay below 2^53, so are exact
+        quot = itertools.accumulate(full[:-1], lambda acc, a: a + i * acc)
+        lagrange[::-1, col] = list(quot)
+        lagrange[:, col] /= math.prod(i - j for j in nodes if j != i)
+    m = np.arange(_ABEL_POWERS)
+    # (-1)^m (1/2)_m / m!, the Taylor coefficients of f at x = 0
+    ratios = -(m[:-1] + 0.5) / (m[:-1] + 1)
+    taylor = np.cumprod(np.concatenate(([1.0], ratios)))
+    zeta = np.asarray(_ZETA_HALF)[np.add.outer(np.arange(width), m)]
+    return np.array(nodes), taylor * (lagrange.T @ zeta)
+
+
+# The rule's correction, and a lower-order one whose difference from it
+# estimates the error
+_ABEL_RULE = _abel_table(2 * _ABEL_REACH)
+_ABEL_CHECK = _abel_table(2 * _ABEL_REACH - 2)
+
+
+def _abel_terms(nt, q):
+    """Multiply-adds of the Abel rule's far-field sums on nt t-points."""
+    return q * nt * nt // 2
+
+
+def _abel_rows(q, nt):
+    """Rows k of the Abel rule: those whose correction stays in s >= 0."""
+    return np.arange(min(-(-_ABEL_REACH // q), nt), nt)
+
+
+def _abel_correction(samples, q, rows, table):
+    """(2K)^(-1/2) sum_i c_i(K) (K + i) m_(K+i) at each row K = q k."""
+    nodes, weights = table
+    big_k = q * rows
+    x = 0.5 / big_k
+    c = (x[:, None] ** np.arange(_ABEL_POWERS)) @ weights.T
+    idx = big_k[:, None] + nodes
+    return np.sqrt(x) * np.sum(c * idx * samples[idx], axis=1)
+
+
+def _abel_samples(symbol, h, nt):
+    """The step h/q of the Abel rule and the symbol's samples at it.
+
+    q doubles from 1 until the error estimate, the rule's correction less
+    the lower-order one, integrated over t is at most _ABEL_TOL of
+    pi int |m(s)| s ds, which bounds int |P_2(t)| dt; so a symbol that
+    the samples resolve keeps q = 1, and q stops at _ABEL_Q_CAP.  Each
+    refinement is checked against INVERSE_ABEL_BUDGET before it is
+    sampled, and raises BudgetError past it.
+    """
+    q = 1
+    while True:
+        s = h / q * np.arange(q * (nt - 1) + _ABEL_REACH)
+        samples = np.asarray(symbol(s), dtype=complex)
+        rows = _abel_rows(q, nt)
+        error = np.abs(_abel_correction(samples, q, rows, _ABEL_RULE)
+                       - _abel_correction(samples, q, rows, _ABEL_CHECK))
+        scale = 0.5 * np.pi / q * (np.abs(samples) @ np.arange(len(s)))
+        if error.sum() <= _ABEL_TOL * scale or q == _ABEL_Q_CAP:
+            return q, samples
+        q *= 2
+        if _abel_terms(nt, q) > INVERSE_ABEL_BUDGET:
+            raise BudgetError(
+                f"the Abel rule on {nt} t-points needs the sample step "
+                f"h/{q}, {_abel_terms(nt, q):.3g} multiply-adds; the cap is "
+                f"{INVERSE_ABEL_BUDGET:.3g}")
+
+
+def _abel_far(values, q, rows):
+    """sum_(j > K) v_j / sqrt(j^2 - K^2) at each row K = q k.
+
+    ``values`` holds v_j as real columns.  The weight is
+    (j - K)^(-1/2) (j + K)^(-1/2), a product of two slices of one table, so
+    each block of _ABEL_BLOCK weights costs one product and enters one
+    matrix product; the nt x nt matrix is never built.
+    """
+    n = len(values)
+    inv_sqrt = np.zeros(2 * n)
+    inv_sqrt[1:] = 1.0 / np.sqrt(np.arange(1.0, 2 * n))
+    out = np.zeros((len(rows), values.shape[1]))
+    for i, k in enumerate(q * rows):
+        for lo in range(k + 1, n, _ABEL_BLOCK):
+            hi = min(lo + _ABEL_BLOCK, n)
+            out[i] += (inv_sqrt[lo - k:hi - k] * inv_sqrt[lo + k:hi + k]) \
+                @ values[lo:hi]
+    return out
+
+
+def _abel_projection(symbol, h, hu, nt, u_count):
+    """P_2(k h) = 2 int_(kh)^inf m(s) s (s^2 - (kh)^2)^(-1/2) ds, k = 0..nt-1.
+
+    The corrected trapezoid rule of ``_abel_table`` on the samples of
+    ``_abel_samples``: one symbol sample per node, j / sqrt(j^2 - K^2) as
+    far-field weights.  The rows t < _ABEL_REACH h/q, where the
+    correction's nodes would cross s = 0, take the trapezoid sum
+    2 int_0^inf m(sqrt(t^2 + u^2)) du in steps ``hu`` over ``u_count``
+    points; that integrand is even, smooth and compactly supported in u,
+    so the sum is spectrally accurate.
+    """
+    q, samples = _abel_samples(symbol, h, nt)
+    rows = _abel_rows(q, nt)
+    scaled = samples * np.arange(len(samples))
+    far = _abel_far(scaled.view(float).reshape(-1, 2), q, rows)
+    proj = np.empty(nt, dtype=complex)
+    proj[rows] = 2.0 * h / q * (far.view(complex)[:, 0] - _abel_correction(
+        samples, q, rows, _ABEL_RULE))
+    near = h * np.arange(nt - len(rows))
+    u = hu * np.arange(u_count)
+    wu = np.full(u_count, 2.0 * hu)
+    wu[0] = hu
+    block = max(1, _BLOCK // u_count)
+    for lo in range(0, len(near), block):
+        tt = near[lo:lo + block, None]
+        proj[lo:lo + len(tt)] = symbol(np.sqrt(tt ** 2 + u ** 2)) @ wu
+    return proj
+
+
 def _line_projection(symbol, dim, h, hu, nt, u_count):
     """Samples P(k h), k = 0..nt-1, of the projection of symbol(|xi|) onto a line.
 
     P(t) = |S^(d-2)| int_0^inf m(sqrt(t^2 + u^2)) u^(d-2) du.  The walk
     in steps of two dimensions starts at d = 1, where P is the symbol
-    itself, or at d = 2, where P is a trapezoid sum across the line; that
-    integrand is even, smooth and compactly supported in u, so the sum is
-    spectrally accurate.
+    itself, or at d = 2, where P is the Abel transform of the symbol, taken
+    on the t-line by ``_abel_projection``: about q nt symbol samples and
+    q nt^2 / 2 multiply-adds, q = 1 for a symbol that the t-grid resolves.
     """
-    t = h * np.arange(nt)
     if dim % 2:
-        proj = symbol(t)
+        proj = symbol(h * np.arange(nt))
     else:
-        u = hu * np.arange(u_count)
-        wu = np.full(u_count, 2.0 * hu)
-        wu[0] = hu
-        proj = np.empty(nt, dtype=complex)
-        rows = max(1, _BLOCK // u_count)
-        for lo in range(0, nt, rows):
-            tt = t[lo:lo + rows, None]
-            proj[lo:lo + rows] = symbol(np.sqrt(tt ** 2 + u ** 2)) @ wu
+        proj = _abel_projection(symbol, h, hu, nt, u_count)
     for _ in range((dim - 1) // 2):
         proj = _walk(proj, h)
     return proj
@@ -355,12 +510,15 @@ def inverse_radial_plan(dim, radii, band, margin):
     """Grids of one ``inverse_radial`` call, checked against its budget.
 
     Returns (h, hu, nt, u_count, runs): the t- and u-steps, the t-points,
-    the u-points of the even-d lattice and the uniform runs of ``radii``.
-    Raises DomainError for a dimension below 2 or radii that are not finite,
-    nonnegative and strictly increasing, and BudgetError past
-    INVERSE_LINE_CAP t-points, an FFT longer than INVERSE_FFT_CAP or
-    INVERSE_TERM_BUDGET terms (symbol samples plus direct cosine-sum terms);
-    nothing larger than the radii is allocated on the way.
+    the u-points of each near-origin row of the even-d Abel rule and the
+    uniform runs of ``radii``.  Raises DomainError for a dimension below 2
+    or radii that are not finite, nonnegative and strictly increasing, and
+    BudgetError past INVERSE_LINE_CAP t-points, an FFT longer than
+    INVERSE_FFT_CAP, INVERSE_TERM_BUDGET terms (symbol samples, u-sum terms
+    and direct cosine-sum terms) or, in even d, INVERSE_ABEL_BUDGET
+    multiply-adds of the Abel rule at its coarsest sample step (each finer
+    step is checked again before it is sampled); nothing larger than the
+    radii is allocated on the way.
     """
     if dim != int(dim) or dim < 2:
         raise DomainError(f"ambient dimension must be an integer >= 2, "
@@ -378,14 +536,19 @@ def inverse_radial_plan(dim, radii, band, margin):
     longest = max((stop - start for start, stop, step in runs
                    if step is not None), default=0)
     fft = next_pow2(max(2 * nt, 2 * nt + longest - 2))
-    terms = nt * (u_count + direct)
+    terms = nt * (1 + direct)
+    abel = 0
+    if dim % 2 == 0:
+        terms += _ABEL_REACH * u_count
+        abel = _abel_terms(nt, 1)
     if nt > INVERSE_LINE_CAP or fft > INVERSE_FFT_CAP \
-            or terms > INVERSE_TERM_BUDGET:
+            or terms > INVERSE_TERM_BUDGET or abel > INVERSE_ABEL_BUDGET:
         raise BudgetError(
             f"inverse transform at band {band:.4g}, dimension {dim}, radii "
-            f"up to {radii.max(initial=0.0):.4g} needs {nt} t-points, an FFT of {fft} "
-            f"and {terms:.3g} terms; the caps are {INVERSE_LINE_CAP}, "
-            f"{INVERSE_FFT_CAP} and {INVERSE_TERM_BUDGET:.3g}")
+            f"up to {radii.max(initial=0.0):.4g} needs {nt} t-points, an FFT "
+            f"of {fft}, {terms:.3g} terms and {abel:.3g} Abel multiply-adds; "
+            f"the caps are {INVERSE_LINE_CAP}, {INVERSE_FFT_CAP}, "
+            f"{INVERSE_TERM_BUDGET:.3g} and {INVERSE_ABEL_BUDGET:.3g}")
     return h, hu, nt, u_count, runs
 
 
@@ -399,13 +562,15 @@ def inverse_radial(symbol, dim, radii, band, margin):
     cos(rho t) dt.  The t-integral is a trapezoid sum, spectrally accurate;
     its step h = 2 pi / (2 max(radii) + margin) puts every alias of a
     requested radius at least ``margin`` past max(radii).  The symbol is
-    sampled on the t-grid only in odd d, and on a (t, u) lattice in even
-    d, whose u-step 2 pi / margin aliases at perpendicular distance
-    ``margin``.  So a function supported in |x| <= max(radii) + margin is
-    exact up to the symbol's tail past the band in odd d; in even d its
-    support radius must also be at most ``margin``.  Uniform runs of radii
-    are summed by chirp-z, the rest directly; ``inverse_radial_plan``
-    checks the budget before any array is built.  Returns complex values.
+    sampled on the t-grid in odd d; in even d, at the step h/q of the Abel
+    rule, accurate to about 1e-13 of the line's scale, except on the few
+    near-origin rows, which sum across the line in the u-step 2 pi / margin
+    and alias at perpendicular distance ``margin``.  So a function
+    supported in |x| <= max(radii) + margin is exact up to the symbol's
+    tail past the band in odd d; in even d its support radius must also be
+    at most ``margin`` for those rows.  Uniform runs of radii are summed by
+    chirp-z, the rest directly; ``inverse_radial_plan`` checks the budget
+    before any array is built.  Returns complex values.
     """
     radii = np.asarray(radii, dtype=float)
     h, hu, nt, u_count, runs = inverse_radial_plan(dim, radii, band, margin)

@@ -341,8 +341,11 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
     ``inverse_radial`` with the alias margin 8 + 2^(8-n): past max(radii)
     the kernel has decayed (the decay length shrinks like 2^-n; for the
     band cutoff the aliasing error stays below 1e-11 of the peak at every
-    n).  The work grows like 2^n in odd d and 4^n in even d, and a call
-    past the budget raises BudgetError before any array is built.
+    n).  The symbol is sampled about 30 * 2^n times in odd d; in even d its
+    Abel rule samples it as often (twice at n = 3, where the cutoff's ramp
+    needs the halved step) plus a few near-origin u-sum rows, and sums
+    about 500 * 4^n weights, so a scale past 10 raises BudgetError before
+    any array is built.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -410,9 +413,10 @@ def decompose(n, dim, theta=None, annulus=(0.5, 2.0),
     The density grid resolves oscillations of wavelength 2^-n, so it has
     3 * 2^(n+2) points; ``wave_kernel`` evaluates each uniform grid with one
     chirp-z transform.  The cost therefore grows like 2^n in odd d (every
-    scale up to the cap at 12 is cheap) and like 4^n in even d, where the
-    lattice projection dominates: seconds at n = 8, and past n = 10 the
-    term budget raises BudgetError.
+    scale up to the cap at 12 is cheap); in even d the Abel rule's
+    multiply-adds grow like 4^n, a fraction of a second at n = 8 and a
+    few seconds at n = 10, and past n = 10 their budget raises
+    BudgetError.
     """
     step = 2.0 ** (-n) / 8.0
     ann_rho, err_rho, radii = decompose_radii(n, annulus, error_regions)

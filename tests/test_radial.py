@@ -345,14 +345,65 @@ def test_inverse_radial_gaussian_closed_form(dim):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("margin", [1.0, 2.0])
 def test_inverse_radial_bump_closed_form(dim, margin):
-    # (1 - |x|^2)_+^8 from its closed-form transform; in even d the (t, u)
-    # lattice aliases at distance ``margin``, so exactness needs the
-    # support radius 1 to be at most the margin
+    # (1 - |x|^2)_+^8 from its closed-form transform; in even d the
+    # near-origin u-sum rows alias at distance ``margin``, so exactness
+    # needs the support radius 1 to be at most the margin
     radii = np.linspace(0.0, 1.2, 49)
     got = inverse_radial(lambda s: wave._bump_hat(dim, 8, 1.0, s), dim,
                          radii, 400.0, margin)
     want = np.clip(1.0 - radii ** 2, 0.0, None) ** 8
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r_max", [2.0, 40.0])
+def test_abel_projection_gaussian_closed_form(r_max):
+    # P_2(t) = 2 int_0^inf exp(-(t^2 + u^2) / 2) du = sqrt(2 pi) exp(-t^2 / 2),
+    # on a coarse t-grid (h = 0.5) and a fine one (h = 0.07)
+    h, hu, nt, u_count, _ = radial.inverse_radial_plan(
+        2, np.array([0.0, r_max]), 40.0, 8.5)
+    got = radial._line_projection(lambda s: np.exp(-0.5 * s ** 2), 2, h, hu,
+                                  nt, u_count)
+    want = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (h * np.arange(nt)) ** 2)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def test_abel_weights_match_mpmath():
+    # zeta(1/2 - p) as stored, and the correction weights
+    # A[i, m] = (-1)^m (1/2)_m / m! sum_r L[r, i] zeta(1/2 - r - m) of
+    # both stencils, L the inverse Vandermonde matrix, at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        zeta = [mpmath.zeta(mpmath.mpf(1) / 2 - p)
+                for p in range(len(radial._ZETA_HALF))]
+        assert [float(z) for z in zeta] == list(radial._ZETA_HALF)
+        for nodes, weights in (radial._ABEL_RULE, radial._ABEL_CHECK):
+            width, powers = weights.shape
+            inv = mpmath.matrix([[mpmath.mpf(int(i)) ** r
+                                  for r in range(width)] for i in nodes]) ** -1
+            want = np.array([[float(
+                (-1) ** m * mpmath.rf(0.5, m) / mpmath.factorial(m)
+                * mpmath.fsum(inv[r, i] * zeta[r + m] for r in range(width)))
+                for m in range(powers)] for i in range(width)])
+            assert np.abs(weights - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_abel_step_for_bump_is_pinned(abel_steps):
+    # the bump's transform oscillates once per 2 pi, on a t-step of 1.85
+    inverse_radial(lambda s: wave._bump_hat(2, 8, 1.0, s), 2,
+                   np.linspace(0.0, 1.2, 49), 400.0, 1.0)
+    assert abel_steps == [4]
+
+
+def test_abel_refinement_checked_against_budget():
+    # a jump in the symbol is never resolved, so q doubles until the
+    # next step's far-field sums pass the cap
+    step = lambda s: (s < 100.0).astype(float)
+    radii = np.linspace(0.0, 8.0, 64)
+    nt = radial.inverse_radial_plan(4, radii, 9000.0, 8.0)[2]
+    assert radial._abel_terms(nt, 1) <= radial.INVERSE_ABEL_BUDGET \
+        < radial._abel_terms(nt, 2)
+    with pytest.raises(BudgetError):
+        inverse_radial(step, 4, radii, 9000.0, 8.0)
 
 
 def _complex_line_walk(proj, h):
@@ -395,7 +446,7 @@ def test_inverse_radial_budget_checked_before_allocation():
     with pytest.raises(BudgetError):               # longest chirp past the cap
         inverse_radial(gauss, 3, np.linspace(0.0, 1.0, 2_500_000), 10.0,
                        8.0)
-    with pytest.raises(BudgetError):               # lattice terms, even d
+    with pytest.raises(BudgetError):               # Abel multiply-adds, even d
         inverse_radial(gauss, 4, np.linspace(0.0, 8.0, 64), 3e4, 8.0)
     with pytest.raises(DomainError):
         inverse_radial(gauss, 3, np.array([1.0, 0.5]), 10.0, 8.0)

@@ -219,12 +219,72 @@ def test_wave_kernel_matches_panel_oracle_sign_and_cutoff(dim):
 
 
 def test_wave_kernel_budget_checked_before_work():
-    # even d at scale 11 needs ~1e9 lattice terms; radii out to 1e6 need
-    # a t-grid far beyond the cap
-    with pytest.raises(BudgetError):
-        wave_kernel(11, 4)
+    # even d at scale 11 needs ~2e9 Abel multiply-adds, and nothing of its
+    # 62910-point t-line is allocated; radii out to 1e6 need a t-grid far
+    # beyond the cap
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            wave_kernel(11, 4)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+    finally:
+        tracemalloc.stop()
     with pytest.raises(BudgetError):
         wave_kernel(3, 3, radii=np.array([0.0, 1e6]))
+
+
+def _lattice_projection(symbol, dim, h, hu, nt, u_count):
+    """The (t, u) lattice route for P_d, kept as the oracle of the Abel rule.
+
+    In even d, P_2(t) = 2 int_0^inf m(sqrt(t^2 + u^2)) du by the trapezoid
+    rule in u on every t-row: nt * u_count symbol samples.
+    """
+    t = h * np.arange(nt)
+    if dim % 2:
+        proj = symbol(t)
+    else:
+        u = hu * np.arange(u_count)
+        wu = np.full(u_count, 2.0 * hu)
+        wu[0] = hu
+        proj = np.empty(nt, dtype=complex)
+        for lo in range(0, nt, 16):
+            tt = t[lo:lo + 16, None]
+            proj[lo:lo + 16] = symbol(np.sqrt(tt ** 2 + u ** 2)) @ wu
+    for _ in range((dim - 1) // 2):
+        proj = radial._walk(proj, h)
+    return proj
+
+
+def _matches_lattice(n, dim, monkeypatch):
+    radii = wave.decompose_radii(n)[2]
+    got = wave_kernel(n, dim, radii=radii).values
+    with monkeypatch.context() as m:
+        m.setattr(radial, "_line_projection", _lattice_projection)
+        want = wave_kernel(n, dim, radii=radii).values
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_wave_kernel_abel_matches_lattice(n, dim, monkeypatch):
+    # seen: at most 3.1e-13 of the peak
+    assert _matches_lattice(n, dim, monkeypatch) <= 1e-8
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [7, 8])
+def test_wave_kernel_abel_matches_lattice_large_scales(n, monkeypatch):
+    # seen: 6.2e-12 and 1.2e-12 of the peak; the lattice takes seconds
+    assert _matches_lattice(n, 4, monkeypatch) <= 1e-8
+
+
+def test_wave_kernel_abel_steps_are_pinned(abel_steps):
+    # the wave symbol is resolved on the t-grid from n = 4 on; at n = 3
+    # the cutoff's ramp, which leaves zero at |xi| = 1, takes a halved step
+    for n in range(3, 7):
+        wave_kernel(n, 4, radii=wave.decompose_radii(n)[2])
+    assert abel_steps == [2, 1, 1, 1]
 
 
 def test_wave_kernel_scale_budget():
