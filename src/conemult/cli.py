@@ -30,8 +30,8 @@ from .multipliers import (MAX_AXES, Axis, GammaFamily, GridField,
                           load_field, save_field)
 from .opnorm import estimate_lower, scaling_sweep_experiment
 from .util import CubicSpline1D
-from .wave import (MAX_WAVE_SCALE, SmoothingKernel, decompose_radii,
-                   decompose_range, shell_l1_ratios,
+from .wave import (MAX_SHELL_DIM, MAX_WAVE_SCALE, SmoothingKernel,
+                   decompose_radii, decompose_range, shell_l1_ratios,
                    shell_operator_lower_bound, wave_kernel_plan)
 
 # Caps on the scan grids (points): each order costs one transform ladder,
@@ -381,6 +381,9 @@ def run_wave_check(opts, outdir, seed):
 
 
 def run_sph_probe(opts, outdir, seed):
+    if not 2 <= opts["dim"] <= MAX_SHELL_DIM:
+        raise ConfigError(f"dim = {opts['dim']} outside the supported "
+                          f"2..{MAX_SHELL_DIM}")
     if opts["shells"] < 1:
         raise ConfigError(f"shells = {opts['shells']} must be at least 1")
     if not 1.0 <= opts["r_lo"] <= opts["r_hi"] < math.inf:

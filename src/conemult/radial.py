@@ -29,8 +29,8 @@ from .errors import BudgetError, DomainError
 from .report import read_float_columns
 from .util import CubicSpline1D, geometric_grid, next_pow2, panel_nodes
 
-# Elements per block of the array work below and in the wave module:
-# quadrature nodes, u-sum and cosine-sum terms.  Blocks this small keep
+# Elements per block of the array work below: near-origin u-sum terms,
+# cosine-sum terms and angular quadrature nodes.  Blocks this small keep
 # their temporaries under the allocator's mmap threshold, so they are reused
 # instead of mapped afresh; at 2^18 the page faults cost as much as the sums.
 _BLOCK = 1 << 12
@@ -437,16 +437,17 @@ def _abel_far(values, q, rows):
     return out
 
 
-def _abel_projection(symbol, h, hu, nt, u_count):
+def _abel_projection(symbol, h, nt):
     """P_2(k h) = 2 int_(kh)^inf m(s) s (s^2 - (kh)^2)^(-1/2) ds, k = 0..nt-1.
 
     The corrected trapezoid rule of ``_abel_table`` on the samples of
     ``_abel_samples``: one symbol sample per node, j / sqrt(j^2 - K^2) as
     far-field weights.  The rows t < _ABEL_REACH h/q, where the
     correction's nodes would cross s = 0, take the trapezoid sum
-    2 int_0^inf m(sqrt(t^2 + u^2)) du in steps ``hu`` over ``u_count``
-    points; that integrand is even, smooth and compactly supported in u,
-    so the sum is spectrally accurate.
+    2 int_0^inf m(sqrt(t^2 + u^2)) du in the t-step h over nt points;
+    that integrand is even, smooth and compactly supported in u, so the sum
+    is spectrally accurate, and its aliases lie at perpendicular distance
+    2 pi / h, as far out as those of the t-line.
     """
     q, samples = _abel_samples(symbol, h, nt)
     rows = _abel_rows(q, nt)
@@ -455,18 +456,18 @@ def _abel_projection(symbol, h, hu, nt, u_count):
     proj = np.empty(nt, dtype=complex)
     proj[rows] = 2.0 * h / q * (far.view(complex)[:, 0] - _abel_correction(
         samples, q, rows, _ABEL_RULE))
-    near = h * np.arange(nt - len(rows))
-    u = hu * np.arange(u_count)
-    wu = np.full(u_count, 2.0 * hu)
-    wu[0] = hu
-    block = max(1, _BLOCK // u_count)
+    u = h * np.arange(nt)
+    wu = np.full(nt, 2.0 * h)
+    wu[0] = h
+    near = u[:nt - len(rows)]
+    block = max(1, _BLOCK // nt)
     for lo in range(0, len(near), block):
         tt = near[lo:lo + block, None]
         proj[lo:lo + len(tt)] = symbol(np.sqrt(tt ** 2 + u ** 2)) @ wu
     return proj
 
 
-def _line_projection(symbol, dim, h, hu, nt, u_count):
+def _line_projection(symbol, dim, h, nt):
     """Samples P(k h), k = 0..nt-1, of the projection of symbol(|xi|) onto a line.
 
     P(t) = |S^(d-2)| int_0^inf m(sqrt(t^2 + u^2)) u^(d-2) du.  The walk
@@ -478,7 +479,7 @@ def _line_projection(symbol, dim, h, hu, nt, u_count):
     if dim % 2:
         proj = symbol(h * np.arange(nt))
     else:
-        proj = _abel_projection(symbol, h, hu, nt, u_count)
+        proj = _abel_projection(symbol, h, nt)
     for _ in range((dim - 1) // 2):
         proj = _walk(proj, h)
     return proj
@@ -509,16 +510,15 @@ def _chirp_sums(line, h, rho0, drho, count):
 def inverse_radial_plan(dim, radii, band, margin):
     """Grids of one ``inverse_radial`` call, checked against its budget.
 
-    Returns (h, hu, nt, u_count, runs): the t- and u-steps, the t-points,
-    the u-points of each near-origin row of the even-d Abel rule and the
-    uniform runs of ``radii``.  Raises DomainError for a dimension below 2
-    or radii that are not finite, nonnegative and strictly increasing, and
-    BudgetError past INVERSE_LINE_CAP t-points, an FFT longer than
-    INVERSE_FFT_CAP, INVERSE_TERM_BUDGET terms (symbol samples, u-sum terms
-    and direct cosine-sum terms) or, in even d, INVERSE_ABEL_BUDGET
-    multiply-adds of the Abel rule at its coarsest sample step (each finer
-    step is checked again before it is sampled); nothing larger than the
-    radii is allocated on the way.
+    Returns (h, nt, runs): the t-step, the t-points and the uniform runs of
+    ``radii``.  Raises DomainError for a dimension below 2 or radii that
+    are not finite, nonnegative and strictly increasing, and BudgetError
+    past INVERSE_LINE_CAP t-points, an FFT longer than INVERSE_FFT_CAP,
+    INVERSE_TERM_BUDGET terms (symbol samples, near-origin u-sum terms of
+    the even-d Abel rule and direct cosine-sum terms) or, in even d,
+    INVERSE_ABEL_BUDGET multiply-adds of the Abel rule at its coarsest
+    sample step (each finer step is checked again before it is sampled);
+    nothing larger than the radii is allocated on the way.
     """
     if dim != int(dim) or dim < 2:
         raise DomainError(f"ambient dimension must be an integer >= 2, "
@@ -528,9 +528,7 @@ def inverse_radial_plan(dim, radii, band, margin):
         raise DomainError("radii must be finite, nonnegative and strictly "
                           "increasing")
     h = 2.0 * np.pi / (2.0 * radii.max(initial=0.0) + margin)
-    hu = 2.0 * np.pi / margin
     nt = int(band / h) + 2
-    u_count = 1 if dim % 2 else int(band / hu) + 2
     runs = _uniform_runs(radii)
     direct = sum(stop - start for start, stop, step in runs if step is None)
     longest = max((stop - start for start, stop, step in runs
@@ -539,7 +537,7 @@ def inverse_radial_plan(dim, radii, band, margin):
     terms = nt * (1 + direct)
     abel = 0
     if dim % 2 == 0:
-        terms += _ABEL_REACH * u_count
+        terms += _ABEL_REACH * nt
         abel = _abel_terms(nt, 1)
     if nt > INVERSE_LINE_CAP or fft > INVERSE_FFT_CAP \
             or terms > INVERSE_TERM_BUDGET or abel > INVERSE_ABEL_BUDGET:
@@ -549,7 +547,7 @@ def inverse_radial_plan(dim, radii, band, margin):
             f"of {fft}, {terms:.3g} terms and {abel:.3g} Abel multiply-adds; "
             f"the caps are {INVERSE_LINE_CAP}, {INVERSE_FFT_CAP}, "
             f"{INVERSE_TERM_BUDGET:.3g} and {INVERSE_ABEL_BUDGET:.3g}")
-    return h, hu, nt, u_count, runs
+    return h, nt, runs
 
 
 def inverse_radial(symbol, dim, radii, band, margin):
@@ -563,19 +561,17 @@ def inverse_radial(symbol, dim, radii, band, margin):
     its step h = 2 pi / (2 max(radii) + margin) puts every alias of a
     requested radius at least ``margin`` past max(radii).  The symbol is
     sampled on the t-grid in odd d; in even d, at the step h/q of the Abel
-    rule, accurate to about 1e-13 of the line's scale, except on the few
-    near-origin rows, which sum across the line in the u-step 2 pi / margin
-    and alias at perpendicular distance ``margin``.  So a function
-    supported in |x| <= max(radii) + margin is exact up to the symbol's
-    tail past the band in odd d; in even d its support radius must also be
-    at most ``margin`` for those rows.  Uniform runs of radii are summed by
+    rule, accurate to about 1e-13 of the line's scale, and on the few
+    near-origin rows, which sum across the line in the step h.  So a
+    function supported in |x| <= max(radii) + margin is exact up to the
+    symbol's tail past the band.  Uniform runs of radii are summed by
     chirp-z, the rest directly; ``inverse_radial_plan`` checks the budget
     before any array is built.  Returns complex values.
     """
     radii = np.asarray(radii, dtype=float)
-    h, hu, nt, u_count, runs = inverse_radial_plan(dim, radii, band, margin)
+    h, nt, runs = inverse_radial_plan(dim, radii, band, margin)
     dim = int(dim)
-    proj = _line_projection(symbol, dim, h, hu, nt, u_count)
+    proj = _line_projection(symbol, dim, h, nt)
     pref = (2.0 * np.pi) ** (-dim) * h
     line = np.concatenate([proj[:0:-1], proj])
     t = h * np.arange(nt)
@@ -594,12 +590,14 @@ def inverse_radial(symbol, dim, radii, band, margin):
 
 
 # ---------------------------------------------------------------------------
-# spherical means in odd dimension from antiderivative tables
+# spherical means from tables of one inverse transform
 
 # Cells of the tables past the outer edge of the support, where f is zero.
 _TABLE_PAD = 8
-# Pairs per block of SphericalMeans evaluations.
+# Pairs per block of SphericalMeans evaluations from antiderivative tables.
 _PAIR_BLOCK = 1 << 12
+# Nodes of the angular window rule.
+_GL64 = np.polynomial.legendre.leggauss(64)
 
 
 def _antiderivative(g, step, odd):
@@ -626,34 +624,73 @@ def _antiderivative(g, step, odd):
     return anti - anti[0] + mean * step * np.arange(n)
 
 
+def _window_integral(g, lo, hi, dim, rho, s):
+    """int g(dist) sin^(d-2)(theta) dtheta over the window lo <= dist <= hi.
+
+    dist(theta) = |rho e_1 - s omega| = sqrt(rho^2 + s^2 - 2 rho s cos theta)
+    increases with theta, so the window is one interval and the rule is
+    64-node Gauss-Legendre on it.  rho and s broadcast; where rho s = 0 the
+    distance is constant and the window is [0, pi] or empty.
+    """
+    rho, s = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                 np.asarray(s, dtype=float))
+    sq = rho ** 2 + s ** 2
+    denom = 2.0 * rho * s
+    degenerate = denom <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # cos decreases in theta: dist = lo at the smaller angle
+        th_lo = np.arccos(np.clip(np.where(degenerate, 1.0,
+                                           (sq - lo ** 2) / denom), -1.0, 1.0))
+        th_hi = np.arccos(np.clip(np.where(degenerate, -1.0,
+                                           (sq - hi ** 2) / denom), -1.0, 1.0))
+    if np.any(degenerate):
+        const = np.sqrt(sq)
+        inside = (const >= lo) & (const <= hi)
+        th_hi = np.where(degenerate & ~inside, 0.0, th_hi)
+    xt, wt = _GL64
+    half = 0.5 * (th_hi - th_lo)
+    theta = th_lo[..., None] + half[..., None] * (xt + 1.0)
+    dist = np.sqrt(np.maximum(sq[..., None] - denom[..., None]
+                              * np.cos(theta), 0.0))
+    gv = np.asarray(g(dist.ravel()), dtype=float).reshape(dist.shape)
+    return np.sum(gv * np.sin(theta) ** (dim - 2) * (half[..., None] * wt),
+                  axis=-1)
+
+
 class SphericalMeans:
-    """Spherical means (f * sigma_r)(rho) of a radial f in odd dimension d >= 3.
+    """Spherical means (f * sigma_r)(rho) of a radial f in dimension d >= 2.
 
     f is the inverse transform of ``symbol(|xi|)`` (see ``inverse_radial``),
     zero for |x| < lo and |x| > hi, and sigma_r is the surface measure of
-    the sphere of radius r.  Polar coordinates about rho e_1, with the
-    distance s = |rho e_1 - r omega| as variable, give
+    the sphere of radius r.  Polar coordinates about rho e_1 give
+
+        (f * sigma_r)(rho) = |S^(d-2)| r^(d-1)
+            int_window f(|rho e_1 - r omega|) sin^(d-2)(theta) dtheta,
+
+    and with the distance s = |rho e_1 - r omega| as variable
 
         (f * sigma_r)(rho) = |S^(d-2)| r^(d-2) rho^-1 (2 rho r)^(3-d)
             int_|rho-r|^(rho+r) f(s) s [(s^2 - (rho-r)^2)((rho+r)^2 - s^2)]^((d-3)/2) ds.
 
-    In odd d the bracket is a polynomial of degree d - 3 in s^2, so every
-    value combines the antiderivatives A_j(x) = int_0^x s^(2j+1) f(s) ds,
-    j = 0..d-3, at the two ends of the window: O(1) per (r, rho) pair.
-    The tables hold A_j on the grid x_q = lo + q ``step`` from one inverse
-    transform of the symbol; between nodes they are read by cubic Hermite
-    interpolation with the exact slopes x^(2j+1) f(x).  At rho = 0 the
-    mean is |S^(d-1)| r^(d-1) f(r), with f(r) transformed directly.
+    Both read one table of f on the grid x_q = lo + q ``step``, from one
+    inverse transform of the symbol.  In odd d the bracket is a polynomial
+    of degree d - 3 in s^2, so every value combines the antiderivatives
+    A_j(x) = int_0^x s^(2j+1) f(s) ds, j = 0..d-3, at the two ends of the
+    window: O(1) per (r, rho) pair.  Their tables are read between nodes by
+    cubic Hermite interpolation with the exact slopes x^(2j+1) f(x).  In
+    even d the power is a half-integer, so the angular integral is taken by
+    ``_window_integral`` on the cubic spline of f.  At rho = 0 the mean is
+    |S^(d-1)| r^(d-1) f(r), with f(r) transformed directly.
     """
 
     def __init__(self, symbol, dim, support, step, band):
-        if dim != int(dim) or dim < 3 or dim % 2 == 0:
-            raise DomainError(f"spherical-mean tables need an odd dimension "
-                              f">= 3, got {dim}")
+        if dim != int(dim) or dim < 2:
+            raise DomainError(f"spherical means need an integer dimension "
+                              f">= 2, got {dim}")
         lo, hi = float(support[0]), float(support[1])
         if not (0.0 <= lo < hi < math.inf and step > 0):
             raise DomainError(f"invalid support ({lo}, {hi}) or step {step}")
-        self.dim, self.step, self.lo = int(dim), float(step), lo
+        self.dim, self.step, self.lo, self.hi = int(dim), float(step), lo, hi
         # any positive alias margin puts the aliases of the table radii
         # past hi, where f vanishes
         self.symbol, self.band, self.margin = symbol, band, hi - lo
@@ -663,17 +700,23 @@ class SphericalMeans:
                               f"the cap of {INVERSE_FFT_CAP}")
         x = lo + step * np.arange(count)
         self.values = inverse_radial(symbol, dim, x, band, self.margin).real
-        slope = x * self.values
-        self.slopes = np.empty((self.dim - 2, count))
-        self.tables = np.empty((self.dim - 2, count))
-        for j in range(self.dim - 2):
-            self.slopes[j] = slope
-            self.tables[j] = _antiderivative(slope, step, odd=lo == 0.0)
-            slope = slope * x ** 2
         self.top = x[-1]
+        if self.dim % 2:
+            slope = x * self.values
+            self.slopes = np.empty((self.dim - 2, count))
+            self.tables = np.empty((self.dim - 2, count))
+            for j in range(self.dim - 2):
+                self.slopes[j] = slope
+                self.tables[j] = _antiderivative(slope, step, odd=lo == 0.0)
+                slope = slope * x ** 2
+            self._means, self._block = self._table_means, _PAIR_BLOCK
+        else:
+            self.spline = CubicSpline1D(x, self.values)
+            self._means = self._window_means
+            self._block = _BLOCK // len(_GL64[0])
 
     def antiderivatives(self, x):
-        """A_j(x) for j = 0..d-3, shape (d - 2, len(x)); zero below lo."""
+        """A_j(x), j = 0..d-3, of odd d: shape (d - 2, len(x)), 0 below lo."""
         y = (np.clip(x, self.lo, self.top) - self.lo) / self.step
         i = np.minimum(y.astype(int), len(self.values) - 2)
         t = y - i
@@ -690,8 +733,8 @@ class SphericalMeans:
         shape = r.shape
         r, rho = r.ravel(), rho.ravel()
         out = np.empty(r.shape)
-        for lo in range(0, len(r), _PAIR_BLOCK):
-            sl = slice(lo, lo + _PAIR_BLOCK)
+        for lo in range(0, len(r), self._block):
+            sl = slice(lo, lo + self._block)
             out[sl] = self._means(r[sl], rho[sl])
         centre = rho == 0
         if np.any(centre):
@@ -705,7 +748,11 @@ class SphericalMeans:
             out[centre] = surface_area(self.dim) * rc ** (self.dim - 1) * f
         return out.reshape(shape)
 
-    def _means(self, r, rho):
+    def _window_means(self, r, rho):
+        return surface_area(self.dim - 1) * r ** (self.dim - 1) \
+            * _window_integral(self.spline, self.lo, self.hi, self.dim, rho, r)
+
+    def _table_means(self, r, rho):
         n = (self.dim - 3) // 2
         near, far = np.abs(rho - r), rho + r
         diff = self.antiderivatives(far) - self.antiderivatives(near)

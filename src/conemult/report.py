@@ -74,16 +74,12 @@ def write_run_meta(path, extra=None):
 
 
 def write_csv(path, header, rows):
-    """Plot-ready CSV: one observable per file, repr-formatted floats."""
+    """Plot-ready CSV: one observable per file, repr-formatted floats.
+
+    ``str`` of a Python float is its ``repr``, so cells are joined as ``str``.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(repr(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines.extend(",".join(map(str, row)) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

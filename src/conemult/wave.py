@@ -27,7 +27,9 @@ the shell superposition operator
 
     h  |-->  integral h(y, r) (sigma_r * psi)(. - y) dr dy
 
-from L^p(dy r^(d-1) dr) to L^p(R^d).
+from L^p(dy r^(d-1) dr) to L^p(R^d).  Every shell profile is a spherical
+mean of a radial function with a closed-form transform, read from tables
+of one inverse transform (``radial.SphericalMeans``) in every dimension.
 """
 
 import math
@@ -42,28 +44,24 @@ from .errors import BudgetError, DomainError
 from .lorentz import lorentz_quasinorm, LorentzParams
 from .multipliers import GridField, apply_multiplier, freq_magnitude
 from .opnorm import OpNormEstimate
-from .radial import (_BLOCK, RadialProfile, SphericalMeans, inverse_radial,
+from .radial import (RadialProfile, SphericalMeans, inverse_radial,
                      inverse_radial_plan, sphere_hat_values)
-from .util import CubicSpline1D
 
 _GL32 = np.polynomial.legendre.leggauss(32)
-_GL64 = np.polynomial.legendre.leggauss(64)
 
 MAX_WAVE_SCALE = 12
 MAX_SHELLS = 64
+# Largest dimension of the shell rows: doubling the band and halving the
+# table step and the t-step moves them by at most 5e-9 of their peak up to
+# d = 5 and by 3.6e-7 at d = 6.
+MAX_SHELL_DIM = 5
 # Radii of the shell profiles' grid: with MAX_SHELLS rows per spread the
 # basis then stays under 40 MiB a spread (r_hi up to about 680 at the
 # default radius0).
 MAX_RHO_POINTS = 1 << 16
 
-# The quadrature route: samples of the psi spline, samples of each spread
-# profile psi * u_a across its support (of width 4 r0 at most unless the
-# vanishing order is below 2), and nodes of its outer integral.
-_PSI_SAMPLES = 1025
-_SPREAD_SAMPLES = 257
-_SPREAD_NODES = 96
-# Cells per radius0 of the antiderivative tables (odd d): doubling the
-# cells moves the shell rows by about 1e-10 of their peak.
+# Cells per radius0 of the spherical-mean tables: doubling the cells moves
+# the shell rows by about 1e-10 of their peak in odd d, 5e-9 in even d.
 _TABLE_CELLS = 1024
 
 
@@ -136,7 +134,6 @@ class SmoothingKernel:
         if margin < 1e-6:
             raise DomainError(
                 f"bump transform margin {margin:.2e} < 1e-6 on the band")
-        self._psi_spline = None
 
     # -- frequency side -----------------------------------------------------
 
@@ -172,17 +169,6 @@ class SmoothingKernel:
         """Radius of the support of psi = psi0 * psi0."""
         return 2.0 * self.radius0
 
-    def psi_profile(self):
-        """Radial spline of psi = psi0 * psi0 (computed once, cached)."""
-        if self._psi_spline is None:
-            grid = np.linspace(0.0, self.support_radius, _PSI_SAMPLES)
-            vals = radial_convolution_values(
-                self.psi0_profile, (0.0, self.radius0),
-                self.psi0_profile, (0.0, self.radius0),
-                self.dim, grid)
-            self._psi_spline = CubicSpline1D(grid, vals)
-        return self._psi_spline
-
     def band(self):
         """Frequency past which |psi_hat(rho)| rho^d stays below 1e-16 of its peak.
 
@@ -213,101 +199,6 @@ class SmoothingKernel:
             raise DomainError("kernel transform does not decay in the scan range")
         rho_cut = rho[peak + beyond[0]]
         return float(np.pi / rho_cut)
-
-
-def _window_integral(g, lo, hi, dim, rho, s):
-    """int g(dist) sin^(d-2)(theta) dtheta over the window lo <= dist <= hi.
-
-    dist(theta) = |rho e_1 - s omega| = sqrt(rho^2 + s^2 - 2 rho s cos theta)
-    increases with theta, so the window is one interval and the rule is
-    64-node Gauss-Legendre on it.  rho and s broadcast; where rho s = 0 the
-    distance is constant and the window is [0, pi] or empty.
-    """
-    rho, s = np.broadcast_arrays(np.asarray(rho, dtype=float),
-                                 np.asarray(s, dtype=float))
-    sq = rho ** 2 + s ** 2
-    denom = 2.0 * rho * s
-    degenerate = denom <= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # cos decreases in theta: dist = lo at the smaller angle
-        th_lo = np.arccos(np.clip(np.where(degenerate, 1.0,
-                                           (sq - lo ** 2) / denom), -1.0, 1.0))
-        th_hi = np.arccos(np.clip(np.where(degenerate, -1.0,
-                                           (sq - hi ** 2) / denom), -1.0, 1.0))
-    if np.any(degenerate):
-        const = np.sqrt(sq)
-        inside = (const >= lo) & (const <= hi)
-        th_hi = np.where(degenerate & ~inside, 0.0, th_hi)
-    xt, wt = _GL64
-    half = 0.5 * (th_hi - th_lo)
-    theta = th_lo[..., None] + half[..., None] * (xt + 1.0)
-    dist = np.sqrt(np.maximum(sq[..., None] - denom[..., None]
-                              * np.cos(theta), 0.0))
-    gv = np.asarray(g(dist.ravel()), dtype=float).reshape(dist.shape)
-    return np.sum(gv * np.sin(theta) ** (dim - 2) * (half[..., None] * wt),
-                  axis=-1)
-
-
-def radial_convolution_values(f, f_support, g, g_support, dim, rho,
-                              s_nodes=48):
-    """(f * g)(rho) for radial f, g on R^dim.
-
-    Integrates s over the narrower of the two supports (convolution is
-    symmetric, and a narrow support resolves a cancelling profile with few
-    nodes) and the polar angle over the exact window where
-    |rho e_1 - s omega| lies in the other support:
-
-        (f*g)(rho) = |S^(d-2)| int f(s) s^(d-1)
-                     int_window g(dist(rho,s,theta)) sin^(d-2)(theta) dtheta ds.
-    """
-    if g_support[1] - g_support[0] < f_support[1] - f_support[0]:
-        f, f_support, g, g_support = g, g_support, f, f_support
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = np.zeros(rho.shape)
-    xs, ws = np.polynomial.legendre.leggauss(s_nodes)
-    s = 0.5 * (f_support[0] + f_support[1]) + 0.5 * (f_support[1] -
-                                                     f_support[0]) * xs
-    sw = 0.5 * (f_support[1] - f_support[0]) * ws
-    fs = np.asarray(f(s), dtype=float) * s ** (dim - 1) * sw
-    area = surface_area(dim - 1)
-    rows = max(1, _BLOCK // (s_nodes * len(_GL64[0])))
-    for lo in range(0, len(rho), rows):
-        inner = _window_integral(g, g_support[0], g_support[1], dim,
-                                 rho[lo:lo + rows, None], s)
-        out[lo:lo + rows] = area * inner @ fs
-    return out
-
-
-def spherical_mean_values(f, f_support, r, rho, dim):
-    """(f * sigma_r)(rho) for radial f supported in f_support on R^dim.
-
-    sigma_r is the surface measure of the sphere of radius r, so
-
-        (f * sigma_r)(rho) = r^(d-1) |S^(d-2)|
-                             int_window f(dist(rho,r,theta)) sin^(d-2)(theta) dtheta;
-
-    r and rho broadcast, and the pairs are taken in blocks of _BLOCK
-    quadrature nodes.
-    """
-    r, rho = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                 np.asarray(rho, dtype=float))
-    shape = r.shape
-    r, rho = r.ravel(), rho.ravel()
-    inner = np.empty(r.shape)
-    rows = max(1, _BLOCK // len(_GL64[0]))
-    for lo in range(0, len(r), rows):
-        inner[lo:lo + rows] = _window_integral(
-            f, f_support[0], f_support[1], dim, rho[lo:lo + rows],
-            r[lo:lo + rows])
-    return (r ** (dim - 1) * surface_area(dim - 1) * inner).reshape(shape)
-
-
-def shell_profile_values(kernel, r, rho):
-    """(psi * sigma_r)(rho): the smoothed shell, supported in |rho - r| <= 2 r0."""
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    return spherical_mean_values(kernel.psi_profile(),
-                                 (0.0, kernel.support_radius), r, rho,
-                                 kernel.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +421,11 @@ def _spread_support(kernel, a):
 
 
 def _spread_means(dim, kernel, a):
-    """Spherical means (v_a * sigma_r)(rho) of v_a = psi * u_a, odd d.
+    """Spherical means (v_a * sigma_r)(rho) of v_a = psi * u_a.
 
     v_a has the closed-form transform psi_hat times the K = 2 bump
-    transform of radius a, so its antiderivative tables come from one
-    inverse transform (``radial.SphericalMeans``), with
-    _TABLE_CELLS cells per radius0.
+    transform of radius a, so its tables come from one inverse transform
+    (``radial.SphericalMeans``), with _TABLE_CELLS cells per radius0.
     """
     def symbol(rho):
         return kernel.psi_hat(rho) * _bump_hat(dim, 2, a, rho)
@@ -543,32 +433,12 @@ def _spread_means(dim, kernel, a):
                           kernel.radius0 / _TABLE_CELLS, kernel.band())
 
 
-def _quadrature_spread_means(dim, kernel, a):
-    """Spherical means of v_a = psi * u_a by quadrature, any d.
-
-    v_a is splined on _SPREAD_SAMPLES points of its support; its outer
-    integral runs over the narrow support of psi, on _SPREAD_NODES nodes.
-    The psi spline and those nodes leave errors of up to 2.4e-3 of a row's
-    peak in d = 3 and 0.21 in d = 5, where the rows cancel more; this is
-    the even-d route until even d has closed-form tables.
-    """
-    w = kernel.support_radius
-    grid = np.linspace(*_spread_support(kernel, a), _SPREAD_SAMPLES)
-    v = CubicSpline1D(grid, radial_convolution_values(
-        kernel.psi_profile(), (0.0, w), _ball_bump(a), (0.0, a), dim,
-        grid, s_nodes=_SPREAD_NODES))
-    return lambda r, rho: spherical_mean_values(v, (grid[0], grid[-1]), r,
-                                                rho, dim)
-
-
 def _build_shell_basis(dim, r_grid, kernel, spread_radii):
     """Rows u_a * (psi * sigma_r) = (psi * u_a) * sigma_r on a global rho grid.
 
     By associativity one profile v_a = psi * u_a per spread serves every
-    shell: each row is the spherical mean of v_a, nonzero only where
-    |rho - r| <= a + w.  In odd d the means come from antiderivative
-    tables of v_a (``_spread_means``), in even d by quadrature
-    (``_quadrature_spread_means``).
+    shell: each row is the spherical mean of v_a (``_spread_means``),
+    nonzero only where |rho - r| <= a + w.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     w = kernel.support_radius
@@ -579,8 +449,7 @@ def _build_shell_basis(dim, r_grid, kernel, spread_radii):
                           f"{kernel.radius0 / 6.0:.3g} exceed the cap of "
                           f"{MAX_RHO_POINTS} radii")
     rho = np.arange(0.0, rho_max, kernel.radius0 / 6.0)
-    spread_means = _spread_means if dim % 2 else _quadrature_spread_means
-    means = {a: spread_means(dim, kernel, a) for a in spread_radii}
+    means = {a: _spread_means(dim, kernel, a) for a in spread_radii}
     profiles = {}
     for a in spread_radii:
         shell, k = np.nonzero(np.abs(rho - r_grid[:, None]) <= a + w)
@@ -658,18 +527,14 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel=None, budget=60,
 def shell_l1_ratios(dim, r_grid, kernel=None):
     """||psi * sigma_r||_1 r^-(d-1) over the shell grid (p = 1 diagnostics).
 
-    The shells come from closed-form tables of psi in odd d, by quadrature
-    in even d.
+    The shells psi * sigma_r are the spherical means of psi, from tables of
+    its closed-form transform (``radial.SphericalMeans``).
     """
     kernel = kernel or SmoothingKernel(dim)
     out = {}
     w = kernel.support_radius
-    if dim % 2:
-        shell = SphericalMeans(kernel.psi_hat, dim, (0.0, w),
-                               kernel.radius0 / _TABLE_CELLS, kernel.band())
-    else:
-        def shell(r, rho):
-            return shell_profile_values(kernel, r, rho)
+    shell = SphericalMeans(kernel.psi_hat, dim, (0.0, w),
+                           kernel.radius0 / _TABLE_CELLS, kernel.band())
     for r in np.asarray(r_grid, dtype=float):
         window = np.linspace(max(r - w, 0.0), r + w, 513)
         vals = shell(r, window)

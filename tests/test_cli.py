@@ -206,10 +206,19 @@ def test_wave_check_budget_checked_before_any_scale(tmp_path, capsys,
     ["--shells", "0"],
     ["--radius0", "0"],
     ["--vanishing-order", "-1"],
+    ["--dim", "1"],
+    ["--dim", "6"],
 ])
 def test_sph_probe_bad_input_exits_2(tmp_path, capsys, args):
     assert run_cli(["sph-probe", "--out", str(tmp_path / "s"), *args]) == 2
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("dim", ["2", "5"])
+def test_sph_probe_dimension_range_ends_run(tmp_path, dim):
+    # the documented dimensions 2..5, at both ends
+    assert run_cli(["sph-probe", "--out", str(tmp_path / "s"), "--dim", dim,
+                    "--shells", "2", "--r-hi", "2", "--budget", "3"]) == 0
 
 
 def test_sph_probe_oversized_radius_grid_exits_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 import warnings
@@ -88,3 +89,35 @@ def test_header_only_file_reads_no_rows_and_no_warning(tmp_path, text):
         warnings.simplefilter("error")
         value, weight = report.read_float_columns(path, ("value", "weight"))
     assert value.shape == weight.shape == (0,)
+
+
+def _loop_csv_text(header, rows):
+    """The per-cell loop ``write_csv`` used to run, kept as its oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, float):
+                cells.append(repr(cell))
+            else:
+                cells.append(str(cell))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_CSV_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     1e16, 0.1]),
+    st.integers(), st.booleans(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=6))
+def test_write_csv_equals_the_per_cell_loop(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        report.write_csv(path, ["r", "value"], rows)
+        with open(path, newline="") as fh:
+            assert fh.read() == _loop_csv_text(["r", "value"], rows)

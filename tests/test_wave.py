@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -9,12 +10,11 @@ from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.bumps import band_cutoff
 from conemult.errors import BudgetError, DomainError
 from conemult.multipliers import Axis, GridField
-from conemult.radial import RadialProfile, radial_transform
+from conemult.radial import RadialProfile, SphericalMeans, radial_transform
 from conemult.util import CubicSpline1D, panel_nodes
 from conemult.wave import (SmoothingKernel, decompose, decompose_range,
-                           radial_convolution_values, shell_convolve,
-                           shell_l1_ratios, shell_operator_lower_bound,
-                           shell_profile_values, wave_kernel)
+                           shell_convolve, shell_l1_ratios,
+                           shell_operator_lower_bound, wave_kernel)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,125 @@ def kernel2():
 @pytest.fixture(scope="module")
 def kernel3():
     return SmoothingKernel(3)
+
+
+def _psi_means(kernel):
+    """Spherical means psi * sigma_r of the table route, as ``shell_l1_ratios``
+    takes them."""
+    return SphericalMeans(kernel.psi_hat, kernel.dim,
+                          (0.0, kernel.support_radius),
+                          kernel.radius0 / wave._TABLE_CELLS, kernel.band())
+
+
+# ---------------------------------------------------------------------------
+# the quadrature route of the shell rows, kept as the oracle of the table
+# route: psi splined from a quadrature of psi0 * psi0, each v_a = psi * u_a
+# splined from a quadrature of psi * u_a, and spherical means by the
+# angular window rule
+
+# Samples of the psi spline, samples of each spread profile psi * u_a across
+# its support (of width 4 r0 at most unless the vanishing order is below
+# 2), and nodes of its outer integral.
+_PSI_SAMPLES = 1025
+_SPREAD_SAMPLES = 257
+_SPREAD_NODES = 96
+
+
+def radial_convolution_values(f, f_support, g, g_support, dim, rho,
+                              s_nodes=48):
+    """(f * g)(rho) for radial f, g on R^dim.
+
+    Integrates s over the narrower of the two supports (convolution is
+    symmetric, and a narrow support resolves a cancelling profile with few
+    nodes) and the polar angle over the exact window where
+    |rho e_1 - s omega| lies in the other support:
+
+        (f*g)(rho) = |S^(d-2)| int f(s) s^(d-1)
+                     int_window g(dist(rho,s,theta)) sin^(d-2)(theta) dtheta ds.
+    """
+    if g_support[1] - g_support[0] < f_support[1] - f_support[0]:
+        f, f_support, g, g_support = g, g_support, f, f_support
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    out = np.zeros(rho.shape)
+    xs, ws = np.polynomial.legendre.leggauss(s_nodes)
+    s = 0.5 * (f_support[0] + f_support[1]) + 0.5 * (f_support[1] -
+                                                     f_support[0]) * xs
+    sw = 0.5 * (f_support[1] - f_support[0]) * ws
+    fs = np.asarray(f(s), dtype=float) * s ** (dim - 1) * sw
+    area = surface_area(dim - 1)
+    rows = max(1, radial._BLOCK // (s_nodes * len(radial._GL64[0])))
+    for lo in range(0, len(rho), rows):
+        inner = radial._window_integral(g, g_support[0], g_support[1], dim,
+                                        rho[lo:lo + rows, None], s)
+        out[lo:lo + rows] = area * inner @ fs
+    return out
+
+
+def spherical_mean_values(f, f_support, r, rho, dim):
+    """(f * sigma_r)(rho) for radial f supported in f_support on R^dim.
+
+    sigma_r is the surface measure of the sphere of radius r, so
+
+        (f * sigma_r)(rho) = r^(d-1) |S^(d-2)|
+                             int_window f(dist(rho,r,theta)) sin^(d-2)(theta) dtheta;
+
+    r and rho broadcast.
+    """
+    r, rho = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(rho, dtype=float))
+    shape = r.shape
+    r, rho = r.ravel(), rho.ravel()
+    inner = np.empty(r.shape)
+    rows = max(1, radial._BLOCK // len(radial._GL64[0]))
+    for lo in range(0, len(r), rows):
+        inner[lo:lo + rows] = radial._window_integral(
+            f, f_support[0], f_support[1], dim, rho[lo:lo + rows],
+            r[lo:lo + rows])
+    return (r ** (dim - 1) * surface_area(dim - 1) * inner).reshape(shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_spline(dim, radius0, vanishing_order, bump_degree, samples):
+    kernel = SmoothingKernel(dim, radius0, vanishing_order, bump_degree)
+    grid = np.linspace(0.0, kernel.support_radius, samples)
+    vals = radial_convolution_values(
+        kernel.psi0_profile, (0.0, kernel.radius0),
+        kernel.psi0_profile, (0.0, kernel.radius0), dim, grid)
+    return CubicSpline1D(grid, vals)
+
+
+def _psi_profile(kernel, samples=_PSI_SAMPLES):
+    """Radial spline of psi = psi0 * psi0 by quadrature (cached per kernel)."""
+    return _psi_spline(kernel.dim, kernel.radius0, kernel.vanishing_order,
+                       kernel.bump_degree, samples)
+
+
+def shell_profile_values(kernel, r, rho):
+    """(psi * sigma_r)(rho): the smoothed shell, supported in |rho - r| <= 2 r0."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    return spherical_mean_values(_psi_profile(kernel),
+                                 (0.0, kernel.support_radius), r, rho,
+                                 kernel.dim)
+
+
+def _quadrature_spread_means(dim, kernel, a, psi_samples=_PSI_SAMPLES,
+                             spread_samples=_SPREAD_SAMPLES,
+                             spread_nodes=_SPREAD_NODES):
+    """Spherical means of v_a = psi * u_a by quadrature, any d.
+
+    v_a is splined on ``spread_samples`` points of its support; its outer
+    integral runs over the narrow support of psi, on ``spread_nodes``
+    nodes.  At the defaults, the psi spline and those nodes leave errors of
+    up to 7.1e-4 of a row's peak in d = 2, 2.4e-3 in d = 3, 1.8e-3 in
+    d = 4 and 0.21 in d = 5, where the rows cancel more.
+    """
+    w = kernel.support_radius
+    grid = np.linspace(*wave._spread_support(kernel, a), spread_samples)
+    v = CubicSpline1D(grid, radial_convolution_values(
+        _psi_profile(kernel, psi_samples), (0.0, w), wave._ball_bump(a),
+        (0.0, a), dim, grid, s_nodes=spread_nodes))
+    return lambda r, rho: spherical_mean_values(v, (grid[0], grid[-1]), r,
+                                                rho, dim)
 
 
 def test_kernel_transform_closed_form_vs_quadrature(kernel3):
@@ -44,7 +163,7 @@ def test_kernel_transform_closed_form_vs_quadrature(kernel3):
 
 def test_kernel_spatial_profile_consistent_with_transform(kernel2):
     # forward transform of the self-convolution profile vs psi0_hat^2
-    psi = kernel2.psi_profile()
+    psi = _psi_profile(kernel2)
     rho = np.array([0.0, 2.0, 10.0, 25.0])
     quad = radial_transform(lambda r: psi(r), 2, radii=rho,
                             support=(0.0, kernel2.support_radius))
@@ -234,23 +353,22 @@ def test_wave_kernel_budget_checked_before_work():
         wave_kernel(3, 3, radii=np.array([0.0, 1e6]))
 
 
-def _lattice_projection(symbol, dim, h, hu, nt, u_count):
+def _lattice_projection(symbol, dim, h, nt):
     """The (t, u) lattice route for P_d, kept as the oracle of the Abel rule.
 
     In even d, P_2(t) = 2 int_0^inf m(sqrt(t^2 + u^2)) du by the trapezoid
-    rule in u on every t-row: nt * u_count symbol samples.
+    rule in u, in the t-step h, on every t-row: nt * nt symbol samples.
     """
     t = h * np.arange(nt)
     if dim % 2:
         proj = symbol(t)
     else:
-        u = hu * np.arange(u_count)
-        wu = np.full(u_count, 2.0 * hu)
-        wu[0] = hu
+        wu = np.full(nt, 2.0 * h)
+        wu[0] = h
         proj = np.empty(nt, dtype=complex)
         for lo in range(0, nt, 16):
             tt = t[lo:lo + 16, None]
-            proj[lo:lo + 16] = symbol(np.sqrt(tt ** 2 + u ** 2)) @ wu
+            proj[lo:lo + 16] = symbol(np.sqrt(tt ** 2 + t ** 2)) @ wu
     for _ in range((dim - 1) // 2):
         proj = radial._walk(proj, h)
     return proj
@@ -312,7 +430,7 @@ def test_decompose_range_uniform_l1_and_decay_small():
 
 def test_shell_profile_support_and_cancellation(kernel2):
     rr = np.linspace(0.2, 2.0, 600)
-    vals = shell_profile_values(kernel2, 1.0, rr)
+    vals = _psi_means(kernel2)(1.0, rr)
     w = kernel2.support_radius
     outside = (rr < 1.0 - w - 1e-6) | (rr > 1.0 + w + 1e-6)
     assert np.max(np.abs(vals[outside])) <= 1e-12 * np.abs(vals).max()
@@ -359,12 +477,13 @@ def test_shell_convolve_frequency_vs_spatial_route(kernel2):
     g = GridField(axes, vals)
     x = axes[0].space_coords()
     X, Y = np.meshgrid(x, x, indexing="ij")
+    shell = _psi_means(kernel2)
     for r in (0.7, 1.0, 1.3):
         out = shell_convolve(g, r, kernel2)
         lo = r - kernel2.support_radius - 0.02
         hi = r + kernel2.support_radius + 0.02
         fine = np.linspace(max(lo, 0.0), hi, 4001)
-        spl = CubicSpline1D(fine, shell_profile_values(kernel2, r, fine))
+        spl = CubicSpline1D(fine, shell(r, fine))
         oracle = np.zeros((256, 256), complex)
         for (i, j) in pts:
             dist = np.hypot(X - x[i], Y - x[j])
@@ -568,7 +687,7 @@ def test_spherical_mean_dim3_closed_form():
     anti = (poly * np.polynomial.Polynomial([0.0, 1.0])).integ()
     r = np.array([0.5, 1.0, 3.0])[:, None]
     rho = np.linspace(0.0, 4.5, 301)[None, :]
-    got = wave.spherical_mean_values(f, (lo, hi), r, rho, 3)
+    got = spherical_mean_values(f, (lo, hi), r, rho, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.clip(np.abs(rho - r), lo, hi)
         b = np.clip(rho + r, lo, hi)
@@ -582,7 +701,7 @@ def test_radial_convolution_argument_order_agrees(kernel3):
     # psi * u_a with either argument first: the outer integral runs over the
     # narrow support of psi, which resolves the cancellation of psi
     d, w = 3, kernel3.support_radius
-    psi = kernel3.psi_profile()
+    psi = _psi_profile(kernel3)
     for a in (0.05, 1.0):
         grid = np.linspace(max(a - w, 0.0), a + w, 65)
         u = wave._ball_bump(a)
@@ -608,12 +727,12 @@ def test_shell_basis_without_vanishing_moments():
 
 
 # ---------------------------------------------------------------------------
-# shell rows from closed-form symbols (odd d), against the quadrature route
+# shell rows from closed-form symbols, against the quadrature route
 
 
-def _quadrature_rows(dim, r_grid, kernel, a, rho):
+def _quadrature_rows(dim, r_grid, kernel, a, rho, **nodes):
     """Rows of the basis by the quadrature route, on the basis's pairs."""
-    means = wave._quadrature_spread_means(dim, kernel, a)
+    means = _quadrature_spread_means(dim, kernel, a, **nodes)
     shell, k = np.nonzero(np.abs(rho - r_grid[:, None])
                           <= a + kernel.support_radius)
     rows = np.zeros((len(r_grid), len(rho)))
@@ -622,7 +741,7 @@ def _quadrature_rows(dim, r_grid, kernel, a, rho):
 
 
 def _refine_closed_form(monkeypatch):
-    """Double the band, halve the table step and the t-step of the odd-d route."""
+    """Double the band, halve the table step and the t-step of the tables."""
     band = SmoothingKernel.band
     monkeypatch.setattr(SmoothingKernel, "band",
                         lambda self: 2.0 * band(self))
@@ -648,24 +767,37 @@ def test_closed_form_rows_match_quadrature_route_dim3(kernel3, a):
     assert _peak_error(basis.profiles[a], oracle) <= 5e-3
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("a", [0.25, 1.0])
+def test_window_rows_match_quadrature_route_even_dim(dim, a):
+    # in even d the rows come from the window rule on the spline of one
+    # table; the quadrature route at its own nodes is off by up to 1.8e-3
+    # of a row's peak (d = 4, a = 1) and 7.1e-4 (d = 2), the table route by
+    # at most 7e-7 (its 64 angular nodes against 256)
+    kernel = SmoothingKernel(dim)
+    r_grid = np.array([1.0, 4.0, 16.0])
+    basis = wave._build_shell_basis(dim, r_grid, kernel, (a,))
+    oracle = _quadrature_rows(dim, r_grid, kernel, a, basis.rho)
+    assert _peak_error(basis.profiles[a], oracle) <= 5e-3
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("a", [0.25, 1.0])
-def test_closed_form_rows_match_refined_quadrature_route_dim5(monkeypatch, a):
+def test_closed_form_rows_match_refined_quadrature_route_dim5(a):
     # in d = 5 the rows cancel more: at its own nodes the quadrature route
     # is off by up to 0.21 of a row's peak (a = 1, r = 16), so the oracle
     # is that route with a 4097-point psi, 192 outer nodes and 1025 samples
     # of v_a, which brings it within 6.1e-4
-    for name, value in (("_PSI_SAMPLES", 4097), ("_SPREAD_NODES", 192),
-                        ("_SPREAD_SAMPLES", 1025)):
-        monkeypatch.setattr(wave, name, value)
     kernel = SmoothingKernel(5)
     r_grid = np.array([1.0, 4.0, 16.0])
     basis = wave._build_shell_basis(5, r_grid, kernel, (a,))
-    oracle = _quadrature_rows(5, r_grid, kernel, a, basis.rho)
+    oracle = _quadrature_rows(5, r_grid, kernel, a, basis.rho,
+                              psi_samples=4097, spread_nodes=192,
+                              spread_samples=1025)
     assert _peak_error(basis.profiles[a], oracle) <= 5e-3
 
 
-@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_closed_form_rows_converged(monkeypatch, dim):
     kernel = SmoothingKernel(dim)
     r_grid = np.array([1.0, 4.0, 16.0])
@@ -677,7 +809,7 @@ def test_closed_form_rows_converged(monkeypatch, dim):
         assert _peak_error(basis.profiles[a], fine.profiles[a]) <= 1e-7, a
 
 
-@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_closed_form_rho_zero_row_is_its_limit(dim):
     # (v_a * sigma_r)(0) = |S^(d-1)| r^(d-1) v_a(r); v_a(r) here from a
     # direct transform on a coarser t-grid than the route's
@@ -794,10 +926,12 @@ def test_closed_form_spread_profile_matches_exact_convolution(kernel3, a):
     assert np.abs(exact).min() >= 1e-3 * peak
 
 
-# Default d = 3 sph-probe bounds from a run with twice the band, half the
-# table step and half the t-step of the closed-form route.
+# Default sph-probe bounds (d = 3, and d = 4 for the window rule of even d)
+# from a run with twice the band, half the table step and half the t-step of
+# the table route.
 _PINNED_BOUNDS = {(): 1.108153554268738e-06,
-                  ("--shells", "64", "--r-hi", "16"): 1.0814941629162192e-06}
+                  ("--shells", "64", "--r-hi", "16"): 1.0814941629162192e-06,
+                  ("--dim", "4"): 1.614006361775632e-07}
 
 
 @pytest.mark.parametrize("args", list(_PINNED_BOUNDS))
