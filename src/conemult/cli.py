@@ -24,10 +24,10 @@ from .characterize import (fourier_side_quantity, kernel_side_quantity,
 from .config import effective_text, load_config, resolve
 from .errors import BudgetError, ConfigError, DomainError
 from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
-from .multipliers import (MAX_AXES, Axis, GammaFamily, GridField,
-                          build_dyadic_cone_multiplier, apply_multiplier,
-                          check_wraparound, export_field_csv, freq_magnitude,
-                          load_field, save_field)
+from .multipliers import (CSV_MAX_CELLS, MAX_AXES, Axis, GammaFamily,
+                          GridField, build_dyadic_cone_multiplier,
+                          apply_multiplier, check_wraparound, export_field_csv,
+                          field_symbol, freq_magnitude, load_field, save_field)
 from .opnorm import estimate_lower, scaling_sweep_experiment
 from .util import CubicSpline1D
 from .wave import (MAX_SHELL_DIM, MAX_WAVE_SCALE, SmoothingKernel,
@@ -232,7 +232,7 @@ DEFAULTS = {
         "extent": (16.0, float),
         "resolution": (32, int),
         "wrap_threshold": (1e-6, float),
-        "csv_limit": (65536, int),
+        "csv_limit": (CSV_MAX_CELLS, int),
     },
 }
 
@@ -428,10 +428,12 @@ def run_opnorm(opts, outdir, seed):
 
 
 def run_apply(opts, outdir, seed):
+    if not 0 <= opts["csv_limit"] <= CSV_MAX_CELLS:
+        raise ConfigError(f"csv_limit = {opts['csv_limit']} is outside "
+                          f"0..{CSV_MAX_CELLS} cells")
     axes = build_axes(opts["extent"], opts["resolution"], opts["ndim"])
     f = input_field(opts["input"], axes)
-    if not f.same_grid(GridField(axes, np.zeros([a.resolution for a in axes],
-                                                complex))):
+    if f.axes != axes:
         raise ConfigError("input field grid does not match requested axes")
     mult = grid_multiplier(opts["multiplier"], axes)
     wrap = check_wraparound(f, opts["wrap_threshold"])
@@ -440,8 +442,7 @@ def run_apply(opts, outdir, seed):
     save_field(out, out_path)
     if out.values.size <= opts["csv_limit"]:
         export_field_csv(out, os.path.join(outdir, "output_field.csv"))
-    sym = mult.values if isinstance(mult, GridField) else mult.grid.values
-    sym_max = float(np.abs(sym).max())
+    sym_max = float(np.abs(field_symbol(mult, axes)).max())
     in_l2 = f.l2_norm()
     out_l2 = out.l2_norm()
     summary = {

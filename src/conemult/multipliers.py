@@ -19,6 +19,8 @@ from .util import CubicSpline1D
 
 _MAGIC = b"CMF1"
 MAX_AXES = 4
+# cap on the cells of a CSV export: one text row per cell
+CSV_MAX_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,6 @@ class GridField:
     def cell_volume(self):
         return float(np.prod([ax.step for ax in self.axes]))
 
-    def same_grid(self, other):
-        return all(a.extent == b.extent and a.resolution == b.resolution
-                   for a, b in zip(self.axes, other.axes)) \
-            and self.ndim == other.ndim
-
     def l2_norm(self):
         return float(np.linalg.norm(self.values.ravel())) * self.cell_volume() ** 0.5
 
@@ -87,12 +84,6 @@ class GridField:
 def freq_magnitude(axes):
     """|xi| over the grid spanned by ``axes`` (FFT order per axis)."""
     coords = np.meshgrid(*[ax.freq_coords() for ax in axes],
-                         indexing="ij", sparse=True)
-    return np.sqrt(sum(c ** 2 for c in coords))
-
-
-def space_magnitude(axes):
-    coords = np.meshgrid(*[ax.space_coords() for ax in axes],
                          indexing="ij", sparse=True)
     return np.sqrt(sum(c ** 2 for c in coords))
 
@@ -365,7 +356,7 @@ def load_field(path):
                      rep="frequency" if rep else "space")
 
 
-def export_field_csv(f, path, max_cells=65536):
+def export_field_csv(f, path, max_cells=CSV_MAX_CELLS):
     """Plot-ready CSV (one row per cell, C order) for small grids.
 
     The rows are those of a ``csv.writer``: ``repr`` of each float,

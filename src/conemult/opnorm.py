@@ -25,14 +25,6 @@ FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
 
 
-def grid_norms(f, p, nu=None):
-    """(||f||_p, ||f||_{p,nu}) with cell-volume weights; nu=None skips the second."""
-    lp = _lp_norm(np.abs(f.values).ravel(), f.cell_volume(), p)
-    if lp == 0.0:
-        return 0.0, 0.0
-    return lp, None if nu is None else grid_lorentz_norm(f, p, nu)
-
-
 def _lp_norm(mags, cell_volume, p):
     """||f||_p from the raveled |f| ``mags``, which it overwrites."""
     if not np.any(mags > 0):
@@ -51,14 +43,6 @@ def _grid_samples(mags, cell_volume):
     return WeightedSampleSet.of_magnitudes(mags, cell_volume)
 
 
-def grid_lorentz_norm(f, p, nu):
-    """||f||_{p,nu} with cell-volume weights."""
-    samples = _grid_samples(np.abs(f.values).ravel(), f.cell_volume())
-    if samples is None:
-        return 0.0
-    return lorentz_quasinorm(samples, LorentzParams(p, nu))
-
-
 # relative slack of the majorant test; it covers the rounding of the cumsum
 # and the powers in the two quasi-norms it compares
 _MAJORANT_SLACK = 1e-9
@@ -67,25 +51,24 @@ _MAJORANT_SLACK = 1e-9
 def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
     """(||f||_p, ||T f||_{p,nu}) for the witness f of ``spec``.
 
-    A multiplier field T, or the ``_Workspace`` of one, is applied to f's
-    spectrum (``witness_input``) in the workspace's memory; any other
-    operator is called on f in space (``build_witness``).
+    ||f||_p and f's form F come from ``witness_input``, f's one definition.
+    A multiplier field T, or the ``_Workspace`` of one, is applied to F in
+    the workspace's memory; any other operator is called on f in space:
+    F itself for a radial focus, F's inverse DFT for every other family.
     T is not applied when ||f||_p vanishes; the second entry is then None.
     It is None as well when the ratio cannot exceed ``beat > 0``: the norm
     of the rounded-up majorant of |T f| (``lorentz.rounded_up``) bounds
     ||T f||_{p,nu} from above and is checked before the exact rearrangement.
     """
     work = _Workspace.of(operator, axes)
+    denom, f = witness_input(spec, axes, p, work)
+    if denom == 0.0:
+        return 0.0, None
     if work is not None:
-        denom, f = witness_input(spec, axes, p, work)
-        if denom == 0.0:
-            return 0.0, None
         samples, keys = work.apply(f), work.keys
     else:
-        f = build_witness(spec, axes)
-        denom, _ = grid_norms(f, p)
-        if denom == 0.0:
-            return 0.0, None
+        if f.rep == "frequency":
+            f = GridField(axes, np.fft.ifftn(f.values))
         tf = operator(f)
         samples = _grid_samples(np.abs(tf.values).ravel(), tf.cell_volume())
         keys = None
@@ -106,7 +89,9 @@ class _Workspace:
     complex grid buffer for the witness's spectrum and T f, and one float64
     grid buffer for |f| and |T f|.  The majorant's int64 bin keys go into
     the complex buffer, which is free once |T f| is taken.  Without a
-    multiplier it holds the buffers alone.
+    multiplier it holds the buffers alone: ``witness_input`` builds one
+    such per witness for an operator given as a function, and drops it
+    with that witness.
     """
 
     def __init__(self, axes, multiplier=None):
@@ -207,18 +192,10 @@ def default_eta(x_sq):
     return np.exp(-0.5 * x_sq)
 
 
-def _space_radius_sq(axes, center=None, scale=1.0):
+def _space_radius_sq(axes):
     coords = np.meshgrid(*[ax.space_coords() for ax in axes],
                          indexing="ij", sparse=True)
-    if center is None:
-        center = [0.0] * len(axes)
-    return sum(((c - c0) * scale) ** 2 for c, c0 in zip(coords, center))
-
-
-def _modulation(axes, freqs):
-    """exp(i freqs . x) on the grid, as a product of per-axis factors."""
-    return _outer([np.exp(1j * (w * ax.space_coords()))
-                   for w, ax in zip(freqs, axes)])
+    return sum(c ** 2 for c in coords)
 
 
 def _outer(factors, out=None):
@@ -231,33 +208,6 @@ def _outer(factors, out=None):
         return out
     return np.multiply(functools.reduce(np.multiply, grids[:-1]), grids[-1],
                        out=out)
-
-
-def build_witness(spec, axes):
-    """Materialize a witness field from its recorded parameters."""
-    family = spec["family"]
-    prm = spec["params"]
-    if family == "dilated_bump":
-        vals = default_eta(_space_radius_sq(axes, prm.get("center"),
-                                            prm["t"])).astype(complex)
-        if prm.get("freqs"):
-            vals = vals * _modulation(axes, prm["freqs"])
-        return GridField(axes, vals)
-    if family == "random_superposition":
-        vals = np.zeros([ax.resolution for ax in axes], dtype=complex)
-        for piece in prm["pieces"]:
-            bump = default_eta(_space_radius_sq(axes, piece["center"],
-                                                piece["t"]))
-            vals += (piece["coef_re"] + 1j * piece["coef_im"]) * bump \
-                * _modulation(axes, piece["freqs"])
-        return GridField(axes, vals)
-    if family == "radial_focus":
-        rad = np.sqrt(_space_radius_sq(axes))
-        vals = np.exp(-0.5 * ((rad - prm["a"]) / prm["s"]) ** 2).astype(complex)
-        return GridField(axes, vals)
-    if family == "annulus_knapp":
-        return GridField(axes, np.fft.ifftn(_knapp_window(axes, prm)))
-    raise DomainError(f"unknown witness family {spec['family']!r}")
 
 
 def _knapp_window(axes, prm):
@@ -304,7 +254,7 @@ def _separable_lp_norm(factors, cell_volume, p):
 
 
 def witness_input(spec, axes, p, work=None):
-    """(||f||_p, F) for the witness f of ``spec``, F ready for a multiplier.
+    """(||f||_p, F) for the witness f of ``spec``: each family's one definition.
 
     F is f's forward DFT, in frequency form, where that is cheaper than f:
     a dilated bump and each piece of a superposition are outer products of
@@ -313,7 +263,8 @@ def witness_input(spec, axes, p, work=None):
     bump is taken from per-axis sums, so no full-grid space values are
     built for it.  F's values are the complex buffer of ``work`` (a
     ``_Workspace``, or new arrays when None), whose float buffer holds the
-    |f| a norm is taken of.
+    |f| a norm is taken of.  An operator that is not a multiplier field
+    receives f in space, F's inverse DFT (``_witness_norms``).
     """
     work = work or _Workspace(axes)
     out, mags = work.spectrum, work.magnitude.reshape(-1)
@@ -345,7 +296,7 @@ def witness_input(spec, axes, p, work=None):
         denom = _lp_norm(np.abs(space.reshape(-1), out=mags), vol, p)
         return denom, GridField(axes, out, rep="frequency")
     if family == "radial_focus":
-        # build_witness's exp(-((|x| - a) / s)^2 / 2), step by step in place
+        # exp(-((|x| - a) / s)^2 / 2), step by step in place
         rad = np.sqrt(_space_radius_sq(axes), out=work.magnitude)
         rad -= prm["a"]
         rad /= prm["s"]
@@ -465,7 +416,8 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
     ``operator`` is a multiplier field (a GridField in frequency form or a
     ConeMultiplierField), applied through each witness's spectrum, or any
     map GridField -> GridField, linear on the grid, called on the witness
-    in space.
+    in space.  Either way every witness comes from its one definition in
+    ``witness_input``.
     Each step proposes one witness.  A witness whose norm vanishes, or
     that was proposed before, is skipped without an operator call; one
     whose rounded-up majorant shows that its ratio cannot beat the best so
@@ -529,13 +481,13 @@ def dilation_identity_gap(axes, p, t):
     """|t^{d/p} ||eta(t.)||_p - ||eta||_p| / ||eta||_p on the grid.
 
     Zero on the continuum; the discrete version measures grid adequacy.
+    Both norms are those the search takes of a dilated bump: per-axis sums
+    of eta(t x_k) (``_separable_lp_norm``).
     """
     d = len(axes)
-    f1 = GridField(axes, default_eta(_space_radius_sq(axes)).astype(complex))
-    ft = GridField(axes, default_eta(_space_radius_sq(axes,
-                                                      scale=t)).astype(complex))
-    n1, _ = grid_norms(f1, p)
-    nt, _ = grid_norms(ft, p)
+    vol = math.prod(ax.step for ax in axes)
+    n1, nt = (_separable_lp_norm(_bump_factors(axes, {"t": s}), vol, p)
+              for s in (1.0, t))
     return abs(t ** (d / p) * nt - n1) / n1
 
 

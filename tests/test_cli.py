@@ -262,6 +262,42 @@ def test_apply_truncated_field_input_exits_2(tmp_path, capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("limit", ["-5", "65537", "1000000"])
+def test_apply_csv_limit_outside_the_export_cap_exits_2(tmp_path, capsys,
+                                                        limit):
+    out = tmp_path / "a"
+    assert run_cli(["apply", "--out", str(out), "--resolution", "8",
+                    "--csv-limit", limit]) == 2
+    assert _one_line_error(capsys)
+    # checked before any work: nothing written, no directory left
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("limit, written", [("0", False), ("65536", True)])
+def test_apply_csv_limit_at_the_ends_of_its_range(tmp_path, limit, written):
+    out = tmp_path / "a"
+    assert run_cli(["apply", "--out", str(out), "--resolution", "8",
+                    "--csv-limit", limit]) == 0
+    assert (out / "output_field.csv").exists() == written
+    assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("args", [["--resolution", "8"],
+                                  ["--extent", "12"]])
+def test_apply_field_input_on_another_grid_exits_2(tmp_path, capsys, args):
+    first = tmp_path / "first"
+    assert run_cli(["apply", "--out", str(first), "--ndim", "2",
+                    "--resolution", "16", "--multiplier", "one"]) == 0
+    capsys.readouterr()
+    field = first / "output_field.cmf"
+    assert run_cli(["apply", "--out", str(tmp_path / "second"), "--ndim",
+                    "2", "--resolution", "16", "--multiplier", "one",
+                    "--input", f"field:{field}", *args]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err)
+    assert "input field grid does not match requested axes" in err
+
+
 def test_opnorm_ndim_outside_grid_range_exits_2(tmp_path, capsys):
     # tiny resolution: a regression that allocated first would stay small
     assert run_cli(["opnorm", "--out", str(tmp_path / "o"), "--ndim", "5",

@@ -8,10 +8,9 @@ import pytest
 from conemult import cli, opnorm
 from conemult.errors import DomainError
 from conemult.multipliers import Axis, GridField, apply_multiplier, \
-    freq_magnitude
-from conemult.opnorm import (build_witness, dilation_identity_gap,
-                             estimate_lower, evaluate_witness, grid_norms,
-                             scaling_sweep_experiment)
+    field_symbol, freq_magnitude
+from conemult.opnorm import (dilation_identity_gap, estimate_lower,
+                             evaluate_witness, scaling_sweep_experiment)
 
 
 def axes2(extent=16.0, res=64):
@@ -97,9 +96,10 @@ def test_sweep_constant_symbol_two_routes_agree():
                                    ax, 1.3, 2.0, budget=18, seed=0)
     assert out["containment_ok"]
     # for the identity both routes compute the same dilation-invariant size
-    eta_norm, eta_lor = grid_norms(
-        build_witness({"family": "dilated_bump", "params": {"t": 1.0}}, ax),
-        1.3, 2.0)
+    eta = _oracle_witness({"family": "dilated_bump", "params": {"t": 1.0}},
+                          ax)
+    eta_norm, eta_lor = _oracle_lp_norm(eta, 1.3), \
+        _oracle_lorentz_norm(eta, 1.3, 2.0)
     assert abs(out["rhs_sup"] - eta_lor) <= 0.02 * eta_lor
     assert out["lower_bound"] >= eta_lor / eta_norm * (1 - 1e-9)
 
@@ -147,9 +147,10 @@ def _double_evaluation_sweep(m0, axes, p, nu, budget, seed):
     operator = lambda f: _oracle_apply(f, m0)
     rhs_per_t, scale_per_t = {}, {}
     for t in t_used:
-        f = build_witness({"family": "dilated_bump", "params": {"t": t}}, axes)
-        denom, _ = grid_norms(f, p)
-        _, num = grid_norms(operator(f), p, nu)
+        f = _oracle_witness({"family": "dilated_bump", "params": {"t": t}},
+                            axes)
+        denom = _oracle_lp_norm(f, p)
+        num = _oracle_lorentz_norm(operator(f), p, nu)
         rhs_per_t[t] = t ** (d / p) * num
         scale_per_t[t] = t ** (d / p) * denom
     rhs = max(rhs_per_t.values())
@@ -282,6 +283,43 @@ def _full_grid_modulation(axes, freqs):
     return np.exp(1j * phase)
 
 
+def _oracle_radius_sq(axes, center=None, scale=1.0):
+    """|scale (x - center)|^2 on the full grid."""
+    coords = np.meshgrid(*[ax.space_coords() for ax in axes],
+                         indexing="ij", sparse=True)
+    if center is None:
+        center = [0.0] * len(axes)
+    return sum(((c - c0) * scale) ** 2 for c, c0 in zip(coords, center))
+
+
+def _oracle_witness(spec, axes):
+    """The witness of ``spec`` in space, each family from its formula on
+    the full grid."""
+    family = spec["family"]
+    prm = spec["params"]
+    if family == "dilated_bump":
+        vals = opnorm.default_eta(_oracle_radius_sq(
+            axes, prm.get("center"), prm["t"])).astype(complex)
+        if prm.get("freqs"):
+            vals = vals * _full_grid_modulation(axes, prm["freqs"])
+        return GridField(axes, vals)
+    if family == "random_superposition":
+        vals = np.zeros([ax.resolution for ax in axes], dtype=complex)
+        for piece in prm["pieces"]:
+            bump = opnorm.default_eta(_oracle_radius_sq(
+                axes, piece["center"], piece["t"]))
+            vals += (piece["coef_re"] + 1j * piece["coef_im"]) * bump \
+                * _full_grid_modulation(axes, piece["freqs"])
+        return GridField(axes, vals)
+    if family == "radial_focus":
+        rad = np.sqrt(_oracle_radius_sq(axes))
+        vals = np.exp(-0.5 * ((rad - prm["a"]) / prm["s"]) ** 2)
+        return GridField(axes, vals.astype(complex))
+    if family == "annulus_knapp":
+        return GridField(axes, np.fft.ifftn(opnorm._knapp_window(axes, prm)))
+    raise ValueError(family)
+
+
 def _grid_multiplier(spec, res=32):
     axes = cli.build_axes(16.0, res, 3)
     return axes, cli.grid_multiplier(spec, axes)
@@ -313,12 +351,8 @@ def test_search_matches_the_plain_loop(monkeypatch, spec):
             got = estimate_lower(op, axes, 1.2, nu, budget=budget, seed=7)
             assert len(spectrum_calls) == len(space_calls)
             _assert_same_up_to_ratios(by_spectrum.to_dict(), got.to_dict())
-            # the oracle builds its modulated witnesses from the full-grid
-            # phase, as the search did
-            with monkeypatch.context() as mp:
-                mp.setattr(opnorm, "_modulation", _full_grid_modulation)
-                want = _oracle_estimate_lower(op, axes, 1.2, nu,
-                                              budget=budget, seed=7)
+            want = _oracle_estimate_lower(op, axes, 1.2, nu, budget=budget,
+                                          seed=7)
             assert got.to_dict() == want.to_dict()
 
 
@@ -361,19 +395,6 @@ def test_majorant_rejects_losers_without_the_exact_norm(monkeypatch):
     assert len(exact) == 2
 
 
-def test_modulation_matches_full_grid_phase():
-    rng = np.random.default_rng(5)
-    for axes in (cli.build_axes(16.0, 64, 3), axes2(),
-                 (Axis(8.0, 32), Axis(16.0, 64), Axis(12.0, 16))):
-        for _ in range(4):
-            freqs = [float(rng.uniform(-0.5, 0.5) * np.pi / ax.step)
-                     for ax in axes]
-            got = opnorm._modulation(axes, freqs)
-            want = _full_grid_modulation(axes, freqs)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13
-
-
 def test_sweep_scores_dilations_the_budget_does_not_reach(monkeypatch):
     axes = cli.build_axes(16.0, 64, 2)
     m = cli.grid_multiplier("oscillatory:3", axes)
@@ -406,8 +427,8 @@ def test_witness_spectrum_matches_space_witness_and_fftn(family, axes):
     for spec in _family_specs(axes, family):
         for p in (1.2, 2.0):
             denom, f = opnorm.witness_input(spec, axes, p)
-            space = build_witness(spec, axes)
-            want_denom, _ = grid_norms(space, p)
+            space = _oracle_witness(spec, axes)
+            want_denom = _oracle_lp_norm(space, p)
             assert denom == pytest.approx(want_denom, rel=1e-12, abs=0.0)
             if family == "radial_focus":
                 # no cheaper form: the space witness itself
@@ -415,45 +436,72 @@ def test_witness_spectrum_matches_space_witness_and_fftn(family, axes):
                 assert np.array_equal(f.values, space.values)
                 continue
             want = np.fft.fftn(space.values)
-            assert f.rep == "frequency" and f.same_grid(space)
+            assert f.rep == "frequency" and f.axes == space.axes
             err = np.max(np.abs(f.values - want)) / np.max(np.abs(want))
             assert err <= 1e-12
 
 
 def test_general_operators_take_the_space_route(monkeypatch):
     axes, mult = _grid_multiplier("br:2.0")
-    built, spectra, seen = [], [], []
-    build, spectrum = opnorm.build_witness, opnorm.witness_input
-
-    def counted_build(spec, ax):
-        built.append(spec["family"])
-        return build(spec, ax)
+    seen, spectra = [], []
+    spectrum = opnorm.witness_input
 
     def counted_spectrum(spec, ax, p, work=None):
         spectra.append(spec["family"])
         return spectrum(spec, ax, p, work)
-    monkeypatch.setattr(opnorm, "build_witness", counted_build)
     monkeypatch.setattr(opnorm, "witness_input", counted_spectrum)
+    applied = _counting_multiplier(monkeypatch)
 
     def op(f):
         seen.append(f.rep)
         return apply_multiplier(f, mult)
     by_space = estimate_lower(op, axes, 1.2, math.inf, budget=24, seed=7)
-    assert not spectra and set(seen) == {"space"}
-    assert len(built) == len(seen) > 0
-    n_space = len(built)
-    built.clear()
-    by_spectrum = estimate_lower(mult, axes, 1.2, math.inf, budget=24, seed=7)
-    # the multiplier field takes the spectrum route; a radial focus is
-    # still built in space, but in the search's workspace
-    assert len(spectra) == n_space
-    assert not built and "radial_focus" in spectra
+    # a general operator sees each witness of witness_input in space
+    assert not applied and set(seen) == {"space"}
     assert set(spectra) == set(opnorm.FAMILIES)
+    assert len(spectra) >= len(seen) > 0
+    n_spectra = len(spectra)
+    spectra.clear()
+    by_spectrum = estimate_lower(mult, axes, 1.2, math.inf, budget=24, seed=7)
+    assert len(applied) == len(seen) and len(spectra) == n_spectra
     _assert_same_up_to_ratios(by_spectrum.to_dict(), by_space.to_dict())
+    # the witnesses as they were built in space give the same search
+    with monkeypatch.context() as mp:
+        mp.setattr(opnorm, "_witness_norms", _space_route)
+        want = estimate_lower(op, axes, 1.2, math.inf, budget=24, seed=7)
+    _assert_same_up_to_ratios(by_space.to_dict(), want.to_dict())
     # a multiplier GridField must be in frequency form
     space_field = GridField(axes, mult.values)
     with pytest.raises(DomainError, match="frequency form"):
         estimate_lower(space_field, axes, 1.2, math.inf, budget=1)
+
+
+@pytest.mark.parametrize("family", opnorm.FAMILIES)
+@pytest.mark.parametrize("spec", ["cone_tent", "br:2.0"])
+def test_witness_check_agrees_with_the_multiplier_route(family, spec):
+    # a witness re-evaluated through apply_multiplier, as an outside check
+    # does, gives the ratio of the multiplier route.  The space route's
+    # extra DFT round trip errs by about 1e-16 ||f||, so a witness that T
+    # nearly annihilates (ratio 6e-100 for one Knapp witness off the br:2.0
+    # support) agrees only to 1e-12 of sup |m|, not of its own ratio
+    axes, mult = _grid_multiplier(spec)
+    scale = float(np.abs(field_symbol(mult, axes)).max())
+    for witness in _family_specs(axes, family):
+        want = evaluate_witness(mult, witness, axes, 1.2, math.inf)
+        got = evaluate_witness(lambda f: apply_multiplier(f, mult), witness,
+                               axes, 1.2, math.inf)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("spec", ["cone_tent", "br:2.0"])
+def test_recorded_witness_check_reproduces_the_lower_bound(spec):
+    # the best witness of a search, re-evaluated through apply_multiplier
+    axes, mult = _grid_multiplier(spec)
+    for seed in (0, 7):
+        est = estimate_lower(mult, axes, 1.2, math.inf, budget=24, seed=seed)
+        got = evaluate_witness(lambda f: apply_multiplier(f, mult),
+                               est.witness, axes, 1.2, math.inf)
+        assert got == pytest.approx(est.lower_bound, rel=1e-12, abs=0.0)
 
 
 def _spectrum_route_input(spec, axes, p):
@@ -481,18 +529,27 @@ def _spectrum_route_input(spec, axes, p):
         window = opnorm._knapp_window(axes, prm)
         denom = _oracle_lp_norm(GridField(axes, np.fft.ifftn(window)), p)
         return denom, GridField(axes, window, rep="frequency")
-    f = build_witness(spec, axes)
+    f = _oracle_witness(spec, axes)
     return _oracle_lp_norm(f, p), f
 
 
 def _oracle_lp_norm(f, p):
-    """grid_norms' ||f||_p as it was, from new arrays."""
+    """||f||_p with cell-volume weights, from new arrays."""
     vals = np.abs(f.values).ravel()
     if not np.any(vals > 0):
         return 0.0
     vol = f.cell_volume()
     return float(np.sum((vals / vals.max()) ** p) * vol) ** (1.0 / p) \
         * vals.max()
+
+
+def _oracle_lorentz_norm(f, p, nu):
+    """||f||_{p,nu} with cell-volume weights, from new arrays."""
+    return _oracle_numerator(f, 1.0, p, nu, 0.0)
+
+
+def _lp_norm(f, p):
+    return opnorm._lp_norm(np.abs(f.values).ravel(), f.cell_volume(), p)
 
 
 def test_grid_norms_equal_the_new_array_route():
@@ -502,8 +559,23 @@ def test_grid_norms_equal_the_new_array_route():
         field = GridField(axes, rng.standard_normal(shape)
                           + 1j * rng.standard_normal(shape))
         for p in (1.2, 2.0, 3.0):
-            assert grid_norms(field, p)[0] == _oracle_lp_norm(field, p)
-    assert grid_norms(GridField(axes, np.zeros(shape)), 1.2) == (0.0, 0.0)
+            assert _lp_norm(field, p) == _oracle_lp_norm(field, p)
+    assert _lp_norm(GridField(axes, np.zeros(shape)), 1.2) == 0.0
+
+
+def _oracle_numerator(tf, denom, p, nu, beat):
+    """_witness_norms' ||T f||_{p,nu} from new arrays: None when the
+    rounded-up majorant shows the ratio cannot exceed ``beat > 0``."""
+    vals = np.abs(tf.values).ravel()
+    if not np.any(vals > 0):
+        return 0.0
+    samples = opnorm.WeightedSampleSet(vals, tf.cell_volume())
+    params = opnorm.LorentzParams(p, nu)
+    if beat > 0.0 and opnorm.lorentz_quasinorm(
+            opnorm.rounded_up(samples), params) \
+            <= beat * denom * (1.0 - opnorm._MAJORANT_SLACK):
+        return None
+    return opnorm.lorentz_quasinorm(samples, params)
 
 
 def _spectrum_route(mult):
@@ -513,18 +585,19 @@ def _spectrum_route(mult):
         denom, f = _spectrum_route_input(spec, axes, p)
         if denom == 0.0:
             return 0.0, None
-        tf = apply_multiplier(f, mult)
-        vals = np.abs(tf.values).ravel()
-        if not np.any(vals > 0):
-            return denom, 0.0
-        samples = opnorm.WeightedSampleSet(vals, tf.cell_volume())
-        params = opnorm.LorentzParams(p, nu)
-        if beat > 0.0 and opnorm.lorentz_quasinorm(
-                opnorm.rounded_up(samples), params) \
-                <= beat * denom * (1.0 - opnorm._MAJORANT_SLACK):
-            return denom, None
-        return denom, opnorm.lorentz_quasinorm(samples, params)
+        return denom, _oracle_numerator(apply_multiplier(f, mult), denom, p,
+                                        nu, beat)
     return norms
+
+
+def _space_route(operator, spec, axes, p, nu, beat=0.0):
+    """_witness_norms of a general operator as it was: the operator called
+    on the witness built in space (``_oracle_witness``)."""
+    f = _oracle_witness(spec, axes)
+    denom = _oracle_lp_norm(f, p)
+    if denom == 0.0:
+        return 0.0, None
+    return denom, _oracle_numerator(operator(f), denom, p, nu, beat)
 
 
 @pytest.mark.parametrize("spec", ["cone_tent", "br:2.0", "oscillatory:3",

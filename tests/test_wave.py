@@ -809,6 +809,20 @@ def test_closed_form_rows_converged(monkeypatch, dim):
         assert _peak_error(basis.profiles[a], fine.profiles[a]) <= 1e-7, a
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_window_rows_converged_in_angular_nodes(monkeypatch, dim):
+    # even d integrates each row over its angular window with 64
+    # Gauss-Legendre nodes; 256 nodes move a row by at most 6.9e-7 of its
+    # peak (d = 2, a = 1) and 4.4e-7 (d = 4)
+    kernel = SmoothingKernel(dim)
+    r_grid = np.array([1.0, 4.0, 16.0])
+    basis = wave._build_shell_basis(dim, r_grid, kernel, (1.0,))
+    monkeypatch.setattr(radial, "_GL64",
+                        np.polynomial.legendre.leggauss(256))
+    fine = wave._build_shell_basis(dim, r_grid, kernel, (1.0,))
+    assert _peak_error(basis.profiles[1.0], fine.profiles[1.0]) <= 1e-6
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_closed_form_rho_zero_row_is_its_limit(dim):
     # (v_a * sigma_r)(0) = |S^(d-1)| r^(d-1) v_a(r); v_a(r) here from a
