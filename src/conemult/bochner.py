@@ -167,21 +167,6 @@ class CriticalScanResult:
     table: list  # (lam, {R: full_value}, {R: tail_value}, divergent) rows
     identity_gap: float
 
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "prediction": self.prediction,
-            "estimate": self.estimate,
-            "identity_gap": self.identity_gap,
-            "table": [
-                {"lam": lam,
-                 "full": {repr(k): v for k, v in sorted(full.items())},
-                 "tail": {repr(k): v for k, v in sorted(tail.items())},
-                 "divergent": div}
-                for lam, full, tail, div in self.table
-            ],
-        }
-
 
 def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
                   resolution=2 ** 17):
@@ -198,6 +183,10 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
     d/p - (d+1)/2, whose two equivalent forms are also compared exactly.
     """
     lam_grid = sorted(lam_grid)
+    if not p_list:
+        raise DomainError("p_list is empty: name at least one exponent")
+    for p in p_list:
+        LorentzParams(p, math.inf)   # checked before any prediction divides by p
     if truncation / 8.0 <= 2.0 * _DETECTOR_WINDOW:
         raise DomainError(
             f"truncation ladder starting at {truncation / 8.0:.0f} is too "

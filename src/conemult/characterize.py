@@ -48,14 +48,6 @@ class QuantityResult:
     def divergent(self):
         return self.trend.get("divergent", False)
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "by_truncation": {repr(k): v for k, v in sorted(self.by_truncation.items())},
-            "trend": self.trend,
-            "meta": self.meta,
-        }
-
 
 class LineSamples:
     """Weighted samples of |g_hat(s)| (1+|s|)^(-(d-1)/2) on |s| <= R.
@@ -199,11 +191,6 @@ class SymbolScanResult:
     trend: dict
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"value": self.value, "arg_sup": self.arg_sup,
-                "per_t": {repr(k): v for k, v in sorted(self.per_t.items())},
-                "trend": self.trend, "meta": self.meta}
-
 
 def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
                            truncation=4096.0, spatial_truncation=8.0,
@@ -296,23 +283,6 @@ class CharacterizationReport:
             [q for q in self.kernel_by_octave.values() if q is not None]
         return any(q.divergent for q in entries)
 
-    def to_dict(self):
-        out = {
-            "dim": self.dim, "p": self.p,
-            "nu": "inf" if math.isinf(self.nu) else self.nu,
-            "fourier": {str(k): q.to_dict()
-                        for k, q in sorted(self.fourier_by_octave.items())},
-            "kernel": {str(k): (q.to_dict() if q is not None else None)
-                       for k, q in sorted(self.kernel_by_octave.items())},
-            "fourier_sup": self.fourier_sup,
-            "kernel_sup": self.kernel_sup,
-            "any_divergent": self.any_divergent,
-            "meta": self.meta,
-        }
-        if self.symbol_scan is not None:
-            out["symbol_scan"] = self.symbol_scan.to_dict()
-        return out
-
 
 def characterize_family(profiles_by_octave, dim, params, kernel_support=None,
                         **kwargs):
@@ -346,13 +316,6 @@ class SideComparison:
     nu: float
     rows: list  # (name, fourier_value, kernel_value, ratio)
     band: float  # smallest c with all ratios in [1/c, c]
-
-    def to_dict(self):
-        return {"dim": self.dim, "p": self.p,
-                "nu": "inf" if math.isinf(self.nu) else self.nu,
-                "rows": [{"name": n, "fourier": f, "kernel": k, "ratio": q}
-                         for n, f, k, q in self.rows],
-                "band": self.band}
 
 
 def compare_sides(profiles, dim, params, support=(0.25, 2.25), **kernel_kwargs):

@@ -39,6 +39,8 @@ from .wave import (MAX_SHELL_DIM, MAX_WAVE_SCALE, SmoothingKernel,
 # and the grids themselves to a few kilobytes.
 MAX_ORDERS = 1024
 MAX_DILATIONS = 4096
+# cap on kernel_rho_max: the kernel side's time is about linear in it
+MAX_KERNEL_RHO = 65536
 # cap on the cells of an apply/opnorm grid: at 2^24 cells one complex
 # field is 256 MiB, and a run holds a few at once
 MAX_GRID_CELLS = 2 ** 24
@@ -246,20 +248,27 @@ def run_lorentz_norm(opts, outdir, seed):
     params = LorentzParams(opts["p"], opts["nu"])
     value = lorentz_quasinorm(samples, params)
     print(repr(value))
-    summary = {"quasinorm": value, "p": opts["p"],
-               "nu": "inf" if math.isinf(opts["nu"]) else opts["nu"],
+    summary = {"quasinorm": value, "p": opts["p"], "nu": opts["nu"],
                "n_samples": len(values),
                "total_measure": samples.total_measure}
     return summary, lambda: []
 
 
 def run_characterize(opts, outdir, seed):
-    params = LorentzParams(opts["p"], opts["nu"])
     dim = opts["dim"]
+    if dim < 2:
+        raise ConfigError(f"dim = {dim} must be an integer of at least 2")
+    params = LorentzParams(opts["p"], opts["nu"])
     trunc_rows = []
     summary = {"mode": opts["mode"], "dim": dim, "p": opts["p"],
-               "nu": "inf" if math.isinf(opts["nu"]) else opts["nu"]}
+               "nu": opts["nu"]}
     if opts["mode"] == "profile":
+        if not 0 < opts["kernel_rho_max"] < math.inf:
+            raise ConfigError(f"kernel_rho_max = {opts['kernel_rho_max']} "
+                              f"must be finite and positive")
+        if opts["kernel_rho_max"] > MAX_KERNEL_RHO:
+            raise BudgetError(f"kernel_rho_max = {opts['kernel_rho_max']} "
+                              f"exceeds the cap {MAX_KERNEL_RHO}")
         gamma = line_profile(opts["profile"])
         fq = fourier_side_quantity(gamma, dim, params, opts["truncation"],
                                    opts["spatial_truncation"],
@@ -267,9 +276,9 @@ def run_characterize(opts, outdir, seed):
         kq = kernel_side_quantity(gamma, dim, params, support=(0.0, 0.3),
                                   rho_max=opts["kernel_rho_max"])
         summary["profile"] = opts["profile"]
-        summary["fourier_side"] = fq.to_dict()
-        summary["kernel_side"] = kq.to_dict()
-        summary["side_ratio"] = fq.value / kq.value if kq.value else "inf"
+        summary["fourier_side"] = fq
+        summary["kernel_side"] = kq
+        summary["side_ratio"] = fq.value / kq.value if kq.value else math.inf
         for r, v in sorted(fq.by_truncation.items()):
             trunc_rows.append(("fourier", float(r), float(v)))
         for r, v in sorted(kq.by_truncation.items()):
@@ -294,7 +303,7 @@ def run_characterize(opts, outdir, seed):
                                      opts["spatial_truncation"],
                                      resolution=opts["resolution"])
         summary["symbol"] = opts["symbol"]
-        summary["scan"] = res.to_dict()
+        summary["scan"] = res
         report.write_csv(os.path.join(outdir, "per_t.csv"),
                          ["t", "quantity"],
                          [(float(t), float(v))
@@ -309,6 +318,9 @@ def run_characterize(opts, outdir, seed):
 
 
 def run_br_scan(opts, outdir, seed):
+    if opts["dim"] < 2:
+        raise ConfigError(f"dim = {opts['dim']} must be an integer of at "
+                          f"least 2")
     if not opts["lam_step"] > 0:
         raise ConfigError(f"lam_step = {opts['lam_step']} must be positive")
     if not -math.inf < opts["lam_lo"] <= opts["lam_hi"] < math.inf:
@@ -401,7 +413,7 @@ def run_sph_probe(opts, outdir, seed):
                      ["r", "l1_over_mass"],
                      [(float(r), float(v)) for r, v in sorted(ratios.items())])
     summary = {"dim": opts["dim"], "p": opts["p"],
-               "estimate": est.to_dict(),
+               "estimate": report.fields_dict(est),
                "shells": [float(r) for r in r_grid]}
     return summary, lambda: plots.plot_opnorm(outdir, summary["estimate"])
 
@@ -416,12 +428,11 @@ def run_opnorm(opts, outdir, seed):
                          ["t", "scaled_norm"],
                          [(float(t), float(v))
                           for t, v in sorted(out["rhs_per_t"].items())])
-        out["rhs_per_t"] = {repr(k): v for k, v in out["rhs_per_t"].items()}
         return out, lambda: plots.plot_opnorm(outdir, out)
     if opts["mode"] == "estimate":
         est = estimate_lower(mult, axes, opts["p"], opts["nu"],
                              budget=opts["budget"], seed=seed)
-        summary = est.to_dict()
+        summary = report.fields_dict(est)
         summary["multiplier"] = opts["multiplier"]
         return summary, lambda: plots.plot_opnorm(outdir, summary)
     raise ConfigError(f"unknown opnorm mode {opts['mode']!r}")

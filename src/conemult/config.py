@@ -69,8 +69,6 @@ def coerce(value, kind, key):
         if kind == "float_list":
             return [math.inf if tok.strip().lower() == "inf" else float(tok)
                     for tok in str(value).split(",") if tok.strip()]
-        if kind == "int_list":
-            return [int(tok) for tok in str(value).split(",") if tok.strip()]
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
                           f"{getattr(kind, '__name__', kind)}") from None

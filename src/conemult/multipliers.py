@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, WraparoundWarning
-from .util import CubicSpline1D
 
 _MAGIC = b"CMF1"
 MAX_AXES = 4

@@ -180,12 +180,6 @@ class OpNormEstimate:
     seed: int
     improvements: list = field(default_factory=list)  # (step, ratio)
 
-    def to_dict(self):
-        return {"lower_bound": self.lower_bound, "witness": self.witness,
-                "p": self.p, "nu": "inf" if math.isinf(self.nu) else self.nu,
-                "budget_used": self.budget_used, "seed": self.seed,
-                "improvements": self.improvements}
-
 
 def default_eta(x_sq):
     """Fixed rapidly decaying reference bump exp(-|x|^2 / 2)."""
@@ -533,7 +527,7 @@ def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
                          swept=swept)
     contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
     return {
-        "p": p, "nu": "inf" if math.isinf(nu) else nu, "dim": d,
+        "p": p, "nu": nu, "dim": d,
         "rhs_sup": rhs,
         "rhs_per_t": rhs_per_t,
         "lower_bound": est.lower_bound,

@@ -16,7 +16,6 @@ symbol's projection onto a line gives every radius, and no Bessel function
 is evaluated on the way.
 """
 
-import csv
 import functools
 import itertools
 import math
@@ -26,8 +25,7 @@ import numpy as np
 
 from .bessel import bessel_j_scaled, surface_area
 from .errors import BudgetError, DomainError
-from .report import read_float_columns
-from .util import CubicSpline1D, geometric_grid, next_pow2, panel_nodes
+from .util import CubicSpline1D, next_pow2, panel_nodes
 
 # Elements per block of the array work below: near-origin u-sum terms,
 # cosine-sum terms and angular quadrature nodes.  Blocks this small keep
@@ -99,23 +97,6 @@ class RadialProfile:
         if self.dim < 2:
             raise DomainError(f"ambient dimension must be >= 2, got {self.dim}")
 
-    def interpolator(self):
-        return CubicSpline1D(self.radii, self.values)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["radius", "re", "im"])
-            for r, v in zip(self.radii, self.values):
-                w.writerow([repr(float(r)), repr(float(np.real(v))),
-                            repr(float(np.imag(v)))])
-
-    @classmethod
-    def from_csv(cls, path, dim):
-        """Read what ``to_csv`` writes; a malformed row raises ConfigError."""
-        radii, re, im = read_float_columns(path, ("radius", "re", "im"))
-        return cls(radii, re + 1j * im, dim)
-
 
 def space_grid(truncation, resolution):
     """Uniform sample grid x_j = -R + j*(2R/N), j = 0..N-1."""
@@ -182,37 +163,20 @@ def fourier_1d(f, truncation, resolution):
     return sigma, out
 
 
-def _as_callable(m0):
-    if callable(m0):
-        return m0, None
-    if isinstance(m0, RadialProfile):
-        spline = m0.interpolator()
-        return spline, (float(m0.radii[0]), float(m0.radii[-1]))
-    raise DomainError("m0 must be callable or a RadialProfile")
-
-
-def radial_transform(m0, dim, radii=None, support=None, inverse=False,
+def radial_transform(m0, dim, radii, support=None, inverse=False,
                      panel_budget=400_000):
     """Radial profile of the d-dimensional Fourier transform of m0(|.|).
 
-    ``support = (a, b)`` bounds the integration range; it is required for
-    callables and defaults to the sample range for profiles.  Output radii
-    default to a geometric grid.  Points whose oscillatory quadrature would
-    exceed ``panel_budget`` panels are flagged (reliable mask False, value
-    NaN) rather than silently extrapolated.
+    ``m0`` is a vectorized callable, and ``support = (a, b)`` (required)
+    bounds the integration range.  Points whose oscillatory quadrature
+    would exceed ``panel_budget`` panels are flagged (reliable mask False,
+    value NaN) rather than silently extrapolated.
     """
-    if isinstance(m0, RadialProfile) and dim is None:
-        dim = m0.dim
-    func, prof_support = _as_callable(m0)
     if support is None:
-        support = prof_support
-    if support is None:
-        raise DomainError("a support interval (a, b) is required for callables")
+        raise DomainError("a support interval (a, b) is required")
     a, b = float(support[0]), float(support[1])
     if not (0 <= a < b):
         raise DomainError(f"invalid support interval ({a}, {b})")
-    if radii is None:
-        radii = np.concatenate(([0.0], geometric_grid(1e-2, 64.0, 32)))
     radii = np.asarray(radii, dtype=float)
 
     nu = dim / 2.0 - 1.0
@@ -235,7 +199,7 @@ def radial_transform(m0, dim, radii=None, support=None, inverse=False,
             values[idx] = np.nan
             reliable[idx] = False
             continue
-        mvals = np.asarray(func(r), dtype=complex) * r ** (dim - 1) * w
+        mvals = np.asarray(m0(r), dtype=complex) * r ** (dim - 1) * w
         for i in idx:
             values[i] = pref * np.sum(mvals * bessel_j_scaled(nu, r * radii[i]))
     return RadialProfile(radii, values, dim, reliable)
@@ -256,7 +220,7 @@ def _dyadic_groups(sorted_radii):
     return groups
 
 
-def sphere_measure_transform(radius, dim, radii=None):
+def sphere_measure_transform(radius, dim, radii):
     """Fourier transform of the (unnormalized) sphere surface measure.
 
     F[sigma_r](xi) = (2 pi)^(d/2) r^(d-1) g_{d/2-1}(r|xi|); the value at the
@@ -264,8 +228,6 @@ def sphere_measure_transform(radius, dim, radii=None):
     """
     if not radius > 0:
         raise DomainError(f"sphere radius must be positive, got {radius}")
-    if radii is None:
-        radii = np.concatenate(([0.0], geometric_grid(1e-2, 128.0, 32)))
     radii = np.asarray(radii, dtype=float)
     vals = sphere_hat_values(radius, dim, radii)
     return RadialProfile(radii, vals.astype(complex), dim)

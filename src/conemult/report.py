@@ -7,6 +7,7 @@ determinism comparisons.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import tempfile
@@ -17,10 +18,18 @@ from .errors import ConfigError
 SCHEMA_VERSION = "conemult-report-1"
 
 
+def fields_dict(obj):
+    """A dataclass instance's fields by name, values as they are."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _sanitize(obj):
+    """JSON-ready form: a dataclass instance by its fields, keys as str."""
     import math
 
     import numpy as np
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = fields_dict(obj)
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

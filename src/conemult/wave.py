@@ -480,6 +480,9 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel=None, budget=60,
     profiles.  The output field of every witness is radial, so norms are
     evaluated in polar coordinates; no d-dimensional grid is involved.
     """
+    LorentzParams(p, p)   # checked before any witness divides by p
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) > MAX_SHELLS:
         raise BudgetError(f"{len(r_grid)} shells exceed the cap {MAX_SHELLS}")

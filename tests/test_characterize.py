@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conemult import report
 from conemult.bessel import surface_area
 from conemult.bumps import BumpPhi, smooth_window
 from conemult.characterize import (compare_sides, dilation_invariance_ratio,
@@ -229,8 +230,7 @@ def test_dilation_off_grid_within_scan_tolerance():
     assert abs(ratio - 1.0) <= 0.02
 
 
-def test_family_report_per_octave_and_sup():
-    import json
+def test_family_report_per_octave_and_sup(tmp_path):
     from conemult.characterize import characterize_family
     fam = {0: annulus_bump(1.0, 0.5), 1: annulus_bump(1.2, 0.4),
            2: annulus_bump(0.9, 0.3)}
@@ -242,7 +242,13 @@ def test_family_report_per_octave_and_sup():
                                   for q in rep.fourier_by_octave.values())
     assert rep.kernel_sup > 0
     assert not rep.any_divergent
-    json.dumps(rep.to_dict())  # schema is serializable as-is
+    # the report is written from its fields as it is
+    report.write_summary(tmp_path / "summary.json", {"report": rep})
+    with open(tmp_path / "summary.json") as fh:
+        written = json.load(fh)["report"]
+    assert written["nu"] == "inf"
+    assert written["fourier_by_octave"]["2"]["value"] == \
+        rep.fourier_by_octave[2].value
 
 
 def test_family_report_skips_zero_radial_extension():

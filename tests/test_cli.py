@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conemult import cli, wave
+from conemult import bochner, cli, wave
 from conemult.cli import main
 from conemult.config import (ConfigError, coerce, parse_config_text,
                              resolve)
@@ -212,6 +212,81 @@ def test_wave_check_budget_checked_before_any_scale(tmp_path, capsys,
 def test_sph_probe_bad_input_exits_2(tmp_path, capsys, args):
     assert run_cli(["sph-probe", "--out", str(tmp_path / "s"), *args]) == 2
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("args, what", [
+    (["--p", "0"], "p must be a positive real"),
+    (["--p", "-1"], "p must be a positive real"),
+    (["--budget", "0"], "budget must be at least 1"),
+    (["--budget", "-3"], "budget must be at least 1"),
+])
+def test_sph_probe_exponent_and_budget_checked_first(tmp_path, capsys,
+                                                     monkeypatch, args, what):
+    built = []
+    monkeypatch.setattr(wave, "_build_shell_basis",
+                        lambda *a, **k: built.append(a))
+    assert run_cli(["sph-probe", "--out", str(tmp_path / "s"), *args]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and what in err
+    assert built == []
+
+
+@pytest.mark.parametrize("args, what", [
+    (["--p-list", "0"], "p must be a positive real"),
+    (["--p-list", "1.2,-1"], "p must be a positive real"),
+    (["--p-list", ""], "p_list is empty"),
+])
+def test_br_scan_exponents_checked_first(tmp_path, capsys, monkeypatch,
+                                         args, what):
+    transformed = []
+    monkeypatch.setattr(bochner, "fourier_1d",
+                        lambda *a: transformed.append(a))
+    assert run_cli(["br-scan", "--out", str(tmp_path / "s"), *args]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and what in err
+    assert transformed == []
+
+
+@pytest.mark.parametrize("args", [
+    ["characterize", "--dim", "0"],
+    ["characterize", "--dim", "1"],
+    ["characterize", "--mode", "symbol", "--dim", "0"],
+    ["characterize", "--mode", "symbol", "--dim", "1"],
+    ["br-scan", "--dim", "0"],
+    ["br-scan", "--dim", "1"],
+])
+def test_scan_dimension_below_two_exits_2(tmp_path, capsys, args):
+    assert run_cli([*args, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "dim = " in err
+
+
+@pytest.mark.parametrize("rho_max", ["0", "-1", "inf", "nan"])
+def test_characterize_bad_kernel_rho_max_exits_2(tmp_path, capsys, rho_max):
+    assert run_cli(["characterize", "--out", str(tmp_path / "c"),
+                    "--kernel-rho-max", rho_max]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "kernel_rho_max" in err
+
+
+def test_characterize_kernel_rho_max_past_the_cap_exits_3(tmp_path, capsys,
+                                                          monkeypatch):
+    computed = []
+    monkeypatch.setattr(cli, "fourier_side_quantity",
+                        lambda *a, **k: computed.append(a))
+    assert run_cli(["characterize", "--out", str(tmp_path / "c"),
+                    "--kernel-rho-max", "65537"]) == 3
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "exceeds the cap" in err
+    assert computed == []
+
+
+def test_characterize_kernel_rho_max_at_the_cap_is_accepted(tmp_path):
+    out = str(tmp_path / "c")
+    assert run_cli(["characterize", "--out", out, "--kernel-rho-max",
+                    str(cli.MAX_KERNEL_RHO), "--resolution", "8192",
+                    "--truncation", "512"]) == 0
+    assert read_summary(out)["kernel_side"]["meta"]["rho_max"] == 65536.0
 
 
 @pytest.mark.parametrize("dim", ["2", "5"])

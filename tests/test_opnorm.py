@@ -11,6 +11,7 @@ from conemult.multipliers import Axis, GridField, apply_multiplier, \
     field_symbol, freq_magnitude
 from conemult.opnorm import (dilation_identity_gap, estimate_lower,
                              evaluate_witness, scaling_sweep_experiment)
+from conemult.report import fields_dict
 
 
 def axes2(extent=16.0, res=64):
@@ -159,7 +160,7 @@ def _double_evaluation_sweep(m0, axes, p, nu, budget, seed):
                                  seed=seed, swept=[(t, None) for t in t_used])
     contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
     return {
-        "p": p, "nu": "inf" if math.isinf(nu) else nu, "dim": d,
+        "p": p, "nu": nu, "dim": d,
         "rhs_sup": rhs, "rhs_per_t": rhs_per_t,
         "lower_bound": est.lower_bound, "witness": est.witness,
         "scale_sup": scale_sup, "containment_ok": bool(contained),
@@ -350,10 +351,10 @@ def test_search_matches_the_plain_loop(monkeypatch, spec):
                                          seed=7)
             got = estimate_lower(op, axes, 1.2, nu, budget=budget, seed=7)
             assert len(spectrum_calls) == len(space_calls)
-            _assert_same_up_to_ratios(by_spectrum.to_dict(), got.to_dict())
+            _assert_same_up_to_ratios(fields_dict(by_spectrum), fields_dict(got))
             want = _oracle_estimate_lower(op, axes, 1.2, nu, budget=budget,
                                           seed=7)
-            assert got.to_dict() == want.to_dict()
+            assert got == want
 
 
 def test_search_skips_repeated_witnesses():
@@ -368,7 +369,7 @@ def test_search_skips_repeated_witnesses():
     calls.clear()
     want = _oracle_estimate_lower(counted, axes, 1.2, math.inf, budget=48,
                                   seed=7)
-    assert got.to_dict() == want.to_dict()
+    assert got == want
     assert new_calls < len(calls) == 48
 
 
@@ -464,12 +465,13 @@ def test_general_operators_take_the_space_route(monkeypatch):
     spectra.clear()
     by_spectrum = estimate_lower(mult, axes, 1.2, math.inf, budget=24, seed=7)
     assert len(applied) == len(seen) and len(spectra) == n_spectra
-    _assert_same_up_to_ratios(by_spectrum.to_dict(), by_space.to_dict())
+    _assert_same_up_to_ratios(fields_dict(by_spectrum),
+                              fields_dict(by_space))
     # the witnesses as they were built in space give the same search
     with monkeypatch.context() as mp:
         mp.setattr(opnorm, "_witness_norms", _space_route)
         want = estimate_lower(op, axes, 1.2, math.inf, budget=24, seed=7)
-    _assert_same_up_to_ratios(by_space.to_dict(), want.to_dict())
+    _assert_same_up_to_ratios(fields_dict(by_space), fields_dict(want))
     # a multiplier GridField must be in frequency form
     space_field = GridField(axes, mult.values)
     with pytest.raises(DomainError, match="frequency form"):
@@ -615,7 +617,7 @@ def test_workspace_search_equals_the_spectrum_route(monkeypatch, spec):
                                       seed=7)
                 want_sweep = scaling_sweep_experiment(mult, axes, 1.2, nu,
                                                       budget=budget, seed=7)
-            assert got.to_dict() == want.to_dict()
+            assert got == want
             assert sweep == want_sweep
 
 

@@ -7,7 +7,7 @@ from conemult import radial, wave
 from conemult.bessel import surface_area
 from conemult.bumps import smooth_window
 from conemult.characterize import LineSamples, line_rearrangements
-from conemult.errors import BudgetError, ConfigError, DomainError
+from conemult.errors import BudgetError, DomainError
 from conemult.lorentz import WeightedSampleSet, decreasing_rearrangement
 from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
                              inverse_radial, plancherel_radial,
@@ -279,7 +279,7 @@ def test_sphere_mass_at_origin():
 
 def test_sphere_radius_validation():
     with pytest.raises(DomainError):
-        sphere_measure_transform(0.0, 3)
+        sphere_measure_transform(0.0, 3, np.array([0.0]))
 
 
 def test_sphere_decay_envelope():
@@ -297,27 +297,6 @@ def test_unreliable_points_flagged_not_silent():
     assert prof.reliable[0]
     assert not prof.reliable[1]
     assert np.isnan(prof.values[1])
-
-
-def test_profile_roundtrip_csv(tmp_path):
-    prof = RadialProfile(np.array([0.1, 0.5, 1.0]),
-                         np.array([1 + 2j, 0.5, -0.25j]), 3)
-    path = tmp_path / "prof.csv"
-    prof.to_csv(path)
-    back = RadialProfile.from_csv(path, 3)
-    assert np.allclose(back.radii, prof.radii)
-    assert np.allclose(back.values, prof.values)
-
-
-@pytest.mark.parametrize("row, what", [
-    ("0.5,1.0\n", "2 cells"),
-    ("0.5,one,0.0\n", "'one' is not a number"),
-])
-def test_profile_csv_malformed_row_names_file_and_line(tmp_path, row, what):
-    path = tmp_path / "prof.csv"
-    path.write_text("radius,re,im\n0.1,1.0,0.0\n" + row)
-    with pytest.raises(ConfigError, match=f"prof.csv:3: {what}"):
-        RadialProfile.from_csv(path, 3)
 
 
 def test_profile_validation():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tempfile
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conemult import report
+from conemult.characterize import QuantityResult
 from conemult.errors import ConfigError
 
 _CELLS = ["1", "-2.5", "0", "-0", "1e300", "1e-320", "inf", "-inf", "nan",
@@ -81,6 +83,17 @@ def test_table_reader_reads_the_named_columns(tmp_path):
     assert value.flags.c_contiguous and weight.flags.c_contiguous
 
 
+@pytest.mark.parametrize("row, what", [
+    ("0.5,1.0\n", "2 cells"),
+    ("0.5,one,0.0\n", "'one' is not a number"),
+])
+def test_malformed_row_names_file_and_line(tmp_path, row, what):
+    path = tmp_path / "prof.csv"
+    path.write_text("radius,re,im\n0.1,1.0,0.0\n" + row)
+    with pytest.raises(ConfigError, match=f"prof.csv:3: {what}"):
+        report.read_float_columns(path, ("radius", "re", "im"))
+
+
 @pytest.mark.parametrize("text", ["value,weight\n", "value,weight\n\n\n"])
 def test_header_only_file_reads_no_rows_and_no_warning(tmp_path, text):
     path = tmp_path / "s.csv"
@@ -121,3 +134,19 @@ def test_write_csv_equals_the_per_cell_loop(rows):
         report.write_csv(path, ["r", "value"], rows)
         with open(path, newline="") as fh:
             assert fh.read() == _loop_csv_text(["r", "value"], rows)
+
+
+def test_summary_writes_a_result_from_its_fields(tmp_path):
+    result = QuantityResult(math.inf, {0.5: 1.0, 2.0: math.inf},
+                            {"scales": (0.5, 2.0), "divergent": True},
+                            {"nu": math.inf})
+    path = tmp_path / "summary.json"
+    report.write_summary(path, {"nested": {"result": result}})
+    with open(path) as fh:
+        written = json.load(fh)["nested"]["result"]
+    # the fields, not the ``divergent`` property; float keys as repr,
+    # infinities as "inf", tuples as lists
+    assert written == {"value": "inf",
+                       "by_truncation": {"0.5": 1.0, "2.0": "inf"},
+                       "trend": {"scales": [0.5, 2.0], "divergent": True},
+                       "meta": {"nu": "inf"}}
