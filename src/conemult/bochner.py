@@ -87,48 +87,6 @@ def build_bochner_riesz_cone(lam, axes):
     return ConeMultiplierField(gridf, {"kind": "bochner_riesz_cone", "lam": lam})
 
 
-def cone_split_fields(lam, axes, b=None):
-    """Exact pointwise splitting of the cone means into edge and smooth parts.
-
-    Returns (full, amplitude * edge_sum, remainder) value arrays with
-
-        full = amplitude * edge_sum + remainder            (tau > 0)
-
-    where amplitude(xi,tau) = (2^k (tau+|xi|)/tau^2)^lambda * b(u) on the
-    slab of tau, edge_sum = sum_k 1_slab gamma(u), and the remainder is
-    full * (1 - b(u)^2); the b^2 reflects that both the amplitude and the
-    edge profile carry one factor of b.
-    """
-    b = b or bumps.edge_flat_bump
-    gamma = BRProfile(lam, b)
-    axes = tuple(axes)
-    xi_mag = freq_magnitude(axes[:-1])[..., None]
-    tau = axes[-1].freq_coords()
-    shape = xi_mag.shape[:-1] + (len(tau),)
-    full = np.zeros(shape)
-    main = np.zeros(shape)
-    rest = np.zeros(shape)
-    pos = np.where(tau > 0)[0]
-    if len(pos):
-        kmin = int(math.floor(math.log2(tau[pos].min())))
-        kmax = int(math.floor(math.log2(tau[pos].max())))
-        for k in range(kmin, kmax + 1):
-            sel = (tau >= 2.0 ** k) & (tau < 2.0 ** (k + 1))
-            if not np.any(sel):
-                continue
-            t = tau[sel]
-            u = (xi_mag - t) / 2.0 ** k
-            # the factored form (avoids 1 - (xi/tau)^2 cancellation at the
-            # edge, keeping the three pieces float-consistent)
-            rho = (2.0 ** k * (t + xi_mag) / t ** 2) ** lam \
-                * np.clip(-u, 0.0, None) ** lam
-            amp = (2.0 ** k * (t + xi_mag) / t ** 2) ** lam * b(u)
-            full[..., sel] = rho
-            main[..., sel] = amp * gamma(u)
-            rest[..., sel] = rho * (1.0 - b(u) ** 2)
-    return full, main, rest
-
-
 @dataclass
 class DecayFit:
     """Result of a dyadic-block envelope fit of |gamma_hat|."""

@@ -67,16 +67,6 @@ class BumpPhi:
         return out
 
 
-def annulus_cutoff(x):
-    """Cutoff supported in (5/8, 17/8), flat on [7/8, 15/8]."""
-    return smooth_window(x, 5.0 / 8.0, 7.0 / 8.0, 15.0 / 8.0, 17.0 / 8.0)
-
-
-def slab_cutoff(x):
-    """Even cutoff supported in (-4, 4), flat on [-3, 3]."""
-    return smooth_window(x, -4.0, -3.0, 3.0, 4.0)
-
-
 def band_cutoff(x):
     """Cutoff supported in (1/8, 8), flat on [1, 2].
 

@@ -16,6 +16,7 @@ flagged as a divergent trend.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ GROWTH_THRESHOLD = 1.10  # per-doubling growth that flags divergence
 # smallest radius of its geometric grid
 _KERNEL_DOUBLINGS = 3
 _KERNEL_RHO_MIN = 1e-2
+# log of the largest float64: a power x^a with a log(x) past it overflows
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -57,7 +60,7 @@ class LineSamples:
     fixed by the grid, d and R, so one instance serves every transform
     tabulated on the same grid.  A truncation that is not finite and
     positive, or that the grid stops short of, is rejected rather than
-    silently cut off.
+    silently cut off, and so is a dim whose line measure overflows.
 
     When the kept points are mirror-symmetric, as on the grid of
     ``fourier_1d``, and |g_hat| is too (the transform of a real profile),
@@ -69,6 +72,11 @@ class LineSamples:
 
     def __init__(self, sigma, dim, truncation):
         _check_truncation(sigma, truncation)
+        # the line's measure, 2((1 + R)^dim - 1) / dim, stays below (1 + R)^dim
+        if dim * math.log1p(truncation) >= _LOG_FLOAT_MAX:
+            raise DomainError(f"dim = {dim}: the line measure (1 + |s|)^(dim "
+                              f"- 1) ds on |s| <= R = {truncation:g} "
+                              f"overflows float64")
         h = sigma[1] - sigma[0]
         self.keep = np.abs(sigma) <= truncation
         s = sigma[self.keep]
@@ -235,98 +243,3 @@ def _windowed_dilate(m0, phi, t):
         return out
     return windowed
 
-
-def dilation_invariance_ratio(m0, dim, params, t0, t_grid=None, **kwargs):
-    """Ratio of the symbol functional for m0 and its dilate m0(t0 .).
-
-    Exactly 1 when the scan grid is closed under multiplication by t0 and
-    the maximizer is interior.
-    """
-    if not t0 > 0:
-        raise DomainError(f"dilation must be positive, got {t0}")
-    base = radial_symbol_quantity(m0, dim, params, t_grid=t_grid, **kwargs)
-    dilated = radial_symbol_quantity(lambda r: m0(t0 * np.asarray(r)),
-                                     dim, params, t_grid=t_grid, **kwargs)
-    return base.value / dilated.value, base, dilated
-
-
-@dataclass
-class CharacterizationReport:
-    """Per-octave size quantities for a profile family, with recorded sups.
-
-    Divergent entries keep their truncated value but are flagged; the sup is
-    the max over the recorded per-octave entries, so it is a lower bound for
-    the family's uniform functional.
-    """
-
-    dim: int
-    p: float
-    nu: float
-    fourier_by_octave: dict   # k -> QuantityResult
-    kernel_by_octave: dict    # k -> QuantityResult or None
-    symbol_scan: object = None  # SymbolScanResult or None
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def fourier_sup(self):
-        return max(q.value for q in self.fourier_by_octave.values())
-
-    @property
-    def kernel_sup(self):
-        vals = [q.value for q in self.kernel_by_octave.values()
-                if q is not None]
-        return max(vals) if vals else None
-
-    @property
-    def any_divergent(self):
-        entries = list(self.fourier_by_octave.values()) + \
-            [q for q in self.kernel_by_octave.values() if q is not None]
-        return any(q.divergent for q in entries)
-
-
-def characterize_family(profiles_by_octave, dim, params, kernel_support=None,
-                        **kwargs):
-    """Both size functionals for every octave profile of a family.
-
-    ``profiles_by_octave`` maps k to the profile gamma_k; the per-octave
-    quantities and their sups land in a CharacterizationReport.  Kernel-side
-    evaluation is skipped (None) for profiles vanishing on (0, inf), where
-    the radial extension is trivially zero.
-    """
-    fourier = {}
-    kernel = {}
-    for k, gamma in profiles_by_octave.items():
-        fourier[k] = fourier_side_quantity(gamma, dim, params, **kwargs)
-        probe = np.linspace(1e-3, 4.0, 1024)
-        if np.any(np.abs(np.asarray(gamma(probe))) > 0):
-            kernel[k] = kernel_side_quantity(gamma, dim, params,
-                                             support=kernel_support)
-        else:
-            kernel[k] = None
-    return CharacterizationReport(dim, params.p, params.nu, fourier, kernel,
-                                  meta={"octaves": sorted(profiles_by_octave)})
-
-
-@dataclass
-class SideComparison:
-    """Fourier-side vs kernel-side quantities over a profile family."""
-
-    dim: int
-    p: float
-    nu: float
-    rows: list  # (name, fourier_value, kernel_value, ratio)
-    band: float  # smallest c with all ratios in [1/c, c]
-
-
-def compare_sides(profiles, dim, params, support=(0.25, 2.25), **kernel_kwargs):
-    """Empirical two-sided comparison across a named profile family."""
-    rows = []
-    for name, gamma in profiles:
-        fq = fourier_side_quantity(gamma, dim, params)
-        kq = kernel_side_quantity(gamma, dim, params, support=support,
-                                  **kernel_kwargs)
-        ratio = fq.value / kq.value if kq.value > 0 else float("inf")
-        rows.append((name, fq.value, kq.value, ratio))
-    ratios = [r for _, _, _, r in rows]
-    band = max(max(ratios), 1.0 / min(ratios))
-    return SideComparison(dim, params.p, params.nu, rows, band)

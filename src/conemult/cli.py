@@ -5,8 +5,7 @@ overrides), echoes the effective config into the output directory, writes a
 deterministic summary.json plus plot-ready CSV detail files, and exits 0 on
 success, 2 on configuration or domain errors, 3 on numerical-budget errors.
 Volatile metadata (wall-clock time, argv) goes to run_meta.json, which is
-excluded from determinism comparisons.  Pass --plot to also render PNG
-figures from the detail files (requires the optional matplotlib extra).
+excluded from determinism comparisons.
 """
 
 import argparse
@@ -16,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bumps, plots, report
+from . import bumps, report
 from .bochner import (BRProfile, build_bochner_riesz_cone, critical_scan,
                       edge_decay_fit)
 from .characterize import (fourier_side_quantity, kernel_side_quantity,
@@ -28,7 +27,8 @@ from .multipliers import (CSV_MAX_CELLS, MAX_AXES, Axis, GammaFamily,
                           GridField, build_dyadic_cone_multiplier,
                           apply_multiplier, check_wraparound, export_field_csv,
                           field_symbol, freq_magnitude, load_field, save_field)
-from .opnorm import estimate_lower, scaling_sweep_experiment
+from .opnorm import (SWEEP_DILATIONS, estimate_lower,
+                     scaling_sweep_experiment)
 from .util import CubicSpline1D
 from .wave import (MAX_SHELL_DIM, MAX_WAVE_SCALE, SmoothingKernel,
                    decompose_radii, decompose_range, shell_l1_ratios,
@@ -44,6 +44,10 @@ MAX_KERNEL_RHO = 65536
 # cap on the cells of an apply/opnorm grid: at 2^24 cells one complex
 # field is 256 MiB, and a run holds a few at once
 MAX_GRID_CELLS = 2 ** 24
+# cap on an opnorm run's witness work, its steps times the grid cells: an
+# estimate on 64^3 cells (57 steps, 1.5e7 cells) takes about 1 s on a
+# 2-vCPU machine, so the cap allows about a minute
+MAX_WITNESS_CELLS = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ def input_field(spec, axes):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (summary dict, figures callable)
+# subcommand runners: each returns its summary dict
 
 
 DEFAULTS = {
@@ -251,7 +255,7 @@ def run_lorentz_norm(opts, outdir, seed):
     summary = {"quasinorm": value, "p": opts["p"], "nu": opts["nu"],
                "n_samples": len(values),
                "total_measure": samples.total_measure}
-    return summary, lambda: []
+    return summary
 
 
 def run_characterize(opts, outdir, seed):
@@ -314,7 +318,7 @@ def run_characterize(opts, outdir, seed):
         raise ConfigError(f"unknown characterize mode {opts['mode']!r}")
     report.write_csv(os.path.join(outdir, "truncation.csv"),
                      ["side", "truncation", "value"], trunc_rows)
-    return summary, lambda: plots.plot_characterize(outdir, summary)
+    return summary
 
 
 def run_br_scan(opts, outdir, seed):
@@ -359,7 +363,7 @@ def run_br_scan(opts, outdir, seed):
             fits[repr(lam)] = {"exponent": fit.exponent,
                                "target": lam + 1.0}
         summary["decay_fits"] = fits
-    return summary, lambda: plots.plot_br_scan(outdir, summary)
+    return summary
 
 
 def run_wave_check(opts, outdir, seed):
@@ -389,7 +393,7 @@ def run_wave_check(opts, outdir, seed):
         "l1_ratio": l1_ratio,
         "decay_rate": rate,
     }
-    return summary, lambda: plots.plot_wave_check(outdir, summary)
+    return summary
 
 
 def run_sph_probe(opts, outdir, seed):
@@ -415,11 +419,18 @@ def run_sph_probe(opts, outdir, seed):
     summary = {"dim": opts["dim"], "p": opts["p"],
                "estimate": report.fields_dict(est),
                "shells": [float(r) for r in r_grid]}
-    return summary, lambda: plots.plot_opnorm(outdir, summary["estimate"])
+    return summary
 
 
 def run_opnorm(opts, outdir, seed):
     axes = build_axes(opts["extent"], opts["resolution"], opts["ndim"])
+    # the sweep scores its dilations as witnesses too
+    steps = opts["budget"] + (SWEEP_DILATIONS if opts["mode"] == "sweep"
+                              else 0)
+    cells = opts["resolution"] ** opts["ndim"]
+    if steps * cells > MAX_WITNESS_CELLS:
+        raise BudgetError(f"{steps} witness steps on {cells} grid cells "
+                          f"exceed the cap of {MAX_WITNESS_CELLS} cells")
     mult = grid_multiplier(opts["multiplier"], axes)
     if opts["mode"] == "sweep":
         out = scaling_sweep_experiment(mult, axes, opts["p"], opts["nu"],
@@ -428,13 +439,13 @@ def run_opnorm(opts, outdir, seed):
                          ["t", "scaled_norm"],
                          [(float(t), float(v))
                           for t, v in sorted(out["rhs_per_t"].items())])
-        return out, lambda: plots.plot_opnorm(outdir, out)
+        return out
     if opts["mode"] == "estimate":
         est = estimate_lower(mult, axes, opts["p"], opts["nu"],
                              budget=opts["budget"], seed=seed)
         summary = report.fields_dict(est)
         summary["multiplier"] = opts["multiplier"]
-        return summary, lambda: plots.plot_opnorm(outdir, summary)
+        return summary
     raise ConfigError(f"unknown opnorm mode {opts['mode']!r}")
 
 
@@ -466,7 +477,7 @@ def run_apply(opts, outdir, seed):
         "energy_bound_ok": bool(out_l2 <= sym_max * in_l2 * (1 + 1e-12)),
         "wraparound_fraction": wrap,
     }
-    return summary, lambda: plots.plot_field(outdir, out)
+    return summary
 
 
 RUNNERS = {
@@ -494,8 +505,6 @@ def build_parser():
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--plot", action="store_true",
-                       help="render PNG figures (needs matplotlib)")
         for key, (default, kind) in defaults.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            default=None, metavar="V",
@@ -531,18 +540,15 @@ def _run(args, argv, outdir):
                      if getattr(args, key) is not None}
         opts = resolve(defaults, file_values, overrides)
         os.makedirs(outdir, exist_ok=True)
-        summary, make_figures = RUNNERS[command](opts, outdir, args.seed)
+        summary = RUNNERS[command](opts, outdir, args.seed)
         summary["command"] = command
         summary["seed"] = args.seed
         report.atomic_write_text(os.path.join(outdir, "config_echo.cfg"),
                                  effective_text(opts))
         report.write_summary(os.path.join(outdir, "summary.json"), summary)
-        figures = make_figures() if args.plot else []
         report.write_run_meta(os.path.join(outdir, "run_meta.json"),
                               {"argv": list(argv) if argv is not None
-                               else sys.argv[1:],
-                               "figures": [os.path.basename(f)
-                                           for f in figures]})
+                               else sys.argv[1:]})
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

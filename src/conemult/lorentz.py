@@ -279,31 +279,3 @@ def rearranged_quasinorm(r, params):
     total = (p / nu) * float(np.sum(contrib))
     return float(peak * total ** (1.0 / nu))
 
-
-def weighted_lp_norm(samples, p):
-    """Plain weighted l^p norm; equals lorentz_quasinorm at nu = p."""
-    peak = samples.values.max()
-    if peak == 0.0:
-        return 0.0
-    return float(peak * np.sum((samples.values / peak) ** p
-                               * samples.weights) ** (1.0 / p))
-
-
-def weighted_line_samples(f, weight_exponent, truncation, resolution):
-    """Sample |f| on a symmetric midpoint grid of [-R, R] with power weights.
-
-    Cell i centred at s_i carries weight cell_width * (1 + |s_i|)**weight_exponent,
-    the discretization of the measure (1 + |s|)^a ds.
-    """
-    if not truncation > 0:
-        raise DomainError(f"truncation must be positive, got {truncation}")
-    if resolution < 2:
-        raise DomainError(f"resolution must be at least 2, got {resolution}")
-    h = 2.0 * truncation / resolution
-    s = -truncation + (np.arange(resolution) + 0.5) * h
-    vals = np.asarray(f(s), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise DomainError(f"f is not finite at s = {s[bad][0]}")
-    weights = h * (1.0 + np.abs(s)) ** weight_exponent
-    return WeightedSampleSet(np.abs(vals), weights)

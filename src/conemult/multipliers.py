@@ -118,37 +118,6 @@ class GammaFamily:
     def constant(cls, profile, ks, support_radius=0.25):
         return cls({k: profile for k in ks}, support_radius)
 
-    def octave_of(self, tau):
-        if not tau > 0:
-            raise DomainError(f"tau must be positive, got {tau}")
-        k = int(math.floor(math.log2(tau)))
-        # guard the pathological float case tau == 2**(k+1) - eps rounding
-        if tau < 2.0 ** k:
-            k -= 1
-        elif tau >= 2.0 ** (k + 1):
-            k += 1
-        if k not in self.profiles:
-            raise DomainError(f"tau = {tau} lies in octave {k}, outside the family")
-        return k
-
-
-@dataclass
-class ModulatedFamily:
-    """Compactly supported profiles with per-octave slopes |b_k| <= 2."""
-
-    profiles: dict
-    slopes: dict
-    support_radius: float = 4.0
-
-    def __post_init__(self):
-        for k in self.profiles:
-            if k not in self.slopes:
-                raise DomainError(f"missing slope for octave {k}")
-            if abs(self.slopes[k]) > 2.0:
-                raise DomainError(f"|b_{k}| = {abs(self.slopes[k])} exceeds 2")
-            _check_profile_support(self.profiles[k], self.support_radius,
-                                   f"profile_{k}")
-
 
 @dataclass
 class ConeMultiplierField:
@@ -191,30 +160,6 @@ def build_dyadic_cone_multiplier(family, axes):
                                        "support_radius": family.support_radius})
 
 
-def build_modulated_cone_multiplier(family, axes, radial_cutoff=None,
-                                    slab_cutoff_fn=None):
-    """Sum over octaves of chi1(2^-k |xi|) chi(2^-k tau) Gamma_k((|xi| - b_k tau)/2^k)."""
-    from . import bumps
-    chi1 = radial_cutoff or bumps.annulus_cutoff
-    chi = slab_cutoff_fn or bumps.slab_cutoff
-    axes = tuple(axes)
-    xi_mag = freq_magnitude(axes[:-1])[..., None]
-    tau = axes[-1].freq_coords()
-    values = np.zeros(xi_mag.shape[:-1] + (len(tau),), dtype=complex)
-    for k, prof in family.profiles.items():
-        b = family.slopes[k]
-        scale = 2.0 ** (-k)
-        radial = chi1(scale * xi_mag)
-        slab = chi(scale * tau)
-        if not (np.any(radial) and np.any(slab)):
-            continue
-        u = scale * (xi_mag - b * tau)
-        values += radial * slab * np.asarray(prof(u), dtype=complex)
-    gridf = GridField(axes, values, rep="frequency")
-    return ConeMultiplierField(gridf, {"kind": "modulated_profiles",
-                                       "slopes": dict(family.slopes)})
-
-
 def field_symbol(m, axes):
     """The symbol array of the multiplier field ``m`` on the grid of ``axes``."""
     grid = m.grid if isinstance(m, ConeMultiplierField) else m
@@ -252,35 +197,6 @@ def apply_multiplier(f, m):
         np.multiply(sym, out, out=out)
     np.fft.ifftn(out, out=out)
     return GridField(f.axes, out, rep="space")
-
-
-def apply_shell_multiplier(f, tau, family):
-    """Apply gamma_k((|xi| - tau)/2^k) for the octave k with tau in [2^k, 2^{k+1})."""
-    k = family.octave_of(tau)
-    prof = family.profiles[k]
-    xi_mag = freq_magnitude(f.axes)
-    sym = np.asarray(prof((xi_mag - tau) / 2.0 ** k), dtype=complex)
-    return apply_multiplier(f, GridField(f.axes, sym, rep="frequency"))
-
-
-def apply_shell_combination(f, taus, alphas, family):
-    """Apply sum_k alpha_k T^{tau_k} as a single combined multiplier.
-
-    taus and alphas map octave k -> tau_k (in [2^k, 2^{k+1})) and alpha_k.
-    When the shell annuli are pairwise disjoint the discrete L2 norm of the
-    output is the quadrature sum of the per-shell norms.
-    """
-    xi_mag = freq_magnitude(f.axes)
-    sym = np.zeros(xi_mag.shape, dtype=complex)
-    for k, tau in taus.items():
-        if family.octave_of(tau) != k:
-            raise DomainError(f"tau = {tau} is not in octave {k}")
-        alpha = alphas.get(k, 0.0)
-        if alpha == 0.0:
-            continue
-        sym += alpha * np.asarray(
-            family.profiles[k]((xi_mag - tau) / 2.0 ** k), dtype=complex)
-    return apply_multiplier(f, GridField(f.axes, sym, rep="frequency"))
 
 
 def wraparound_fraction(f, shell=0.125):

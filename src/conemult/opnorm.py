@@ -23,6 +23,8 @@ from .multipliers import (ConeMultiplierField, GridField, field_symbol,
 
 FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
+# dilations of the default scan grid of scaling_sweep_experiment
+SWEEP_DILATIONS = 13
 
 
 def _lp_norm(mags, cell_volume, p):
@@ -471,20 +473,6 @@ def evaluate_witness(operator, spec, axes, p, nu):
     return num / denom
 
 
-def dilation_identity_gap(axes, p, t):
-    """|t^{d/p} ||eta(t.)||_p - ||eta||_p| / ||eta||_p on the grid.
-
-    Zero on the continuum; the discrete version measures grid adequacy.
-    Both norms are those the search takes of a dilated bump: per-axis sums
-    of eta(t x_k) (``_separable_lp_norm``).
-    """
-    d = len(axes)
-    vol = math.prod(ax.step for ax in axes)
-    n1, nt = (_separable_lp_norm(_bump_factors(axes, {"t": s}), vol, p)
-              for s in (1.0, t))
-    return abs(t ** (d / p) * nt - n1) / n1
-
-
 def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
     """Two routes to the operator size of a radial multiplier.
 
@@ -503,7 +491,7 @@ def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
     d = len(axes)
     tmin, tmax = _dilation_bounds(axes)
     if t_grid is None:
-        t_grid = np.geomspace(tmin, tmax, 13)
+        t_grid = np.geomspace(tmin, tmax, SWEEP_DILATIONS)
     t_used, t_excluded = [], []
     for t in np.asarray(t_grid, dtype=float):
         (t_used if tmin <= t <= tmax else t_excluded).append(float(t))

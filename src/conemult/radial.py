@@ -220,33 +220,6 @@ def _dyadic_groups(sorted_radii):
     return groups
 
 
-def sphere_measure_transform(radius, dim, radii):
-    """Fourier transform of the (unnormalized) sphere surface measure.
-
-    F[sigma_r](xi) = (2 pi)^(d/2) r^(d-1) g_{d/2-1}(r|xi|); the value at the
-    origin is the total mass r^(d-1) |S^(d-1)|.
-    """
-    if not radius > 0:
-        raise DomainError(f"sphere radius must be positive, got {radius}")
-    radii = np.asarray(radii, dtype=float)
-    vals = sphere_hat_values(radius, dim, radii)
-    return RadialProfile(radii, vals.astype(complex), dim)
-
-
-def sphere_hat_values(radius, dim, xi_magnitudes):
-    """Vectorized evaluation of F[sigma_r] at the given |xi| values."""
-    nu = dim / 2.0 - 1.0
-    z = radius * np.asarray(xi_magnitudes, dtype=float)
-    return (2.0 * np.pi) ** (dim / 2.0) * radius ** (dim - 1) * bessel_j_scaled(nu, z)
-
-
-def plancherel_radial(profile_values, radii, dim):
-    """Weighted l2 mass |S^{d-1}| * integral |f(r)|^2 r^(d-1) dr (trapezoid)."""
-    r = np.asarray(radii, dtype=float)
-    f2 = np.abs(np.asarray(profile_values)) ** 2 * r ** (dim - 1)
-    return surface_area(dim) * float(np.trapezoid(f2, r))
-
-
 # ---------------------------------------------------------------------------
 # inverse transforms of closed-form symbols by projection-slice
 

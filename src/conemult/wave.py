@@ -1,4 +1,4 @@
-"""Wave kernels, their spherical-mean decomposition, and shell convolutions.
+"""Wave kernels, their spherical-mean decomposition, and shell operators.
 
 The band-limited half-wave kernel at dyadic frequency scale 2^n,
 
@@ -22,8 +22,8 @@ evaluated on the way.
 
 Also here: smoothed spherical shells psi * sigma_r built from a compactly
 supported kernel psi = psi0 * psi0 whose transform vanishes to high order
-at the origin, their grid convolutions, and lower bounds for the norm of
-the shell superposition operator
+at the origin, and lower bounds for the norm of the shell superposition
+operator
 
     h  |-->  integral h(y, r) (sigma_r * psi)(. - y) dr dy
 
@@ -42,10 +42,9 @@ from .bessel import bessel_j_scaled, surface_area
 from .characterize import polar_sample_set
 from .errors import BudgetError, DomainError
 from .lorentz import lorentz_quasinorm, LorentzParams
-from .multipliers import GridField, apply_multiplier, freq_magnitude
 from .opnorm import OpNormEstimate
 from .radial import (RadialProfile, SphericalMeans, inverse_radial,
-                     inverse_radial_plan, sphere_hat_values)
+                     inverse_radial_plan)
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 
@@ -182,23 +181,6 @@ class SmoothingKernel:
         if last == len(rho) - 1:
             raise DomainError("kernel transform does not decay in the scan range")
         return float(rho[last + 1])
-
-    def max_cell(self, rel=1e-4):
-        """Largest grid cell that resolves the kernel spectrally.
-
-        The iterated Laplacian pushes the transform's bulk to frequencies
-        near sqrt(8 M (K + d/2 + 1)) / r0, far beyond the naive 1/width
-        scale, so grids must reach the point where |psi0_hat| has fallen
-        below ``rel`` of its peak.
-        """
-        rho = np.geomspace(1.0, 64.0 / self.radius0, 2048)
-        mag = np.abs(self.psi0_hat(rho))
-        peak = np.argmax(mag)
-        beyond = np.where(mag[peak:] <= rel * mag[peak])[0]
-        if len(beyond) == 0:
-            raise DomainError("kernel transform does not decay in the scan range")
-        rho_cut = rho[peak + beyond[0]]
-        return float(np.pi / rho_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -353,27 +335,6 @@ def decompose_range(n_list, dim, theta=None, **kwargs):
     decs = [decompose(n, dim, theta, **kwargs) for n in n_list]
     l1_ratio, rate = summarize_decompositions(decs)
     return decs, l1_ratio, rate
-
-
-# ---------------------------------------------------------------------------
-# grid shell convolution
-
-
-def shell_convolve(g, r, kernel):
-    """Convolve a grid field with the smoothed shell psi * sigma_r (frequency route)."""
-    if not isinstance(kernel, SmoothingKernel):
-        raise DomainError("kernel must be a SmoothingKernel")
-    cell_cap = min(kernel.radius0 / 4.0, kernel.max_cell())
-    for ax in g.axes:
-        if ax.step > cell_cap * (1.0 + 1e-9):
-            raise DomainError(
-                f"grid cell {ax.step:.4g} does not resolve the smoothing "
-                f"kernel (need cell <= {cell_cap:.4g}; width and spectral "
-                f"support both constrain it)")
-    xi = freq_magnitude(g.axes)
-    sym = kernel.psi_hat(xi) * sphere_hat_values(r, len(g.axes), xi)
-    return apply_multiplier(g, GridField(g.axes, sym.astype(complex),
-                                         rep="frequency"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from conemult.bochner import (BRProfile, CriticalScanResult,
-                              build_bochner_riesz_cone, cone_split_fields,
+                              build_bochner_riesz_cone,
                               critical_exponent, critical_exponent_alt,
                               critical_scan, edge_decay_fit)
 from conemult.characterize import fourier_side_quantity
 from conemult.errors import DomainError
 from conemult.lorentz import LorentzParams, WeightedSampleSet, \
     lorentz_quasinorm
-from conemult.multipliers import Axis, ModulatedFamily, freq_magnitude, \
-    build_modulated_cone_multiplier
+from conemult.multipliers import Axis, freq_magnitude
 from conemult.radial import fourier_1d
 from conemult.util import doubling_trend
 
@@ -113,35 +112,6 @@ def test_cone_field_point_values():
     i = np.argmin(np.abs(tau - 4.0))
     j = np.argmin(np.abs(axes[0].freq_coords() - 2.0))
     assert vals[j, 0, i] == pytest.approx(0.75)
-
-
-def test_cone_split_exact_identity():
-    axes = (Axis(16.0, 32), Axis(16.0, 32), Axis(16.0, 32))
-    for lam in (0.5, 1.0, 1.7):
-        full, main, rest = cone_split_fields(lam, axes)
-        resid = np.abs(full - main - rest)
-        assert resid.max() <= 1e-10
-
-
-def test_main_term_matches_modulated_builder():
-    # the edge profile family with slope 1 builds the same field as the
-    # slab-decomposed main term evaluated pointwise
-    from conemult import bumps
-    lam = 1.0
-    gamma = BRProfile(lam)
-    axes = (Axis(16.0, 32), Axis(16.0, 32), Axis(16.0, 32))
-    fam = ModulatedFamily({k: gamma for k in range(-3, 4)},
-                          {k: 1.0 for k in range(-3, 4)},
-                          support_radius=0.25)
-    cone = build_modulated_cone_multiplier(fam, axes)
-    xi = freq_magnitude(axes[:-1])[..., None]
-    tau = axes[-1].freq_coords()
-    want = np.zeros(cone.grid.values.shape)
-    for k in range(-3, 4):
-        want += bumps.annulus_cutoff(xi / 2.0 ** k) \
-            * bumps.slab_cutoff(tau / 2.0 ** k) \
-            * gamma((xi - tau) / 2.0 ** k)
-    assert np.max(np.abs(cone.grid.values - want)) <= 1e-12
 
 
 def test_threshold_formulas_agree():

@@ -38,11 +38,6 @@ def test_bump_phi_support_and_peak():
 
 def test_named_cutoff_supports():
     x = np.linspace(-10, 10, 4001)
-    y = bumps.annulus_cutoff(x)
-    assert np.all(y[(x <= 5 / 8) | (x >= 17 / 8)] == 0.0)
-    y = bumps.slab_cutoff(x)
-    assert np.all(y[np.abs(x) >= 4.0] == 0.0)
-    assert np.all(y[np.abs(x) <= 3.0] == 1.0)
     y = bumps.band_cutoff(x)
     assert np.all(y[(x <= 1 / 8) | (x >= 8)] == 0.0)
     assert np.all(y[(x >= 1.0) & (x <= 2.0)] == 1.0)

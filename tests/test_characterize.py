@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conemult import report
 from conemult.bessel import surface_area
 from conemult.bumps import BumpPhi, smooth_window
-from conemult.characterize import (compare_sides, dilation_invariance_ratio,
-                                   fourier_side_quantity,
+from conemult.characterize import (LineSamples, fourier_side_quantity,
                                    kernel_side_quantity, polar_sample_set,
                                    radial_symbol_quantity)
 from conemult.errors import DomainError
@@ -120,16 +118,14 @@ def test_kernel_side_plancherel():
 
 
 def test_side_comparison_band_small_family():
-    profiles = [("a", annulus_bump(1.0, 0.5)),
-                ("b", annulus_bump(0.8, 0.3)),
-                ("c", annulus_bump(1.3, 0.5, freq=6.0)),
-                ("d", annulus_bump(1.5, 0.4))]
-    cmpres = compare_sides(profiles, 3, LorentzParams(1.2, 1.2),
-                           support=(0.25, 2.25), rho_max=256.0)
-    assert cmpres.band <= 20.0
-    for _, fv, kv, ratio in cmpres.rows:
+    params = LorentzParams(1.2, 1.2)
+    for gamma in (annulus_bump(1.0, 0.5), annulus_bump(0.8, 0.3),
+                  annulus_bump(1.3, 0.5, freq=6.0), annulus_bump(1.5, 0.4)):
+        fv = fourier_side_quantity(gamma, 3, params).value
+        kv = kernel_side_quantity(gamma, 3, params, support=(0.25, 2.25),
+                                  rho_max=256.0).value
         assert fv > 0 and kv > 0
-        assert 1.0 / 20.0 <= ratio <= 20.0
+        assert 1.0 / 20.0 <= fv / kv <= 20.0
 
 
 def test_symbol_scan_constant_symbol_is_flat():
@@ -201,66 +197,49 @@ def test_symbol_scan_matches_per_dilation_route():
         assert res.per_t[float(t)] == q.value
 
 
+def _br05(r):
+    return np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
+
+
+def _dilation_ratio(t0, t_grid, **kwargs):
+    """Symbol functional of br05 over that of its dilate br05(t0 .).
+
+    Exactly 1 when the scan grid is closed under multiplication by t0 and
+    the maximizer is interior.
+    """
+    params = LorentzParams(8.0 / 7.0, math.inf)
+    base, dilated = (radial_symbol_quantity(m0, 4, params, t_grid=t_grid,
+                                            **kwargs)
+                     for m0 in (_br05, lambda r: _br05(t0 * np.asarray(r))))
+    return base.value / dilated.value
+
+
 def test_dilation_unit_ratio_exact():
-    br05 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
-    ratio, _, _ = dilation_invariance_ratio(br05, 4,
-                                            LorentzParams(8.0 / 7.0, math.inf),
-                                            1.0,
-                                            t_grid=np.geomspace(0.5, 2.0, 9),
-                                            resolution=2 ** 12,
-                                            truncation=256.0)
+    ratio = _dilation_ratio(1.0, np.geomspace(0.5, 2.0, 9),
+                            resolution=2 ** 12, truncation=256.0)
     assert ratio == 1.0
 
 
 def test_dilation_dyadic_grid_reindexes():
-    br05 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
-    ratio, _, _ = dilation_invariance_ratio(
-        br05, 4, LorentzParams(8.0 / 7.0, math.inf), 2.0,
-        t_grid=np.geomspace(2.0 ** -3, 2.0 ** 3, 49),
-        resolution=2 ** 13, truncation=1024.0)
+    ratio = _dilation_ratio(2.0, np.geomspace(2.0 ** -3, 2.0 ** 3, 49),
+                            resolution=2 ** 13, truncation=1024.0)
     assert abs(ratio - 1.0) <= 1e-9
 
 
 def test_dilation_off_grid_within_scan_tolerance():
-    br05 = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
-    ratio, _, _ = dilation_invariance_ratio(
-        br05, 4, LorentzParams(8.0 / 7.0, math.inf), 3.0,
-        t_grid=geometric_grid(2.0 ** -4, 2.0 ** 4, 64),
-        resolution=2 ** 13, truncation=1024.0)
+    ratio = _dilation_ratio(3.0, geometric_grid(2.0 ** -4, 2.0 ** 4, 64),
+                            resolution=2 ** 13, truncation=1024.0)
     assert abs(ratio - 1.0) <= 0.02
 
 
-def test_family_report_per_octave_and_sup(tmp_path):
-    from conemult.characterize import characterize_family
-    fam = {0: annulus_bump(1.0, 0.5), 1: annulus_bump(1.2, 0.4),
-           2: annulus_bump(0.9, 0.3)}
-    rep = characterize_family(fam, 3, LorentzParams(1.3, math.inf),
-                              kernel_support=(0.25, 2.25),
-                              truncation=512.0, resolution=2 ** 13)
-    assert set(rep.fourier_by_octave) == {0, 1, 2}
-    assert rep.fourier_sup == max(q.value
-                                  for q in rep.fourier_by_octave.values())
-    assert rep.kernel_sup > 0
-    assert not rep.any_divergent
-    # the report is written from its fields as it is
-    report.write_summary(tmp_path / "summary.json", {"report": rep})
-    with open(tmp_path / "summary.json") as fh:
-        written = json.load(fh)["report"]
-    assert written["nu"] == "inf"
-    assert written["fourier_by_octave"]["2"]["value"] == \
-        rep.fourier_by_octave[2].value
-
-
-def test_family_report_skips_zero_radial_extension():
-    from conemult.bochner import BRProfile
-    from conemult.characterize import characterize_family
-    rep = characterize_family({0: BRProfile(1.0)}, 4,
-                              LorentzParams(1.25, math.inf),
-                              truncation=512.0, resolution=2 ** 13,
-                              spatial_truncation=4.0)
-    assert rep.kernel_by_octave[0] is None
-    assert rep.kernel_sup is None
-    assert rep.fourier_sup > 0
+def test_line_samples_dim_range_ends_at_the_float_range():
+    # the default grid: 2^16 points on [-8, 8), reaching |s| = 8192 pi
+    sigma = (math.pi / 8.0) * np.arange(-2 ** 15, 2 ** 15)
+    # 85 ln(4097) = 707.1, below ln(max float) = 709.8
+    line = LineSamples(sigma, 85, 4096.0)
+    assert np.isfinite(np.cumsum(line.weights)[-1])
+    with pytest.raises(DomainError, match="dim = 86"):
+        LineSamples(sigma, 86, 4096.0)
 
 
 def test_polar_sample_set_measures():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -261,6 +262,21 @@ def test_scan_dimension_below_two_exits_2(tmp_path, capsys, args):
     assert _one_line_error_text(err) and "dim = " in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--dim", "120"],
+    ["--mode", "symbol", "--dim", "400"],
+])
+def test_characterize_dim_overflowing_the_line_measure_exits_2(tmp_path,
+                                                               capsys, args):
+    # checked in log space before any line weight is formed, so no
+    # overflow warning comes first
+    assert run_cli(["characterize", "--out", str(tmp_path / "c"),
+                    *args]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "dim = " in err
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize("rho_max", ["0", "-1", "inf", "nan"])
 def test_characterize_bad_kernel_rho_max_exits_2(tmp_path, capsys, rho_max):
     assert run_cli(["characterize", "--out", str(tmp_path / "c"),
@@ -419,6 +435,38 @@ def test_grid_at_the_cell_cap_is_accepted():
     assert 4096 ** 2 == cli.MAX_GRID_CELLS and len(axes) == 2
 
 
+def test_opnorm_witness_work_past_the_cap_exits_3_before_allocating(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "grid_multiplier",
+                        lambda *args: built.append(args))
+    start = time.perf_counter()
+    assert run_cli(["opnorm", "--out", str(tmp_path / "o"),
+                    "--budget", "100000000"]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "exceed the cap" in err
+    assert built == []
+
+
+@pytest.mark.parametrize("mode, budget, code", [
+    ("sweep", 262131, 2), ("sweep", 262132, 3),
+    ("estimate", 262144, 2), ("estimate", 262145, 3),
+])
+def test_opnorm_witness_work_cap_ends(tmp_path, capsys, monkeypatch, mode,
+                                      budget, code):
+    # (budget + swept dilations) x 64^2 cells against the 2^30 cap; a run
+    # under it reaches the multiplier, stubbed here to end the run at once
+    def reached(spec, axes):
+        raise ConfigError("multiplier reached")
+    monkeypatch.setattr(cli, "grid_multiplier", reached)
+    assert run_cli(["opnorm", "--out", str(tmp_path / "o"), "--mode", mode,
+                    "--budget", str(budget)]) == code
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err)
+    assert ("multiplier reached" in err) == (code == 2)
+
+
 def test_csv_line_profile_is_the_spline_on_its_open_support(tmp_path):
     from conemult.util import CubicSpline1D
     u = np.linspace(-0.25, 0.25, 11)
@@ -549,6 +597,23 @@ def test_radial_grid_multiplier_is_the_symbol_on_the_grid(spec):
     want = np.asarray(cli.radial_symbol(spec)(freq_magnitude(axes)),
                       dtype=complex)
     assert np.array_equal(mult.values, want)
+
+
+def test_readme_cli_examples_parse():
+    # every example of the README's CLI block is a valid command line of
+    # its subcommand, with values its config keys accept; nothing is run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    examples = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("conemult ")]
+    assert {argv[0] for argv in examples} == set(cli.DEFAULTS)
+    parser = cli.build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv)
+        defaults = cli.DEFAULTS[args.command]
+        resolve(defaults, {}, {key: getattr(args, key) for key in defaults
+                               if getattr(args, key) is not None})
 
 
 def test_config_file_resolution_and_echo(tmp_path):

@@ -5,15 +5,11 @@ import numpy as np
 import pytest
 
 from conemult.errors import DomainError, WraparoundWarning
-from conemult.multipliers import (Axis, ConeMultiplierField, GammaFamily,
-                                  GridField, ModulatedFamily,
-                                  apply_multiplier, apply_shell_combination,
-                                  apply_shell_multiplier,
+from conemult.multipliers import (Axis, GammaFamily, GridField,
+                                  apply_multiplier,
                                   build_dyadic_cone_multiplier,
-                                  build_modulated_cone_multiplier,
                                   check_wraparound, export_field_csv,
-                                  freq_magnitude, load_field, save_field,
-                                  wraparound_fraction)
+                                  freq_magnitude, load_field, save_field)
 from conemult.util import CubicSpline1D
 
 
@@ -119,44 +115,6 @@ def test_family_support_violation_rejected():
         GammaFamily.constant(wide, [0])
 
 
-# -- modulated builder --------------------------------------------------------
-
-
-def test_modulated_slope_bound_enforced():
-    with pytest.raises(DomainError):
-        ModulatedFamily({0: tent}, {0: 2.5})
-
-
-def test_modulated_support_box():
-    fam = ModulatedFamily({0: tent}, {0: 1.0}, support_radius=0.25)
-    axes = cone_axes(extent=8.0, res=64)
-    cone = build_modulated_cone_multiplier(fam, axes)
-    tau = axes[-1].freq_coords()
-    xi = freq_magnitude(axes[:-1])[..., None]
-    nz = np.abs(cone.grid.values) > 0
-    xi_b = np.broadcast_to(xi, cone.grid.values.shape)
-    tau_b = np.broadcast_to(tau, cone.grid.values.shape)
-    assert np.all(xi_b[nz] >= 5.0 / 8.0)
-    assert np.all(xi_b[nz] <= 17.0 / 8.0)
-    assert np.all(np.abs(tau_b[nz]) <= 4.0)
-
-
-def test_modulated_constant_profile_drops_gamma_factor():
-    from conemult import bumps
-    # flat where the radial cutoff lives (|u| <= 17/8 < 3), zero slope
-    flat = lambda u: bumps.smooth_window(np.asarray(u, dtype=float),
-                                         -4.0, -3.0, 3.0, 4.0)
-    fam = ModulatedFamily({0: flat, 1: flat}, {0: 0.0, 1: 0.0},
-                          support_radius=4.0)
-    axes = cone_axes(extent=8.0, res=64)
-    cone = build_modulated_cone_multiplier(fam, axes)
-    tau = axes[-1].freq_coords()
-    xi = freq_magnitude(axes[:-1])[..., None]
-    want = sum(bumps.annulus_cutoff(xi / 2.0 ** k) * bumps.slab_cutoff(
-        tau / 2.0 ** k) for k in (0, 1))
-    assert np.allclose(cone.grid.values, want, atol=1e-12)
-
-
 # -- operators ----------------------------------------------------------------
 
 
@@ -237,84 +195,6 @@ def test_radial_symbol_on_radial_input_stays_radial():
         if len(vals) > 1:
             worst = max(worst, float(np.ptp(vals)) / mean_scale)
     assert worst <= 1e-8
-
-
-# -- shell operators ----------------------------------------------------------
-
-
-def test_shell_zero_profile_gives_zero():
-    fam = GammaFamily.constant(lambda u: np.zeros_like(np.asarray(u, float)),
-                               [0])
-    axes = cone_axes(extent=8.0, res=64, ndim=2)
-    f = GridField(axes, np.random.default_rng(0).standard_normal((64, 64))
-                  + 0j)
-    out = apply_shell_multiplier(f, 1.5, fam)
-    assert np.max(np.abs(out.values)) <= 1e-14
-
-
-def test_shell_annihilates_disjoint_fourier_support():
-    fam = GammaFamily.constant(tent, [0])
-    axes = (Axis(8.0, 64), Axis(8.0, 64))
-    # synthesize the input from modes with |xi| <= 0.8 only
-    rng = np.random.default_rng(8)
-    xi = freq_magnitude(axes)
-    spectrum = np.where(xi <= 0.8,
-                        rng.standard_normal(xi.shape)
-                        + 1j * rng.standard_normal(xi.shape), 0.0)
-    f = GridField(axes, np.fft.ifftn(spectrum))
-    out = apply_shell_multiplier(f, 1.9, fam)
-    # annulus ||xi| - 1.9| < 1/4 sees none of the input spectrum
-    assert out.l2_norm() <= 1e-10 * f.l2_norm()
-
-
-def test_shell_tent_matches_pointwise_oracle():
-    fam = GammaFamily.constant(tent, [0])
-    axes = (Axis(16.0, 64), Axis(16.0, 64))
-    rng = np.random.default_rng(9)
-    f = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    out = apply_shell_multiplier(GridField(axes, f), 1.5, fam)
-    xi = freq_magnitude(axes)
-    sym = tent(xi - 1.5)
-    want = np.fft.ifftn(sym * np.fft.fftn(f))
-    assert np.max(np.abs(out.values - want)) <= 1e-12
-
-
-def test_shell_tau_outside_family_rejected():
-    fam = GammaFamily.constant(tent, [0])
-    axes = (Axis(8.0, 32), Axis(8.0, 32))
-    f = GridField(axes, np.zeros((32, 32)))
-    with pytest.raises(DomainError):
-        apply_shell_multiplier(f, 4.5, fam)  # octave k = 2 not in family
-
-
-def test_shell_combination_collapse_and_additivity():
-    fam = GammaFamily.constant(tent, [0, 1])
-    axes = (Axis(16.0, 64), Axis(16.0, 64))
-    rng = np.random.default_rng(14)
-    f = GridField(axes, rng.standard_normal((64, 64))
-                  + 1j * rng.standard_normal((64, 64)))
-    zero = apply_shell_combination(f, {0: 1.0, 1: 2.0}, {}, fam)
-    assert np.max(np.abs(zero.values)) == 0.0
-    single = apply_shell_combination(f, {0: 1.0}, {0: 1.0}, fam)
-    direct = apply_shell_multiplier(f, 1.0, fam)
-    assert np.allclose(single.values, direct.values, atol=1e-13)
-    # mid-slab taus make the annuli pairwise disjoint
-    taus = {0: 1.0, 1: 2.0}
-    alphas = {0: 1.0, 1: -1.0}
-    combo = apply_shell_combination(f, taus, alphas, fam)
-    t0 = apply_shell_multiplier(f, 1.0, fam)
-    t1 = apply_shell_multiplier(f, 2.0, fam)
-    lhs = combo.l2_norm() ** 2
-    rhs = t0.l2_norm() ** 2 + t1.l2_norm() ** 2
-    assert abs(lhs - rhs) <= 1e-9 * rhs
-
-
-def test_shell_combination_slab_validation():
-    fam = GammaFamily.constant(tent, [0, 1])
-    axes = (Axis(8.0, 32), Axis(8.0, 32))
-    f = GridField(axes, np.zeros((32, 32)))
-    with pytest.raises(DomainError):
-        apply_shell_combination(f, {0: 2.5}, {0: 1.0}, fam)
 
 
 # -- wraparound and serialization --------------------------------------------

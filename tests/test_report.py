@@ -141,12 +141,16 @@ def test_summary_writes_a_result_from_its_fields(tmp_path):
                             {"scales": (0.5, 2.0), "divergent": True},
                             {"nu": math.inf})
     path = tmp_path / "summary.json"
-    report.write_summary(path, {"nested": {"result": result}})
+    report.write_summary(path, {"nested": {"result": result},
+                                "by_octave": {2: result}})
     with open(path) as fh:
-        written = json.load(fh)["nested"]["result"]
+        summary = json.load(fh)
+    written = summary["nested"]["result"]
     # the fields, not the ``divergent`` property; float keys as repr,
     # infinities as "inf", tuples as lists
     assert written == {"value": "inf",
                        "by_truncation": {"0.5": 1.0, "2.0": "inf"},
                        "trend": {"scales": [0.5, 2.0], "divergent": True},
                        "meta": {"nu": "inf"}}
+    # integer keys as str
+    assert summary["by_octave"] == {"2": written}

@@ -9,12 +9,11 @@ from conemult import bumps, radial, wave
 from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.bumps import band_cutoff
 from conemult.errors import BudgetError, DomainError
-from conemult.multipliers import Axis, GridField
 from conemult.radial import RadialProfile, SphericalMeans, radial_transform
 from conemult.util import CubicSpline1D, panel_nodes
 from conemult.wave import (SmoothingKernel, decompose, decompose_range,
-                           shell_convolve, shell_l1_ratios,
-                           shell_operator_lower_bound, wave_kernel)
+                           shell_l1_ratios, shell_operator_lower_bound,
+                           wave_kernel)
 
 
 @pytest.fixture(scope="module")
@@ -437,70 +436,6 @@ def test_shell_profile_support_and_cancellation(kernel2):
     mass = surface_area(2) * np.trapezoid(vals * rr, rr)
     assert abs(mass) <= 1e-8 * surface_area(2) * np.trapezoid(np.abs(vals)
                                                               * rr, rr)
-
-
-def test_shell_convolve_concentrates_on_annulus(kernel2):
-    axes = (Axis(8.0, 256), Axis(8.0, 256))
-    x = axes[0].space_coords()
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    g = GridField(axes, np.exp(-(X ** 2 + Y ** 2) / (2 * 0.03 ** 2))
-                  .astype(complex))
-    out = shell_convolve(g, 1.0, kernel2)
-    dist = np.hypot(X, Y)
-    w = kernel2.support_radius + 3 * 0.03
-    on = (dist >= 1.0 - w) & (dist <= 1.0 + w)
-    frac = np.sum(np.abs(out.values)[on]) / np.sum(np.abs(out.values))
-    assert frac >= 0.99
-    # total integral vanishes by moment cancellation
-    total = abs(out.values.sum()) * out.cell_volume()
-    assert total <= 1e-6 * out.l1_mass()
-
-
-def test_shell_convolve_linearity(kernel2):
-    axes = (Axis(8.0, 256), Axis(8.0, 256))
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-    g = rng.standard_normal((256, 256)) + 0j
-    a = shell_convolve(GridField(axes, f + 2.0 * g), 1.0, kernel2)
-    b1 = shell_convolve(GridField(axes, f), 1.0, kernel2)
-    b2 = shell_convolve(GridField(axes, g), 1.0, kernel2)
-    assert np.allclose(a.values, b1.values + 2.0 * b2.values, atol=1e-12)
-
-
-def test_shell_convolve_frequency_vs_spatial_route(kernel2):
-    axes = (Axis(8.0, 256), Axis(8.0, 256))
-    vals = np.zeros((256, 256), complex)
-    rng = np.random.default_rng(1)
-    pts = [(110, 128), (128, 110), (140, 135)]
-    for (i, j) in pts:
-        vals[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
-    g = GridField(axes, vals)
-    x = axes[0].space_coords()
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    shell = _psi_means(kernel2)
-    for r in (0.7, 1.0, 1.3):
-        out = shell_convolve(g, r, kernel2)
-        lo = r - kernel2.support_radius - 0.02
-        hi = r + kernel2.support_radius + 0.02
-        fine = np.linspace(max(lo, 0.0), hi, 4001)
-        spl = CubicSpline1D(fine, shell(r, fine))
-        oracle = np.zeros((256, 256), complex)
-        for (i, j) in pts:
-            dist = np.hypot(X - x[i], Y - x[j])
-            inside = (dist >= lo) & (dist <= hi)
-            contrib = np.zeros_like(dist)
-            contrib[inside] = spl(dist[inside])
-            oracle += vals[i, j] * contrib
-        oracle *= g.cell_volume()
-        rel = np.abs(out.values - oracle).max() / np.abs(oracle).max()
-        assert rel <= 1e-3, r
-
-
-def test_shell_convolve_resolution_precondition(kernel3):
-    axes = (Axis(8.0, 64), Axis(8.0, 64))
-    g = GridField(axes, np.zeros((64, 64)))
-    with pytest.raises(DomainError):
-        shell_convolve(g, 1.0, kernel3)
 
 
 def test_radial_convolution_against_planar_limit(kernel2):
