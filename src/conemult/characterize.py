@@ -52,6 +52,43 @@ class QuantityResult:
         return self.trend.get("divergent", False)
 
 
+def _power(params):
+    """The largest power, at least 1, to which a quasi-norm of ``params``
+    raises a cumulative measure: nu / p, or 1 / p for the weak one."""
+    return max(1.0, (1.0 if params.weak else params.nu) / params.p)
+
+
+def _check_line_measure(dim, truncation, power=1.0):
+    # the line's measure, 2((1 + R)^dim - 1) / dim, stays below (1 + R)^dim
+    if power * dim * math.log1p(truncation) >= _LOG_FLOAT_MAX:
+        raise DomainError(f"dim = {dim}: the line measure (1 + |s|)^(dim "
+                          f"- 1) ds on |s| <= R = {truncation:g}"
+                          + (f", raised to the power {power:g}," if power > 1
+                             else "")
+                          + " overflows float64")
+
+
+def check_kernel_dim(dim, params, rho_max):
+    """Reject a dim whose kernel side leaves the float range.
+
+    Its Bessel order dim/2 - 1 needs Gamma(dim/2) finite, and the polar
+    weights |S^(dim-1)| r^(dim-1) dr out to rho_max need their measure,
+    raised to the quasi-norm's power, finite: both are checked in log
+    space, with the radius bounded by 2 rho_max.
+    """
+    if math.lgamma(0.5 * dim) >= _LOG_FLOAT_MAX:
+        raise DomainError(f"dim = {dim}: the kernel side's Bessel order "
+                          f"dim/2 - 1 needs Gamma(dim/2) as a float")
+    log_r = math.log(2.0 * rho_max)
+    log_sphere = math.log(2.0) + 0.5 * dim * math.log(math.pi) \
+        - math.lgamma(0.5 * dim)
+    if max((dim - 1) * log_r,
+           _power(params) * (log_sphere + dim * log_r)) >= _LOG_FLOAT_MAX:
+        raise DomainError(f"dim = {dim}: the kernel side's measure "
+                          f"|S^(dim-1)| r^(dim-1) dr on r <= "
+                          f"kernel_rho_max = {rho_max:g} overflows float64")
+
+
 class LineSamples:
     """Weighted samples of |g_hat(s)| (1+|s|)^(-(d-1)/2) on |s| <= R.
 
@@ -72,11 +109,7 @@ class LineSamples:
 
     def __init__(self, sigma, dim, truncation):
         _check_truncation(sigma, truncation)
-        # the line's measure, 2((1 + R)^dim - 1) / dim, stays below (1 + R)^dim
-        if dim * math.log1p(truncation) >= _LOG_FLOAT_MAX:
-            raise DomainError(f"dim = {dim}: the line measure (1 + |s|)^(dim "
-                              f"- 1) ds on |s| <= R = {truncation:g} "
-                              f"overflows float64")
+        _check_line_measure(dim, truncation)
         h = sigma[1] - sigma[0]
         self.keep = np.abs(sigma) <= truncation
         s = sigma[self.keep]
@@ -133,6 +166,7 @@ def fourier_side_quantity(gamma, dim, params, truncation=4096.0,
     is reported at truncations R/2^doublings .. R for convergence
     assessment.
     """
+    _check_line_measure(dim, truncation, _power(params))
     sigma, ghat = fourier_1d(gamma, spatial_truncation, resolution)
     radii = [truncation / 2 ** i for i in range(doublings, -1, -1)]
     rearranged = line_rearrangements(sigma, ghat, dim,
@@ -169,6 +203,7 @@ def polar_sample_set(radii, values, dim):
 def kernel_side_quantity(gamma, dim, params, support=None, rho_max=256.0,
                          points_per_octave=48):
     """L^{p,nu}(R^d) size of the inverse transform of gamma(|xi|)."""
+    check_kernel_dim(dim, params, rho_max)
     radii = np.concatenate(([_KERNEL_RHO_MIN / 2],
                             geometric_grid(_KERNEL_RHO_MIN, rho_max,
                                            points_per_octave)))
@@ -210,6 +245,7 @@ def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
     sup and its maximizer over the finite scan grid are reported, together
     with truncation diagnostics at the maximizing t.
     """
+    _check_line_measure(dim, truncation, _power(params))
     phi = phi or BumpPhi()
     if t_grid is None:
         t_grid = geometric_grid(2.0 ** -4, 2.0 ** 4, 16)

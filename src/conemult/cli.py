@@ -18,8 +18,8 @@ import numpy as np
 from . import bumps, report
 from .bochner import (BRProfile, build_bochner_riesz_cone, critical_scan,
                       edge_decay_fit)
-from .characterize import (fourier_side_quantity, kernel_side_quantity,
-                           radial_symbol_quantity)
+from .characterize import (check_kernel_dim, fourier_side_quantity,
+                           kernel_side_quantity, radial_symbol_quantity)
 from .config import effective_text, load_config, resolve
 from .errors import BudgetError, ConfigError, DomainError
 from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
@@ -273,6 +273,7 @@ def run_characterize(opts, outdir, seed):
         if opts["kernel_rho_max"] > MAX_KERNEL_RHO:
             raise BudgetError(f"kernel_rho_max = {opts['kernel_rho_max']} "
                               f"exceeds the cap {MAX_KERNEL_RHO}")
+        check_kernel_dim(dim, params, opts["kernel_rho_max"])
         gamma = line_profile(opts["profile"])
         fq = fourier_side_quantity(gamma, dim, params, opts["truncation"],
                                    opts["spatial_truncation"],

@@ -10,6 +10,7 @@ the finite-nu integral is evaluated in closed form piece by piece, and the
 weak-type supremum uses the right endpoint of each constant piece.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,26 +48,31 @@ class WeightedSampleSet:
     values: np.ndarray
     weights: np.ndarray
 
-    # set by ``of_magnitudes``: the values array belongs to the set alone
+    # set by ``of_magnitudes``: the values array belongs to the set alone,
+    # and a float64 array of one entry per sample that its norms may use
     _owns_values = False
+    _scratch = None
 
     def __post_init__(self):
         self.values = np.abs(np.asarray(self.values, dtype=float))
         self._check()
 
     @classmethod
-    def of_magnitudes(cls, magnitudes, weights):
+    def of_magnitudes(cls, magnitudes, weights, scratch=None):
         """The sample set over ``magnitudes`` itself, taken without a copy.
 
         ``magnitudes`` is a 1-d float64 array of values >= 0, such as
         ``np.abs`` returns, that no one else reads afterwards: under a
         scalar weight the rearrangement sorts it in place, which leaves the
         set (values of equal weight, in no particular order) unchanged.
+        ``scratch``, a float64 array of at least one entry per sample, takes
+        the terms of a finite-nu quasi-norm in place of a new array.
         """
         samples = cls.__new__(cls)
         samples.values = magnitudes
         samples.weights = weights
         samples._owns_values = True
+        samples._scratch = scratch
         samples._check()
         return samples
 
@@ -131,12 +137,17 @@ def decreasing_rearrangement(samples):
     in place when the set owns them (``WeightedSampleSet.of_magnitudes``).
     """
     if samples.uniform:
-        if samples._owns_values:
-            samples.values.sort()
-            return _uniform_merged(samples.values, samples.weights)
-        return _uniform_merged(np.sort(samples.values), samples.weights)
+        return _uniform_merged(_ascending(samples), samples.weights)
     order = np.argsort(samples.values)
     return _tie_merged(samples.values, samples.weights, order)
+
+
+def _ascending(samples):
+    """The values of a set, sorted: in place when the set owns them."""
+    if samples._owns_values:
+        samples.values.sort()
+        return samples.values
+    return np.sort(samples.values)
 
 
 def subset_rearrangements(samples, masks):
@@ -182,26 +193,55 @@ def _tie_merged(values, weights, order, keep=None):
     return RearrangedFunction(breakpoints, levels)
 
 
+# pieces of a rearrangement per chunk, where it is formed or read in chunks
+_CHUNK = 2 ** 14
+
+
 def _uniform_merged(v, weight):
     """Rearrangement of the ascending values ``v``, each of measure ``weight``."""
-    start = np.empty(len(v), dtype=bool)
-    start[0] = True
-    np.not_equal(v[1:], v[:-1], out=start[1:])
-    breakpoints = np.empty(int(start.sum()) + 1)
-    breakpoints[0] = 0.0
-    if len(breakpoints) > len(v):
-        # no ties: every piece is one sample
-        levels = v[::-1]
-        breakpoints[1:] = weight
-    else:
-        first = np.flatnonzero(start)
-        levels = v[first[::-1]]
-        counts = np.empty_like(first)
-        np.subtract(first[1:], first[:-1], out=counts[:-1])
-        counts[-1] = len(v) - first[-1]
-        breakpoints[1:] = _repeated_sums(counts[::-1], weight)
-    np.cumsum(breakpoints[1:], out=breakpoints[1:])
-    return RearrangedFunction(breakpoints, levels)
+    chunks = list(_uniform_pieces(v, weight))
+    return RearrangedFunction(
+        np.concatenate([[0.0]] + [ends for _, ends in chunks]),
+        np.concatenate([levels for levels, _ in chunks]))
+
+
+def _uniform_pieces(v, weight):
+    """The rearrangement of the ascending values ``v``, each of measure
+    ``weight``, as consecutive ``(levels, ends)`` chunks, largest first.
+
+    A chunk holds whole pieces, about ``_CHUNK`` of them: ``levels`` their
+    values, descending, and ``ends`` their right breakpoints.  The ends of
+    a chunk are one cumsum that carries the running total into its first
+    entry, so they are those of one cumsum over all pieces, bit for bit,
+    and no array of the sample count is formed (but for a chunk that
+    stretches over a long run of ties).
+    """
+    total = 0.0
+    hi = len(v)
+    while hi > 0:
+        # the chunk starts where the run of its smallest value starts
+        lo = 0 if hi <= _CHUNK else \
+            int(np.searchsorted(v, v[hi - _CHUNK], side="left"))
+        u = v[lo:hi]
+        start = np.empty(len(u), dtype=bool)
+        start[0] = True
+        np.not_equal(u[1:], u[:-1], out=start[1:])
+        if start.all():
+            # no ties: every piece is one sample
+            levels = u[::-1]
+            ends = np.full(len(u), weight)
+        else:
+            first = np.flatnonzero(start)
+            levels = u[first[::-1]]
+            counts = np.empty_like(first)
+            np.subtract(first[1:], first[:-1], out=counts[:-1])
+            counts[-1] = len(u) - first[-1]
+            ends = _repeated_sums(counts[::-1], weight)
+        ends[0] += total
+        np.cumsum(ends, out=ends)
+        total = ends[-1]
+        yield levels, ends
+        hi = lo
 
 
 def _repeated_sums(counts, weight):
@@ -209,9 +249,22 @@ def _repeated_sums(counts, weight):
 
     The running sums are the ones ``bincount`` forms when it adds the same
     weight once per sample, so a uniform measure merges bit-identically to
-    the array of its weights.
+    the array of its weights.  They are formed ``_CHUNK`` at a time, each
+    chunk's cumsum carrying the running total into its first entry.
     """
-    return np.cumsum(np.full(int(counts.max()), weight))[counts - 1]
+    last = counts - 1
+    top = int(counts.max())
+    block = np.empty(min(top, _CHUNK))
+    out = np.empty(len(counts))
+    total = 0.0
+    for lo in range(0, top, len(block)):
+        block[...] = weight
+        block[0] += total
+        np.cumsum(block, out=block)
+        total = block[-1]
+        hit = (last >= lo) & (last < lo + len(block))
+        out[hit] = block[last[hit] - lo]
+    return out
 
 
 _BITS = 4
@@ -258,24 +311,93 @@ def rounded_up(samples, out=None):
 
 
 def lorentz_quasinorm(samples, params):
-    """Lorentz L^{p,nu} quasi-norm of a weighted sample set."""
+    """Lorentz L^{p,nu} quasi-norm of a weighted sample set.
+
+    Under a scalar weight the rearrangement is read chunk by chunk as it
+    is formed, with the values of ``rearranged_quasinorm`` bit for bit.
+    """
+    if samples.uniform:
+        return _pieces_quasinorm(_uniform_pieces(_ascending(samples),
+                                                 samples.weights),
+                                 params, len(samples.values),
+                                 samples._scratch)
     return rearranged_quasinorm(decreasing_rearrangement(samples), params)
 
 
 def rearranged_quasinorm(r, params):
     """Lorentz L^{p,nu} quasi-norm from the decreasing rearrangement ``r``."""
-    t = r.breakpoints
-    lv = r.levels
+    levels, ends = r.levels, r.breakpoints[1:]
+    return _pieces_quasinorm(((levels[i:i + _CHUNK], ends[i:i + _CHUNK])
+                              for i in range(0, len(levels), _CHUNK)),
+                             params, len(levels))
+
+
+# pieces per block of the weak supremum's bounds, and the relative slack
+# of a bound; it covers the rounding of the power and the product
+_BLOCK = 64
+_BOUND_SLACK = 1e-12
+
+
+def _weak_top(lv, t, e, top):
+    """max(top, max(lv * t ** e)) for descending levels ``lv`` and
+    increasing ends ``t``, with the powers taken on fewer pieces.
+
+    Over a block of ``_BLOCK`` pieces, lv * t ** e is below its first
+    level times its last end's power.  A block whose bound, raised by the
+    slack, stays below the largest of ``top`` and the blocks' last values
+    holds no value above them and is skipped; the others are evaluated
+    whole, so the supremum is the full array's, bit for bit.  Up to
+    ``_BLOCK`` blocks, where the bounds save less than they cost, every
+    piece is evaluated.
+    """
+    # np.maximum, as np.max, keeps a NaN (0 * inf at an overflowing end)
+    if len(lv) <= _BLOCK ** 2:
+        return np.maximum(top, np.max(lv * t ** e))
+    last = np.minimum(np.arange(_BLOCK - 1, len(lv) + _BLOCK - 1, _BLOCK),
+                      len(lv) - 1)
+    tail = t[last] ** e
+    top = np.maximum(top, np.max(lv[last] * tail))
+    reach = lv[::_BLOCK] * tail
+    reach *= 1.0 + _BOUND_SLACK
+    keep = np.repeat(reach >= top, _BLOCK)[:len(lv)]
+    if keep.any():
+        top = np.maximum(top, np.max(lv[keep] * t[keep] ** e))
+    return top
+
+
+def _pieces_quasinorm(chunks, params, count, scratch=None):
+    """The quasi-norm of the step function of consecutive ``(levels, ends)``
+    chunks (levels descending, ends the right breakpoints) of at most
+    ``count`` pieces; ``scratch`` as for ``WeightedSampleSet.of_magnitudes``.
+
+    The weak supremum is taken chunk by chunk.  The finite-nu integral is
+    summed by one ``np.sum`` over the pieces' terms, each formed per chunk,
+    so it adds them in the order of a sum over whole arrays.
+    """
+    chunks = iter(chunks)
+    lv, t = next(chunks)
     peak = lv[0]
     if peak == 0.0:
         return 0.0
     p = params.p
     if params.weak:
-        return float(np.max(lv * t[1:] ** (1.0 / p)))
+        top = 0.0
+        for lv, t in itertools.chain([(lv, t)], chunks):
+            top = _weak_top(lv, t, 1.0 / p, top)
+        return float(top)
     nu = params.nu
     q = nu / p
-    # scale by the top level so lv**nu cannot overflow
-    contrib = (lv / peak) ** nu * (t[1:] ** q - t[:-1] ** q)
-    total = (p / nu) * float(np.sum(contrib))
+    contrib = np.empty(count) if scratch is None else scratch[:count]
+    n = 0
+    below = 0.0   # t ** q at the left end of the chunk; the first is 0
+    for lv, t in itertools.chain([(lv, t)], chunks):
+        tq = t ** q
+        lower = np.empty_like(tq)
+        lower[0] = below
+        lower[1:] = tq[:-1]
+        # scale by the top level so lv**nu cannot overflow
+        contrib[n:n + len(lv)] = (lv / peak) ** nu * (tq - lower)
+        below = tq[-1]
+        n += len(lv)
+    total = (p / nu) * float(np.sum(contrib[:n]))
     return float(peak * total ** (1.0 / nu))
-

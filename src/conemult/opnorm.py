@@ -11,6 +11,8 @@ import copy
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,15 @@ FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
 # dilations of the default scan grid of scaling_sweep_experiment
 SWEEP_DILATIONS = 13
+# a search evaluates its witnesses serially on grids of fewer cells, where
+# a witness costs too little to pay for a thread: with two workers on two
+# CPUs a search took 2.7x (64^2) and 1.2x (32^3) its serial time, 0.72x
+# at 256^2 and 0.64x at 64^3
+PARALLEL_MIN_CELLS = 2 ** 16
+# cap on the bytes of the workspaces a search adds for extra workers
+EXTRA_WORKSPACE_BYTES = 64 * 2 ** 20
+# bytes per grid cell of a workspace's buffers (one complex, one float64)
+WORKSPACE_CELL_BYTES = 24
 
 
 def _lp_norm(mags, cell_volume, p):
@@ -37,12 +48,13 @@ def _lp_norm(mags, cell_volume, p):
     return float(np.sum(mags) * cell_volume) ** (1.0 / p) * peak
 
 
-def _grid_samples(mags, cell_volume):
+def _grid_samples(mags, cell_volume, scratch=None):
     """The raveled |f| ``mags`` with cell-volume weights, or None when f
-    vanishes; the sample set takes ``mags`` over."""
+    vanishes; the sample set takes ``mags`` over (and ``scratch``, as
+    ``WeightedSampleSet.of_magnitudes`` does)."""
     if not np.any(mags > 0):
         return None
-    return WeightedSampleSet.of_magnitudes(mags, cell_volume)
+    return WeightedSampleSet.of_magnitudes(mags, cell_volume, scratch)
 
 
 # relative slack of the majorant test; it covers the rounding of the cumsum
@@ -90,21 +102,35 @@ class _Workspace:
     order outside which the symbol vanishes on each whole hyperplane), one
     complex grid buffer for the witness's spectrum and T f, and one float64
     grid buffer for |f| and |T f|.  The majorant's int64 bin keys go into
-    the complex buffer, which is free once |T f| is taken.  Without a
-    multiplier it holds the buffers alone: ``witness_input`` builds one
-    such per witness for an operator given as a function, and drops it
-    with that witness.
+    the complex buffer, which is free once |T f| is taken, and after them
+    the terms of a finite-nu exact norm.  Without a multiplier it holds
+    the buffers alone: ``witness_input`` builds one such per witness for
+    an operator given as a function, and drops it with that witness.  Its
+    siblings (``team``) share the symbol and the box and have buffers of
+    their own, one workspace per worker thread.
     """
 
     def __init__(self, axes, multiplier=None):
-        shape = tuple(ax.resolution for ax in axes)
         if multiplier is not None:
             self.sym = field_symbol(multiplier, axes)
             self.box = _support_box(self.sym)
         self.cell_volume = float(np.prod([ax.step for ax in axes]))
+        self._allocate(tuple(ax.resolution for ax in axes))
+        self._siblings = []
+
+    def _allocate(self, shape):
         self.spectrum = np.empty(shape, dtype=complex)
         self.magnitude = np.empty(shape)
         self.keys = self.spectrum.reshape(-1).view(np.int64)[:math.prod(shape)]
+
+    def team(self, count):
+        """This workspace and ``count - 1`` siblings, made once and kept."""
+        while len(self._siblings) < count - 1:
+            twin = copy.copy(self)
+            twin._allocate(self.magnitude.shape)
+            twin._siblings = []
+            self._siblings.append(twin)
+        return [self] + self._siblings[:count - 1]
 
     @classmethod
     def of(cls, operator, axes):
@@ -120,12 +146,65 @@ class _Workspace:
         the complex buffer, a spectrum or, for a space field, the witness."""
         out = f.values
         if f.rep == "space":
-            np.fft.fftn(out, out=out)
+            _forward_in_place(out, self.box)
         # sym first: numpy's complex product is not bitwise commutative
         np.multiply(self.sym, out, out=out)
         _inverse_in_place(out, self.box)
         mags = np.abs(out, out=self.magnitude).reshape(-1)
-        return _grid_samples(mags, self.cell_volume)
+        # the keys' memory, spent once the majorant is taken, is the
+        # scratch of the exact norm
+        return _grid_samples(mags, self.cell_volume,
+                             self.keys.view(np.float64))
+
+
+def _worker_count(cells):
+    """Witness evaluations a search runs at once on a grid of ``cells``.
+
+    One per CPU this process may run on, as far as the extra workspaces
+    fit in ``EXTRA_WORKSPACE_BYTES``; one below ``PARALLEL_MIN_CELLS``.
+    """
+    if cells < PARALLEL_MIN_CELLS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    extra = EXTRA_WORKSPACE_BYTES // (WORKSPACE_CELL_BYTES * cells)
+    return max(1, min(cpus, 1 + extra))
+
+
+def _parallel_norms(team, specs, axes, p, nu, beat):
+    """``_witness_norms`` of each spec, in order, on the workspaces ``team``.
+
+    The calling thread works on the first workspace, one thread started
+    here on each other; every thread takes the next spec not yet taken
+    until none is left, and all are joined before this returns.  An
+    exception in any of them is raised here once all have stopped.
+    """
+    norms = [None] * len(specs)
+    pending = iter(range(len(specs)))
+    lock = threading.Lock()
+    failures = []
+
+    def drain(work):
+        try:
+            while not failures:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                norms[i] = _witness_norms(work, specs[i], axes, p, nu, beat)
+        except BaseException as exc:   # re-raised by the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=drain, args=(work,))
+               for work in team[1:len(specs)]]
+    for thread in threads:
+        thread.start()
+    drain(team[0])
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return norms
 
 
 def _support_box(sym):
@@ -170,6 +249,23 @@ def _inverse_in_place(values, box):
             np.fft.ifft(lines, axis=k, out=lines)
 
 
+def _forward_in_place(values, box):
+    """``np.fft.fftn(values, out=values)``, bit for bit inside the support
+    ``box``, on fewer lines: the transpose of ``_inverse_in_place``.
+
+    Axes are transformed in numpy's order, last first; a value inside the
+    box depends only on the lines inside the box of the axes already
+    transformed, so only those are transformed.  Values outside the box
+    are left partly transformed: the symbol multiplies them by zero.
+    """
+    if not all(box):
+        return   # the symbol vanishes everywhere
+    for k in reversed(range(values.ndim)):
+        for block in itertools.product(*box[k + 1:]):
+            lines = values[(slice(None),) * (k + 1) + block]
+            np.fft.fft(lines, axis=k, out=lines)
+
+
 @dataclass
 class OpNormEstimate:
     """Certified lower bound plus the witness that achieved it."""
@@ -188,17 +284,30 @@ def default_eta(x_sq):
     return np.exp(-0.5 * x_sq)
 
 
-def _space_radius_sq(axes):
-    coords = np.meshgrid(*[ax.space_coords() for ax in axes],
-                         indexing="ij", sparse=True)
-    return sum(c ** 2 for c in coords)
+def _radius_sq(coords, out):
+    """sum(c ** 2 for c in coords) of sparse per-axis ``coords``, into ``out``.
+
+    The squares are added in the same order, and all but the last summed
+    on the sparse grid of the axes before it, so the only full-grid array
+    is ``out``.
+    """
+    squares = [c ** 2 for c in coords]
+    if len(squares) == 1:
+        out[...] = squares[0]
+        return out
+    return np.add(functools.reduce(np.add, squares[:-1]), squares[-1],
+                  out=out)
 
 
-def _outer(factors, out=None):
-    """The full-grid outer product of per-axis factors (into ``out``)."""
+def _sparse_coords(axes, rep):
+    return np.meshgrid(*[ax.space_coords() if rep == "space" else
+                         ax.freq_coords() for ax in axes],
+                       indexing="ij", sparse=True)
+
+
+def _outer(factors, out):
+    """The full-grid outer product of per-axis factors, into ``out``."""
     grids = np.meshgrid(*factors, indexing="ij", sparse=True)
-    if out is None:
-        return functools.reduce(np.multiply, grids)
     if len(grids) == 1:
         out[...] = grids[0]
         return out
@@ -206,17 +315,52 @@ def _outer(factors, out=None):
                        out=out)
 
 
-def _knapp_window(axes, prm):
-    """Spectrum of an ``annulus_knapp`` witness (FFT order)."""
-    xi_mag = freq_magnitude(axes)
-    window = np.exp(-0.5 * ((xi_mag - prm["r0"]) / prm["w"]) ** 2)
-    if prm.get("sector_width") and len(axes) >= 2:
-        coords = np.meshgrid(*[ax.freq_coords() for ax in axes],
-                             indexing="ij", sparse=True)
-        angle = np.arctan2(coords[1], coords[0] + 1e-300)
-        delta = np.angle(np.exp(1j * (angle - prm["sector_angle"])))
-        window = window * np.exp(-0.5 * (delta / prm["sector_width"]) ** 2)
-    return window.astype(complex)
+# cells of the temporary an outer product is added through
+_SLAB_CELLS = 2 ** 14
+
+
+def _add_outer(factors, out):
+    """``out += `` the outer product of per-axis factors, a block of slabs
+    of axis 0 (at most ``_SLAB_CELLS`` cells, or one slab) at a time.
+
+    Each block is the product ``_outer`` forms there, so the sum is
+    bit-identical to adding the full outer product.
+    """
+    grids = np.meshgrid(*factors, indexing="ij", sparse=True)
+    if len(grids) == 1:
+        out += grids[0]
+        return
+    head = functools.reduce(np.multiply, grids[:-1])
+    rows = max(1, _SLAB_CELLS * len(out) // out.size)
+    for i in range(0, len(out), rows):
+        out[i:i + rows] += head[i:i + rows] * grids[-1]
+
+
+def _knapp_sector(axes, prm):
+    """The angular factor of an ``annulus_knapp`` witness's sector, on the
+    sparse grid of the first two frequency axes, or None without one."""
+    if not (prm.get("sector_width") and len(axes) >= 2):
+        return None
+    coords = _sparse_coords(axes, "frequency")
+    angle = np.arctan2(coords[1], coords[0] + 1e-300)
+    delta = np.angle(np.exp(1j * (angle - prm["sector_angle"])))
+    return np.exp(-0.5 * (delta / prm["sector_width"]) ** 2)
+
+
+def _knapp_window(axes, prm, sector, out):
+    """Spectrum of an ``annulus_knapp`` witness (FFT order), into the float
+    grid ``out``: exp(-((|xi| - r0) / w)^2 / 2), times its ``sector``
+    factor (``_knapp_sector``), built in place."""
+    window = np.sqrt(_radius_sq(_sparse_coords(axes, "frequency"), out),
+                     out=out)
+    window -= prm["r0"]
+    window /= prm["w"]
+    window **= 2
+    window *= -0.5
+    np.exp(window, out=window)
+    if sector is not None:
+        window *= sector
+    return window
 
 
 def _bump_factors(axes, prm, coef=1.0):
@@ -279,21 +423,26 @@ def witness_input(spec, axes, p, work=None):
                   for piece in prm["pieces"]]
         out[...] = 0.0
         for factors in pieces:
-            out += _outer(factors)
+            _add_outer(factors, out)
         denom = _lp_norm(np.abs(out.reshape(-1), out=mags), vol, p)
         out[...] = 0.0
         for factors in pieces:
-            out += _outer([np.fft.fft(g) for g in factors])
+            _add_outer([np.fft.fft(g) for g in factors], out)
         return denom, GridField(axes, out, rep="frequency")
     if family == "annulus_knapp":
-        window = _knapp_window(axes, prm)
-        out[...] = window
-        space = np.fft.ifftn(window, out=window)
-        denom = _lp_norm(np.abs(space.reshape(-1), out=mags), vol, p)
+        # the window is built twice in the float buffer, once for the
+        # inverse DFT whose norm is ||f||_p and once as F: the buffers hold
+        # two grids of F's size, and the norm needs three
+        sector = _knapp_sector(axes, prm)
+        out[...] = _knapp_window(axes, prm, sector, work.magnitude)
+        np.fft.ifftn(out, out=out)
+        denom = _lp_norm(np.abs(out.reshape(-1), out=mags), vol, p)
+        out[...] = _knapp_window(axes, prm, sector, work.magnitude)
         return denom, GridField(axes, out, rep="frequency")
     if family == "radial_focus":
         # exp(-((|x| - a) / s)^2 / 2), step by step in place
-        rad = np.sqrt(_space_radius_sq(axes), out=work.magnitude)
+        rad = np.sqrt(_radius_sq(_sparse_coords(axes, "space"),
+                                 work.magnitude), out=work.magnitude)
         rad -= prm["a"]
         rad /= prm["s"]
         rad **= 2
@@ -424,11 +573,19 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
     its default dilations, and their steps reuse the recorded norms.  Those
     the budget does not reach are scored after the last step, as steps
     ``budget, budget + 1, ...``, at no operator call.
+    The steps form rounds, each ending before a refinement step.  Through
+    a multiplier field on a grid of at least ``PARALLEL_MIN_CELLS`` cells
+    (``_worker_count``), the witnesses of a round are evaluated at once,
+    each worker thread in its own workspace, against the best ratio before
+    the round, and scored in step order: as the majorant test is sound,
+    the result is the serial loop's, bit for bit, at any worker count.
     """
     if budget < 1:
         raise DomainError("budget must be at least 1")
     LorentzParams(p, nu)   # checked before any witness norm divides by p
-    operator = _Workspace.of(operator, axes) or operator
+    work = _Workspace.of(operator, axes)
+    team = work.team(_worker_count(work.magnitude.size)) if work else \
+        [operator]
     rng = np.random.default_rng(seed)
     stream = _WitnessStream(axes, families, rng, swept)
     best_ratio = 0.0
@@ -438,11 +595,7 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
 
     def score(step, spec, norms):
         nonlocal best_ratio, best_spec
-        key = repr(spec)
-        if key in seen:
-            return
-        seen.add(key)
-        denom, num = norms or _witness_norms(operator, spec, axes, p, nu,
+        denom, num = norms or _witness_norms(team[0], spec, axes, p, nu,
                                              best_ratio)
         if denom == 0.0 or num is None:
             return
@@ -452,15 +605,43 @@ def estimate_lower(operator, axes, p, nu, families=FAMILIES, budget=48,
             best_spec = spec
             improvements.append((step, float(ratio)))
 
-    for step in range(budget):
-        if best_spec is not None and step % 3 == 2:
-            score(step, _refine(best_spec, rng, stream.tmin, stream.tmax),
-                  None)
-        else:
-            score(step, *next(stream))
+    def score_round(entries):
+        # the witnesses of a round are evaluated at once against the best
+        # ratio before it; a witness that ratio rejects cannot beat the
+        # later best, and one it lets through gets its exact norm
+        todo = [i for i, (_, _, norms) in enumerate(entries) if norms is None]
+        if len(team) > 1 and len(todo) > 1:
+            found = _parallel_norms(team, [entries[i][1] for i in todo],
+                                    axes, p, nu, best_ratio)
+            for i, norms in zip(todo, found):
+                entries[i] = entries[i][:2] + (norms,)
+        for entry in entries:
+            score(*entry)
+
+    def fresh(spec):
+        key = repr(spec)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    # a round ends before each refinement step (step % 3 == 2), which needs
+    # the best witness of every step before it
+    starts = [0, *range(2, budget, 3)]
+    for start, end in zip(starts, starts[1:] + [budget]):
+        entries = []
+        for step in range(start, end):
+            if best_spec is not None and step % 3 == 2:
+                spec, norms = _refine(best_spec, rng, stream.tmin,
+                                      stream.tmax), None
+            else:
+                spec, norms = next(stream)
+            if fresh(spec):
+                entries.append((step, spec, norms))
+        score_round(entries)
     leftover = [(spec, norms) for spec, norms in stream.queue if norms]
-    for step, (spec, norms) in enumerate(leftover, start=budget):
-        score(step, spec, norms)
+    score_round([(step, spec, norms) for step, (spec, norms)
+                 in enumerate(leftover, start=budget) if fresh(spec)])
     return OpNormEstimate(float(best_ratio), best_spec, p, nu, budget, seed,
                           improvements)
 
@@ -501,10 +682,12 @@ def scaling_sweep_experiment(m0, axes, p, nu, t_grid=None, budget=64, seed=0):
     if not isinstance(m0, (GridField, ConeMultiplierField)):
         m0 = GridField(axes, m0(freq_magnitude(axes)), rep="frequency")
     work = _Workspace(axes, m0)   # shared by the dilations and the search
+    # the dilations form one round
+    specs = [{"family": "dilated_bump", "params": {"t": t}} for t in t_used]
+    norms = _parallel_norms(work.team(_worker_count(work.magnitude.size)),
+                            specs, axes, p, nu, 0.0)
     rhs_per_t, scale_per_t, swept = {}, {}, []
-    for t in t_used:
-        spec = {"family": "dilated_bump", "params": {"t": t}}
-        denom, num = _witness_norms(work, spec, axes, p, nu)
+    for t, (denom, num) in zip(t_used, norms):
         swept.append((t, (denom, num)))
         rhs_per_t[t] = t ** (d / p) * num
         scale_per_t[t] = t ** (d / p) * denom

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conemult import bochner, cli, wave
+from conemult import bochner, characterize, cli, wave
 from conemult.cli import main
 from conemult.config import (ConfigError, coerce, parse_config_text,
                              resolve)
@@ -270,6 +270,29 @@ def test_characterize_dim_overflowing_the_line_measure_exits_2(tmp_path,
                                                                capsys, args):
     # checked in log space before any line weight is formed, so no
     # overflow warning comes first
+    assert run_cli(["characterize", "--out", str(tmp_path / "c"),
+                    *args]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "dim = " in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("args", [
+    # Gamma(dim/2) of the kernel side's Bessel order overflows
+    ["--dim", "400", "--truncation", "1", "--resolution", "1024"],
+    # the kernel side's polar weights overflow
+    ["--dim", "80", "--kernel-rho-max", "65536"],
+    # the line measure to the power nu/p overflows, on either side
+    ["--dim", "85", "--nu", "2"],
+    ["--mode", "symbol", "--dim", "85", "--nu", "2"],
+    ["--dim", "60", "--p", "0.5"],
+])
+def test_characterize_dim_past_the_float_range_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, args):
+    def no_work(*a, **k):
+        raise AssertionError("a transform ran before the dim check")
+    monkeypatch.setattr(characterize, "fourier_1d", no_work)
+    monkeypatch.setattr(characterize, "radial_transform", no_work)
     assert run_cli(["characterize", "--out", str(tmp_path / "c"),
                     *args]) == 2
     err = capsys.readouterr().err

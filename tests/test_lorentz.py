@@ -402,3 +402,92 @@ def test_sample_shapes_validated(values, weights):
 def test_scalar_weight_rejects_non_finite_values():
     with pytest.raises(DomainError, match="finite"):
         WeightedSampleSet(np.array([1.0, math.inf]), 1.0)
+
+
+def _oracle_uniform_merged(v, weight):
+    """The rearrangement of the ascending values ``v`` under one weight,
+    from whole arrays (the route before chunks)."""
+    start = np.empty(len(v), dtype=bool)
+    start[0] = True
+    start[1:] = v[1:] != v[:-1]
+    first = np.flatnonzero(start)
+    counts = np.diff(np.append(first, len(v)))[::-1]
+    merged = np.cumsum(np.full(int(counts.max()), weight))[counts - 1]
+    return RearrangedFunction(np.concatenate(([0.0], np.cumsum(merged))),
+                              v[first[::-1]])
+
+
+def _oracle_quasinorm(r, params):
+    """The quasi-norm of ``r`` from whole arrays (the route before chunks)."""
+    t, lv = r.breakpoints, r.levels
+    peak = lv[0]
+    if peak == 0.0:
+        return 0.0
+    p = params.p
+    if params.weak:
+        return float(np.max(lv * t[1:] ** (1.0 / p)))
+    nu = params.nu
+    q = nu / p
+    contrib = (lv / peak) ** nu * (t[1:] ** q - t[:-1] ** q)
+    total = (p / nu) * float(np.sum(contrib))
+    return float(peak * total ** (1.0 / nu))
+
+
+def _same_float(a, b):
+    return np.array_equal(np.float64(a), np.float64(b), equal_nan=True)
+
+
+_CHUNK_PAIRS = [LorentzParams(1.2, math.inf), LorentzParams(2.0, math.inf),
+                LorentzParams(0.5, math.inf), LorentzParams(1.2, 2.0),
+                LorentzParams(1.5, 1.5), LorentzParams(0.8, 3.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chunked_rearrangement_equals_whole_arrays_bit_for_bit(data):
+    # long runs of ties, zeros and free values, read in chunks and blocks
+    # of a few pieces, under weights from 1e-300 to 1e300 (so the weak
+    # supremum and the finite-nu powers can overflow)
+    atoms = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    n = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.choice(np.array(atoms + [0.0]), n)
+    free = rng.random(n) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    values[free] = rng.uniform(0.0, 1e3, int(free.sum()))
+    weight = float(10.0 ** data.draw(st.sampled_from([-300, -3, 0, 5, 300])))
+    chunk = data.draw(st.sampled_from([1, 2, 3, 7, lorentz._CHUNK]))
+    block = data.draw(st.sampled_from([1, 2, 5, lorentz._BLOCK]))
+    saved = lorentz._CHUNK, lorentz._BLOCK
+    lorentz._CHUNK, lorentz._BLOCK = chunk, block
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_chunked_route_is_the_whole_array_route(values, weight)
+    finally:
+        lorentz._CHUNK, lorentz._BLOCK = saved
+
+
+def _assert_chunked_route_is_the_whole_array_route(values, weight):
+    want = _oracle_uniform_merged(np.sort(values), weight)
+    got = decreasing_rearrangement(WeightedSampleSet(values, weight))
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+    n = len(values)
+    for prm in _CHUNK_PAIRS:
+        norm = _oracle_quasinorm(want, prm)
+        assert _same_float(rearranged_quasinorm(want, prm), norm)
+        uniform = WeightedSampleSet(values, weight)
+        assert _same_float(lorentz_quasinorm(uniform, prm), norm)
+        owned = WeightedSampleSet.of_magnitudes(
+            values.copy(), weight, np.full(n + 3, np.nan))
+        assert _same_float(lorentz_quasinorm(owned, prm), norm)
+    _assert_same_samples(rounded_up(WeightedSampleSet(values, weight)),
+                         rounded_up(samples(values, np.full(n, weight))))
+
+
+def test_chunked_rearrangement_on_a_grid_of_samples():
+    # more pieces than one chunk, and a run of ties longer than one
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.random(3 * lorentz._CHUNK + 5),
+                             np.zeros(lorentz._CHUNK + 9),
+                             np.full(2 * lorentz._CHUNK, 0.5)])
+    _assert_chunked_route_is_the_whole_array_route(values, 0.25)

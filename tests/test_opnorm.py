@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -324,8 +325,27 @@ def _oracle_witness(spec, axes):
         vals = np.exp(-0.5 * ((rad - prm["a"]) / prm["s"]) ** 2)
         return GridField(axes, vals.astype(complex))
     if family == "annulus_knapp":
-        return GridField(axes, np.fft.ifftn(opnorm._knapp_window(axes, prm)))
+        return GridField(axes, np.fft.ifftn(_oracle_knapp_window(axes, prm)))
     raise ValueError(family)
+
+
+def _oracle_knapp_window(axes, prm):
+    """The spectrum of an annulus-Knapp witness, from new full-grid arrays."""
+    xi_mag = freq_magnitude(axes)
+    window = np.exp(-0.5 * ((xi_mag - prm["r0"]) / prm["w"]) ** 2)
+    if prm.get("sector_width") and len(axes) >= 2:
+        coords = np.meshgrid(*[ax.freq_coords() for ax in axes],
+                             indexing="ij", sparse=True)
+        angle = np.arctan2(coords[1], coords[0] + 1e-300)
+        delta = np.angle(np.exp(1j * (angle - prm["sector_angle"])))
+        window = window * np.exp(-0.5 * (delta / prm["sector_width"]) ** 2)
+    return window.astype(complex)
+
+
+def _oracle_outer(factors):
+    """The full-grid outer product of per-axis factors, as a new array."""
+    grids = np.meshgrid(*factors, indexing="ij", sparse=True)
+    return functools.reduce(np.multiply, grids)
 
 
 def _grid_multiplier(spec, res=32):
@@ -519,7 +539,7 @@ def _spectrum_route_input(spec, axes, p):
     prm = spec["params"]
     if family == "dilated_bump":
         factors = opnorm._bump_factors(axes, prm)
-        spectrum = opnorm._outer([np.fft.fft(g) for g in factors])
+        spectrum = _oracle_outer([np.fft.fft(g) for g in factors])
         denom = opnorm._separable_lp_norm(
             factors, math.prod(ax.step for ax in axes), p)
         return denom, GridField(axes, spectrum, rep="frequency")
@@ -530,12 +550,12 @@ def _spectrum_route_input(spec, axes, p):
         for piece in prm["pieces"]:
             factors = opnorm._bump_factors(axes, piece, piece["coef_re"]
                                            + 1j * piece["coef_im"])
-            space += opnorm._outer(factors)
-            spectrum += opnorm._outer([np.fft.fft(g) for g in factors])
+            space += _oracle_outer(factors)
+            spectrum += _oracle_outer([np.fft.fft(g) for g in factors])
         denom = _oracle_lp_norm(GridField(axes, space), p)
         return denom, GridField(axes, spectrum, rep="frequency")
     if family == "annulus_knapp":
-        window = opnorm._knapp_window(axes, prm)
+        window = _oracle_knapp_window(axes, prm)
         denom = _oracle_lp_norm(GridField(axes, np.fft.ifftn(window)), p)
         return denom, GridField(axes, window, rep="frequency")
     f = _oracle_witness(spec, axes)
@@ -687,23 +707,160 @@ def test_pruned_inverse_equals_ifftn(shape):
         assert np.array_equal(got, np.fft.ifftn(sym * spectrum))
 
 
-def test_rejected_bump_allocates_less_than_a_grid_array():
+@pytest.mark.parametrize("shape", [(16,), (8, 16), (4, 8, 16), (8, 4, 4, 8)])
+def test_pruned_forward_equals_fftn_inside_the_box(shape):
+    rng = np.random.default_rng(10 + len(shape))
+    ndim = len(shape)
+    cuts = [set(c) for r in range(ndim + 1)
+            for c in itertools.combinations(range(ndim), r)]
+    for cut in cuts:
+        for _ in range(3):
+            sym, _ = _boxed_symbol(rng, shape, cut)
+            box = opnorm._support_box(sym)
+            inside = np.ix_(*[_run_indices(b, n) for b, n in zip(box, shape)])
+            values = rng.standard_normal(shape) \
+                + 1j * rng.standard_normal(shape)
+            got = values.copy()
+            opnorm._forward_in_place(got, box)
+            want = np.fft.fftn(values)
+            assert np.array_equal(got[inside], want[inside])
+            # through the symbol and back, |T f| is that of the full route
+            np.multiply(sym, got, out=got)
+            opnorm._inverse_in_place(got, box)
+            assert np.array_equal(np.abs(got),
+                                  np.abs(np.fft.ifftn(sym * want)))
+
+
+def test_radial_focus_magnitudes_equal_the_full_transform(monkeypatch):
+    axes, mult = _grid_multiplier("br:2.0")
+    work = opnorm._Workspace(axes, mult)
+    for spec in _family_specs(axes, "radial_focus"):
+        _, f = opnorm.witness_input(spec, axes, 1.2, work)
+        got = work.apply(f).values.copy()
+        _, f = opnorm.witness_input(spec, axes, 1.2, work)
+        with monkeypatch.context() as mp:
+            mp.setattr(opnorm, "_forward_in_place",
+                       lambda values, box: np.fft.fftn(values, out=values))
+            want = work.apply(f).values
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("axes", [(Axis(8.0, 16),), axes2(res=16),
+                                  (Axis(8.0, 32), Axis(16.0, 64),
+                                   Axis(12.0, 16)),
+                                  cli.build_axes(16.0, 16, 4)])
+def test_buffer_built_witnesses_equal_their_full_grid_formulas(axes):
+    shape = [ax.resolution for ax in axes]
+    for rep in ("space", "frequency"):
+        coords = opnorm._sparse_coords(axes, rep)
+        got = opnorm._radius_sq(coords, np.empty(shape))
+        assert np.array_equal(got, sum(c ** 2 for c in coords))
+    for spec in _family_specs(axes, "annulus_knapp"):
+        prm = spec["params"]
+        got = opnorm._knapp_window(axes, prm, opnorm._knapp_sector(axes, prm),
+                                   np.empty(shape))
+        want = _oracle_knapp_window(axes, spec["params"])
+        assert np.array_equal(got, want.real) and not want.imag.any()
+    for spec in _family_specs(axes, "random_superposition"):
+        got = np.zeros(shape, dtype=complex)
+        want = np.zeros(shape, dtype=complex)
+        for piece in spec["params"]["pieces"]:
+            factors = opnorm._bump_factors(axes, piece, piece["coef_re"]
+                                           + 1j * piece["coef_im"])
+            opnorm._add_outer(factors, got)
+            want += _oracle_outer(factors)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("path", ["exact", "rejected"])
+@pytest.mark.parametrize("family", opnorm.FAMILIES)
+def test_witness_allocates_less_than_a_grid_array(family, path):
+    # a witness evaluation allocates no full-grid temporary, on either
+    # path: only its workspace's buffers are grid-sized
     import tracemalloc
     axes, mult = _grid_multiplier("br:2.0", res=64)
     work = opnorm._Workspace(axes, mult)
-    spec = {"family": "dilated_bump",
-            "params": {"t": 1.0, "center": [0.5, -0.25, 0.0],
-                       "freqs": [0.3, 0.0, -0.2]}}
-    denom, num = opnorm._witness_norms(work, spec, axes, 1.2, math.inf)
-    beat = 1.1 * num / denom   # out of reach of the 17/16 majorant
-    assert opnorm._witness_norms(work, spec, axes, 1.2, math.inf, beat) \
-        == (denom, None)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        assert opnorm._witness_norms(work, spec, axes, 1.2, math.inf, beat) \
-            == (denom, None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < work.magnitude.nbytes
+    specs = _family_specs(axes, family, count=2)
+    if family == "dilated_bump":
+        specs.append({"family": "dilated_bump",
+                      "params": {"t": 1.0, "center": [0.5, -0.25, 0.0],
+                                 "freqs": [0.3, 0.0, -0.2]}})
+    for nu in (math.inf, 2.0):
+        for spec in specs:
+            denom, num = opnorm._witness_norms(work, spec, axes, 1.2, nu)
+            if path == "exact":
+                beat, want = 0.0, (denom, num)
+            else:
+                if not num:
+                    continue   # T f vanishes: there is no norm to reject
+                beat, want = 1.1 * num / denom, (denom, None)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                assert opnorm._witness_norms(work, spec, axes, 1.2, nu,
+                                             beat) == want
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < work.magnitude.nbytes
+
+
+@pytest.mark.parametrize("spec", ["cone_tent", "br:2.0", "oscillatory:3",
+                                  "halfspace"])
+def test_search_does_not_depend_on_the_worker_count(monkeypatch, spec):
+    import threading
+    axes, mult = _grid_multiplier(spec)
+    threads = threading.active_count()
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(opnorm, "_worker_count",
+                            lambda cells, w=workers: w)
+        for nu in (math.inf, 2.0):
+            for budget in (1, 5, 48):
+                est = estimate_lower(mult, axes, 1.2, nu, budget=budget,
+                                     seed=7)
+                sweep = scaling_sweep_experiment(mult, axes, 1.2, nu,
+                                                 budget=budget, seed=7)
+                runs.setdefault((nu, budget), []).append(
+                    (fields_dict(est), sweep))
+                # no worker thread outlives its search
+                assert threading.active_count() == threads
+    for (nu, budget), (serial, *parallel) in runs.items():
+        for got in parallel:
+            assert got == serial
+
+
+def test_worker_count_follows_the_cpus_and_the_memory_cap(monkeypatch):
+    monkeypatch.setattr(opnorm.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3})
+    assert opnorm._worker_count(opnorm.PARALLEL_MIN_CELLS - 1) == 1
+    assert opnorm._worker_count(opnorm.PARALLEL_MIN_CELLS) == 4
+    # at 2^20 cells a workspace is 24 MiB, so the 64 MiB cap allows two
+    # extra ones; at 2^22 cells none
+    assert opnorm._worker_count(2 ** 20) == 3
+    assert opnorm._worker_count(2 ** 22) == 1
+    monkeypatch.setattr(opnorm.os, "sched_getaffinity", lambda pid: {0})
+    assert opnorm._worker_count(2 ** 18) == 1
+
+
+def test_worker_failure_is_raised_after_every_thread_stopped(monkeypatch):
+    import threading
+    axes, mult = _grid_multiplier("br:2.0")
+    work = opnorm._Workspace(axes, mult)
+    team = work.team(2)
+    assert team[1].sym is work.sym and team[1].box is work.box
+    assert not np.shares_memory(team[1].spectrum, work.spectrum)
+    assert work.team(2)[1] is team[1]
+    norms = opnorm._witness_norms
+
+    def failing(operator, spec, *args):
+        if spec["params"]["t"] > 1.0:
+            raise DomainError("injected")
+        return norms(operator, spec, *args)
+    monkeypatch.setattr(opnorm, "_witness_norms", failing)
+    specs = [{"family": "dilated_bump", "params": {"t": t}}
+             for t in (0.5, 0.7, 2.0, 0.9)]
+    threads = threading.active_count()
+    with pytest.raises(DomainError, match="injected"):
+        opnorm._parallel_norms(team, specs, axes, 1.2, math.inf, 0.0)
+    assert threading.active_count() == threads
