@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .characterize import GROWTH_THRESHOLD, line_rearrangements
+from .characterize import line_rearrangements
 from .errors import DomainError
 from .lorentz import LorentzParams, rearranged_quasinorm
-from .multipliers import (ConeMultiplierField, GridField, _check_profile_support,
-                          freq_magnitude)
+from .multipliers import ConeMultiplierField, GridField, freq_magnitude
 from .radial import fourier_1d
 from .util import doubling_trend, dyadic_envelope_fit
 
@@ -32,6 +31,11 @@ from .util import doubling_trend, dyadic_envelope_fit
 # |s| of the tail window its divergence flags read
 _SCAN_SPATIAL_TRUNCATION = 4.0
 _DETECTOR_WINDOW = 256.0
+# edge_decay_fit: the profile's sample line (half-width, points), which
+# reaches |s| = 25735, and the range of |s| whose dyadic blocks are fitted
+_FIT_SPATIAL_TRUNCATION = 4.0
+_FIT_RESOLUTION = 2 ** 16
+_FIT_RANGE = (10.0, 1.0e4)
 
 
 def critical_exponent(dim, p):
@@ -46,28 +50,26 @@ def critical_exponent_alt(dim, p):
 
 @dataclass
 class BRProfile:
-    """Edge profile (-u)^lambda b(u) of the cone means of order lambda."""
+    """Edge profile (-u)^lambda b(u) of the cone means of order lambda.
+
+    b is ``bumps.edge_flat_bump``, which vanishes at u <= -1/4, so the
+    profile is evaluated on its support alone.
+    """
 
     lam: float
-    b: object = None
 
     support = (-0.25, 0.0)
 
     def __post_init__(self):
         if not self.lam > 0:
             raise DomainError(f"order lambda must be positive, got {self.lam}")
-        if self.b is None:
-            self.b = bumps.edge_flat_bump
-        # the profile is evaluated on its support alone, exact when b
-        # vanishes to its left
-        _check_profile_support(self.b, -self.support[0], "cutoff b",
-                               sides=(-1.0,))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
         inside = (u > self.support[0]) & (u < self.support[1])
-        out[inside] = (-u[inside]) ** self.lam * self.b(u[inside])
+        out[inside] = (-u[inside]) ** self.lam \
+            * bumps.edge_flat_bump(u[inside])
         return out
 
 
@@ -83,38 +85,19 @@ def build_bochner_riesz_cone(lam, axes):
     if np.any(pos):
         ratio = xi_mag / tau[pos]
         vals[..., pos] = np.clip(1.0 - ratio ** 2, 0.0, None) ** lam
-    gridf = GridField(axes, vals, rep="frequency")
-    return ConeMultiplierField(gridf, {"kind": "bochner_riesz_cone", "lam": lam})
+    return ConeMultiplierField(GridField(axes, vals, rep="frequency"))
 
 
-@dataclass
-class DecayFit:
-    """Result of a dyadic-block envelope fit of |gamma_hat|."""
+def edge_decay_fit(lam):
+    """Fitted decay exponent of the order-lam edge profile's Fourier transform.
 
-    exponent: float
-    blocks: list
-    zero_input: bool = False
-
-
-def edge_decay_fit(lam, b=None, s_range=(10.0, 1.0e4), truncation=4.0,
-                   resolution=2 ** 16):
-    """Fitted decay exponent of the edge profile's Fourier transform.
-
-    Envelope = max |gamma_hat| per dyadic block of ``s_range``; the fit
-    passes (matches the analytic rate) when it returns >= lam + 1 - 0.1.
+    Envelope = max |gamma_hat| per dyadic block of |s| in ``_FIT_RANGE``;
+    the fit passes (matches the analytic rate) when it returns
+    >= lam + 1 - 0.1.
     """
-    s_lo, s_hi = s_range
-    if not (10.0 <= s_lo < s_hi <= 1.0e4):
-        raise DomainError("fit range must sit inside [10, 1e4]")
-    gamma = BRProfile(lam, b) if not isinstance(lam, BRProfile) else lam
-    sigma, ghat = fourier_1d(gamma, truncation, resolution)
-    if np.max(np.abs(ghat)) == 0.0:
-        return DecayFit(float("nan"), [], zero_input=True)
-    if sigma.max() < s_hi:
-        raise DomainError(
-            f"resolution reaches only |s| <= {sigma.max():.3g} < {s_hi}")
-    slope, blocks = dyadic_envelope_fit(sigma, ghat, s_lo, s_hi)
-    return DecayFit(-slope, blocks)
+    sigma, ghat = fourier_1d(BRProfile(lam), _FIT_SPATIAL_TRUNCATION,
+                             _FIT_RESOLUTION)
+    return -dyadic_envelope_fit(sigma, ghat, *_FIT_RANGE)
 
 
 @dataclass
@@ -170,7 +153,7 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
             values = [rearranged_quasinorm(r, params) for r in rearranged]
             full = dict(zip(radii, values[:4]))
             tail = dict(zip(radii, values[4:]))
-            trend = doubling_trend(tail, GROWTH_THRESHOLD)
+            trend = doubling_trend(tail)
             table.append((lam, full, tail, trend["divergent"]))
     results = []
     for p, table in zip(p_list, tables):

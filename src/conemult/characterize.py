@@ -29,13 +29,18 @@ from .lorentz import (WeightedSampleSet, lorentz_quasinorm,
 from .radial import fourier_1d, radial_transform
 from .util import doubling_trend, geometric_grid
 
-GROWTH_THRESHOLD = 1.10  # per-doubling growth that flags divergence
-# kernel side: truncations rho_max / 2^i for i <= _KERNEL_DOUBLINGS, and the
-# smallest radius of its geometric grid
-_KERNEL_DOUBLINGS = 3
+# both sides: values at the truncations R / 2^i for i <= _DOUBLINGS
+_DOUBLINGS = 3
+# kernel side: the smallest radius of its geometric grid, and the grid's
+# points per octave
 _KERNEL_RHO_MIN = 1e-2
-# log of the largest float64: a power x^a with a log(x) past it overflows
+_KERNEL_POINTS_PER_OCTAVE = 48
+# symbol side: the window phi of the dilates phi(r) m0(t r)
+_WINDOW = BumpPhi()
+# logs of the largest and the smallest normal float64: a power x^a with a
+# log(x) past the first overflows, and one below the second underflows
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 @dataclass
@@ -73,8 +78,10 @@ def check_kernel_dim(dim, params, rho_max):
 
     Its Bessel order dim/2 - 1 needs Gamma(dim/2) finite, and the polar
     weights |S^(dim-1)| r^(dim-1) dr out to rho_max need their measure,
-    raised to the quasi-norm's power, finite: both are checked in log
-    space, with the radius bounded by 2 rho_max.
+    raised to the quasi-norm's power, finite, with the radius bounded by
+    2 rho_max.  The largest weight of the smallest truncation,
+    rho_max / 2^_DOUBLINGS, must be a normal float, or its sample set
+    would lose its weights to underflow.  All are checked in log space.
     """
     if math.lgamma(0.5 * dim) >= _LOG_FLOAT_MAX:
         raise DomainError(f"dim = {dim}: the kernel side's Bessel order "
@@ -87,6 +94,25 @@ def check_kernel_dim(dim, params, rho_max):
         raise DomainError(f"dim = {dim}: the kernel side's measure "
                           f"|S^(dim-1)| r^(dim-1) dr on r <= "
                           f"kernel_rho_max = {rho_max:g} overflows float64")
+    radii = _kernel_radii(rho_max)
+    radii = radii[radii <= rho_max / 2 ** _DOUBLINGS]
+    if len(radii) < 2:
+        return   # polar_sample_set words this case
+    # the top cell of polar_sample_set: its width is the last radius gap
+    r, dr = radii[-1], radii[-1] - radii[-2]
+    if log_sphere + (dim - 1) * math.log(r) + math.log(dr) < _LOG_FLOAT_MIN:
+        raise DomainError(f"dim = {dim}: the kernel side's largest polar "
+                          f"weight |S^(dim-1)| r^(dim-1) dr on r <= "
+                          f"kernel_rho_max / {2 ** _DOUBLINGS} = "
+                          f"{rho_max / 2 ** _DOUBLINGS:g} underflows float64")
+
+
+def _kernel_radii(rho_max):
+    """Radii of the kernel side: a geometric grid out to rho_max, after
+    one radius below it."""
+    return np.concatenate(([_KERNEL_RHO_MIN / 2],
+                           geometric_grid(_KERNEL_RHO_MIN, rho_max,
+                                          _KERNEL_POINTS_PER_OCTAVE)))
 
 
 class LineSamples:
@@ -158,22 +184,21 @@ def line_rearrangements(sigma, ghat, dim, windows):
 
 
 def fourier_side_quantity(gamma, dim, params, truncation=4096.0,
-                          spatial_truncation=8.0, resolution=2 ** 16,
-                          doublings=3):
+                          spatial_truncation=8.0, resolution=2 ** 16):
     """Weighted Lorentz size of the profile's 1-d Fourier transform.
 
     The transform is computed and its samples sorted once; the quasi-norm
-    is reported at truncations R/2^doublings .. R for convergence
+    is reported at truncations R/2^_DOUBLINGS .. R for convergence
     assessment.
     """
     _check_line_measure(dim, truncation, _power(params))
     sigma, ghat = fourier_1d(gamma, spatial_truncation, resolution)
-    radii = [truncation / 2 ** i for i in range(doublings, -1, -1)]
+    radii = [truncation / 2 ** i for i in range(_DOUBLINGS, -1, -1)]
     rearranged = line_rearrangements(sigma, ghat, dim,
                                      [(0.0, r) for r in radii])
     by_r = {r: rearranged_quasinorm(rr, params)
             for r, rr in zip(radii, rearranged)}
-    trend = doubling_trend(by_r, GROWTH_THRESHOLD)
+    trend = doubling_trend(by_r)
     return QuantityResult(by_r[truncation], by_r, trend,
                           {"side": "fourier", "dim": dim, "p": params.p,
                            "nu": params.nu, "truncation": truncation,
@@ -200,28 +225,28 @@ def polar_sample_set(radii, values, dim):
     return WeightedSampleSet(np.abs(np.asarray(values))[good], weights[good])
 
 
-def kernel_side_quantity(gamma, dim, params, support=None, rho_max=256.0,
-                         points_per_octave=48):
-    """L^{p,nu}(R^d) size of the inverse transform of gamma(|xi|)."""
+def kernel_side_quantity(gamma, dim, params, support, rho_max=256.0):
+    """L^{p,nu}(R^d) size of the inverse transform of gamma(|xi|).
+
+    gamma vanishes off ``support``, an interval of radii; the quasi-norm is
+    reported at truncations rho_max/2^_DOUBLINGS .. rho_max.
+    """
     check_kernel_dim(dim, params, rho_max)
-    radii = np.concatenate(([_KERNEL_RHO_MIN / 2],
-                            geometric_grid(_KERNEL_RHO_MIN, rho_max,
-                                           points_per_octave)))
-    prof = radial_transform(gamma, dim, radii=radii, support=support,
-                            inverse=True)
+    prof = radial_transform(gamma, dim, radii=_kernel_radii(rho_max),
+                            support=support, inverse=True)
     ok = prof.reliable
     radii, vals = prof.radii[ok], np.abs(prof.values[ok])
     by_r = {}
-    for i in range(_KERNEL_DOUBLINGS, -1, -1):
+    for i in range(_DOUBLINGS, -1, -1):
         r = rho_max / 2 ** i
         keep = radii <= r
         samples = polar_sample_set(radii[keep], vals[keep], dim)
         by_r[r] = lorentz_quasinorm(samples, params)
-    trend = doubling_trend(by_r, GROWTH_THRESHOLD)
+    trend = doubling_trend(by_r)
     return QuantityResult(by_r[rho_max], by_r, trend,
                           {"side": "kernel", "dim": dim, "p": params.p,
                            "nu": params.nu, "rho_max": rho_max,
-                           "points_per_octave": points_per_octave})
+                           "points_per_octave": _KERNEL_POINTS_PER_OCTAVE})
 
 
 @dataclass
@@ -235,43 +260,40 @@ class SymbolScanResult:
     meta: dict = field(default_factory=dict)
 
 
-def radial_symbol_quantity(m0, dim, params, t_grid=None, phi=None,
-                           truncation=4096.0, spatial_truncation=8.0,
-                           resolution=2 ** 15, doublings=3):
+def radial_symbol_quantity(m0, dim, params, t_grid, truncation=4096.0,
+                           spatial_truncation=8.0, resolution=2 ** 15):
     """Global radial-symbol functional: sup_t of the windowed-dilate quantity.
 
-    For each dilation t the symbol is windowed to phi(r) m0(t r) (phi a fixed
-    bump supported in (1/2, 2)) and the fourier-side quantity is taken; the
-    sup and its maximizer over the finite scan grid are reported, together
-    with truncation diagnostics at the maximizing t.
+    For each dilation t of ``t_grid`` the symbol is windowed to
+    phi(r) m0(t r) (phi the bump ``BumpPhi``, supported in (1/2, 2)) and
+    the fourier-side quantity is taken; the sup and its maximizer over the
+    finite scan grid are reported, together with truncation diagnostics at
+    the maximizing t, on a line of 4 * ``resolution`` points.
     """
     _check_line_measure(dim, truncation, _power(params))
-    phi = phi or BumpPhi()
-    if t_grid is None:
-        t_grid = geometric_grid(2.0 ** -4, 2.0 ** 4, 16)
     per_t = {}
     line = None
     for t in np.asarray(t_grid, dtype=float):
-        windowed = _windowed_dilate(m0, phi, t)
+        windowed = _windowed_dilate(m0, t)
         sigma, khat = fourier_1d(windowed, spatial_truncation, resolution)
         if line is None:    # every dilate shares the grid
             line = LineSamples(sigma, dim, truncation)
         per_t[float(t)] = lorentz_quasinorm(line.samples(khat)[1], params)
     arg = max(per_t, key=per_t.get)
-    best = _windowed_dilate(m0, phi, arg)
+    best = _windowed_dilate(m0, arg)
     diag = fourier_side_quantity(best, dim, params, truncation,
-                                 spatial_truncation, resolution * 4, doublings)
+                                 spatial_truncation, resolution * 4)
     return SymbolScanResult(per_t[arg], arg, per_t, diag.trend,
                             {"dim": dim, "p": params.p, "nu": params.nu,
                              "truncation": truncation,
                              "t_grid": [float(t) for t in t_grid]})
 
 
-def _windowed_dilate(m0, phi, t):
+def _windowed_dilate(m0, t):
     """phi(r) m0(t r), with m0 evaluated only where phi(r) != 0."""
     def windowed(r):
         r = np.asarray(r, dtype=float)
-        w = phi(r)
+        w = _WINDOW(r)
         on = w != 0
         vals = w[on] * np.asarray(m0(t * r[on]))
         out = np.zeros(r.shape, dtype=vals.dtype)

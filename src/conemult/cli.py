@@ -41,6 +41,10 @@ MAX_ORDERS = 1024
 MAX_DILATIONS = 4096
 # cap on kernel_rho_max: the kernel side's time is about linear in it
 MAX_KERNEL_RHO = 65536
+# cap on the points of a 1-d transform line: 64 MiB a float array, while
+# the largest default line, characterize's symbol-mode diagnostic at four
+# times its resolution, has 2^18
+MAX_LINE_POINTS = 2 ** 22
 # cap on the cells of an apply/opnorm grid: at 2^24 cells one complex
 # field is 256 MiB, and a run holds a few at once
 MAX_GRID_CELLS = 2 ** 24
@@ -258,10 +262,21 @@ def run_lorentz_norm(opts, outdir, seed):
     return summary
 
 
+def _check_line_points(points, what):
+    """Reject a 1-d transform line past ``MAX_LINE_POINTS`` before it exists."""
+    if points > MAX_LINE_POINTS:
+        raise BudgetError(f"{what} = {points} points exceeds the cap "
+                          f"{MAX_LINE_POINTS}")
+
+
 def run_characterize(opts, outdir, seed):
     dim = opts["dim"]
     if dim < 2:
         raise ConfigError(f"dim = {dim} must be an integer of at least 2")
+    _check_line_points(opts["resolution"], "resolution")
+    if opts["mode"] == "symbol":
+        # the best dilate is transformed again on a line four times finer
+        _check_line_points(4 * opts["resolution"], "4 x resolution")
     params = LorentzParams(opts["p"], opts["nu"])
     trunc_rows = []
     summary = {"mode": opts["mode"], "dim": dim, "p": opts["p"],
@@ -326,6 +341,7 @@ def run_br_scan(opts, outdir, seed):
     if opts["dim"] < 2:
         raise ConfigError(f"dim = {opts['dim']} must be an integer of at "
                           f"least 2")
+    _check_line_points(opts["resolution"], "resolution")
     if not opts["lam_step"] > 0:
         raise ConfigError(f"lam_step = {opts['lam_step']} must be positive")
     if not -math.inf < opts["lam_lo"] <= opts["lam_hi"] < math.inf:
@@ -360,8 +376,7 @@ def run_br_scan(opts, outdir, seed):
     if opts["decay_fit"]:
         fits = {}
         for lam in (0.5, 1.0, 1.5):
-            fit = edge_decay_fit(lam)
-            fits[repr(lam)] = {"exponent": fit.exponent,
+            fits[repr(lam)] = {"exponent": edge_decay_fit(lam),
                                "target": lam + 1.0}
         summary["decay_fits"] = fits
     return summary

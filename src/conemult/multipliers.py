@@ -10,7 +10,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,10 @@ _MAGIC = b"CMF1"
 MAX_AXES = 4
 # cap on the cells of a CSV export: one text row per cell
 CSV_MAX_CELLS = 65536
+# edge profiles vanish off (-_EDGE_SUPPORT, _EDGE_SUPPORT)
+_EDGE_SUPPORT = 0.25
+# the outer part of each axis extent whose mass wraparound_fraction measures
+_WRAP_SHELL = 0.125
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,6 @@ class GridField:
     def l2_norm(self):
         return float(np.linalg.norm(self.values.ravel())) * self.cell_volume() ** 0.5
 
-    def l1_mass(self):
-        return float(np.sum(np.abs(self.values))) * self.cell_volume()
-
 
 def freq_magnitude(axes):
     """|xi| over the grid spanned by ``axes`` (FFT order per axis)."""
@@ -87,18 +88,13 @@ def freq_magnitude(axes):
     return np.sqrt(sum(c ** 2 for c in coords))
 
 
-def _check_profile_support(profile, radius, name, sides=(-1.0, 1.0)):
-    """Probe a profile past -radius and radius and insist it vanishes.
-
-    ``sides`` picks the half-lines probed: (-1,) probes u <= -radius only.
-    """
-    span = radius + np.linspace(0.0, 3.0 * radius, 40)
-    vals = np.asarray(profile(np.concatenate([s * span for s in sides])),
-                      dtype=complex)
+def _check_profile_support(profile, name):
+    """Probe a profile on |u| >= _EDGE_SUPPORT and insist it vanishes."""
+    span = _EDGE_SUPPORT + np.linspace(0.0, 3.0 * _EDGE_SUPPORT, 40)
+    vals = np.asarray(profile(np.concatenate([-span, span])), dtype=complex)
     if np.any(np.abs(vals) > 1e-12):
-        where = " or ".join(f"u <= {-radius}" if s < 0 else f"u >= {radius}"
-                             for s in sides)
-        raise DomainError(f"{name} does not vanish at {where}")
+        raise DomainError(f"{name} does not vanish at u <= {-_EDGE_SUPPORT} "
+                          f"or u >= {_EDGE_SUPPORT}")
 
 
 @dataclass
@@ -106,25 +102,23 @@ class GammaFamily:
     """Per-octave edge profiles gamma_k, each supported in (-1/4, 1/4)."""
 
     profiles: dict
-    support_radius: float = 0.25
 
     def __post_init__(self):
         if not self.profiles:
             raise DomainError("family must contain at least one profile")
         for k, prof in self.profiles.items():
-            _check_profile_support(prof, self.support_radius, f"gamma_{k}")
+            _check_profile_support(prof, f"gamma_{k}")
 
     @classmethod
-    def constant(cls, profile, ks, support_radius=0.25):
-        return cls({k: profile for k in ks}, support_radius)
+    def constant(cls, profile, ks):
+        return cls({k: profile for k in ks})
 
 
 @dataclass
 class ConeMultiplierField:
-    """Frequency-side multiplier on an (xi, tau) grid plus provenance."""
+    """Frequency-side multiplier on an (xi, tau) grid."""
 
     grid: GridField
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.grid.rep != "frequency":
@@ -155,9 +149,7 @@ def build_dyadic_cone_multiplier(family, axes):
                 continue
             u = (xi_mag - tau[sel]) / 2.0 ** k
             values[..., sel] = np.asarray(family.profiles[k](u), dtype=complex)
-    gridf = GridField(axes, values, rep="frequency")
-    return ConeMultiplierField(gridf, {"kind": "dyadic_edge_profiles",
-                                       "support_radius": family.support_radius})
+    return ConeMultiplierField(GridField(axes, values, rep="frequency"))
 
 
 def field_symbol(m, axes):
@@ -199,12 +191,12 @@ def apply_multiplier(f, m):
     return GridField(f.axes, out, rep="space")
 
 
-def wraparound_fraction(f, shell=0.125):
-    """Fraction of |f| mass in the outer ``shell`` of each axis extent."""
+def wraparound_fraction(f):
+    """Fraction of |f| mass in the outer ``_WRAP_SHELL`` of each axis extent."""
     masks = []
     for i, ax in enumerate(f.axes):
         x = np.abs(ax.space_coords())
-        m = x >= (0.5 - shell) * ax.extent
+        m = x >= (0.5 - _WRAP_SHELL) * ax.extent
         shape = [1] * f.ndim
         shape[i] = ax.resolution
         masks.append(m.reshape(shape))
@@ -271,13 +263,14 @@ def load_field(path):
                      rep="frequency" if rep else "space")
 
 
-def export_field_csv(f, path, max_cells=CSV_MAX_CELLS):
-    """Plot-ready CSV (one row per cell, C order) for small grids.
+def export_field_csv(f, path):
+    """Plot-ready CSV (one row per cell, C order) for grids of at most
+    ``CSV_MAX_CELLS`` cells.
 
     The rows are those of a ``csv.writer``: ``repr`` of each float,
     comma-separated, ended by CRLF.
     """
-    if f.values.size > max_cells:
+    if f.values.size > CSV_MAX_CELLS:
         raise DomainError(f"grid too large for CSV export ({f.values.size} cells)")
     rows = [""]
     for ax in f.axes:

@@ -117,17 +117,6 @@ def _csv_rows(path):
             raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_csv_columns(path):
-    """Text cells of a CSV file with a header row, by column name."""
-    rows = _csv_rows(path)
-    header = next(rows)
-    cols = [[] for _ in header]
-    for _, row in rows:
-        for col, cell in zip(cols, row):
-            col.append(cell)
-    return dict(zip(header, cols))
-
-
 def read_float_columns(path, names):
     """The named columns of a CSV file with a header row, as float arrays.
 

@@ -5,9 +5,11 @@ import numpy as np
 from .errors import BudgetError, DomainError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# per-doubling growth that flags a divergent trend
+GROWTH_THRESHOLD = 1.10
 
 
-def geometric_grid(lo, hi, points_per_octave=64):
+def geometric_grid(lo, hi, points_per_octave):
     """Log-spaced grid covering [lo, hi] with a fixed dyadic density."""
     if not (0 < lo < hi):
         raise DomainError(f"geometric grid needs 0 < lo < hi, got [{lo}, {hi}]")
@@ -103,7 +105,6 @@ class CubicSpline1D:
 def dyadic_envelope_fit(s, values, s_lo, s_hi):
     """Least-squares slope of log2(max |values| per dyadic block) vs log2(s).
 
-    Returns (slope, blocks) where blocks is a list of (block_center, block_max).
     The decay exponent of |values| ~ s**(-e) is -slope.
     """
     s = np.asarray(s, float)
@@ -126,15 +127,15 @@ def dyadic_envelope_fit(s, values, s_lo, s_hi):
     bx = np.log2([b[0] for b in blocks])
     by = np.log2([b[1] for b in blocks])
     slope, _ = np.polyfit(bx, by, 1)
-    return float(slope), blocks
+    return float(slope)
 
 
-def doubling_trend(values_by_scale, threshold=1.10):
+def doubling_trend(values_by_scale):
     """Classify growth of a quantity across nested doublings of a truncation.
 
     ``values_by_scale`` maps truncation -> value, smallest truncation first.
-    Flags a divergent trend when the value grows by at least ``threshold``
-    per doubling across every recorded doubling.
+    Flags a divergent trend when the value grows by at least
+    ``GROWTH_THRESHOLD`` per doubling across the last three doublings.
     """
     scales = sorted(values_by_scale)
     vals = [values_by_scale[s] for s in scales]
@@ -144,7 +145,8 @@ def doubling_trend(values_by_scale, threshold=1.10):
             ratios.append(float(hi / lo))
         else:
             ratios.append(1.0 if hi == 0 else float("inf"))
-    divergent = len(ratios) >= 3 and all(r >= threshold for r in ratios[-3:])
+    divergent = len(ratios) >= 3 and all(r >= GROWTH_THRESHOLD
+                                         for r in ratios[-3:])
     return {"scales": scales, "values": vals, "ratios": ratios,
             "divergent": bool(divergent)}
 

@@ -2,10 +2,11 @@
 
 The band-limited half-wave kernel at dyadic frequency scale 2^n,
 
-    K_n = inverse transform of  exp(+-i|xi|) theta(2^-n |xi|),
+    K_n = inverse transform of  exp(i|xi|) theta(2^-n |xi|),
 
-concentrates on the unit sphere.  Writing its restriction to the annulus
-1/2 < |x| < 2 as a superposition of sphere measures gives the exact split
+with theta the band cutoff ``bumps.band_cutoff``, concentrates on the unit
+sphere.  Writing its restriction to the annulus 1/2 < |x| < 2 as a
+superposition of sphere measures gives the exact split
 
     K_n = 2^(n(d-1)/2) * [density omega_n(|x|) on the annulus] + error,
 
@@ -62,6 +63,11 @@ MAX_RHO_POINTS = 1 << 16
 # Cells per radius0 of the spherical-mean tables: doubling the cells moves
 # the shell rows by about 1e-10 of their peak in odd d, 5e-9 in even d.
 _TABLE_CELLS = 1024
+
+# decompose: the annulus of the spherical-mean density, and the regions
+# of |x| where the error is sampled
+_ANNULUS = (0.5, 2.0)
+_ERROR_REGIONS = ((0.0, 0.25), (4.0, 8.0))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +210,12 @@ def wave_kernel_plan(n, dim, radii):
     return inverse_radial_plan(dim, radii, *_wave_grid(n))
 
 
-def wave_kernel(n, dim, theta=None, sign=1, radii=None):
+def wave_kernel(n, dim, radii):
     """Radial profile of the band-limited half-wave kernel at scale 2^n.
 
-    K_n(x) = (2 pi)^(-d) integral exp(i sign |xi|) theta(2^-n |xi|)
-             exp(i <x, xi>) dxi,  theta supported in the band (1/8, 8).
+    K_n(x) = (2 pi)^(-d) integral exp(i |xi|) theta(2^-n |xi|)
+             exp(i <x, xi>) dxi,  theta = ``bumps.band_cutoff``, supported
+    in the band (1/8, 8); the profile is tabulated at ``radii``.
 
     The symbol is supported in |xi| < 2^n 8 and goes through
     ``inverse_radial`` with the alias margin 8 + 2^(8-n): past max(radii)
@@ -220,11 +227,6 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
     about 500 * 4^n weights, so a scale past 10 raises BudgetError before
     any array is built.
     """
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    theta = theta or bumps.band_cutoff
-    if radii is None:
-        radii = np.linspace(0.0, 8.0, 513)
     radii = np.asarray(radii, dtype=float)
     band, margin = _wave_grid(n)
     a, b = 2.0 ** n / 8.0, band
@@ -233,7 +235,7 @@ def wave_kernel(n, dim, theta=None, sign=1, radii=None):
         out = np.zeros(s.shape, dtype=complex)
         inside = (s > a) & (s < b)
         si = s[inside]
-        out[inside] = np.exp(1j * sign * si) * theta(si / 2.0 ** n)
+        out[inside] = np.exp(1j * si) * bumps.band_cutoff(si / 2.0 ** n)
         return out
 
     values = inverse_radial(symbol, dim, radii, band, margin)
@@ -252,31 +254,24 @@ class WaveDecomposition:
     error_rho: np.ndarray
     error_values: np.ndarray
     error_sup: float
-    reconstruction_residual: float
-    decay_fit: float = None      # filled by decompose_range
-
-    def scale_factor(self):
-        return 2.0 ** (self.n * (self.dim - 1) / 2.0)
 
 
-def decompose_radii(n, annulus=(0.5, 2.0),
-                    error_regions=((0.0, 0.25), (4.0, 8.0))):
+def decompose_radii(n):
     """Annulus radii, error radii and their sorted union for scale n.
 
-    The annulus grid has step 2^-n / 8, centred in its cells; the error
-    regions have step min(2^-n / 4, 0.02).
+    The annulus ``_ANNULUS`` has a grid of step 2^-n / 8, centred in its
+    cells; the ``_ERROR_REGIONS`` have step min(2^-n / 4, 0.02).
     """
     step = 2.0 ** (-n) / 8.0
-    a_lo, a_hi = annulus
+    a_lo, a_hi = _ANNULUS
     ann_rho = np.arange(a_lo + step / 2, a_hi, step)
     err_rho = np.concatenate([
         np.arange(lo, hi + 1e-12, min(step * 2, 0.02)) for lo, hi in
-        error_regions])
+        _ERROR_REGIONS])
     return ann_rho, err_rho, np.unique(np.concatenate([ann_rho, err_rho]))
 
 
-def decompose(n, dim, theta=None, annulus=(0.5, 2.0),
-              error_regions=((0.0, 0.25), (4.0, 8.0)), sign=1):
+def decompose(n, dim):
     """Split the scale-n wave kernel into annulus spherical means plus error.
 
     omega_n(rho) = 2^(-n(d-1)/2) K_n(rho) on the annulus (the extraction is
@@ -292,8 +287,8 @@ def decompose(n, dim, theta=None, annulus=(0.5, 2.0),
     BudgetError.
     """
     step = 2.0 ** (-n) / 8.0
-    ann_rho, err_rho, radii = decompose_radii(n, annulus, error_regions)
-    prof = wave_kernel(n, dim, theta, sign, radii=radii)
+    ann_rho, err_rho, radii = decompose_radii(n)
+    prof = wave_kernel(n, dim, radii)
     interp_r = prof.radii
     kvals = prof.values
     ann_idx = np.searchsorted(interp_r, ann_rho)
@@ -302,19 +297,14 @@ def decompose(n, dim, theta=None, annulus=(0.5, 2.0),
     omega = scale * kvals[ann_idx]
     omega_l1 = float(np.sum(np.abs(omega)) * step)
     err_vals = kvals[err_idx]
-    # the split is definitional inside the annulus: residual of
-    # K_n - 2^(n(d-1)/2) omega_n there is exactly zero
-    residual = float(np.max(np.abs(kvals[ann_idx] - omega / scale)))
     return WaveDecomposition(n, dim, ann_rho, omega, omega_l1, err_rho,
-                             err_vals, float(np.max(np.abs(err_vals))),
-                             residual)
+                             err_vals, float(np.max(np.abs(err_vals))))
 
 
 def summarize_decompositions(decs):
     """Uniform-L1 ratio and dyadic decay rate across a family of scales.
 
-    The rate is the least-squares slope of -log2(error_sup) against n; it is
-    written back onto each decomposition.
+    The rate is the least-squares slope of -log2(error_sup) against n.
     """
     l1 = [d.omega_l1 for d in decs]
     l1_ratio = max(l1) / min(l1)
@@ -325,14 +315,12 @@ def summarize_decompositions(decs):
         rate = float(-slope)
     else:
         rate = float("nan")  # a single scale cannot support a fit
-    for d in decs:
-        d.decay_fit = rate
     return float(l1_ratio), rate
 
 
-def decompose_range(n_list, dim, theta=None, **kwargs):
+def decompose_range(n_list, dim):
     """Decompose a range of scales; fit the dyadic decay rate of the error sup."""
-    decs = [decompose(n, dim, theta, **kwargs) for n in n_list]
+    decs = [decompose(n, dim) for n in n_list]
     l1_ratio, rate = summarize_decompositions(decs)
     return decs, l1_ratio, rate
 
@@ -431,7 +419,7 @@ def _witness_ratio(basis, weights, a, p, dim):
     return num / (_ball_lp(a, dim, p) * wnorm)
 
 
-def shell_operator_lower_bound(dim, p, r_grid, kernel=None, budget=60,
+def shell_operator_lower_bound(dim, p, r_grid, kernel, budget=60,
                                seed=0, spread_radii=(0.25, 0.5, 1.0)):
     """Lower bound for the L^p norm of the shell superposition operator.
 
@@ -454,7 +442,6 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel=None, budget=60,
                                    for a in spread_radii):
         raise DomainError(f"spread radii must be positive and finite, got "
                           f"{list(spread_radii)}")
-    kernel = kernel or SmoothingKernel(dim)
     rng = np.random.default_rng(seed)
     basis = _build_shell_basis(dim, r_grid, kernel, spread_radii)
     nsh = len(r_grid)
@@ -488,13 +475,13 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel=None, budget=60,
                           improvements)
 
 
-def shell_l1_ratios(dim, r_grid, kernel=None):
+def shell_l1_ratios(dim, r_grid, kernel):
     """||psi * sigma_r||_1 r^-(d-1) over the shell grid (p = 1 diagnostics).
 
-    The shells psi * sigma_r are the spherical means of psi, from tables of
-    its closed-form transform (``radial.SphericalMeans``).
+    The shells psi * sigma_r of the ``SmoothingKernel`` psi are its
+    spherical means, from tables of its closed-form transform
+    (``radial.SphericalMeans``).
     """
-    kernel = kernel or SmoothingKernel(dim)
     out = {}
     w = kernel.support_radius
     shell = SphericalMeans(kernel.psi_hat, dim, (0.0, w),

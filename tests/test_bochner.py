@@ -7,6 +7,7 @@ from conemult.bochner import (BRProfile, CriticalScanResult,
                               build_bochner_riesz_cone,
                               critical_exponent, critical_exponent_alt,
                               critical_scan, edge_decay_fit)
+from conemult.bumps import edge_flat_bump
 from conemult.characterize import fourier_side_quantity
 from conemult.errors import DomainError
 from conemult.lorentz import LorentzParams, WeightedSampleSet, \
@@ -38,23 +39,14 @@ def test_profile_continuity_at_zero():
 
 
 def test_profile_evaluates_on_its_support_alone():
-    # the restriction to -1/4 < u < 0 changes no value of the default
-    # profile, and is exact for a custom cutoff that vanishes to its left
+    # the restriction to -1/4 < u < 0 changes no value of the profile
+    # (-u)^lambda b(u) on the whole half-line u < 0
     u = np.linspace(-4.0, 4.0, 4097)
-    for lam, b in ((0.5, None), (1.0, lambda v: np.exp(-np.asarray(v) ** 2)
-                                 * (np.asarray(v) > -0.25))):
-        gamma = BRProfile(lam, b)
+    for lam in (0.5, 1.0):
         neg = u < 0
         full = np.zeros_like(u)
-        full[neg] = (-u[neg]) ** lam * gamma.b(u[neg])
-        assert np.array_equal(gamma(u), full)
-
-
-def test_profile_rejects_cutoff_wider_than_its_support():
-    with pytest.raises(DomainError, match="u <= -0.25"):
-        BRProfile(1.0, lambda v: np.exp(-np.asarray(v) ** 2))
-    with pytest.raises(DomainError):
-        BRProfile(0.5, lambda v: np.ones_like(np.asarray(v)))
+        full[neg] = (-u[neg]) ** lam * edge_flat_bump(u[neg])
+        assert np.array_equal(BRProfile(lam)(u), full)
 
 
 def test_invalid_order_rejected():
@@ -66,21 +58,7 @@ def test_invalid_order_rejected():
 
 def test_decay_fit_meets_analytic_rate():
     for lam in (0.5, 1.0, 1.5):
-        fit = edge_decay_fit(lam)
-        assert fit.exponent >= lam + 1.0 - 0.1
-        assert not fit.zero_input
-
-
-def test_decay_fit_zero_input_flagged():
-    fit = edge_decay_fit(1.0, b=lambda u: np.zeros_like(np.asarray(u, float)))
-    assert fit.zero_input
-
-
-def test_decay_fit_range_validation():
-    with pytest.raises(DomainError):
-        edge_decay_fit(1.0, s_range=(1.0, 100.0))
-    with pytest.raises(DomainError):
-        edge_decay_fit(1.0, s_range=(10.0, 1e4), resolution=2 ** 10)
+        assert edge_decay_fit(lam) >= lam + 1.0 - 0.1
 
 
 def test_weak_quantity_monotone_in_order():
@@ -167,7 +145,7 @@ def _oracle_transform_line_quantity(sigma, ghat, dim, p, nu, truncation):
 
 def _oracle_critical_scan(dim, p_list, lam_grid, truncation=16384.0,
                           resolution=2 ** 17, spatial_truncation=4.0,
-                          growth_threshold=1.10, detector_window=256.0):
+                          detector_window=256.0):
     lam_grid = sorted(lam_grid)
     if truncation / 8.0 <= 2.0 * detector_window:
         raise DomainError(
@@ -196,7 +174,7 @@ def _oracle_critical_scan(dim, p_list, lam_grid, truncation=16384.0,
                     sigma, ghat, dim, p, math.inf, truncation=r)
                 tail[r] = _tail_weak_quantity(sigma, ghat, dim, p,
                                               detector_window, r)
-            trend = doubling_trend(tail, growth_threshold)
+            trend = doubling_trend(tail)
             table.append((lam, full, tail, trend["divergent"]))
             if not trend["divergent"] and math.isnan(estimate):
                 estimate = lam

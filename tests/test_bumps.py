@@ -46,18 +46,18 @@ def test_named_cutoff_supports():
     assert np.all(y[np.abs(x) <= 0.125] == 1.0)
 
 
-def _expstep(x, a):
+def _expstep(x):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
-    out[pos] = np.exp(-a / x[pos])
+    out[pos] = np.exp(-1.0 / x[pos])
     return out
 
 
-def _oracle_transition(x, steepness=1.0):
+def _oracle_transition(x):
     """The step as it was: both exponentials on the whole line."""
-    g0 = _expstep(x, steepness)
-    g1 = _expstep(1.0 - np.asarray(x, dtype=float), steepness)
+    g0 = _expstep(x)
+    g1 = _expstep(1.0 - np.asarray(x, dtype=float))
     with np.errstate(invalid="ignore"):
         return np.where(g0 + g1 > 0, g0 / (g0 + g1), 0.0)
 
@@ -72,18 +72,20 @@ def test_transition_equals_the_whole_line_formula():
               rng.uniform(0.0, 1.0, 513), rng.standard_normal(257) * 1e3,
               np.linspace(-1.0, 2.0, 3001)]
     for x in points:
-        for a in (1.0, 0.25, 7.5, 700.0):
-            got = bumps.transition(x, a)
-            with np.errstate(over="ignore"):   # -a/x at a subnormal x
-                want = _oracle_transition(x, a)
-            assert np.array_equal(got, want)
-            assert got.dtype == float and got.shape == x.shape
+        got = bumps.transition(x)
+        with np.errstate(over="ignore"):   # -1/x at a subnormal x
+            want = _oracle_transition(x)
+        assert np.array_equal(got, want)
+        assert got.dtype == float and got.shape == x.shape
     for scalar in (0.0, 0.3, 1.0, np.nan):
         got = bumps.transition(scalar)
         assert got.shape == () and got == _oracle_transition(scalar)
 
 
-def test_transition_steepness_validation():
-    for a in (0.0, -1.0, 701.0, np.nan, np.inf):
-        with pytest.raises(DomainError):
-            bumps.transition(0.5, a)
+def test_edge_flat_bump_vanishes_left_of_the_profile_support():
+    # BRProfile evaluates (-u)^lambda b(u) on -1/4 < u < 0 alone, which is
+    # exact because b vanishes at u <= -1/4
+    u = -0.25 - np.linspace(0.0, 0.75, 40)
+    assert np.all(bumps.edge_flat_bump(u) == 0.0)
+    assert np.all(bumps.edge_flat_bump(np.array([-0.25, -1e300, -np.inf]))
+                  == 0.0)

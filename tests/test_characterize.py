@@ -91,8 +91,7 @@ def test_modulation_invariance_exact():
 def test_monotone_in_truncation_at_nu_eq_p():
     # nonnegative integrand: enlarging the truncation can only grow the norm
     q = fourier_side_quantity(annulus_bump(), 3, LorentzParams(1.4, 1.4),
-                              truncation=2048.0, resolution=2 ** 15,
-                              doublings=3)
+                              truncation=2048.0, resolution=2 ** 15)
     vals = [q.by_truncation[r] for r in sorted(q.by_truncation)]
     assert all(b >= a * (1 - 1e-13) for a, b in zip(vals, vals[1:]))
 
@@ -108,8 +107,7 @@ def test_kernel_side_plancherel():
     d = 3
     gamma = annulus_bump(1.0, 0.5)
     q = kernel_side_quantity(gamma, d, LorentzParams(2.0, 2.0),
-                             support=(0.25, 2.0), rho_max=512.0,
-                             points_per_octave=64)
+                             support=(0.25, 2.0), rho_max=512.0)
     rr = np.linspace(0.0, 2.0, 4000)
     l2 = math.sqrt(surface_area(d)
                    * np.trapezoid(gamma(rr) ** 2 * rr ** (d - 1), rr))
@@ -174,8 +172,7 @@ def test_symbol_scan_reduces_to_fourier_side_at_unit_dilation():
     m0 = annulus_bump(1.2, 0.4)
     params = LorentzParams(1.3, math.inf)
     res = radial_symbol_quantity(m0, 3, params, t_grid=np.array([1.0]),
-                                 phi=phi, resolution=2 ** 13,
-                                 truncation=512.0)
+                                 resolution=2 ** 13, truncation=512.0)
     windowed = lambda u: phi(u) * m0(u)
     q = fourier_side_quantity(windowed, 3, params, truncation=512.0,
                               resolution=2 ** 13)
@@ -188,12 +185,11 @@ def test_symbol_scan_matches_per_dilation_route():
     m0 = annulus_bump(1.2, 0.4)
     params = LorentzParams(1.3, 2.0)
     t_grid = np.geomspace(0.5, 2.0, 5)
-    res = radial_symbol_quantity(m0, 3, params, t_grid=t_grid, phi=phi,
+    res = radial_symbol_quantity(m0, 3, params, t_grid=t_grid,
                                  resolution=2 ** 13, truncation=512.0)
     for t in t_grid:
         q = fourier_side_quantity(lambda u: phi(u) * m0(t * u), 3, params,
-                                  truncation=512.0, resolution=2 ** 13,
-                                  doublings=0)
+                                  truncation=512.0, resolution=2 ** 13)
         assert res.per_t[float(t)] == q.value
 
 

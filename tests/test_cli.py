@@ -192,7 +192,7 @@ def test_wave_check_budget_checked_before_any_scale(tmp_path, capsys,
     # in even dim scale 11 is past the term budget; 9 and 10 take seconds
     computed = []
     monkeypatch.setattr(wave, "decompose",
-                        lambda n, dim, theta=None: computed.append(n))
+                        lambda n, dim: computed.append(n))
     assert run_cli(["wave-check", "--out", str(tmp_path / "w"), "--dim", "2",
                     "--n-lo", "9", "--n-hi", "11"]) == 3
     assert computed == []
@@ -286,6 +286,11 @@ def test_characterize_dim_overflowing_the_line_measure_exits_2(tmp_path,
     ["--dim", "85", "--nu", "2"],
     ["--mode", "symbol", "--dim", "85", "--nu", "2"],
     ["--dim", "60", "--p", "0.5"],
+    # the largest polar weight of the smallest kernel truncation underflows
+    ["--dim", "342", "--truncation", "1", "--resolution", "1024",
+     "--kernel-rho-max", "0.5"],
+    ["--dim", "300", "--truncation", "1", "--resolution", "1024",
+     "--kernel-rho-max", "1"],
 ])
 def test_characterize_dim_past_the_float_range_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, args):
@@ -306,6 +311,35 @@ def test_characterize_bad_kernel_rho_max_exits_2(tmp_path, capsys, rho_max):
                     "--kernel-rho-max", rho_max]) == 2
     err = capsys.readouterr().err
     assert _one_line_error_text(err) and "kernel_rho_max" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["characterize", "--resolution", "1125899906842624"],
+    ["br-scan", "--resolution", "1125899906842624"],
+    ["characterize", "--resolution", str(2 * cli.MAX_LINE_POINTS)],
+    # symbol mode's diagnostic line has 4 x resolution points
+    ["characterize", "--mode", "symbol", "--resolution",
+     str(cli.MAX_LINE_POINTS // 2)],
+])
+def test_line_past_the_point_cap_exits_3_before_allocating(tmp_path, capsys,
+                                                           monkeypatch, args):
+    def no_line(*a, **k):
+        raise AssertionError("a line was sampled past the cap")
+    monkeypatch.setattr(characterize, "fourier_1d", no_line)
+    monkeypatch.setattr(bochner, "fourier_1d", no_line)
+    out = tmp_path / "c"
+    assert run_cli([*args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "exceeds the cap" in err
+    assert "resolution" in err
+    assert not out.exists()
+
+
+def test_default_lines_sit_under_the_point_cap():
+    cli._check_line_points(cli.MAX_LINE_POINTS, "resolution")
+    assert 4 * cli.DEFAULTS["characterize"]["resolution"][0] \
+        <= cli.MAX_LINE_POINTS
+    assert cli.DEFAULTS["br-scan"]["resolution"][0] <= cli.MAX_LINE_POINTS
 
 
 def test_characterize_kernel_rho_max_past_the_cap_exits_3(tmp_path, capsys,

@@ -279,7 +279,7 @@ def test_sphere_decay_envelope():
     xi = np.geomspace(10.0, 1000.0, 4000)
     for d in (2, 3, 4):
         vals = sphere_hat(1.0, d, xi)
-        slope, _ = dyadic_envelope_fit(xi, vals, 10.0, 1000.0)
+        slope = dyadic_envelope_fit(xi, vals, 10.0, 1000.0)
         assert abs(-slope - (d - 1) / 2.0) <= 0.05
 
 

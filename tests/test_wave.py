@@ -228,14 +228,32 @@ def test_wave_kernel_peaks_on_unit_sphere():
     assert abs(peak - 1.0) <= 0.1
 
 
+def _inverse_wave(n, dim, theta, sign, radii):
+    """K_n of the symbol exp(i sign r) theta(2^-n r), by the route of
+    ``wave_kernel``: ``radial.inverse_radial`` on the scale-n band."""
+    band, margin = wave._wave_grid(n)
+    a = 2.0 ** n / 8.0
+
+    def symbol(s):
+        out = np.zeros(s.shape, dtype=complex)
+        inside = (s > a) & (s < band)
+        si = s[inside]
+        out[inside] = np.exp(1j * sign * si) * theta(si / 2.0 ** n)
+        return out
+    return radial.inverse_radial(symbol, dim, np.asarray(radii, dtype=float),
+                                 band, margin)
+
+
 def test_wave_kernel_linear_in_cutoff():
     radii = np.linspace(0.2, 3.0, 40)
     th1 = lambda s: band_cutoff(s)
     th2 = lambda s: 0.5 * band_cutoff(s) ** 2
-    k1 = wave_kernel(2, 2, theta=th1, radii=radii)
-    k2 = wave_kernel(2, 2, theta=th2, radii=radii)
-    k12 = wave_kernel(2, 2, theta=lambda s: th1(s) + th2(s), radii=radii)
-    assert np.allclose(k12.values, k1.values + k2.values, rtol=1e-12)
+    k1 = _inverse_wave(2, 2, th1, 1, radii)
+    k2 = _inverse_wave(2, 2, th2, 1, radii)
+    k12 = _inverse_wave(2, 2, lambda s: th1(s) + th2(s), 1, radii)
+    assert np.allclose(k12, k1 + k2, rtol=1e-12)
+    # the band cutoff at sign +1 is the wave kernel itself
+    assert np.array_equal(k1, wave_kernel(2, 2, radii).values)
 
 
 def test_wave_kernel_d3_matches_sine_kernel_oracle():
@@ -313,7 +331,7 @@ def test_wave_kernel_matches_panel_oracle_on_decompose_grid(n, dim,
     radii = np.unique(np.concatenate([dec.annulus_rho, dec.error_rho]))
     want = _oracle(n, dim, radii=radii)
 
-    def oracle_on_grid(n_, dim_, theta, sign, radii):
+    def oracle_on_grid(n_, dim_, radii):
         assert np.array_equal(radii, want.radii)
         return want
 
@@ -327,11 +345,12 @@ def test_wave_kernel_matches_panel_oracle_on_decompose_grid(n, dim,
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_wave_kernel_matches_panel_oracle_sign_and_cutoff(dim):
+    # the route of wave_kernel, on the conjugate sign and a custom cutoff
     radii = np.concatenate([[0.0, 0.3], np.linspace(0.5, 2.0, 40),
                             [3.0, 5.5, 8.0]])
     custom = lambda s: bumps.smooth_window(s, 0.25, 0.75, 2.5, 6.0) ** 2
-    for theta, sign in ((None, -1), (custom, 1), (custom, -1)):
-        got = wave_kernel(3, dim, theta, sign, radii).values
+    for theta, sign in ((band_cutoff, -1), (custom, 1), (custom, -1)):
+        got = _inverse_wave(3, dim, theta, sign, radii)
         want = _oracle(3, dim, theta, sign, radii).values
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
@@ -341,10 +360,11 @@ def test_wave_kernel_budget_checked_before_work():
     # 62910-point t-line is allocated; radii out to 1e6 need a t-grid far
     # beyond the cap
     import tracemalloc
+    radii = np.linspace(0.0, 8.0, 513)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            wave_kernel(11, 4)
+            wave_kernel(11, 4, radii)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 16
     finally:
         tracemalloc.stop()
@@ -405,17 +425,20 @@ def test_wave_kernel_abel_steps_are_pinned(abel_steps):
 
 
 def test_wave_kernel_scale_budget():
+    radii = np.linspace(0.0, 8.0, 513)
     with pytest.raises(DomainError):
-        wave_kernel(13, 3)
+        wave_kernel(13, 3, radii)
     with pytest.raises(DomainError):
-        wave_kernel(0, 3)
+        wave_kernel(0, 3, radii)
 
 
 def test_decompose_reconstruction_is_definitional():
     dec = decompose(3, 2)
-    # only the scale-factor round trip separates the two sides
-    kernel_scale = dec.scale_factor() * np.abs(dec.omega).max()
-    assert dec.reconstruction_residual <= 1e-13 * kernel_scale
+    # omega_3 is the kernel on the annulus, times 2^(-n(d-1)/2)
+    radii = wave.decompose_radii(3)[2]
+    kernel = wave_kernel(3, 2, radii).values
+    at = np.searchsorted(radii, dec.annulus_rho)
+    assert np.array_equal(dec.omega, 2.0 ** (-3 / 2.0) * kernel[at])
     assert dec.omega_l1 > 0
     assert dec.error_sup > 0
     assert np.all(dec.annulus_rho > 0.5) and np.all(dec.annulus_rho < 2.0)
@@ -424,7 +447,6 @@ def test_decompose_reconstruction_is_definitional():
 def test_decompose_range_uniform_l1_and_decay_small():
     decs, l1_ratio, rate = decompose_range(range(2, 5), 2)
     assert l1_ratio <= 3.0
-    assert all(d.decay_fit == rate for d in decs)
 
 
 def test_shell_profile_support_and_cancellation(kernel2):
@@ -490,7 +512,8 @@ def test_shell_bound_stable_under_rmax_doubling():
     bounds = {}
     for rmax, nsh in ((8.0, 32), (16.0, 64)):
         est = shell_operator_lower_bound(d, p, np.linspace(1.0, rmax, nsh),
-                                         budget=36, seed=7)
+                                         SmoothingKernel(d), budget=36,
+                                         seed=7)
         bounds[rmax] = est.lower_bound
     assert abs(bounds[16.0] - bounds[8.0]) <= 0.2 * bounds[8.0]
 
