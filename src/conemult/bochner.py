@@ -23,7 +23,7 @@ from . import bumps
 from .characterize import line_rearrangements
 from .errors import DomainError
 from .lorentz import LorentzParams, rearranged_quasinorm
-from .multipliers import ConeMultiplierField, GridField, freq_magnitude
+from .multipliers import GridField, _check_cone_axes, freq_magnitude
 from .radial import fourier_1d
 from .util import doubling_trend, dyadic_envelope_fit
 
@@ -78,6 +78,7 @@ def build_bochner_riesz_cone(lam, axes):
     if not lam > 0:
         raise DomainError(f"order lambda must be positive, got {lam}")
     axes = tuple(axes)
+    _check_cone_axes(axes)
     xi_mag = freq_magnitude(axes[:-1])[..., None]
     tau = axes[-1].freq_coords()
     vals = np.zeros(xi_mag.shape[:-1] + (len(tau),), dtype=complex)
@@ -85,7 +86,7 @@ def build_bochner_riesz_cone(lam, axes):
     if np.any(pos):
         ratio = xi_mag / tau[pos]
         vals[..., pos] = np.clip(1.0 - ratio ** 2, 0.0, None) ** lam
-    return ConeMultiplierField(GridField(axes, vals, rep="frequency"))
+    return GridField(axes, vals, rep="frequency")
 
 
 def edge_decay_fit(lam):

@@ -74,15 +74,22 @@ def _check_line_measure(dim, truncation, power=1.0):
 
 
 def check_kernel_dim(dim, params, rho_max):
-    """Reject a dim whose kernel side leaves the float range.
+    """Reject a rho_max or a dim whose kernel side cannot be computed.
 
-    Its Bessel order dim/2 - 1 needs Gamma(dim/2) finite, and the polar
+    The smallest truncation, rho_max / 2^_DOUBLINGS, must reach the grid's
+    first radius _KERNEL_RHO_MIN, so that it holds two radii.  The kernel
+    side's Bessel order dim/2 - 1 needs Gamma(dim/2) finite, and the polar
     weights |S^(dim-1)| r^(dim-1) dr out to rho_max need their measure,
     raised to the quasi-norm's power, finite, with the radius bounded by
     2 rho_max.  The largest weight of the smallest truncation,
     rho_max / 2^_DOUBLINGS, must be a normal float, or its sample set
     would lose its weights to underflow.  All are checked in log space.
     """
+    if rho_max < 2 ** _DOUBLINGS * _KERNEL_RHO_MIN:
+        raise DomainError(f"kernel_rho_max = {rho_max:g} is below "
+                          f"{2 ** _DOUBLINGS * _KERNEL_RHO_MIN:g}: its "
+                          f"smallest truncation kernel_rho_max / "
+                          f"{2 ** _DOUBLINGS} holds fewer than two radii")
     if math.lgamma(0.5 * dim) >= _LOG_FLOAT_MAX:
         raise DomainError(f"dim = {dim}: the kernel side's Bessel order "
                           f"dim/2 - 1 needs Gamma(dim/2) as a float")
@@ -96,8 +103,6 @@ def check_kernel_dim(dim, params, rho_max):
                           f"kernel_rho_max = {rho_max:g} overflows float64")
     radii = _kernel_radii(rho_max)
     radii = radii[radii <= rho_max / 2 ** _DOUBLINGS]
-    if len(radii) < 2:
-        return   # polar_sample_set words this case
     # the top cell of polar_sample_set: its width is the last radius gap
     r, dr = radii[-1], radii[-1] - radii[-2]
     if log_sphere + (dim - 1) * math.log(r) + math.log(dr) < _LOG_FLOAT_MIN:
@@ -260,8 +265,8 @@ class SymbolScanResult:
     meta: dict = field(default_factory=dict)
 
 
-def radial_symbol_quantity(m0, dim, params, t_grid, truncation=4096.0,
-                           spatial_truncation=8.0, resolution=2 ** 15):
+def radial_symbol_quantity(m0, dim, params, t_grid, resolution,
+                           truncation=4096.0, spatial_truncation=8.0):
     """Global radial-symbol functional: sup_t of the windowed-dilate quantity.
 
     For each dilation t of ``t_grid`` the symbol is windowed to

@@ -23,10 +23,10 @@ from .characterize import (check_kernel_dim, fourier_side_quantity,
 from .config import effective_text, load_config, resolve
 from .errors import BudgetError, ConfigError, DomainError
 from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
-from .multipliers import (CSV_MAX_CELLS, MAX_AXES, Axis, GammaFamily,
-                          GridField, build_dyadic_cone_multiplier,
-                          apply_multiplier, check_wraparound, export_field_csv,
-                          field_symbol, freq_magnitude, load_field, save_field)
+from .multipliers import (CSV_MAX_CELLS, MAX_AXES, Axis, GridField,
+                          build_dyadic_cone_multiplier, apply_multiplier,
+                          export_field_csv, field_symbol, freq_magnitude,
+                          load_field, save_field, wraparound_fraction)
 from .opnorm import (SWEEP_DILATIONS, estimate_lower,
                      scaling_sweep_experiment)
 from .util import CubicSpline1D
@@ -129,12 +129,7 @@ def grid_multiplier(spec, axes):
         lam = float(spec.split(":", 1)[1])
         return build_bochner_riesz_cone(lam, axes)
     if spec == "cone_tent":
-        tau = axes[-1].freq_coords()
-        pos = tau[tau > 0]
-        kmin = int(math.floor(math.log2(pos.min())))
-        kmax = int(math.floor(math.log2(pos.max())))
-        fam = GammaFamily.constant(tent_profile, range(kmin, kmax + 1))
-        return build_dyadic_cone_multiplier(fam, axes)
+        return build_dyadic_cone_multiplier(tent_profile, axes)
     raise ConfigError(f"unknown multiplier {spec!r}")
 
 
@@ -474,7 +469,11 @@ def run_apply(opts, outdir, seed):
     if f.axes != axes:
         raise ConfigError("input field grid does not match requested axes")
     mult = grid_multiplier(opts["multiplier"], axes)
-    wrap = check_wraparound(f, opts["wrap_threshold"])
+    wrap = wraparound_fraction(f)
+    if wrap > opts["wrap_threshold"]:
+        print(f"warning: boundary shell carries {wrap:.3e} of the field mass "
+              f"(threshold {opts['wrap_threshold']:.1e}); enlarge the box "
+              f"extent", file=sys.stderr)
     out = apply_multiplier(f, mult)
     out_path = os.path.join(outdir, "output_field.cmf")
     save_field(out, out_path)

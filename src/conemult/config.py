@@ -1,7 +1,6 @@
-"""Flat key-value run configuration with sections.
+"""Flat key-value run configuration.
 
-Format (documented in docs/config.md): lines of ``key = value``; optional
-``[section]`` headers prefix subsequent keys as ``section.key``; ``#``
+Format (documented in docs/config.md): lines of ``key = value``; ``#``
 starts a comment.  Values stay strings until a subcommand coerces them
 against its declared defaults, so an effective config can be echoed back
 out and reread identically.
@@ -14,25 +13,18 @@ from .errors import ConfigError
 
 def parse_config_text(text):
     out = {}
-    section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if not section:
-                raise ConfigError(f"line {lineno}: empty section name")
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        full = f"{section}.{key}" if section else key
-        if full in out:
-            raise ConfigError(f"line {lineno}: duplicate key {full!r}")
-        out[full] = value
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 
@@ -78,8 +70,9 @@ def coerce(value, kind, key):
 def resolve(defaults, file_values, overrides):
     """defaults < config file < command-line overrides; values typed per defaults.
 
-    ``defaults`` maps key -> (default_value, kind).  Unknown keys in the file
-    or overrides are rejected so typos cannot silently pass.
+    ``defaults`` maps key -> (default_value, kind); the file and the
+    overrides map keys to strings.  Unknown keys in either are rejected so
+    typos cannot silently pass.
     """
     merged = {}
     for key, (default, _) in defaults.items():
@@ -88,11 +81,7 @@ def resolve(defaults, file_values, overrides):
         for key, value in source.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
-            if value is None:
-                continue
-            kind = defaults[key][1]
-            merged[key] = coerce(value, kind, key) if isinstance(value, str) \
-                else value
+            merged[key] = coerce(value, defaults[key][1], key)
     return merged
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class DomainError(ValueError):
@@ -11,7 +11,3 @@ class BudgetError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is missing, malformed or inconsistent."""
-
-
-class WraparoundWarning(UserWarning):
-    """Periodic grid wrap-around mass exceeds the configured threshold."""

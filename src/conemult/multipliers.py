@@ -3,18 +3,19 @@
 The discrete model is periodic: an operator is the inverse DFT of
 (symbol x forward DFT), i.e. circular convolution.  Frequency-representation
 arrays are stored in FFT order; the dual grid of an axis with extent L and
-resolution N is xi_m = 2 pi m / L for m = -N/2 .. N/2 - 1.
+resolution N is xi_m = 2 pi m / L for m = -N/2 .. N/2 - 1.  A multiplier
+field is a GridField in frequency form whose values are the symbol.
 """
 
+import itertools
 import math
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WraparoundWarning
+from .errors import DomainError
 
 _MAGIC = b"CMF1"
 MAX_AXES = 4
@@ -88,52 +89,31 @@ def freq_magnitude(axes):
     return np.sqrt(sum(c ** 2 for c in coords))
 
 
-def _check_profile_support(profile, name):
-    """Probe a profile on |u| >= _EDGE_SUPPORT and insist it vanishes."""
+def _check_profile_support(profile):
+    """Probe an edge profile on |u| >= _EDGE_SUPPORT and insist it vanishes."""
     span = _EDGE_SUPPORT + np.linspace(0.0, 3.0 * _EDGE_SUPPORT, 40)
     vals = np.asarray(profile(np.concatenate([-span, span])), dtype=complex)
     if np.any(np.abs(vals) > 1e-12):
-        raise DomainError(f"{name} does not vanish at u <= {-_EDGE_SUPPORT} "
-                          f"or u >= {_EDGE_SUPPORT}")
+        raise DomainError(f"the edge profile does not vanish at u <= "
+                          f"{-_EDGE_SUPPORT} or u >= {_EDGE_SUPPORT}")
 
 
-@dataclass
-class GammaFamily:
-    """Per-octave edge profiles gamma_k, each supported in (-1/4, 1/4)."""
-
-    profiles: dict
-
-    def __post_init__(self):
-        if not self.profiles:
-            raise DomainError("family must contain at least one profile")
-        for k, prof in self.profiles.items():
-            _check_profile_support(prof, f"gamma_{k}")
-
-    @classmethod
-    def constant(cls, profile, ks):
-        return cls({k: profile for k in ks})
+def _check_cone_axes(axes):
+    """Reject a grid without an (xi, tau) split before any array exists."""
+    if len(axes) < 2:
+        raise DomainError("cone multipliers need at least (xi, tau) axes")
 
 
-@dataclass
-class ConeMultiplierField:
-    """Frequency-side multiplier on an (xi, tau) grid."""
-
-    grid: GridField
-
-    def __post_init__(self):
-        if self.grid.rep != "frequency":
-            raise DomainError("multiplier fields live in frequency representation")
-        if self.grid.ndim < 2:
-            raise DomainError("cone multipliers need at least (xi, tau) axes")
-
-
-def build_dyadic_cone_multiplier(family, axes):
-    """Sum over octaves of gamma_k((|xi| - tau) / 2^k) on the slab tau in [2^k, 2^{k+1}).
+def build_dyadic_cone_multiplier(profile, axes):
+    """Sum over octaves of gamma((|xi| - tau) / 2^k) on the slab tau in [2^k, 2^{k+1}).
 
     Exactly zero off the slabs; on each slab the support sits inside the
-    annulus ||xi| - tau| < 2^(k-2) because gamma_k vanishes off (-1/4, 1/4).
+    annulus ||xi| - tau| < 2^(k-2) because the edge profile gamma vanishes
+    off (-1/4, 1/4).  Every octave the grid's tau axis reaches is covered.
     """
     axes = tuple(axes)
+    _check_cone_axes(axes)
+    _check_profile_support(profile)
     xi_mag = freq_magnitude(axes[:-1])[..., None]
     tau = axes[-1].freq_coords()
     values = np.zeros(xi_mag.shape[:-1] + (len(tau),), dtype=complex)
@@ -142,35 +122,106 @@ def build_dyadic_cone_multiplier(family, axes):
         kmin = int(math.floor(math.log2(tau[pos].min())))
         kmax = int(math.floor(math.log2(tau[pos].max())))
         for k in range(kmin, kmax + 1):
-            if k not in family.profiles:
-                continue
             sel = (tau >= 2.0 ** k) & (tau < 2.0 ** (k + 1))
-            if not np.any(sel):
-                continue
             u = (xi_mag - tau[sel]) / 2.0 ** k
-            values[..., sel] = np.asarray(family.profiles[k](u), dtype=complex)
-    return ConeMultiplierField(GridField(axes, values, rep="frequency"))
+            values[..., sel] = np.asarray(profile(u), dtype=complex)
+    return GridField(axes, values, rep="frequency")
 
 
 def field_symbol(m, axes):
     """The symbol array of the multiplier field ``m`` on the grid of ``axes``."""
-    grid = m.grid if isinstance(m, ConeMultiplierField) else m
-    if grid.rep != "frequency":
+    if m.rep != "frequency":
         raise DomainError("multiplier GridField must be in frequency form")
     axes = tuple(axes)
-    if not (len(axes) == grid.ndim and all(
+    if not (len(axes) == m.ndim and all(
             a.extent == b.extent and a.resolution == b.resolution
-            for a, b in zip(axes, grid.axes))):
+            for a, b in zip(axes, m.axes))):
         raise DomainError("field and multiplier grids do not match")
-    return grid.values
+    return m.values
 
 
 def _symbol_values(f, m):
-    if isinstance(m, (GridField, ConeMultiplierField)):
+    if isinstance(m, GridField):
         return field_symbol(m, f.axes)
     if callable(m):
         return np.asarray(m(freq_magnitude(f.axes)), dtype=complex)
     raise DomainError("multiplier must be a field or a radial symbol callable")
+
+
+def _support_box(sym):
+    """Per axis, the index slices (FFT order) outside which ``sym`` vanishes.
+
+    Each axis gets the shortest cyclic run holding every index where some
+    value of ``sym`` is nonzero: one slice, or two when the run wraps
+    around the end.  A symbol that vanishes everywhere has no slices.
+    """
+    nonzero = sym != 0
+    box = []
+    for k, n in enumerate(sym.shape):
+        hit = np.flatnonzero(np.any(nonzero, axis=tuple(
+            j for j in range(sym.ndim) if j != k)))
+        if len(hit) == 0:
+            return [[] for _ in sym.shape]
+        if len(hit) == n:
+            box.append([slice(None)])
+            continue
+        # the run starts after the largest cyclic gap between hits
+        last = int(np.argmax(np.diff(hit, append=hit[0] + n)))
+        start, stop = int(hit[(last + 1) % len(hit)]), int(hit[last]) + 1
+        box.append([slice(start, stop)] if start < stop else
+                   [slice(start, n), slice(0, stop)])
+    return box
+
+
+def _inverse_in_place(values, box):
+    """``np.fft.ifftn(values, out=values)``, bit for bit, on fewer lines.
+
+    The values vanish outside the support ``box``, which is not empty.
+    Axes are transformed in numpy's order, last first; on each axis only
+    the lines inside the box of the axes not yet transformed can be
+    nonzero, so only those are transformed.  A line transforms alone, so
+    the result is that of the full transform (up to the sign of zeros).
+    """
+    for k in reversed(range(values.ndim)):
+        for block in itertools.product(*box[:k]):
+            lines = values[block]
+            np.fft.ifft(lines, axis=k, out=lines)
+
+
+def _forward_in_place(values, box):
+    """``np.fft.fftn(values, out=values)``, bit for bit inside the support
+    ``box``, on fewer lines: the transpose of ``_inverse_in_place``.
+
+    Axes are transformed in numpy's order, last first; a value inside the
+    box depends only on the lines inside the box of the axes already
+    transformed, so only those are transformed.  Values outside the box
+    are left partly transformed: the symbol multiplies them by zero.
+    """
+    for k in reversed(range(values.ndim)):
+        for block in itertools.product(*box[k + 1:]):
+            lines = values[(slice(None),) * (k + 1) + block]
+            np.fft.fft(lines, axis=k, out=lines)
+
+
+def _apply_in_place(values, rep, sym, box):
+    """The grid operator of the symbol ``sym`` on the buffer ``values``.
+
+    ``values`` holds f in space (``rep`` "space") or its forward DFT
+    ("frequency"); it is overwritten with T f in space and returned.  The
+    transforms skip the lines outside ``sym``'s support box ``box``
+    (``_support_box``), so the values equal those of
+    ``ifftn(sym * fftn(f))`` up to the sign of zeros; a symbol that
+    vanishes everywhere gives +0.
+    """
+    if not all(box):
+        values[...] = 0.0
+        return values
+    if rep == "space":
+        _forward_in_place(values, box)
+    # sym first: numpy's complex product is not bitwise commutative
+    np.multiply(sym, values, out=values)
+    _inverse_in_place(values, box)
+    return values
 
 
 def apply_multiplier(f, m):
@@ -179,15 +230,11 @@ def apply_multiplier(f, m):
     Circular convolution semantics; the discrete energy bound
     ||Tf||_2 <= max|m| ||f||_2 holds exactly.  A field in frequency form
     is taken as the forward DFT of the input, which is not recomputed.
+    ``m`` is a multiplier field or a radial symbol callable, evaluated at
+    |xi| on the grid.
     """
     sym = _symbol_values(f, m)
-    # sym first: numpy's complex product is not bitwise commutative
-    if f.rep == "frequency":
-        out = np.multiply(sym, f.values)
-    else:
-        out = np.fft.fftn(f.values)
-        np.multiply(sym, out, out=out)
-    np.fft.ifftn(out, out=out)
+    out = _apply_in_place(f.values.copy(), f.rep, sym, _support_box(sym))
     return GridField(f.axes, out, rep="space")
 
 
@@ -207,16 +254,6 @@ def wraparound_fraction(f):
     if total == 0:
         return 0.0
     return float(np.sum(np.abs(f.values)[boundary]) / total)
-
-
-def check_wraparound(f, threshold=1e-6):
-    frac = wraparound_fraction(f)
-    if frac > threshold:
-        warnings.warn(
-            f"boundary shell carries {frac:.3e} of the field mass "
-            f"(threshold {threshold:.1e}); enlarge the box extent",
-            WraparoundWarning, stacklevel=2)
-    return frac
 
 
 def save_field(f, path):

@@ -9,7 +9,6 @@ the step budget for a fixed seed.
 
 import copy
 import functools
-import itertools
 import math
 import os
 import threading
@@ -20,8 +19,8 @@ import numpy as np
 from .errors import DomainError
 from .lorentz import (LorentzParams, WeightedSampleSet, lorentz_quasinorm,
                       rounded_up)
-from .multipliers import (ConeMultiplierField, GridField, field_symbol,
-                          freq_magnitude)
+from .multipliers import (GridField, _apply_in_place, _support_box,
+                          field_symbol)
 
 FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
@@ -98,8 +97,7 @@ def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
 class _Workspace:
     """The memory every witness of one search through a multiplier reuses.
 
-    It holds the symbol, its support box (per axis, the index runs in FFT
-    order outside which the symbol vanishes on each whole hyperplane), one
+    It holds the symbol, its support box (``multipliers._support_box``), one
     complex grid buffer for the witness's spectrum and T f, and one float64
     grid buffer for |f| and |T f|.  The majorant's int64 bin keys go into
     the complex buffer, which is free once |T f| is taken, and after them
@@ -137,19 +135,14 @@ class _Workspace:
         """The workspace of a multiplier field, None for any other operator."""
         if isinstance(operator, cls):
             return operator
-        if isinstance(operator, (GridField, ConeMultiplierField)):
+        if isinstance(operator, GridField):
             return cls(axes, operator)
         return None
 
     def apply(self, f):
         """|T f| as grid samples (None when T f vanishes); f's values are
         the complex buffer, a spectrum or, for a space field, the witness."""
-        out = f.values
-        if f.rep == "space":
-            _forward_in_place(out, self.box)
-        # sym first: numpy's complex product is not bitwise commutative
-        np.multiply(self.sym, out, out=out)
-        _inverse_in_place(out, self.box)
+        out = _apply_in_place(f.values, f.rep, self.sym, self.box)
         mags = np.abs(out, out=self.magnitude).reshape(-1)
         # the keys' memory, spent once the majorant is taken, is the
         # scratch of the exact norm
@@ -205,65 +198,6 @@ def _parallel_norms(team, specs, axes, p, nu, beat):
     if failures:
         raise failures[0]
     return norms
-
-
-def _support_box(sym):
-    """Per axis, the index slices (FFT order) outside which ``sym`` vanishes.
-
-    Each axis gets the shortest cyclic run holding every index where some
-    value of ``sym`` is nonzero: one slice, or two when the run wraps
-    around the end.  A symbol that vanishes everywhere has no slices.
-    """
-    nonzero = sym != 0
-    box = []
-    for k, n in enumerate(sym.shape):
-        hit = np.flatnonzero(np.any(nonzero, axis=tuple(
-            j for j in range(sym.ndim) if j != k)))
-        if len(hit) == 0:
-            return [[] for _ in sym.shape]
-        if len(hit) == n:
-            box.append([slice(None)])
-            continue
-        # the run starts after the largest cyclic gap between hits
-        last = int(np.argmax(np.diff(hit, append=hit[0] + n)))
-        start, stop = int(hit[(last + 1) % len(hit)]), int(hit[last]) + 1
-        box.append([slice(start, stop)] if start < stop else
-                   [slice(start, n), slice(0, stop)])
-    return box
-
-
-def _inverse_in_place(values, box):
-    """``np.fft.ifftn(values, out=values)``, bit for bit, on fewer lines.
-
-    The values vanish outside the support ``box``.  Axes are transformed
-    in numpy's order, last first; on each axis only the lines inside the
-    box of the axes not yet transformed can be nonzero, so only those are
-    transformed.  A line transforms alone, so the result is that of the
-    full transform (up to the sign of zeros).
-    """
-    if not all(box):
-        return   # the values vanish everywhere
-    for k in reversed(range(values.ndim)):
-        for block in itertools.product(*box[:k]):
-            lines = values[block]
-            np.fft.ifft(lines, axis=k, out=lines)
-
-
-def _forward_in_place(values, box):
-    """``np.fft.fftn(values, out=values)``, bit for bit inside the support
-    ``box``, on fewer lines: the transpose of ``_inverse_in_place``.
-
-    Axes are transformed in numpy's order, last first; a value inside the
-    box depends only on the lines inside the box of the axes already
-    transformed, so only those are transformed.  Values outside the box
-    are left partly transformed: the symbol multiplies them by zero.
-    """
-    if not all(box):
-        return   # the symbol vanishes everywhere
-    for k in reversed(range(values.ndim)):
-        for block in itertools.product(*box[k + 1:]):
-            lines = values[(slice(None),) * (k + 1) + block]
-            np.fft.fft(lines, axis=k, out=lines)
 
 
 @dataclass
@@ -556,11 +490,10 @@ def _refine(spec, rng, tmin, tmax):
 def estimate_lower(operator, axes, p, nu, budget=48, seed=0, swept=None):
     """Best witness ratio ||T f||_{p,nu} / ||f||_p within a budget of steps.
 
-    ``operator`` is a multiplier field (a GridField in frequency form or a
-    ConeMultiplierField), applied through each witness's spectrum, or any
-    map GridField -> GridField, linear on the grid, called on the witness
-    in space.  Either way every witness comes from its one definition in
-    ``witness_input``.
+    ``operator`` is a multiplier field (a GridField in frequency form),
+    applied through each witness's spectrum, or any map GridField ->
+    GridField, linear on the grid, called on the witness in space.  Either
+    way every witness comes from its one definition in ``witness_input``.
     Each step proposes one witness.  A witness whose norm vanishes, or
     that was proposed before, is skipped without an operator call; one
     whose rounded-up majorant shows that its ratio cannot beat the best so
@@ -652,7 +585,7 @@ def evaluate_witness(operator, spec, axes, p, nu):
     return num / denom
 
 
-def scaling_sweep_experiment(m0, axes, p, nu, budget=64, seed=0):
+def scaling_sweep_experiment(m0, axes, p, nu, budget, seed=0):
     """Two routes to the operator size of a radial multiplier.
 
     Route one (reference family): sup over dilations t of
@@ -663,15 +596,12 @@ def scaling_sweep_experiment(m0, axes, p, nu, budget=64, seed=0):
 
         RHS <= (best ratio) * sup_t t^{d/p} ||eta(t .)||_p,
 
-    which is asserted here and reported.  ``m0`` is a multiplier field or a
-    radial symbol callable, which is evaluated once on the grid.
+    which is asserted here and reported.  ``m0`` is a multiplier field.
     """
     LorentzParams(p, nu)   # checked before any witness norm divides by p
     d = len(axes)
     t_used = np.geomspace(*_dilation_bounds(axes), SWEEP_DILATIONS).tolist()
 
-    if not isinstance(m0, (GridField, ConeMultiplierField)):
-        m0 = GridField(axes, m0(freq_magnitude(axes)), rep="frequency")
     work = _Workspace(axes, m0)   # shared by the dilations and the search
     # the dilations form one round
     specs = [{"family": "dilated_bump", "params": {"t": t}} for t in t_used]

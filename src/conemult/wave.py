@@ -419,8 +419,8 @@ def _witness_ratio(basis, weights, a, p, dim):
     return num / (_ball_lp(a, dim, p) * wnorm)
 
 
-def shell_operator_lower_bound(dim, p, r_grid, kernel, budget=60,
-                               seed=0, spread_radii=(0.25, 0.5, 1.0)):
+def shell_operator_lower_bound(dim, p, r_grid, kernel, budget, spread_radii,
+                               seed=0):
     """Lower bound for the L^p norm of the shell superposition operator.
 
     Witnesses are separable h(y, r) = u(y) w(r) with u a fixed spread bump

@@ -7,6 +7,15 @@ import numpy as np
 
 from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.lorentz import WeightedSampleSet
+from conemult.multipliers import GridField
+
+
+def apply_full_transforms(f, sym):
+    """The grid operator of the symbol array ``sym`` on the field ``f``:
+    the full ``fftn`` (skipped for a field in frequency form), the product
+    ``sym * F`` and the full ``ifftn``, as a field in space."""
+    spectrum = f.values if f.rep == "frequency" else np.fft.fftn(f.values)
+    return GridField(f.axes, np.fft.ifftn(sym * spectrum))
 
 
 def weighted_lp_norm(samples, p):

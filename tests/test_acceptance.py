@@ -17,8 +17,7 @@ from conemult.characterize import fourier_side_quantity, kernel_side_quantity
 from conemult.cli import main as cli_main
 from conemult.lorentz import (LorentzParams, WeightedSampleSet,
                               lorentz_quasinorm)
-from conemult.multipliers import (Axis, GammaFamily, GridField,
-                                  apply_multiplier,
+from conemult.multipliers import (Axis, GridField, apply_multiplier,
                                   build_dyadic_cone_multiplier,
                                   freq_magnitude)
 from conemult.opnorm import scaling_sweep_experiment
@@ -116,12 +115,11 @@ def test_acceptance_3_multiplier_operators():
     assert np.max(np.abs(out.values - want)) <= 1e-9
 
     tent = lambda u: np.clip(1 - 4 * np.abs(np.asarray(u, float)), 0, None)
-    fam = GammaFamily.constant(tent, range(-6, 8))
     big = tuple(Axis(16.0, 32) for _ in range(3))
-    cone = build_dyadic_cone_multiplier(fam, big)
+    cone = build_dyadic_cone_multiplier(tent, big)
     tau = big[-1].freq_coords()
     xi = freq_magnitude(big[:-1])
-    nz = np.argwhere(np.abs(cone.grid.values) > 0)
+    nz = np.argwhere(np.abs(cone.values) > 0)
     assert len(nz) > 500
     for idx in nz:
         t = tau[idx[-1]]
@@ -210,7 +208,8 @@ def test_acceptance_7_equivalence_probes():
     for spec, nu in ((lambda r: np.clip(1 - np.asarray(r, float) ** 2, 0,
                                         None) ** 2.0, math.inf),
                      (lambda r: np.ones_like(np.asarray(r, float)), 2.0)):
-        out = scaling_sweep_experiment(spec, axes, 1.2, nu, budget=36, seed=0)
+        m = GridField(axes, spec(freq_magnitude(axes)), rep="frequency")
+        out = scaling_sweep_experiment(m, axes, 1.2, nu, budget=36, seed=0)
         assert out["containment_ok"]
     elapsed = time.time() - t0
     assert elapsed < 900.0

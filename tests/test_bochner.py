@@ -79,7 +79,7 @@ def test_cone_field_point_values():
     tau = axes[-1].freq_coords()
     xi = freq_magnitude(axes[:-1])
     pos = tau > 0
-    vals = cone.grid.values
+    vals = cone.values
     # apex: xi = 0 gives 1 for every tau > 0
     assert np.allclose(vals[0, 0, pos], 1.0)
     # support: zero when |xi| >= tau and for tau <= 0

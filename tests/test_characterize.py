@@ -154,7 +154,8 @@ def test_symbol_scan_cone_mean_symbols():
 def test_symbol_scan_jump_symbol_diverges():
     ind = lambda r: (np.asarray(r, dtype=float) <= 1.0).astype(float)
     res = radial_symbol_quantity(ind, 4, LorentzParams(8.0 / 7.0, math.inf),
-                                 t_grid=np.array([1.0]), truncation=4096.0)
+                                 t_grid=np.array([1.0]), resolution=2 ** 15,
+                                 truncation=4096.0)
     assert res.trend["divergent"]
 
 

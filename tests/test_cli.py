@@ -354,6 +354,31 @@ def test_characterize_kernel_rho_max_past_the_cap_exits_3(tmp_path, capsys,
     assert computed == []
 
 
+@pytest.mark.parametrize("rho_max", ["0.001", "0.05", "0.0799"])
+def test_characterize_kernel_rho_max_below_its_floor_exits_2(
+        tmp_path, capsys, monkeypatch, rho_max):
+    # its smallest truncation, kernel_rho_max / 8, must reach the kernel
+    # grid's first radius 0.01; rejected before either side is computed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a transform was computed")
+    monkeypatch.setattr(characterize, "fourier_1d", unreachable)
+    monkeypatch.setattr(characterize, "radial_transform", unreachable)
+    out = tmp_path / "c"
+    assert run_cli(["characterize", "--out", str(out), "--kernel-rho-max",
+                    rho_max]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err)
+    assert f"kernel_rho_max = {float(rho_max):g} is below 0.08" in err
+    assert not out.exists()
+
+
+def test_characterize_kernel_rho_max_at_its_floor_runs(tmp_path):
+    out = str(tmp_path / "c")
+    assert run_cli(["characterize", "--out", out, "--kernel-rho-max",
+                    "0.08"]) == 0
+    assert read_summary(out)["kernel_side"]["meta"]["rho_max"] == 0.08
+
+
 def test_characterize_kernel_rho_max_at_the_cap_is_accepted(tmp_path):
     out = str(tmp_path / "c")
     assert run_cli(["characterize", "--out", out, "--kernel-rho-max",
@@ -656,14 +681,19 @@ def test_radial_grid_multiplier_is_the_symbol_on_the_grid(spec):
     assert np.array_equal(mult.values, want)
 
 
-def test_readme_cli_examples_parse():
-    # every example of the README's CLI block is a valid command line of
-    # its subcommand, with values its config keys accept; nothing is run
+def _readme_examples():
+    """The argv of each ``conemult ...`` line of the README's CLI block."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path) as fh:
         block = fh.read().split("## CLI", 1)[1].split("\n## ", 1)[0]
-    examples = [line.split()[1:] for line in block.splitlines()
-                if line.startswith("conemult ")]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("conemult ")]
+
+
+def test_readme_cli_examples_parse():
+    # every example of the README's CLI block is a valid command line of
+    # its subcommand, with values its config keys accept; nothing is run
+    examples = _readme_examples()
     assert {argv[0] for argv in examples} == set(cli.DEFAULTS)
     parser = cli.build_parser()
     for argv in examples:
@@ -671,6 +701,21 @@ def test_readme_cli_examples_parse():
         defaults = cli.DEFAULTS[args.command]
         resolve(defaults, {}, {key: getattr(args, key) for key in defaults
                                if getattr(args, key) is not None})
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # every example of the README's CLI block runs as written, in a fresh
+    # process (where a user would see any Python warning) with a small
+    # samples.csv in its working directory: exit 0, nothing on stderr
+    (tmp_path / "samples.csv").write_text("value,weight\n1,1\n2,1\n0.5,3\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(
+        os.path.join(os.path.dirname(__file__), os.pardir, "src")))
+    for argv in _readme_examples():
+        res = subprocess.run([sys.executable, "-m", "conemult", *argv],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True)
+        assert (res.returncode, res.stderr) == (0, ""), argv
+        assert (tmp_path / f"conemult-{argv[0]}" / "summary.json").is_file()
 
 
 def test_config_file_resolution_and_echo(tmp_path):
@@ -713,9 +758,12 @@ def test_entrypoint_subprocess_smoke(tmp_path):
 # -- config machinery ----------------------------------------------------------
 
 
-def test_parse_config_sections_and_comments():
-    text = "a = 1 # trailing\n[sec]\nb = two\n"
-    assert parse_config_text(text) == {"a": "1", "sec.b": "two"}
+def test_parse_config_comments_and_no_sections():
+    text = "# comment\na = 1 # trailing\n\nb = two\n"
+    assert parse_config_text(text) == {"a": "1", "b": "two"}
+    # the format has no [section] headers: such a line is not key = value
+    with pytest.raises(ConfigError, match="line 2: expected key = value"):
+        parse_config_text("a = 1\n[wave-check]\nb = 2\n")
 
 
 def test_parse_config_rejects_garbage():

@@ -1,16 +1,20 @@
+import json
 import math
-import warnings
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conemult.errors import DomainError, WraparoundWarning
-from conemult.multipliers import (Axis, GammaFamily, GridField,
-                                  apply_multiplier,
+from conemult import bochner, cli, multipliers
+from conemult.errors import DomainError
+from conemult.multipliers import (Axis, GridField, apply_multiplier,
                                   build_dyadic_cone_multiplier,
-                                  check_wraparound, export_field_csv,
-                                  freq_magnitude, load_field, save_field)
+                                  export_field_csv, freq_magnitude,
+                                  load_field, save_field, wraparound_fraction)
 from conemult.util import CubicSpline1D
+from reference import apply_full_transforms
 
 
 def tent(u):
@@ -46,9 +50,8 @@ def idft_oracle(values):
 
 
 def test_dyadic_point_value():
-    fam = GammaFamily.constant(tent, range(-4, 6))
     axes = cone_axes()
-    cone = build_dyadic_cone_multiplier(fam, axes)
+    cone = build_dyadic_cone_multiplier(tent, axes)
     tau = axes[-1].freq_coords()
     xi = freq_magnitude(axes[:-1])
     # pick a grid point in the k = 1 slab and check the formula directly
@@ -56,14 +59,13 @@ def test_dyadic_point_value():
     t = tau[kslab]
     idx = np.unravel_index(np.argmin(np.abs(xi - 1.125 * t)), xi.shape)
     u = (xi[idx] - t) / 2.0
-    assert cone.grid.values[idx + (kslab,)] == pytest.approx(tent(u))
+    assert cone.values[idx + (kslab,)] == pytest.approx(tent(u))
 
 
 def test_dyadic_zero_family_gives_zero_field():
-    fam = GammaFamily.constant(lambda u: np.zeros_like(np.asarray(u, float)),
-                               range(-4, 6))
-    cone = build_dyadic_cone_multiplier(fam, cone_axes())
-    assert np.max(np.abs(cone.grid.values)) == 0.0
+    cone = build_dyadic_cone_multiplier(
+        lambda u: np.zeros_like(np.asarray(u, float)), cone_axes())
+    assert np.max(np.abs(cone.values)) == 0.0
 
 
 def test_dyadic_sampled_profile_matches_pointwise_oracle():
@@ -75,31 +77,29 @@ def test_dyadic_sampled_profile_matches_pointwise_oracle():
     def prof(u):
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < 0.25, spline(u), 0.0)
-    fam = GammaFamily.constant(prof, range(-4, 6))
     axes = cone_axes()
-    cone = build_dyadic_cone_multiplier(fam, axes)
+    cone = build_dyadic_cone_multiplier(prof, axes)
     tau = axes[-1].freq_coords()
     xi = freq_magnitude(axes[:-1])
     # random collection of grid points, reevaluated one by one
     for _ in range(400):
         i = tuple(rng.integers(0, 32, size=3))
         t = tau[i[-1]]
-        got = cone.grid.values[i]
+        got = cone.values[i]
         if t <= 0:
             assert got == 0.0
             continue
         k = math.floor(math.log2(t))
-        want = prof((xi[i[:-1]] - t) / 2.0 ** k) if k in fam.profiles else 0.0
+        want = prof((xi[i[:-1]] - t) / 2.0 ** k)
         assert abs(got - want) <= 1e-9
 
 
 def test_support_bookkeeping_every_nonzero_point():
-    fam = GammaFamily.constant(tent, range(-4, 6))
     axes = cone_axes()
-    cone = build_dyadic_cone_multiplier(fam, axes)
+    cone = build_dyadic_cone_multiplier(tent, axes)
     tau = axes[-1].freq_coords()
     xi = freq_magnitude(axes[:-1])
-    nz = np.argwhere(np.abs(cone.grid.values) > 0)
+    nz = np.argwhere(np.abs(cone.values) > 0)
     assert len(nz) > 0
     for idx in nz:
         t = tau[idx[-1]]
@@ -111,8 +111,8 @@ def test_support_bookkeeping_every_nonzero_point():
 
 def test_family_support_violation_rejected():
     wide = lambda u: np.clip(1.0 - np.abs(u), 0.0, None)  # supported (-1, 1)
-    with pytest.raises(DomainError):
-        GammaFamily.constant(wide, [0])
+    with pytest.raises(DomainError, match="edge profile does not vanish"):
+        build_dyadic_cone_multiplier(wide, cone_axes())
 
 
 # -- operators ----------------------------------------------------------------
@@ -200,19 +200,35 @@ def test_radial_symbol_on_radial_input_stays_radial():
 # -- wraparound and serialization --------------------------------------------
 
 
-def test_wraparound_warning_fires():
+def test_wraparound_warning_fires(tmp_path):
     axes = (Axis(4.0, 32), Axis(4.0, 32))
     x = axes[0].space_coords()
     f = GridField(axes, np.exp(-0.1 * (x[:, None] ** 2 + x[None, :] ** 2))
                   .astype(complex))
-    with pytest.warns(WraparoundWarning):
-        check_wraparound(f, threshold=1e-6)
+    assert wraparound_fraction(f) > 1e-6
     tight = GridField(axes, np.exp(-40.0 * (x[:, None] ** 2
                                             + x[None, :] ** 2))
                       .astype(complex))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        check_wraparound(tight, threshold=1e-6)
+    assert wraparound_fraction(tight) <= 1e-6
+    # apply reports the fraction past wrap_threshold as one stderr line; a
+    # fresh process shows what a user sees, Python warnings included
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    for width, lines in (("4.0", 1), ("1.0", 0)):
+        out = tmp_path / width
+        res = subprocess.run([sys.executable, "-m", "conemult", "apply",
+                              "--input", f"gauss:{width}", "--out", str(out)],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0
+        assert res.stderr.count("\n") == lines
+        frac = json.loads((out / "summary.json").read_text())[
+            "wraparound_fraction"]
+        if lines:
+            assert res.stderr == (
+                f"warning: boundary shell carries {frac:.3e} of the field "
+                f"mass (threshold 1.0e-06); enlarge the box extent\n")
+        else:
+            assert frac <= 1e-6
 
 
 def test_single_axis_field_operator():
@@ -226,12 +242,11 @@ def test_single_axis_field_operator():
 
 
 def test_four_axis_cone_field():
-    fam = GammaFamily.constant(tent, range(-3, 5))
     axes = tuple(Axis(8.0, 16) for _ in range(4))
-    cone = build_dyadic_cone_multiplier(fam, axes)
+    cone = build_dyadic_cone_multiplier(tent, axes)
     tau = axes[-1].freq_coords()
     xi = freq_magnitude(axes[:-1])
-    nz = np.argwhere(np.abs(cone.grid.values) > 0)
+    nz = np.argwhere(np.abs(cone.values) > 0)
     assert len(nz) > 0
     for idx in nz[:200]:
         t = tau[idx[-1]]
@@ -353,3 +368,64 @@ def test_apply_to_a_spectrum_equals_the_space_route(shape):
     assert np.array_equal(out.values,
                           apply_multiplier(GridField(axes, vals), sym).values)
     assert np.array_equal(spectrum.values, kept)
+
+
+# -- the one grid operator against the full-transform oracle -----------------
+
+
+GRID_MULTIPLIERS = ["one", "scalar:-0.5", "scalar:0", "br:1.0", "br:2.0",
+                    "gauss", "indicator", "oscillatory:3", "halfspace",
+                    "cone_br:1.0", "cone_tent"]
+GRID_SHAPES = [(64,), (16, 32), (8, 8, 16), (4, 8, 4, 8)]
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (spec, shape) for spec in GRID_MULTIPLIERS for shape in GRID_SHAPES
+    # cone multipliers need at least (xi, tau) axes
+    if len(shape) > 1 or not spec.startswith("cone_")])
+def test_apply_equals_the_full_transform_oracle(spec, shape):
+    # the support-box chain skips lines, never values: T f equals the full
+    # fftn / product / ifftn route under == (which ignores the sign of 0),
+    # and a symbol that vanishes everywhere gives +0
+    axes = tuple(Axis(16.0, n) for n in shape)
+    m = cli.grid_multiplier(spec, axes)
+    rng = np.random.default_rng(len(shape))
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for rep in ("space", "frequency"):
+        f = GridField(axes, vals, rep=rep)
+        got = apply_multiplier(f, m)
+        assert got.rep == "space"
+        assert np.array_equal(got.values,
+                              apply_full_transforms(f, m.values).values)
+        if not m.values.any():
+            assert not np.signbit(got.values.real).any()
+            assert not np.signbit(got.values.imag).any()
+
+
+def test_cone_multiplier_on_one_axis_is_rejected_before_any_array(
+        tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a grid array was built")
+    monkeypatch.setattr(multipliers, "freq_magnitude", unreachable)
+    monkeypatch.setattr(bochner, "freq_magnitude", unreachable)
+    axes = (Axis(16.0, 64),)
+    for spec in ("cone_tent", "cone_br:1.0"):
+        with pytest.raises(DomainError, match=r"at least \(xi, tau\) axes"):
+            cli.grid_multiplier(spec, axes)
+        for command in ("opnorm", "apply"):
+            out = tmp_path / command
+            assert cli.main([command, "--multiplier", spec, "--ndim", "1",
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == "domain error: cone multipliers need at least " \
+                "(xi, tau) axes\n"
+            assert not out.exists()
+
+
+def test_cone_tent_on_a_grid_without_positive_tau_runs(tmp_path):
+    # at resolution 2 the tau axis holds 0 and -pi / step only: the dyadic
+    # cone has no octave there and vanishes
+    out = tmp_path / "a"
+    assert cli.main(["apply", "--multiplier", "cone_tent", "--resolution",
+                     "2", "--out", str(out)]) == 0
+    assert not load_field(out / "output_field.cmf").values.any()

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conemult import cli, opnorm
+from conemult import cli, multipliers, opnorm
 from conemult.errors import DomainError
 from conemult.multipliers import Axis, GridField, apply_multiplier, \
     field_symbol, freq_magnitude
@@ -17,6 +17,11 @@ from conemult.report import fields_dict
 
 def axes2(extent=16.0, res=64):
     return (Axis(extent, res), Axis(extent, res))
+
+
+def radial_field(m0, axes):
+    """The radial symbol ``m0`` as a multiplier field on the grid."""
+    return GridField(axes, m0(freq_magnitude(axes)), rep="frequency")
 
 
 def test_identity_operator_unit_norm():
@@ -101,8 +106,8 @@ def test_dilation_identity_discrete_gap():
 
 def test_sweep_constant_symbol_two_routes_agree():
     ax = axes2(extent=16.0, res=64)
-    out = scaling_sweep_experiment(lambda r: np.ones_like(np.asarray(r, float)),
-                                   ax, 1.3, 2.0, budget=18, seed=0)
+    one = radial_field(lambda r: np.ones_like(np.asarray(r, float)), ax)
+    out = scaling_sweep_experiment(one, ax, 1.3, 2.0, budget=18, seed=0)
     assert out["containment_ok"]
     # for the identity both routes compute the same dilation-invariant size
     eta = _oracle_witness({"family": "dilated_bump", "params": {"t": 1.0}},
@@ -116,7 +121,8 @@ def test_sweep_constant_symbol_two_routes_agree():
 def test_sweep_cone_mean_symbol_band():
     ax = axes2(extent=16.0, res=64)
     br = lambda r: np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 2.0
-    out = scaling_sweep_experiment(br, ax, 1.2, math.inf, budget=48, seed=2)
+    out = scaling_sweep_experiment(radial_field(br, ax), ax, 1.2, math.inf,
+                                   budget=48, seed=2)
     assert out["containment_ok"]
     assert 1.0 - 1e-9 <= out["ratio_band"] <= 10.0
 
@@ -124,8 +130,9 @@ def test_sweep_cone_mean_symbol_band():
 def test_no_admissible_dilation_rejected():
     ax = (Axis(4.0, 4), Axis(4.0, 4))
     with pytest.raises(DomainError):
-        scaling_sweep_experiment(lambda r: np.ones_like(np.asarray(r, float)),
-                                 ax, 1.2, math.inf)
+        scaling_sweep_experiment(
+            radial_field(lambda r: np.ones_like(np.asarray(r, float)), ax),
+            ax, 1.2, math.inf, budget=48)
 
 
 def test_budget_validation():
@@ -232,7 +239,8 @@ def test_sweep_budget_below_dilation_count_fills_every_dilation(monkeypatch):
     ax = axes2(extent=16.0, res=64)
     m0 = lambda r: np.exp(-0.5 * np.asarray(r, float) ** 2)
     calls = _counting_multiplier(monkeypatch)
-    out = scaling_sweep_experiment(m0, ax, 1.2, math.inf, budget=5, seed=0)
+    out = scaling_sweep_experiment(radial_field(m0, ax), ax, 1.2, math.inf,
+                                   budget=5, seed=0)
     assert len(out["rhs_per_t"]) == 13
     assert all(v > 0 for v in out["rhs_per_t"].values())
     # the 13 dilations, then the refinement at step 2; the other 4 steps
@@ -673,7 +681,7 @@ def test_pruned_inverse_equals_ifftn(shape):
     for cut in cuts:
         for _ in range(3):
             sym, runs = _boxed_symbol(rng, shape, cut)
-            box = opnorm._support_box(sym)
+            box = multipliers._support_box(sym)
             for k, n in enumerate(shape):
                 if runs[k] is None:
                     assert box[k] == [slice(None)]
@@ -684,14 +692,14 @@ def test_pruned_inverse_equals_ifftn(shape):
             spectrum = rng.standard_normal(shape) \
                 + 1j * rng.standard_normal(shape)
             got = np.multiply(sym, spectrum)
-            opnorm._inverse_in_place(got, box)
+            multipliers._inverse_in_place(got, box)
             assert np.array_equal(got, np.fft.ifftn(sym * spectrum))
     # the zero field, and a symbol nonzero everywhere
     for sym in (np.zeros(shape, dtype=complex),
                 1.0 + rng.random(shape) + 0j):
         spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = np.multiply(sym, spectrum)
-        opnorm._inverse_in_place(got, opnorm._support_box(sym))
+        multipliers._inverse_in_place(got, multipliers._support_box(sym))
         assert np.array_equal(got, np.fft.ifftn(sym * spectrum))
 
 
@@ -704,17 +712,17 @@ def test_pruned_forward_equals_fftn_inside_the_box(shape):
     for cut in cuts:
         for _ in range(3):
             sym, _ = _boxed_symbol(rng, shape, cut)
-            box = opnorm._support_box(sym)
+            box = multipliers._support_box(sym)
             inside = np.ix_(*[_run_indices(b, n) for b, n in zip(box, shape)])
             values = rng.standard_normal(shape) \
                 + 1j * rng.standard_normal(shape)
             got = values.copy()
-            opnorm._forward_in_place(got, box)
+            multipliers._forward_in_place(got, box)
             want = np.fft.fftn(values)
             assert np.array_equal(got[inside], want[inside])
             # through the symbol and back, |T f| is that of the full route
             np.multiply(sym, got, out=got)
-            opnorm._inverse_in_place(got, box)
+            multipliers._inverse_in_place(got, box)
             assert np.array_equal(np.abs(got),
                                   np.abs(np.fft.ifftn(sym * want)))
 
@@ -727,7 +735,7 @@ def test_radial_focus_magnitudes_equal_the_full_transform(monkeypatch):
         got = work.apply(f).values.copy()
         _, f = opnorm.witness_input(spec, axes, 1.2, work)
         with monkeypatch.context() as mp:
-            mp.setattr(opnorm, "_forward_in_place",
+            mp.setattr(multipliers, "_forward_in_place",
                        lambda values, box: np.fft.fftn(values, out=values))
             want = work.apply(f).values
         assert np.array_equal(got, want)

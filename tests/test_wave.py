@@ -503,7 +503,8 @@ def test_shell_l1_ratios_uniformly_bounded(kernel3):
 def test_shell_cap_enforced(kernel3):
     with pytest.raises(BudgetError):
         shell_operator_lower_bound(3, 1.2, np.linspace(1, 16, 80),
-                                   kernel=kernel3)
+                                   kernel=kernel3, budget=60,
+                                   spread_radii=(0.25, 0.5, 1.0))
 
 
 @pytest.mark.slow
@@ -513,6 +514,7 @@ def test_shell_bound_stable_under_rmax_doubling():
     for rmax, nsh in ((8.0, 32), (16.0, 64)):
         est = shell_operator_lower_bound(d, p, np.linspace(1.0, rmax, nsh),
                                          SmoothingKernel(d), budget=36,
+                                         spread_radii=(0.25, 0.5, 1.0),
                                          seed=7)
         bounds[rmax] = est.lower_bound
     assert abs(bounds[16.0] - bounds[8.0]) <= 0.2 * bounds[8.0]
