@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .characterize import line_rearrangements
+from .characterize import LineSamples
 from .errors import DomainError
 from .lorentz import LorentzParams, rearranged_quasinorm
 from .multipliers import GridField, _check_cone_axes, freq_magnitude
-from .radial import fourier_1d
-from .util import doubling_trend, dyadic_envelope_fit
+from .radial import LineBuffers, _checked_line_grids, fourier_1d
+from .util import (LINE_POINT_BYTES, _ordered_map, _worker_count,
+                   doubling_trend, dyadic_envelope_fit)
 
 # critical_scan: half-width of the profile's sample line, and the lower end
 # |s| of the tail window its divergence flags read
@@ -61,22 +62,37 @@ class BRProfile:
     support = (-0.25, 0.0)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise DomainError(f"order lambda must be positive, got {self.lam}")
+        _check_order(self.lam)
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = (u > self.support[0]) & (u < self.support[1])
-        out[inside] = (-u[inside]) ** self.lam \
-            * bumps.edge_flat_bump(u[inside])
+        return _edge_profiles(np.asarray(u, dtype=float))(self.lam)
+
+
+def _check_order(lam):
+    if not lam > 0:
+        raise DomainError(f"order lambda must be positive, got {lam}")
+
+
+def _edge_profiles(u):
+    """lam -> the profile (-u)^lam b(u) of order lam on the points ``u``.
+
+    The support and b on it are found once, for every order; an order's
+    values go into ``out`` (zero off the support) when it is given.
+    """
+    inside = (u > BRProfile.support[0]) & (u < BRProfile.support[1])
+    minus_u, bump = -u[inside], bumps.edge_flat_bump(u[inside])
+
+    def profile(lam, out=None):
+        if out is None:
+            out = np.zeros_like(u)
+        out[inside] = minus_u ** lam * bump
         return out
+    return profile
 
 
 def build_bochner_riesz_cone(lam, axes):
     """(1 - |xi|^2/tau^2)_+^lambda for tau > 0, zero for tau <= 0."""
-    if not lam > 0:
-        raise DomainError(f"order lambda must be positive, got {lam}")
+    _check_order(lam)
     axes = tuple(axes)
     _check_cone_axes(axes)
     xi_mag = freq_magnitude(axes[:-1])[..., None]
@@ -123,6 +139,11 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
     masks the tail trend at reachable truncations.  The estimate is the
     smallest unflagged lambda, reported with the analytic threshold
     d/p - (d+1)/2, whose two equivalent forms are also compared exactly.
+    The orders share the line, whose reach is checked before any
+    transform, and the profile's support; they are evaluated on
+    ``util._ordered_map``, one worker per CPU (``util._worker_count``),
+    each in the ``LineBuffers`` of its worker, and scored in order, each
+    exactly as alone.
     """
     lam_grid = sorted(lam_grid)
     if not p_list:
@@ -142,16 +163,28 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
     radii = [truncation / 2 ** i for i in (3, 2, 1, 0)]
     windows = [(0.0, r) for r in radii] + \
         [(_DETECTOR_WINDOW, r) for r in radii]
-    tables = [[] for _ in p_list]
     for lam in lam_grid:
-        # one transform and one sort per order, dropped before the next
-        sigma, ghat = fourier_1d(BRProfile(lam), _SCAN_SPATIAL_TRUNCATION,
-                                 resolution)
-        rearranged = line_rearrangements(sigma, ghat, dim, windows)
-        del sigma, ghat
-        for p, table in zip(p_list, tables):
-            params = LorentzParams(p, math.inf)
-            values = [rearranged_quasinorm(r, params) for r in rearranged]
+        _check_order(lam)
+    x, sigma = _checked_line_grids(_SCAN_SPATIAL_TRUNCATION, resolution)
+    line = LineSamples.covering(sigma, dim, windows)
+    profiles = _edge_profiles(x)
+    params = [LorentzParams(p, math.inf) for p in p_list]
+    workers = _worker_count(len(x), LINE_POINT_BYTES)
+    buffers = [LineBuffers(len(x)) for _ in range(workers)]
+
+    def order_values(worker, lam):
+        # one transform and one sort per order, in the worker's buffers
+        buf = buffers[worker]
+        ghat = fourier_1d(profiles(lam, buf.samples),
+                          _SCAN_SPATIAL_TRUNCATION, resolution, buf)[1]
+        rearranged = line.rearrangements(ghat, windows)
+        return [[rearranged_quasinorm(r, prm) for r in rearranged]
+                for prm in params]
+
+    tables = [[] for _ in p_list]
+    for lam, per_p in zip(lam_grid, _ordered_map(order_values, lam_grid,
+                                                 workers)):
+        for values, table in zip(per_p, tables):
             full = dict(zip(radii, values[:4]))
             tail = dict(zip(radii, values[4:]))
             trend = doubling_trend(tail)

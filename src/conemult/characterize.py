@@ -26,8 +26,10 @@ from .bumps import BumpPhi
 from .errors import DomainError
 from .lorentz import (WeightedSampleSet, lorentz_quasinorm,
                       rearranged_quasinorm, subset_rearrangements)
-from .radial import fourier_1d, radial_transform
-from .util import doubling_trend, geometric_grid
+from .radial import (LineBuffers, _checked_line_grids, fourier_1d,
+                     radial_transform)
+from .util import (LINE_POINT_BYTES, _ordered_map, _worker_count,
+                   doubling_trend, geometric_grid)
 
 # both sides: values at the truncations R / 2^i for i <= _DOUBLINGS
 _DOUBLINGS = 3
@@ -153,6 +155,18 @@ class LineSamples:
             self.half_weights = np.where(s[self.half] > 0, 2.0, 1.0) \
                 * self.weights[self.half]
 
+    @classmethod
+    def covering(cls, sigma, dim, windows):
+        """The line of the widest window lo <= |s| <= hi of ``windows``.
+
+        The windows' upper ends are checked in ascending order, so a grid
+        short of several is reported at the smallest.
+        """
+        tops = sorted(hi for _, hi in windows)
+        for hi in tops:
+            _check_truncation(sigma, hi)
+        return cls(sigma, dim, tops[-1])
+
     def samples(self, ghat):
         """(|s|, weighted samples) of ``ghat``, on the folded line if it folds."""
         g = np.abs(ghat[self.keep])
@@ -161,6 +175,13 @@ class LineSamples:
             return self.abs_s[half], WeightedSampleSet(
                 g[half] / self.divisor[half], self.half_weights)
         return self.abs_s, WeightedSampleSet(g / self.divisor, self.weights)
+
+    def rearrangements(self, ghat, windows):
+        """Rearranged weighted samples of ``ghat`` on each window
+        lo <= |s| <= hi of this line: one sort serves them all."""
+        a, samples = self.samples(ghat)
+        return subset_rearrangements(
+            samples, [(a >= lo) & (a <= hi) for lo, hi in windows])
 
 
 def _check_truncation(sigma, truncation):
@@ -173,34 +194,21 @@ def _check_truncation(sigma, truncation):
             f"{truncation:.6g}; raise the resolution")
 
 
-def line_rearrangements(sigma, ghat, dim, windows):
-    """Rearranged weighted line samples on each window lo <= |s| <= hi.
-
-    One sort of the samples on the widest window serves them all.  The
-    windows' upper ends are checked in ascending order, so a grid short
-    of several is reported at the smallest.
-    """
-    tops = sorted(hi for _, hi in windows)
-    for hi in tops:
-        _check_truncation(sigma, hi)
-    a, samples = LineSamples(sigma, dim, tops[-1]).samples(ghat)
-    return subset_rearrangements(samples,
-                                 [(a >= lo) & (a <= hi) for lo, hi in windows])
-
-
 def fourier_side_quantity(gamma, dim, params, truncation=4096.0,
                           spatial_truncation=8.0, resolution=2 ** 16):
     """Weighted Lorentz size of the profile's 1-d Fourier transform.
 
-    The transform is computed and its samples sorted once; the quasi-norm
-    is reported at truncations R/2^_DOUBLINGS .. R for convergence
-    assessment.
+    The transform is computed and its samples sorted once, after the
+    line's reach is checked; the quasi-norm is reported at truncations
+    R/2^_DOUBLINGS .. R for convergence assessment.
     """
     _check_line_measure(dim, truncation, _power(params))
-    sigma, ghat = fourier_1d(gamma, spatial_truncation, resolution)
     radii = [truncation / 2 ** i for i in range(_DOUBLINGS, -1, -1)]
-    rearranged = line_rearrangements(sigma, ghat, dim,
-                                     [(0.0, r) for r in radii])
+    windows = [(0.0, r) for r in radii]
+    line = LineSamples.covering(
+        _checked_line_grids(spatial_truncation, resolution)[1], dim, windows)
+    ghat = fourier_1d(gamma, spatial_truncation, resolution)[1]
+    rearranged = line.rearrangements(ghat, windows)
     by_r = {r: rearranged_quasinorm(rr, params)
             for r, rr in zip(radii, rearranged)}
     trend = doubling_trend(by_r)
@@ -274,35 +282,55 @@ def radial_symbol_quantity(m0, dim, params, t_grid, resolution,
     the fourier-side quantity is taken; the sup and its maximizer over the
     finite scan grid are reported, together with truncation diagnostics at
     the maximizing t, on a line of 4 * ``resolution`` points.
+    The dilates share the line, whose reach is checked before any
+    transform, and phi on its support; they are evaluated on
+    ``util._ordered_map``, one worker per CPU (``util._worker_count``),
+    each in the ``LineBuffers`` of its worker and exactly as alone.
     """
     _check_line_measure(dim, truncation, _power(params))
-    per_t = {}
-    line = None
-    for t in np.asarray(t_grid, dtype=float):
-        windowed = _windowed_dilate(m0, t)
-        sigma, khat = fourier_1d(windowed, spatial_truncation, resolution)
-        if line is None:    # every dilate shares the grid
-            line = LineSamples(sigma, dim, truncation)
-        per_t[float(t)] = lorentz_quasinorm(line.samples(khat)[1], params)
+    x, sigma = _checked_line_grids(spatial_truncation, resolution)
+    line = LineSamples(sigma, dim, truncation)
+    windowed = _windowed_dilates(m0, x)
+    workers = _worker_count(len(x), LINE_POINT_BYTES)
+    buffers = [LineBuffers(len(x)) for _ in range(workers)]
+
+    def quantity(worker, t):
+        buf = buffers[worker]
+        khat = fourier_1d(windowed(t, buf.samples), spatial_truncation,
+                          resolution, buf)[1]
+        return lorentz_quasinorm(line.samples(khat)[1], params)
+
+    t_values = np.asarray(t_grid, dtype=float)
+    per_t = dict(zip(t_values.tolist(),
+                     _ordered_map(quantity, t_values, workers)))
+    # the scan's line goes before the diagnostic's, four times finer
+    del x, sigma, line, windowed, buffers
     arg = max(per_t, key=per_t.get)
-    best = _windowed_dilate(m0, arg)
-    diag = fourier_side_quantity(best, dim, params, truncation,
-                                 spatial_truncation, resolution * 4)
+    x = _checked_line_grids(spatial_truncation, 4 * resolution)[0]
+    diag = fourier_side_quantity(_windowed_dilates(m0, x)(arg), dim, params,
+                                 truncation, spatial_truncation,
+                                 4 * resolution)
     return SymbolScanResult(per_t[arg], arg, per_t, diag.trend,
                             {"dim": dim, "p": params.p, "nu": params.nu,
                              "truncation": truncation,
                              "t_grid": [float(t) for t in t_grid]})
 
 
-def _windowed_dilate(m0, t):
-    """phi(r) m0(t r), with m0 evaluated only where phi(r) != 0."""
-    def windowed(r):
-        r = np.asarray(r, dtype=float)
-        w = _WINDOW(r)
-        on = w != 0
-        vals = w[on] * np.asarray(m0(t * r[on]))
-        out = np.zeros(r.shape, dtype=vals.dtype)
+def _windowed_dilates(m0, r):
+    """t -> phi(r) m0(t r) on the grid ``r``: phi is evaluated once, and
+    m0 only where phi(r) != 0.
+
+    Real values go into ``out`` (zero where phi(r) = 0) when it is given;
+    complex ones take a new array.
+    """
+    w = _WINDOW(r)
+    on = w != 0
+    r_on, w_on = r[on], w[on]
+
+    def windowed(t, out=None):
+        vals = w_on * np.asarray(m0(t * r_on))
+        if out is None or np.iscomplexobj(vals):
+            out = np.zeros(r.shape, dtype=vals.dtype)
         out[on] = vals
         return out
     return windowed
-

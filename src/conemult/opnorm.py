@@ -10,12 +10,11 @@ the step budget for a fixed seed.
 import copy
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import util
 from .errors import DomainError
 from .lorentz import (LorentzParams, WeightedSampleSet, lorentz_quasinorm,
                       rounded_up)
@@ -26,13 +25,6 @@ FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
 # dilations of the default scan grid of scaling_sweep_experiment
 SWEEP_DILATIONS = 13
-# a search evaluates its witnesses serially on grids of fewer cells, where
-# a witness costs too little to pay for a thread: with two workers on two
-# CPUs a search took 2.7x (64^2) and 1.2x (32^3) its serial time, 0.72x
-# at 256^2 and 0.64x at 64^3
-PARALLEL_MIN_CELLS = 2 ** 16
-# cap on the bytes of the workspaces a search adds for extra workers
-EXTRA_WORKSPACE_BYTES = 64 * 2 ** 20
 # bytes per grid cell of a workspace's buffers (one complex, one float64)
 WORKSPACE_CELL_BYTES = 24
 
@@ -151,53 +143,18 @@ class _Workspace:
 
 
 def _worker_count(cells):
-    """Witness evaluations a search runs at once on a grid of ``cells``.
-
-    One per CPU this process may run on, as far as the extra workspaces
-    fit in ``EXTRA_WORKSPACE_BYTES``; one below ``PARALLEL_MIN_CELLS``.
-    """
-    if cells < PARALLEL_MIN_CELLS:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    extra = EXTRA_WORKSPACE_BYTES // (WORKSPACE_CELL_BYTES * cells)
-    return max(1, min(cpus, 1 + extra))
+    """Witness evaluations a search runs at once on a grid of ``cells``:
+    the rule of ``util._worker_count``, one workspace per extra worker."""
+    return util._worker_count(cells, WORKSPACE_CELL_BYTES)
 
 
 def _parallel_norms(team, specs, axes, p, nu, beat):
-    """``_witness_norms`` of each spec, in order, on the workspaces ``team``.
-
-    The calling thread works on the first workspace, one thread started
-    here on each other; every thread takes the next spec not yet taken
-    until none is left, and all are joined before this returns.  An
-    exception in any of them is raised here once all have stopped.
-    """
-    norms = [None] * len(specs)
-    pending = iter(range(len(specs)))
-    lock = threading.Lock()
-    failures = []
-
-    def drain(work):
-        try:
-            while not failures:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                norms[i] = _witness_norms(work, specs[i], axes, p, nu, beat)
-        except BaseException as exc:   # re-raised by the calling thread
-            failures.append(exc)
-
-    threads = [threading.Thread(target=drain, args=(work,))
-               for work in team[1:len(specs)]]
-    for thread in threads:
-        thread.start()
-    drain(team[0])
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
-    return norms
+    """``_witness_norms`` of each spec, in order, on ``util._ordered_map``:
+    each worker evaluates its witnesses in its own workspace of ``team``."""
+    return util._ordered_map(
+        lambda worker, spec: _witness_norms(team[worker], spec, axes, p, nu,
+                                            beat),
+        specs, len(team))
 
 
 @dataclass
@@ -505,10 +462,10 @@ def estimate_lower(operator, axes, p, nu, budget=48, seed=0, swept=None):
     the budget does not reach are scored after the last step, as steps
     ``budget, budget + 1, ...``, at no operator call.
     The steps form rounds, each ending before a refinement step.  Through
-    a multiplier field on a grid of at least ``PARALLEL_MIN_CELLS`` cells
-    (``_worker_count``), the witnesses of a round are evaluated at once,
-    each worker thread in its own workspace, against the best ratio before
-    the round, and scored in step order: as the majorant test is sound,
+    a multiplier field on a grid of at least ``util.PARALLEL_MIN_POINTS``
+    cells (``_worker_count``), the witnesses of a round are evaluated at
+    once, each worker thread in its own workspace, against the best ratio
+    before the round, and scored in step order: as the majorant test is sound,
     the result is the serial loop's, bit for bit, at any worker count.
     """
     if budget < 1:

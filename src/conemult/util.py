@@ -1,4 +1,8 @@
-"""Small numerical helpers: splines, panel quadrature, log-log fits, trends."""
+"""Small numerical helpers: splines, panel quadrature, log-log fits, trends,
+and the one worker map that loops of independent items run on."""
+
+import os
+import threading
 
 import numpy as np
 
@@ -7,6 +11,18 @@ from .errors import BudgetError, DomainError
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # per-doubling growth that flags a divergent trend
 GROWTH_THRESHOLD = 1.10
+# a loop runs its items serially below this many points (grid cells, line
+# samples) per item, where an item costs too little to pay for a thread:
+# with two workers on two CPUs an opnorm search took 2.7x (64^2) and 1.2x
+# (32^3) its serial time, 0.72x at 256^2 and 0.64x at 64^3
+PARALLEL_MIN_POINTS = 2 ** 16
+# cap on the bytes the extra workers of a loop hold at once
+EXTRA_WORKER_BYTES = 64 * 2 ** 20
+# bytes per point a worker of a loop of 1-d line transforms holds at its
+# peak: its radial.LineBuffers (32), then an item's |g_hat| and its sort
+# (tracemalloc read 53 for br-scan's orders at 2^17 points, 42 for
+# characterize's dilates at 2^16)
+LINE_POINT_BYTES = 56
 
 
 def geometric_grid(lo, hi, points_per_octave):
@@ -156,3 +172,59 @@ def next_pow2(n):
     while p < n:
         p *= 2
     return p
+
+
+def _worker_count(points, point_bytes):
+    """Workers a loop runs at once when each item has ``points`` points.
+
+    One per CPU this process may run on, as far as the memory the extra
+    workers hold, ``point_bytes`` per point each, fits in
+    ``EXTRA_WORKER_BYTES``; one below ``PARALLEL_MIN_POINTS``.
+    """
+    if points < PARALLEL_MIN_POINTS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    extra = EXTRA_WORKER_BYTES // (point_bytes * points)
+    return max(1, min(cpus, 1 + extra))
+
+
+def _ordered_map(func, items, workers):
+    """``[func(w, item) for item in items]`` on ``workers`` threads.
+
+    ``w`` is the index of the worker making the call, so that each worker
+    may keep memory of its own.  The calling thread is worker 0, and one
+    thread is started here for each other worker, no more than there are
+    items; every worker takes the next item not yet taken until none is
+    left, and all are joined before this returns.  The results come in
+    item order.  After a failure no item is taken; once every thread has
+    stopped, the exception of the first item that failed is raised, which
+    is the one the serial loop raises, as every item before it was taken.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+    failures = []   # (item index, exception)
+
+    def drain(worker):
+        while not failures:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = func(worker, items[i])
+            except BaseException as exc:   # re-raised by the calling thread
+                failures.append((i, exc))
+
+    threads = [threading.Thread(target=drain, args=(w,))
+               for w in range(1, min(workers, len(items)))]
+    for thread in threads:
+        thread.start()
+    drain(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results

@@ -206,6 +206,24 @@ def test_scan_matches_per_truncation_oracle(dim, p_list, lam_grid):
     assert any(div for r in got for *_, div in r.table)
 
 
+def test_scan_does_not_depend_on_the_worker_count(monkeypatch):
+    import threading
+    from conemult import util
+    from conemult.report import fields_dict
+    monkeypatch.setattr(util, "PARALLEL_MIN_POINTS", 1)
+    threads = threading.active_count()
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(util.os, "sched_getaffinity",
+                            lambda pid, n=workers: set(range(n)))
+        assert util._worker_count(2 ** 14, util.LINE_POINT_BYTES) == workers
+        runs.append([fields_dict(r) for r in critical_scan(
+            4, [1.05, 8.0 / 7.0], [0.6, 0.8, 1.0, 1.2, 1.4, 1.6],
+            truncation=6144.0, resolution=2 ** 14)])
+        assert threading.active_count() == threads
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_scan_nan_truncation_names_r():
     with pytest.raises(DomainError, match="R = nan must be finite"):
         critical_scan(4, [8.0 / 7.0], [0.6, 1.6], truncation=math.nan,

@@ -194,6 +194,28 @@ def test_symbol_scan_matches_per_dilation_route():
         assert res.per_t[float(t)] == q.value
 
 
+@pytest.mark.parametrize("params", [LorentzParams(8.0 / 7.0, math.inf),
+                                    LorentzParams(1.3, 2.0)])
+def test_symbol_scan_does_not_depend_on_the_worker_count(monkeypatch,
+                                                        params):
+    import threading
+    from conemult import util
+    from conemult.report import fields_dict
+    monkeypatch.setattr(util, "PARALLEL_MIN_POINTS", 1)
+    m0 = annulus_bump(1.2, 0.4)
+    threads = threading.active_count()
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(util.os, "sched_getaffinity",
+                            lambda pid, n=workers: set(range(n)))
+        assert util._worker_count(2 ** 13, util.LINE_POINT_BYTES) == workers
+        runs.append(fields_dict(radial_symbol_quantity(
+            m0, 3, params, t_grid=np.geomspace(0.25, 4.0, 17),
+            resolution=2 ** 13, truncation=512.0)))
+        assert threading.active_count() == threads
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def _br05(r):
     return np.clip(1.0 - np.asarray(r, float) ** 2, 0.0, None) ** 0.5
 

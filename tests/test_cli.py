@@ -17,6 +17,7 @@ from conemult import bochner, characterize, cli, wave
 from conemult.cli import main
 from conemult.config import (ConfigError, coerce, parse_config_text,
                              resolve)
+from conemult.errors import DomainError
 from conemult.multipliers import freq_magnitude, load_field
 
 
@@ -333,6 +334,70 @@ def test_line_past_the_point_cap_exits_3_before_allocating(tmp_path, capsys,
     assert _one_line_error_text(err) and "exceeds the cap" in err
     assert "resolution" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, what", [
+    (["br-scan", "--resolution", "32768"], "frequency grid reaches"),
+    (["characterize", "--mode", "symbol", "--resolution", "16384"],
+     "frequency grid reaches"),
+    (["characterize", "--mode", "profile", "--resolution", "16384"],
+     "frequency grid reaches"),
+    (["br-scan", "--lam-lo", "0"], "order lambda must be positive, got 0.0"),
+])
+def test_scan_input_errors_exit_2_before_any_transform(
+        tmp_path, capsys, monkeypatch, args, what):
+    calls = []
+
+    def counted(original):
+        def transform(*a, **k):
+            calls.append(a)
+            return original(*a, **k)
+        return transform
+    monkeypatch.setattr(characterize, "fourier_1d",
+                        counted(characterize.fourier_1d))
+    monkeypatch.setattr(bochner, "fourier_1d", counted(bochner.fourier_1d))
+    assert run_cli([*args, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and what in err
+    assert calls == []
+
+
+def test_br_scan_worker_failure_exits_2_with_every_thread_stopped(
+        tmp_path, capsys, monkeypatch):
+    import threading
+    from conemult import util
+    monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(util, "PARALLEL_MIN_POINTS", 1)
+    transform = bochner.fourier_1d
+    workers = set()
+
+    def failing_off_the_main_thread(*a, **k):
+        workers.add(threading.get_ident())
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("injected in a worker")
+        return transform(*a, **k)
+    monkeypatch.setattr(bochner, "fourier_1d", failing_off_the_main_thread)
+    threads = threading.active_count()
+    out = tmp_path / "s"
+    assert run_cli(["br-scan", "--out", str(out), "--truncation", "8192",
+                    "--resolution", "32768", "--decay-fit", "false"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "injected in a worker" in err
+    assert workers - {threading.main_thread().ident}
+    assert threading.active_count() == threads
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_concurrency_framework():
+    # the worker map is plain threading: a run starts without these
+    code = ("import sys, conemult.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing', 'asyncio') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_default_lines_sit_under_the_point_cap():

@@ -187,14 +187,14 @@ def test_power_law_divergence_rate():
 
 def test_ghat_weak_norm_stabilizes_at_critical_order():
     from conemult.bochner import BRProfile
-    from conemult.characterize import line_rearrangements
+    from conemult.characterize import LineSamples
     from conemult.radial import fourier_1d
     sigma, ghat = fourier_1d(BRProfile(1.0), 4.0, 2 ** 16)
     d, p = 4, 8.0 / 7.0
+    windows = [(0.0, 1e2), (0.0, 1e3), (0.0, 1e4)]
+    line = LineSamples.covering(sigma, d, windows)
     vals = [rearranged_quasinorm(r, LorentzParams(p, math.inf))
-            for r in line_rearrangements(sigma, ghat, d, [(0.0, 1e2),
-                                                          (0.0, 1e3),
-                                                          (0.0, 1e4)])]
+            for r in line.rearrangements(ghat, windows)]
     assert max(vals) / min(vals) <= 1.05
 
 

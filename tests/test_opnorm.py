@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conemult import cli, multipliers, opnorm
+from conemult import cli, multipliers, opnorm, util
 from conemult.errors import DomainError
 from conemult.multipliers import Axis, GridField, apply_multiplier, \
     field_symbol, freq_magnitude
@@ -827,36 +827,23 @@ def test_search_does_not_depend_on_the_worker_count(monkeypatch, spec):
 
 
 def test_worker_count_follows_the_cpus_and_the_memory_cap(monkeypatch):
-    monkeypatch.setattr(opnorm.os, "sched_getaffinity",
+    monkeypatch.setattr(util.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2, 3})
-    assert opnorm._worker_count(opnorm.PARALLEL_MIN_CELLS - 1) == 1
-    assert opnorm._worker_count(opnorm.PARALLEL_MIN_CELLS) == 4
+    assert opnorm._worker_count(util.PARALLEL_MIN_POINTS - 1) == 1
+    assert opnorm._worker_count(util.PARALLEL_MIN_POINTS) == 4
     # at 2^20 cells a workspace is 24 MiB, so the 64 MiB cap allows two
     # extra ones; at 2^22 cells none
     assert opnorm._worker_count(2 ** 20) == 3
     assert opnorm._worker_count(2 ** 22) == 1
-    monkeypatch.setattr(opnorm.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0})
     assert opnorm._worker_count(2 ** 18) == 1
 
 
-def test_worker_failure_is_raised_after_every_thread_stopped(monkeypatch):
-    import threading
+def test_workspace_team_shares_the_symbol_and_not_the_buffers():
     axes, mult = _grid_multiplier("br:2.0")
     work = opnorm._Workspace(axes, mult)
     team = work.team(2)
     assert team[1].sym is work.sym and team[1].box is work.box
     assert not np.shares_memory(team[1].spectrum, work.spectrum)
+    assert not np.shares_memory(team[1].magnitude, work.magnitude)
     assert work.team(2)[1] is team[1]
-    norms = opnorm._witness_norms
-
-    def failing(operator, spec, *args):
-        if spec["params"]["t"] > 1.0:
-            raise DomainError("injected")
-        return norms(operator, spec, *args)
-    monkeypatch.setattr(opnorm, "_witness_norms", failing)
-    specs = [{"family": "dilated_bump", "params": {"t": t}}
-             for t in (0.5, 0.7, 2.0, 0.9)]
-    threads = threading.active_count()
-    with pytest.raises(DomainError, match="injected"):
-        opnorm._parallel_norms(team, specs, axes, 1.2, math.inf, 0.0)
-    assert threading.active_count() == threads

@@ -6,7 +6,7 @@ import pytest
 from conemult import radial, wave
 from conemult.bessel import surface_area
 from conemult.bumps import smooth_window
-from conemult.characterize import LineSamples, line_rearrangements
+from conemult.characterize import LineSamples
 from conemult.errors import BudgetError, DomainError
 from conemult.lorentz import WeightedSampleSet, decreasing_rearrangement
 from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
@@ -54,8 +54,12 @@ def test_real_even_gives_real_even():
     assert np.array_equal(vals[half + 1:], np.conj(vals[1:half][::-1]))
 
 
-def _complex_fourier_1d(f, truncation, resolution):
-    """The complex-FFT route fourier_1d took for every profile (oracle)."""
+def _complex_fourier_1d(f, truncation, resolution, buffers=None):
+    """The complex-FFT route fourier_1d took for every profile (oracle).
+
+    It takes ``buffers`` as ``fourier_1d`` does, so that it can stand in
+    for it in a scan, and returns new arrays all the same.
+    """
     n = int(resolution)
     if n < 2 or (n & (n - 1)) != 0:
         raise DomainError(f"resolution must be a power of two, got {resolution}")
@@ -128,8 +132,7 @@ def test_line_fold_matches_the_full_line_exactly(f, dim):
     assert np.array_equal(got.breakpoints, want.breakpoints)
     # the windows of one sort, against each window's full line
     windows = [(0.0, 150.0), (0.0, 600.0), (40.0, 300.0)]
-    for (lo, hi), r in zip(windows, line_rearrangements(sigma, ghat, dim,
-                                                        windows)):
+    for (lo, hi), r in zip(windows, line.rearrangements(ghat, windows)):
         full = np.abs(sigma[line.keep])
         keep = (full >= lo) & (full <= hi)
         g = np.abs(ghat[line.keep])[keep]
@@ -150,6 +153,24 @@ def test_line_with_one_perturbed_value_is_not_folded():
     got = decreasing_rearrangement(samples)
     assert np.array_equal(got.levels, want.levels)
     assert np.array_equal(got.breakpoints, want.breakpoints)
+
+
+@pytest.mark.parametrize("f", _REAL_PROFILES)
+def test_transform_in_line_buffers_equals_new_arrays(f):
+    n = 2 ** 12
+    buf = radial.LineBuffers(n)
+    for scale in (1.0, 0.5, 2.0):
+        g = lambda s: f(scale * s)
+        sigma, want = fourier_1d(g, 3.0, n)
+        got = fourier_1d(g, 3.0, n, buf)[1]
+        assert got is buf.values and np.array_equal(got, want)
+        # complex samples take new arrays and leave the buffers alone
+        kept = buf.values.copy()
+        h = lambda s: g(s) * np.exp(1j * s)
+        got = fourier_1d(h, 3.0, n, buf)[1]
+        assert not np.shares_memory(got, buf.values)
+        assert np.array_equal(got, fourier_1d(h, 3.0, n)[1])
+        assert np.array_equal(buf.values, kept)
 
 
 def test_line_grids_are_shared_and_read_only():
