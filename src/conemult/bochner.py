@@ -44,11 +44,6 @@ def critical_exponent(dim, p):
     return dim / p - (dim + 1) / 2.0
 
 
-def critical_exponent_alt(dim, p):
-    """The same threshold written as d(1/p - 1/2) - 1/2."""
-    return dim * (1.0 / p - 0.5) - 0.5
-
-
 @dataclass
 class BRProfile:
     """Edge profile (-u)^lambda b(u) of the cone means of order lambda.
@@ -123,7 +118,6 @@ class CriticalScanResult:
     prediction: float
     estimate: float
     table: list  # (lam, {R: full_value}, {R: tail_value}, divergent) rows
-    identity_gap: float
 
 
 def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
@@ -138,7 +132,7 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
     fixed spectral hump below s ~ 250 that otherwise pins the supremum and
     masks the tail trend at reachable truncations.  The estimate is the
     smallest unflagged lambda, reported with the analytic threshold
-    d/p - (d+1)/2, whose two equivalent forms are also compared exactly.
+    d/p - (d+1)/2.
     The orders share the line, whose reach is checked before any
     transform, and the profile's support; they are evaluated on
     ``util._ordered_map``, one worker per CPU (``util._worker_count``),
@@ -191,9 +185,8 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
             table.append((lam, full, tail, trend["divergent"]))
     results = []
     for p, table in zip(p_list, tables):
-        unflagged = [lam for lam, _, _, div in table if not div]
-        estimate = unflagged[0] if unflagged else float("nan")
-        gap = abs(critical_exponent(dim, p) - critical_exponent_alt(dim, p))
+        estimate = next((lam for lam, _, _, div in table if not div),
+                        math.nan)
         results.append(CriticalScanResult(p, predictions[p], estimate,
-                                          table, gap))
+                                          table))
     return results

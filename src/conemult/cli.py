@@ -20,17 +20,18 @@ from .bochner import (BRProfile, build_bochner_riesz_cone, critical_scan,
                       edge_decay_fit)
 from .characterize import (check_kernel_dim, fourier_side_quantity,
                            kernel_side_quantity, radial_symbol_quantity)
-from .config import effective_text, load_config, resolve
+from .config import (REQUIRED, Options, Range, effective_text, load_config,
+                     require, resolve)
 from .errors import BudgetError, ConfigError, DomainError
 from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
-from .multipliers import (CSV_MAX_CELLS, MAX_AXES, Axis, GridField,
-                          build_dyadic_cone_multiplier, apply_multiplier,
+from .multipliers import (CSV_MAX_CELLS, MAX_AXES, GridField, apply_multiplier,
+                          build_axes, build_dyadic_cone_multiplier,
                           export_field_csv, field_symbol, freq_magnitude,
                           load_field, save_field, wraparound_fraction)
 from .opnorm import (SWEEP_DILATIONS, estimate_lower,
                      scaling_sweep_experiment)
 from .util import CubicSpline1D
-from .wave import (MAX_SHELL_DIM, MAX_WAVE_SCALE, SmoothingKernel,
+from .wave import (MAX_SHELL_DIM, MAX_SHELLS, MAX_WAVE_SCALE, SmoothingKernel,
                    decompose_radii, decompose_range, shell_l1_ratios,
                    shell_operator_lower_bound, wave_kernel_plan)
 
@@ -45,9 +46,6 @@ MAX_KERNEL_RHO = 65536
 # the largest default line, characterize's symbol-mode diagnostic at four
 # times its resolution, has 2^18
 MAX_LINE_POINTS = 2 ** 22
-# cap on the cells of an apply/opnorm grid: at 2^24 cells one complex
-# field is 256 MiB, and a run holds a few at once
-MAX_GRID_CELLS = 2 ** 24
 # cap on an opnorm run's witness work, its steps times the grid cells: an
 # estimate on 64^3 cells (57 steps, 1.5e7 cells) takes about 1 s on a
 # 2-vCPU machine, so the cap allows about a minute
@@ -133,29 +131,6 @@ def grid_multiplier(spec, axes):
     raise ConfigError(f"unknown multiplier {spec!r}")
 
 
-def build_axes(extent, resolution, ndim):
-    """Axes of a cubic grid, checked before any array is allocated."""
-    if not 1 <= ndim <= MAX_AXES:
-        raise DomainError(f"ndim = {ndim}: grids support 1 to {MAX_AXES} axes")
-    axes = tuple(Axis(extent, resolution) for _ in range(ndim))
-    if resolution ** ndim > MAX_GRID_CELLS:
-        raise BudgetError(f"grid of {resolution}^{ndim} cells exceeds the cap "
-                          f"{MAX_GRID_CELLS}")
-    # |x|^2 and |xi|^2 sum the squared coordinates over the axes, the
-    # largest being the half extent and the Nyquist frequency pi N / L;
-    # every norm carries the cell volume (L / N)^ndim
-    space, freq = 0.5 * extent, math.pi * resolution / extent
-    for size, what in ((ndim * space * space, "squared space coordinates"),
-                       (ndim * freq * freq, "squared frequency coordinates"),
-                       (math.prod([extent / resolution] * ndim),
-                        "cell volume")):
-        if not 0 < size < math.inf:
-            raise DomainError(f"extent = {extent} over {ndim} axes of "
-                              f"{resolution} cells puts the {what} out of "
-                              f"the float range")
-    return axes
-
-
 def input_field(spec, axes):
     if spec.startswith("gauss:"):
         width = float(spec.split(":", 1)[1])
@@ -169,149 +144,185 @@ def input_field(spec, axes):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns its summary dict
+# the option table: each key's default, type and domain, and the checks
+# across keys; config.resolve enforces it before a runner starts
+
+POSITIVE, EXPONENT = Range("(0, inf)"), Range("(0, inf]")   # nu = inf: weak
+DIM, AXES = Range("[2, inf)"), Range(f"[1, {MAX_AXES}]")
+GRID_POINTS = Range("[2, inf)", pow2=True)
+LINE_POINTS = Range("[2, inf)", pow2=True, cap=MAX_LINE_POINTS)
+# worded as the library checks that guard the same intervals
+P = Range("(0, inf)", "p must be a positive real, got {value}")
+R = Range("(0, inf)", "truncation R = {value} must be finite and positive")
+COUNT = Range("[1, inf)", "{key} must be at least 1, got {value}")
+
+
+def _exponents(o):
+    return LorentzParams(o["p"], o["nu"])
+
+
+def _grid(o):
+    return build_axes(o["extent"], o["resolution"], o["ndim"])
+
+
+def _dilation_count(o):
+    return math.log2(o["t_hi"] / o["t_lo"]) * o["t_per_octave"] + 1
 
 
 DEFAULTS = {
-    "lorentz-norm": {
-        "input": ("", str),
-        "p": (2.0, float),
-        "nu": (2.0, float),
-    },
-    "characterize": {
-        "mode": ("profile", str),            # profile | symbol
-        "profile": ("tent", str),            # one-sided profiles (br:LAM)
-                                             # have zero kernel side
-        "symbol": ("br:1.0", str),
-        "dim": (4, int),
-        "p": (8.0 / 7.0, float),
-        "nu": (math.inf, float),
-        "truncation": (4096.0, float),
-        "resolution": (2 ** 16, int),
-        "spatial_truncation": (8.0, float),
-        "kernel_rho_max": (256.0, float),
-        "t_lo": (0.0625, float),
-        "t_hi": (16.0, float),
-        "t_per_octave": (16, int),
-    },
-    "br-scan": {
-        "dim": (4, int),
-        "p_list": ([1.05, 8.0 / 7.0], "float_list"),
-        "lam_lo": (0.6, float),
-        "lam_hi": (1.8, float),
-        "lam_step": (0.05, float),
-        "truncation": (16384.0, float),
-        "resolution": (2 ** 17, int),
-        "decay_fit": (True, bool),
-    },
-    "wave-check": {
-        "dim": (3, int),
-        "n_lo": (3, int),
-        "n_hi": (8, int),
-    },
-    "sph-probe": {
-        "dim": (3, int),
-        "p": (1.2, float),
-        "r_lo": (1.0, float),
-        "r_hi": (8.0, float),
-        "shells": (16, int),
-        "budget": (36, int),
-        "radius0": (0.0625, float),
-        "vanishing_order": (5, int),
-        "spreads": ([0.25, 1.0], "float_list"),
-    },
-    "opnorm": {
-        "mode": ("sweep", str),              # estimate | sweep
-        "multiplier": ("br:2.0", str),
-        "ndim": (2, int),
-        "extent": (16.0, float),
-        "resolution": (64, int),
-        "p": (1.2, float),
-        "nu": (math.inf, float),
-        "budget": (48, int),
-    },
-    "apply": {
-        "multiplier": ("cone_tent", str),
-        "input": ("gauss:1.0", str),
-        "ndim": (3, int),
-        "extent": (16.0, float),
-        "resolution": (32, int),
-        "wrap_threshold": (1e-6, float),
-        "csv_limit": (CSV_MAX_CELLS, int),
-    },
+    "lorentz-norm": Options({
+        "input": ("", str, REQUIRED),
+        "p": (2.0, float, P),
+        "nu": (2.0, float, EXPONENT),
+    }, {"nu >= p": _exponents}),
+    "characterize": Options({
+        "mode": ("profile", str, ("profile", "symbol")),
+        "profile": ("tent", str, None),   # one-sided br:LAM: no kernel side
+        "symbol": ("br:1.0", str, None),
+        "dim": (4, int, DIM),
+        "p": (8.0 / 7.0, float, P),
+        "nu": (math.inf, float, EXPONENT),
+        "truncation": (4096.0, float, R),
+        "resolution": (2 ** 16, int, LINE_POINTS),
+        "spatial_truncation": (8.0, float, Range(
+            "(0, inf)", "spatial truncation must be finite and positive, "
+            "got {value}")),
+        "kernel_rho_max": (256.0, float, Range("(0, inf)",
+                                               cap=MAX_KERNEL_RHO)),
+        "t_lo": (0.0625, float, POSITIVE),
+        "t_hi": (16.0, float, POSITIVE),
+        "t_per_octave": (16, int, COUNT),
+    }, {
+        "nu >= p": _exponents,
+        # with the least kernel_rho_max, 8 x the kernel grid's first radius
+        "kernel side": lambda o: o["mode"] != "profile" or check_kernel_dim(
+            o["dim"], _exponents(o), o["kernel_rho_max"]),
+        "t_lo < t_hi": require(
+            lambda o: o["mode"] != "symbol" or o["t_lo"] < o["t_hi"],
+            "dilation range needs t_lo < t_hi, got {t_lo} and {t_hi}"),
+        "dilation count": require(
+            lambda o: o["mode"] != "symbol"
+            or _dilation_count(o) <= MAX_DILATIONS,
+            f"dilation grid of log2(t_hi / t_lo) t_per_octave + 1 points "
+            f"exceeds the cap {MAX_DILATIONS}", 3),
+        # the best dilate is transformed again on a line four times finer
+        "4x line": require(
+            lambda o: o["mode"] != "symbol"
+            or 4 * o["resolution"] <= MAX_LINE_POINTS,
+            f"mode symbol: 4 x resolution = 4 x {{resolution}} points "
+            f"exceeds the cap {MAX_LINE_POINTS}", 3),
+    }),
+    "br-scan": Options({
+        "dim": (4, int, DIM),
+        "p_list": ([1.05, 8.0 / 7.0], "float_list", P),
+        "lam_lo": (0.6, float, POSITIVE),
+        "lam_hi": (1.8, float, POSITIVE),
+        "lam_step": (0.05, float, POSITIVE),
+        "truncation": (16384.0, float, R),
+        "resolution": (2 ** 17, int, LINE_POINTS),
+        "decay_fit": (True, bool, None),
+    }, {
+        "lam_lo <= lam_hi": require(
+            lambda o: o["lam_lo"] <= o["lam_hi"],
+            "order range needs lam_lo <= lam_hi, got {lam_lo} and {lam_hi}"),
+        "order count": require(
+            lambda o: (o["lam_hi"] + 1e-9 - o["lam_lo"]) / o["lam_step"]
+            <= MAX_ORDERS, f"order grid of (lam_hi - lam_lo) / lam_step "
+            f"points exceeds the cap {MAX_ORDERS}", 3),
+    }),
+    "wave-check": Options({
+        "dim": (3, int, DIM),
+        "n_lo": (3, int, Range(f"[1, {MAX_WAVE_SCALE}]")),
+        "n_hi": (8, int, Range(f"[1, {MAX_WAVE_SCALE}]")),
+    }, {
+        "n_lo <= n_hi": require(lambda o: o["n_lo"] <= o["n_hi"],
+                                "empty scale range {n_lo}..{n_hi}"),
+        # the cost grows with n: one check of the largest scale covers all
+        "kernel budget": lambda o: wave_kernel_plan(
+            o["n_hi"], o["dim"], decompose_radii(o["n_hi"])[2]),
+    }),
+    "sph-probe": Options({
+        "dim": (3, int, Range(f"[2, {MAX_SHELL_DIM}]")),
+        "p": (1.2, float, P),
+        "r_lo": (1.0, float, Range("[1, inf)")),
+        "r_hi": (8.0, float, Range("[1, inf)")),
+        "shells": (16, int, Range("[1, inf)", cap=MAX_SHELLS)),
+        "budget": (36, int, COUNT),
+        "radius0": (0.0625, float, POSITIVE),
+        "vanishing_order": (5, int, Range("[0, inf)")),
+        "spreads": ([0.25, 1.0], "float_list", POSITIVE),
+    }, {
+        "r_lo <= r_hi": require(
+            lambda o: o["r_lo"] <= o["r_hi"],
+            "shell radii need r_lo <= r_hi, got {r_lo} and {r_hi}"),
+    }),
+    "opnorm": Options({
+        "mode": ("sweep", str, ("estimate", "sweep")),
+        "multiplier": ("br:2.0", str, None),
+        "ndim": (2, int, AXES),
+        "extent": (16.0, float, POSITIVE),
+        "resolution": (64, int, GRID_POINTS),
+        "p": (1.2, float, P),
+        "nu": (math.inf, float, EXPONENT),
+        "budget": (48, int, COUNT),
+    }, {
+        "nu >= p": _exponents,
+        "grid": _grid,
+        # the sweep scores its dilations as witnesses too
+        "witness cells": require(
+            lambda o: (o["budget"] + (SWEEP_DILATIONS if o["mode"] == "sweep"
+                                      else 0)) * o["resolution"] ** o["ndim"]
+            <= MAX_WITNESS_CELLS, f"(budget + swept dilations) x "
+            f"resolution^ndim witness cells exceed the cap of "
+            f"{MAX_WITNESS_CELLS} cells", 3),
+    }),
+    "apply": Options({
+        "multiplier": ("cone_tent", str, None),
+        "input": ("gauss:1.0", str, None),
+        "ndim": (3, int, AXES),
+        "extent": (16.0, float, POSITIVE),
+        "resolution": (32, int, GRID_POINTS),
+        "wrap_threshold": (1e-6, float, Range("[0, 1]")),
+        "csv_limit": (CSV_MAX_CELLS, int, Range(f"[0, {CSV_MAX_CELLS}]")),
+    }, {"grid": _grid}),
 }
 
 
+# ---------------------------------------------------------------------------
+# subcommand runners: each returns its summary dict
+
+
 def run_lorentz_norm(opts, outdir, seed):
-    if not opts["input"]:
-        raise ConfigError("lorentz-norm requires input=<csv path>")
     values, weights = report.read_float_columns(opts["input"],
                                                 ("value", "weight"))
     samples = WeightedSampleSet(values, weights)
-    params = LorentzParams(opts["p"], opts["nu"])
-    value = lorentz_quasinorm(samples, params)
+    value = lorentz_quasinorm(samples, _exponents(opts))
     print(repr(value))
-    summary = {"quasinorm": value, "p": opts["p"], "nu": opts["nu"],
-               "n_samples": len(values),
-               "total_measure": samples.total_measure}
-    return summary
-
-
-def _check_line_points(points, what):
-    """Reject a 1-d transform line past ``MAX_LINE_POINTS`` before it exists."""
-    if points > MAX_LINE_POINTS:
-        raise BudgetError(f"{what} = {points} points exceeds the cap "
-                          f"{MAX_LINE_POINTS}")
+    return {"quasinorm": value, "p": opts["p"], "nu": opts["nu"],
+            "n_samples": len(values), "total_measure": samples.total_measure}
 
 
 def run_characterize(opts, outdir, seed):
-    dim = opts["dim"]
-    if dim < 2:
-        raise ConfigError(f"dim = {dim} must be an integer of at least 2")
-    _check_line_points(opts["resolution"], "resolution")
-    if opts["mode"] == "symbol":
-        # the best dilate is transformed again on a line four times finer
-        _check_line_points(4 * opts["resolution"], "4 x resolution")
-    params = LorentzParams(opts["p"], opts["nu"])
-    trunc_rows = []
+    dim, params = opts["dim"], _exponents(opts)
     summary = {"mode": opts["mode"], "dim": dim, "p": opts["p"],
                "nu": opts["nu"]}
     if opts["mode"] == "profile":
-        if not 0 < opts["kernel_rho_max"] < math.inf:
-            raise ConfigError(f"kernel_rho_max = {opts['kernel_rho_max']} "
-                              f"must be finite and positive")
-        if opts["kernel_rho_max"] > MAX_KERNEL_RHO:
-            raise BudgetError(f"kernel_rho_max = {opts['kernel_rho_max']} "
-                              f"exceeds the cap {MAX_KERNEL_RHO}")
-        check_kernel_dim(dim, params, opts["kernel_rho_max"])
         gamma = line_profile(opts["profile"])
         fq = fourier_side_quantity(gamma, dim, params, opts["truncation"],
                                    opts["spatial_truncation"],
                                    opts["resolution"])
         kq = kernel_side_quantity(gamma, dim, params, support=(0.0, 0.3),
                                   rho_max=opts["kernel_rho_max"])
-        summary["profile"] = opts["profile"]
-        summary["fourier_side"] = fq
-        summary["kernel_side"] = kq
-        summary["side_ratio"] = fq.value / kq.value if kq.value else math.inf
-        for r, v in sorted(fq.by_truncation.items()):
-            trunc_rows.append(("fourier", float(r), float(v)))
-        for r, v in sorted(kq.by_truncation.items()):
-            trunc_rows.append(("kernel", float(r), float(v)))
-    elif opts["mode"] == "symbol":
-        if not 0 < opts["t_lo"] < opts["t_hi"] < math.inf:
-            raise ConfigError(f"dilation range needs 0 < t_lo < t_hi < inf, "
-                              f"got t_lo = {opts['t_lo']}, "
-                              f"t_hi = {opts['t_hi']}")
-        if opts["t_per_octave"] < 1:
-            raise ConfigError(f"t_per_octave = {opts['t_per_octave']} < 1")
+        ratio = fq.value / kq.value if kq.value else math.inf
+        summary.update(profile=opts["profile"], fourier_side=fq,
+                       kernel_side=kq, side_ratio=ratio)
+        trunc_rows = [(side, float(r), float(v))
+                      for side, q in (("fourier", fq), ("kernel", kq))
+                      for r, v in sorted(q.by_truncation.items())]
+    else:
         m0 = radial_symbol(opts["symbol"])
-        octaves = math.log2(opts["t_hi"] / opts["t_lo"])
-        npts = octaves * opts["t_per_octave"] + 1
-        if npts > MAX_DILATIONS:
-            raise BudgetError(f"dilation grid of {npts:.3g} points exceeds "
-                              f"the cap {MAX_DILATIONS}")
-        t_grid = np.geomspace(opts["t_lo"], opts["t_hi"], int(npts))
+        t_grid = np.geomspace(opts["t_lo"], opts["t_hi"],
+                              int(_dilation_count(opts)))
         res = radial_symbol_quantity(m0, dim, params, t_grid=t_grid,
                                      truncation=opts["truncation"],
                                      spatial_truncation=
@@ -323,30 +334,14 @@ def run_characterize(opts, outdir, seed):
                          ["t", "quantity"],
                          [(float(t), float(v))
                           for t, v in sorted(res.per_t.items())])
-        for r, v in zip(res.trend["scales"], res.trend["values"]):
-            trunc_rows.append(("symbol_argmax_t", float(r), float(v)))
-    else:
-        raise ConfigError(f"unknown characterize mode {opts['mode']!r}")
+        trunc_rows = [("symbol_argmax_t", float(r), float(v)) for r, v
+                      in zip(res.trend["scales"], res.trend["values"])]
     report.write_csv(os.path.join(outdir, "truncation.csv"),
                      ["side", "truncation", "value"], trunc_rows)
     return summary
 
 
 def run_br_scan(opts, outdir, seed):
-    if opts["dim"] < 2:
-        raise ConfigError(f"dim = {opts['dim']} must be an integer of at "
-                          f"least 2")
-    _check_line_points(opts["resolution"], "resolution")
-    if not opts["lam_step"] > 0:
-        raise ConfigError(f"lam_step = {opts['lam_step']} must be positive")
-    if not -math.inf < opts["lam_lo"] <= opts["lam_hi"] < math.inf:
-        raise ConfigError(f"order range needs finite lam_lo <= lam_hi, got "
-                          f"lam_lo = {opts['lam_lo']}, "
-                          f"lam_hi = {opts['lam_hi']}")
-    count = (opts["lam_hi"] + 1e-9 - opts["lam_lo"]) / opts["lam_step"]
-    if count > MAX_ORDERS:
-        raise BudgetError(f"order grid of {count:.3g} points exceeds the cap "
-                          f"{MAX_ORDERS}")
     lam_grid = np.arange(opts["lam_lo"], opts["lam_hi"] + 1e-9,
                          opts["lam_step"]).round(10).tolist()
     results = critical_scan(opts["dim"], opts["p_list"], lam_grid,
@@ -354,38 +349,26 @@ def run_br_scan(opts, outdir, seed):
                             resolution=opts["resolution"])
     per_p = []
     for res in results:
-        rows = []
-        for lam, full, tail, divergent in res.table:
-            r_top = max(full)
-            rows.append((float(lam), float(full[r_top]), float(tail[r_top]),
-                         bool(divergent)))
         report.write_csv(os.path.join(outdir, f"scan_p{res.p:.6g}.csv"),
                          ["lam", "full_value_at_R", "tail_value_at_R",
-                          "divergent"], rows)
+                          "divergent"],
+                         [(float(lam), float(full[max(full)]),
+                           float(tail[max(full)]), bool(divergent))
+                          for lam, full, tail, divergent in res.table])
         per_p.append({"p": res.p, "prediction": res.prediction,
-                      "estimate": res.estimate,
-                      "identity_gap": res.identity_gap})
+                      "estimate": res.estimate})
     summary = {"dim": opts["dim"], "per_p": per_p,
                "lam_grid": [float(x) for x in lam_grid],
                "truncation": opts["truncation"]}
     if opts["decay_fit"]:
-        fits = {}
-        for lam in (0.5, 1.0, 1.5):
-            fits[repr(lam)] = {"exponent": edge_decay_fit(lam),
-                               "target": lam + 1.0}
-        summary["decay_fits"] = fits
+        summary["decay_fits"] = {repr(lam): {"exponent": edge_decay_fit(lam),
+                                             "target": lam + 1.0}
+                                 for lam in (0.5, 1.0, 1.5)}
     return summary
 
 
 def run_wave_check(opts, outdir, seed):
     n_list = list(range(opts["n_lo"], opts["n_hi"] + 1))
-    if not n_list:
-        raise ConfigError("empty scale range")
-    if n_list[0] < 1 or n_list[-1] > MAX_WAVE_SCALE:
-        raise DomainError(f"scale range {n_list[0]}..{n_list[-1]} outside "
-                          f"the supported 1..{MAX_WAVE_SCALE}")
-    # the cost grows with n: one check of the largest scale covers them all
-    wave_kernel_plan(n_list[-1], opts["dim"], decompose_radii(n_list[-1])[2])
     decs, l1_ratio, rate = decompose_range(n_list, opts["dim"])
     for dec in decs:
         report.write_csv(os.path.join(outdir, f"omega_n{dec.n}.csv"),
@@ -396,7 +379,7 @@ def run_wave_check(opts, outdir, seed):
                          ["rho", "abs"],
                          [(float(r), float(abs(v)))
                           for r, v in zip(dec.error_rho, dec.error_values)])
-    summary = {
+    return {
         "dim": opts["dim"],
         "scales": n_list,
         "omega_l1": {str(d.n): d.omega_l1 for d in decs},
@@ -404,18 +387,9 @@ def run_wave_check(opts, outdir, seed):
         "l1_ratio": l1_ratio,
         "decay_rate": rate,
     }
-    return summary
 
 
 def run_sph_probe(opts, outdir, seed):
-    if not 2 <= opts["dim"] <= MAX_SHELL_DIM:
-        raise ConfigError(f"dim = {opts['dim']} outside the supported "
-                          f"2..{MAX_SHELL_DIM}")
-    if opts["shells"] < 1:
-        raise ConfigError(f"shells = {opts['shells']} must be at least 1")
-    if not 1.0 <= opts["r_lo"] <= opts["r_hi"] < math.inf:
-        raise ConfigError(f"shell radii need 1 <= r_lo <= r_hi < inf, got "
-                          f"r_lo = {opts['r_lo']}, r_hi = {opts['r_hi']}")
     r_grid = np.linspace(opts["r_lo"], opts["r_hi"], opts["shells"])
     kernel = SmoothingKernel(opts["dim"], radius0=opts["radius0"],
                              vanishing_order=opts["vanishing_order"])
@@ -427,21 +401,13 @@ def run_sph_probe(opts, outdir, seed):
     report.write_csv(os.path.join(outdir, "shell_l1.csv"),
                      ["r", "l1_over_mass"],
                      [(float(r), float(v)) for r, v in sorted(ratios.items())])
-    summary = {"dim": opts["dim"], "p": opts["p"],
-               "estimate": report.fields_dict(est),
-               "shells": [float(r) for r in r_grid]}
-    return summary
+    return {"dim": opts["dim"], "p": opts["p"],
+            "estimate": report.fields_dict(est),
+            "shells": [float(r) for r in r_grid]}
 
 
 def run_opnorm(opts, outdir, seed):
-    axes = build_axes(opts["extent"], opts["resolution"], opts["ndim"])
-    # the sweep scores its dilations as witnesses too
-    steps = opts["budget"] + (SWEEP_DILATIONS if opts["mode"] == "sweep"
-                              else 0)
-    cells = opts["resolution"] ** opts["ndim"]
-    if steps * cells > MAX_WITNESS_CELLS:
-        raise BudgetError(f"{steps} witness steps on {cells} grid cells "
-                          f"exceed the cap of {MAX_WITNESS_CELLS} cells")
+    axes = _grid(opts)
     mult = grid_multiplier(opts["multiplier"], axes)
     if opts["mode"] == "sweep":
         out = scaling_sweep_experiment(mult, axes, opts["p"], opts["nu"],
@@ -451,20 +417,15 @@ def run_opnorm(opts, outdir, seed):
                          [(float(t), float(v))
                           for t, v in sorted(out["rhs_per_t"].items())])
         return out
-    if opts["mode"] == "estimate":
-        est = estimate_lower(mult, axes, opts["p"], opts["nu"],
-                             budget=opts["budget"], seed=seed)
-        summary = report.fields_dict(est)
-        summary["multiplier"] = opts["multiplier"]
-        return summary
-    raise ConfigError(f"unknown opnorm mode {opts['mode']!r}")
+    est = estimate_lower(mult, axes, opts["p"], opts["nu"],
+                         budget=opts["budget"], seed=seed)
+    summary = report.fields_dict(est)
+    summary["multiplier"] = opts["multiplier"]
+    return summary
 
 
 def run_apply(opts, outdir, seed):
-    if not 0 <= opts["csv_limit"] <= CSV_MAX_CELLS:
-        raise ConfigError(f"csv_limit = {opts['csv_limit']} is outside "
-                          f"0..{CSV_MAX_CELLS} cells")
-    axes = build_axes(opts["extent"], opts["resolution"], opts["ndim"])
+    axes = _grid(opts)
     f = input_field(opts["input"], axes)
     if f.axes != axes:
         raise ConfigError("input field grid does not match requested axes")
@@ -480,9 +441,8 @@ def run_apply(opts, outdir, seed):
     if out.values.size <= opts["csv_limit"]:
         export_field_csv(out, os.path.join(outdir, "output_field.csv"))
     sym_max = float(np.abs(field_symbol(mult, axes)).max())
-    in_l2 = f.l2_norm()
-    out_l2 = out.l2_norm()
-    summary = {
+    in_l2, out_l2 = f.l2_norm(), out.l2_norm()
+    return {
         "multiplier": opts["multiplier"],
         "input": opts["input"],
         "output_field": os.path.basename(out_path),
@@ -492,7 +452,6 @@ def run_apply(opts, outdir, seed):
         "energy_bound_ok": bool(out_l2 <= sym_max * in_l2 * (1 + 1e-12)),
         "wraparound_fraction": wrap,
     }
-    return summary
 
 
 RUNNERS = {
@@ -520,7 +479,7 @@ def build_parser():
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        for key, (default, kind) in defaults.items():
+        for key, (default, _, _) in defaults.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            default=None, metavar="V",
                            help=f"default: {default}")
@@ -556,23 +515,18 @@ def _run(args, argv, outdir):
         opts = resolve(defaults, file_values, overrides)
         os.makedirs(outdir, exist_ok=True)
         summary = RUNNERS[command](opts, outdir, args.seed)
-        summary["command"] = command
-        summary["seed"] = args.seed
+        summary.update(command=command, seed=args.seed)
         report.atomic_write_text(os.path.join(outdir, "config_echo.cfg"),
                                  effective_text(opts))
         report.write_summary(os.path.join(outdir, "summary.json"), summary)
         report.write_run_meta(os.path.join(outdir, "run_meta.json"),
                               {"argv": list(argv) if argv is not None
                                else sys.argv[1:]})
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return 3
+    except (ConfigError, OSError, DomainError, BudgetError) as exc:
+        kind = {DomainError: "domain", BudgetError: "budget"}.get(type(exc),
+                                                                 "config")
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return 3 if kind == "budget" else 2
     return 0
 
 

@@ -1,14 +1,56 @@
 """Flat key-value run configuration.
 
 Format (documented in docs/config.md): lines of ``key = value``; ``#``
-starts a comment.  Values stay strings until a subcommand coerces them
-against its declared defaults, so an effective config can be echoed back
-out and reread identically.
+starts a comment.  Values stay strings until ``resolve`` coerces them and
+checks them against a subcommand's option table, so an effective config
+can be echoed back out and reread identically.
 """
 
-import math
+from .errors import BudgetError, ConfigError
 
-from .errors import ConfigError
+REQUIRED = "required"   # the domain of a key that needs a nonempty value
+
+
+class Range:
+    """The admissible values of a key: an interval such as "[2, inf)", only
+    its powers of two with ``pow2``.  A value outside is a config error
+    worded by ``message``; one past ``cap``, a work bound, a budget error."""
+
+    def __init__(self, text, message="{key} = {value!r} is outside {text}",
+                 pow2=False, cap=None):
+        self.text, self.message, self.pow2, self.cap = text, message, pow2, cap
+        self.lo, self.hi = (float(end) for end in text[1:-1].split(","))
+
+    def check(self, key, value):
+        low = value >= self.lo if self.text[0] == "[" else value > self.lo
+        high = value <= self.hi if self.text[-1] == "]" else value < self.hi
+        if not (low and high):
+            raise ConfigError(self.message.format(key=key, value=value,
+                                                  text=self.text))
+        if self.pow2 and value & (value - 1):
+            raise ConfigError(f"{key} = {value} is not a power of two")
+        if self.cap is not None and value > self.cap:
+            raise BudgetError(f"{key} = {value} exceeds the cap {self.cap}")
+
+
+class Options(dict):
+    """A subcommand's keys, name -> (default, kind, domain), the domain a
+    ``Range``, a tuple of choices, ``REQUIRED`` or None, and its checks
+    across keys, name -> a function of the options raising its error."""
+
+    def __init__(self, keys, checks):
+        super().__init__(keys)
+        self.checks = checks
+
+
+def require(holds, message, code=2):
+    """The check that ``holds(opts)``, else ``message`` formatted with the
+    opts is a config error (``code`` 2) or a budget error (3)."""
+    def check(opts):
+        if not holds(opts):
+            raise (BudgetError if code == 3 else ConfigError)(
+                message.format(**opts))
+    return check
 
 
 def parse_config_text(text):
@@ -36,11 +78,6 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def dump_config(values):
-    lines = [f"{k} = {values[k]}" for k in sorted(values)]
-    return "\n".join(lines) + "\n"
-
-
 def coerce(value, kind, key):
     """Coerce a string config value against a declared type."""
     try:
@@ -51,49 +88,49 @@ def coerce(value, kind, key):
                 return False
             raise ValueError(value)
         if kind is float:
-            if str(value).lower() in ("inf", "infinity"):
-                return math.inf
             return float(value)
         if kind is int:
             return int(str(value), 0)
         if kind is str:
             return str(value)
         if kind == "float_list":
-            return [math.inf if tok.strip().lower() == "inf" else float(tok)
-                    for tok in str(value).split(",") if tok.strip()]
+            return [float(tok) for tok in str(value).split(",")
+                    if tok.strip()]
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r}: cannot parse {value!r} as "
                           f"{getattr(kind, '__name__', kind)}") from None
     raise ConfigError(f"config key {key!r}: unsupported type {kind!r}")
 
 
-def resolve(defaults, file_values, overrides):
-    """defaults < config file < command-line overrides; values typed per defaults.
-
-    ``defaults`` maps key -> (default_value, kind); the file and the
-    overrides map keys to strings.  Unknown keys in either are rejected so
-    typos cannot silently pass.
-    """
-    merged = {}
-    for key, (default, _) in defaults.items():
-        merged[key] = default
+def resolve(table, file_values, overrides):
+    """defaults < config file < command-line overrides, typed per the
+    ``Options`` table; unknown keys are rejected so typos cannot silently
+    pass.  Then each key is checked against its domain (a list entry by
+    entry), in table order, and last the checks across keys."""
+    merged = {key: default for key, (default, _, _) in table.items()}
     for source in (file_values, overrides):
         for key, value in source.items():
-            if key not in defaults:
+            if key not in table:
                 raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = coerce(value, defaults[key][1], key)
+            merged[key] = coerce(value, table[key][1], key)
+    for key, (_, _, domain) in table.items():
+        value = merged[key]
+        if value == [] or (domain == REQUIRED and not value):
+            raise ConfigError(f"{key} is empty: it needs a value")
+        if isinstance(domain, Range):
+            for entry in value if isinstance(value, list) else [value]:
+                domain.check(key, entry)
+        elif isinstance(domain, tuple) and value not in domain:
+            raise ConfigError(f"{key} = {value!r} is not one of "
+                              f"{', '.join(domain)}")
+    for check in table.checks.values():
+        check(merged)
     return merged
 
 
 def effective_text(merged):
-    """Echo of the resolved config, reread-identical."""
-    out = {}
-    for key, value in merged.items():
-        if isinstance(value, list):
-            out[key] = ",".join(repr(v) if isinstance(v, float) else str(v)
-                                for v in value)
-        elif isinstance(value, float):
-            out[key] = "inf" if math.isinf(value) else repr(value)
-        else:
-            out[key] = str(value)
-    return dump_config(out)
+    """Echo of the resolved config, reread-identical: floats as their repr
+    (``inf`` included), lists comma-separated."""
+    return "".join(
+        f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for key, v in sorted(merged.items()))

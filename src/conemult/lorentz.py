@@ -372,32 +372,37 @@ def _pieces_quasinorm(chunks, params, count, scratch=None):
 
     The weak supremum is taken chunk by chunk.  The finite-nu integral is
     summed by one ``np.sum`` over the pieces' terms, each formed per chunk,
-    so it adds them in the order of a sum over whole arrays.
+    so it adds them in the order of a sum over whole arrays.  A power or
+    the root out of the float range (at an extreme p or nu) leaves 0, inf
+    or NaN in place of the positive quasi-norm: that is a ``DomainError``.
     """
     chunks = iter(chunks)
     lv, t = next(chunks)
     peak = lv[0]
     if peak == 0.0:
         return 0.0
-    p = params.p
-    if params.weak:
-        top = 0.0
-        for lv, t in itertools.chain([(lv, t)], chunks):
-            top = _weak_top(lv, t, 1.0 / p, top)
-        return float(top)
-    nu = params.nu
-    q = nu / p
-    contrib = np.empty(count) if scratch is None else scratch[:count]
-    n = 0
-    below = 0.0   # t ** q at the left end of the chunk; the first is 0
-    for lv, t in itertools.chain([(lv, t)], chunks):
-        tq = t ** q
-        lower = np.empty_like(tq)
-        lower[0] = below
-        lower[1:] = tq[:-1]
-        # scale by the top level so lv**nu cannot overflow
-        contrib[n:n + len(lv)] = (lv / peak) ** nu * (tq - lower)
-        below = tq[-1]
-        n += len(lv)
-    total = (p / nu) * float(np.sum(contrib[:n]))
-    return float(peak * total ** (1.0 / nu))
+    p, nu = params.p, params.nu
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.weak:
+            value = 0.0
+            for lv, t in itertools.chain([(lv, t)], chunks):
+                value = _weak_top(lv, t, 1.0 / p, value)
+        else:
+            q = nu / p
+            contrib = np.empty(count) if scratch is None else scratch[:count]
+            n = 0
+            below = 0.0   # t ** q at the chunk's left end; the first is 0
+            for lv, t in itertools.chain([(lv, t)], chunks):
+                tq = t ** q
+                lower = np.empty_like(tq)
+                lower[0] = below
+                lower[1:] = tq[:-1]
+                # scale by the top level so lv**nu cannot overflow
+                contrib[n:n + len(lv)] = (lv / peak) ** nu * (tq - lower)
+                below = tq[-1]
+                n += len(lv)
+            value = peak * ((p / nu) * np.sum(contrib[:n])) ** (1.0 / nu)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"p = {p}, nu = {nu}: the quasi-norm leaves the "
+                          f"float range")
+    return float(value)

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 _MAGIC = b"CMF1"
 MAX_AXES = 4
+# cap on the cells of an apply/opnorm grid: at 2^24 cells one complex
+# field is 256 MiB, and a run holds a few at once
+MAX_GRID_CELLS = 2 ** 24
 # cap on the cells of a CSV export: one text row per cell
 CSV_MAX_CELLS = 65536
 # edge profiles vanish off (-_EDGE_SUPPORT, _EDGE_SUPPORT)
@@ -49,6 +52,29 @@ class Axis:
 
     def freq_coords(self):
         return 2.0 * np.pi * np.fft.fftfreq(self.resolution, d=self.step)
+
+
+def build_axes(extent, resolution, ndim):
+    """Axes of a cubic grid, checked before any array is allocated."""
+    if not 1 <= ndim <= MAX_AXES:
+        raise DomainError(f"ndim = {ndim}: grids support 1 to {MAX_AXES} axes")
+    axes = tuple(Axis(extent, resolution) for _ in range(ndim))
+    if resolution ** ndim > MAX_GRID_CELLS:
+        raise BudgetError(f"grid of {resolution}^{ndim} cells exceeds the cap "
+                          f"{MAX_GRID_CELLS}")
+    # |x|^2 and |xi|^2 sum the squared coordinates over the axes, the
+    # largest being the half extent and the Nyquist frequency pi N / L;
+    # every norm carries the cell volume (L / N)^ndim
+    space, freq = 0.5 * extent, math.pi * resolution / extent
+    for size, what in ((ndim * space * space, "squared space coordinates"),
+                       (ndim * freq * freq, "squared frequency coordinates"),
+                       (math.prod([extent / resolution] * ndim),
+                        "cell volume")):
+        if not 0 < size < math.inf:
+            raise DomainError(f"extent = {extent} over {ndim} axes of "
+                              f"{resolution} cells puts the {what} out of "
+                              f"the float range")
+    return axes
 
 
 @dataclass

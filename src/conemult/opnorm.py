@@ -142,21 +142,6 @@ class _Workspace:
                              self.keys.view(np.float64))
 
 
-def _worker_count(cells):
-    """Witness evaluations a search runs at once on a grid of ``cells``:
-    the rule of ``util._worker_count``, one workspace per extra worker."""
-    return util._worker_count(cells, WORKSPACE_CELL_BYTES)
-
-
-def _parallel_norms(team, specs, axes, p, nu, beat):
-    """``_witness_norms`` of each spec, in order, on ``util._ordered_map``:
-    each worker evaluates its witnesses in its own workspace of ``team``."""
-    return util._ordered_map(
-        lambda worker, spec: _witness_norms(team[worker], spec, axes, p, nu,
-                                            beat),
-        specs, len(team))
-
-
 @dataclass
 class OpNormEstimate:
     """Certified lower bound plus the witness that achieved it."""
@@ -463,7 +448,7 @@ def estimate_lower(operator, axes, p, nu, budget=48, seed=0, swept=None):
     ``budget, budget + 1, ...``, at no operator call.
     The steps form rounds, each ending before a refinement step.  Through
     a multiplier field on a grid of at least ``util.PARALLEL_MIN_POINTS``
-    cells (``_worker_count``), the witnesses of a round are evaluated at
+    cells (``util._worker_count``), the witnesses of a round are evaluated at
     once, each worker thread in its own workspace, against the best ratio
     before the round, and scored in step order: as the majorant test is sound,
     the result is the serial loop's, bit for bit, at any worker count.
@@ -472,8 +457,9 @@ def estimate_lower(operator, axes, p, nu, budget=48, seed=0, swept=None):
         raise DomainError("budget must be at least 1")
     LorentzParams(p, nu)   # checked before any witness norm divides by p
     work = _Workspace.of(operator, axes)
-    team = work.team(_worker_count(work.magnitude.size)) if work else \
-        [operator]
+    team = work.team(util._worker_count(work.magnitude.size,
+                                        WORKSPACE_CELL_BYTES)) \
+        if work else [operator]
     rng = np.random.default_rng(seed)
     stream = _WitnessStream(axes, rng, swept)
     best_ratio = 0.0
@@ -499,8 +485,10 @@ def estimate_lower(operator, axes, p, nu, budget=48, seed=0, swept=None):
         # later best, and one it lets through gets its exact norm
         todo = [i for i, (_, _, norms) in enumerate(entries) if norms is None]
         if len(team) > 1 and len(todo) > 1:
-            found = _parallel_norms(team, [entries[i][1] for i in todo],
-                                    axes, p, nu, best_ratio)
+            found = util._ordered_map(
+                lambda worker, spec: _witness_norms(team[worker], spec, axes,
+                                                    p, nu, best_ratio),
+                [entries[i][1] for i in todo], len(team))
             for i, norms in zip(todo, found):
                 entries[i] = entries[i][:2] + (norms,)
         for entry in entries:
@@ -562,8 +550,12 @@ def scaling_sweep_experiment(m0, axes, p, nu, budget, seed=0):
     work = _Workspace(axes, m0)   # shared by the dilations and the search
     # the dilations form one round
     specs = [{"family": "dilated_bump", "params": {"t": t}} for t in t_used]
-    norms = _parallel_norms(work.team(_worker_count(work.magnitude.size)),
-                            specs, axes, p, nu, 0.0)
+    team = work.team(util._worker_count(work.magnitude.size,
+                                        WORKSPACE_CELL_BYTES))
+    norms = util._ordered_map(
+        lambda worker, spec: _witness_norms(team[worker], spec, axes, p, nu,
+                                            0.0),
+        specs, len(team))
     rhs_per_t, scale_per_t, swept = {}, {}, []
     for t, (denom, num) in zip(t_used, norms):
         swept.append((t, (denom, num)))

@@ -301,28 +301,19 @@ def decompose(n, dim):
                              err_vals, float(np.max(np.abs(err_vals))))
 
 
-def summarize_decompositions(decs):
-    """Uniform-L1 ratio and dyadic decay rate across a family of scales.
-
-    The rate is the least-squares slope of -log2(error_sup) against n.
-    """
+def decompose_range(n_list, dim):
+    """Decompose a range of scales, with the uniform-L1 ratio of their omegas
+    and the dyadic decay rate of the error sup: the least-squares slope of
+    -log2(error_sup) against n."""
+    decs = [decompose(n, dim) for n in n_list]
     l1 = [d.omega_l1 for d in decs]
-    l1_ratio = max(l1) / min(l1)
+    rate = float("nan")   # a single scale cannot support a fit
     if len(decs) >= 2:
         ns = np.array([d.n for d in decs], dtype=float)
         sups = np.array([d.error_sup for d in decs])
         slope, _ = np.polyfit(ns, np.log2(np.maximum(sups, 1e-300)), 1)
         rate = float(-slope)
-    else:
-        rate = float("nan")  # a single scale cannot support a fit
-    return float(l1_ratio), rate
-
-
-def decompose_range(n_list, dim):
-    """Decompose a range of scales; fit the dyadic decay rate of the error sup."""
-    decs = [decompose(n, dim) for n in n_list]
-    l1_ratio, rate = summarize_decompositions(decs)
-    return decs, l1_ratio, rate
+    return decs, float(max(l1) / min(l1)), rate
 
 
 # ---------------------------------------------------------------------------

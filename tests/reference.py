@@ -18,6 +18,11 @@ def apply_full_transforms(f, sym):
     return GridField(f.axes, np.fft.ifftn(sym * spectrum))
 
 
+def critical_exponent_alt(dim, p):
+    """The critical Bochner-Riesz order written as d(1/p - 1/2) - 1/2."""
+    return dim * (1.0 / p - 0.5) - 0.5
+
+
 def weighted_lp_norm(samples, p):
     """Plain weighted l^p norm; equals lorentz_quasinorm at nu = p."""
     peak = samples.values.max()

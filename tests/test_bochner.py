@@ -5,8 +5,8 @@ import pytest
 
 from conemult.bochner import (BRProfile, CriticalScanResult,
                               build_bochner_riesz_cone,
-                              critical_exponent, critical_exponent_alt,
-                              critical_scan, edge_decay_fit)
+                              critical_exponent, critical_scan,
+                              edge_decay_fit)
 from conemult.bumps import edge_flat_bump
 from conemult.characterize import fourier_side_quantity
 from conemult.errors import DomainError
@@ -15,6 +15,7 @@ from conemult.lorentz import LorentzParams, WeightedSampleSet, \
 from conemult.multipliers import Axis, freq_magnitude
 from conemult.radial import fourier_1d
 from conemult.util import doubling_trend
+from reference import critical_exponent_alt
 
 
 def test_profile_point_values():
@@ -93,6 +94,7 @@ def test_cone_field_point_values():
 
 
 def test_threshold_formulas_agree():
+    # the oracle writes the threshold as d(1/p - 1/2) - 1/2
     for d in (2, 3, 4, 7):
         for p in (1.01, 1.2, 8.0 / 7.0, 1.9):
             assert critical_exponent(d, p) == pytest.approx(
@@ -109,7 +111,6 @@ def test_scan_small_case():
                         truncation=8192.0, resolution=2 ** 16)
     (r,) = res
     assert isinstance(r, CriticalScanResult)
-    assert r.identity_gap == 0.0
     assert abs(r.prediction - (3.0 / 1.2 - 2.0)) <= 1e-12
     assert abs(r.estimate - r.prediction) <= 0.2 + 1e-9
 
@@ -178,9 +179,8 @@ def _oracle_critical_scan(dim, p_list, lam_grid, truncation=16384.0,
             table.append((lam, full, tail, trend["divergent"]))
             if not trend["divergent"] and math.isnan(estimate):
                 estimate = lam
-        gap = abs(critical_exponent(dim, p) - critical_exponent_alt(dim, p))
-        results.append(CriticalScanResult(p, predictions[p], estimate, table,
-                                          gap))
+        results.append(CriticalScanResult(p, predictions[p], estimate,
+                                          table))
     return results
 
 

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from conemult import bochner, characterize, cli, wave
 from conemult.cli import main
-from conemult.config import (ConfigError, coerce, parse_config_text,
-                             resolve)
+from conemult.config import (ConfigError, Options, coerce,
+                             parse_config_text, resolve)
 from conemult.errors import DomainError
-from conemult.multipliers import freq_magnitude, load_field
+from conemult.multipliers import MAX_GRID_CELLS, freq_magnitude, load_field
 
 
 def run_cli(args):
@@ -47,6 +47,27 @@ def test_lorentz_norm_prints_sqrt5(tmp_path, sample_csv, capsys):
     assert math.isclose(summary["quasinorm"], math.sqrt(5.0), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("args", [
+    # every ratio was NaN, so the search reported lower_bound 0.0
+    ["opnorm", "--mode", "estimate", "--nu", "1e300"],
+    # total ** (1 / nu) raised OverflowError
+    ["lorentz-norm", "--p", "1e-300", "--nu", "1e-300"],
+])
+def test_quasinorm_out_of_the_float_range_exits_2(tmp_path, capsys,
+                                                  sample_csv, args):
+    import warnings
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy warning fails the run
+        assert run_cli([*args, "--input", sample_csv, "--out", str(out)]
+                       if args[0] == "lorentz-norm" else
+                       [*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "float range" in err
+    assert "p = " in err and "nu = " in err
+    assert not out.exists()
+
+
 def test_br_scan_summary_contains_prediction(tmp_path):
     out = str(tmp_path / "scan")
     assert run_cli(["br-scan", "--out", out, "--p-list", "1.142857142857143",
@@ -56,7 +77,6 @@ def test_br_scan_summary_contains_prediction(tmp_path):
     summary = read_summary(out)
     entry = summary["per_p"][0]
     assert math.isclose(entry["prediction"], 1.0, abs_tol=1e-9)
-    assert entry["identity_gap"] == 0.0
     assert os.path.exists(os.path.join(out, "scan_p1.14286.csv"))
 
 
@@ -342,7 +362,9 @@ def test_line_past_the_point_cap_exits_3_before_allocating(tmp_path, capsys,
      "frequency grid reaches"),
     (["characterize", "--mode", "profile", "--resolution", "16384"],
      "frequency grid reaches"),
-    (["br-scan", "--lam-lo", "0"], "order lambda must be positive, got 0.0"),
+    # 1e-11 lies in lam_lo's range but rounds to the order 0.0 on the grid
+    (["br-scan", "--lam-lo", "1e-11"],
+     "order lambda must be positive, got 0.0"),
 ])
 def test_scan_input_errors_exit_2_before_any_transform(
         tmp_path, capsys, monkeypatch, args, what):
@@ -401,7 +423,7 @@ def test_cli_import_loads_no_concurrency_framework():
 
 
 def test_default_lines_sit_under_the_point_cap():
-    cli._check_line_points(cli.MAX_LINE_POINTS, "resolution")
+    cli.LINE_POINTS.check("resolution", cli.MAX_LINE_POINTS)
     assert 4 * cli.DEFAULTS["characterize"]["resolution"][0] \
         <= cli.MAX_LINE_POINTS
     assert cli.DEFAULTS["br-scan"]["resolution"][0] <= cli.MAX_LINE_POINTS
@@ -549,7 +571,7 @@ def test_non_finite_grid_extent_exits_2(tmp_path, capsys, extent):
     assert run_cli(["apply", "--out", str(out), "--extent", extent,
                     "--resolution", "8"]) == 2
     err = capsys.readouterr().err
-    assert _one_line_error_text(err) and "positive and finite" in err
+    assert _one_line_error_text(err) and "is outside (0, inf)" in err
     assert not out.exists()
 
 
@@ -579,7 +601,7 @@ def test_opnorm_bad_exponent_exits_2(tmp_path, capsys, mode, p):
 
 def test_grid_at_the_cell_cap_is_accepted():
     axes = cli.build_axes(16.0, 4096, 2)
-    assert 4096 ** 2 == cli.MAX_GRID_CELLS and len(axes) == 2
+    assert 4096 ** 2 == MAX_GRID_CELLS and len(axes) == 2
 
 
 def test_opnorm_witness_work_past_the_cap_exits_3_before_allocating(
@@ -848,7 +870,7 @@ def test_coerce_types():
 
 
 def test_resolve_precedence():
-    defaults = {"a": (1.0, float), "b": ("x", str)}
+    defaults = Options({"a": (1.0, float, None), "b": ("x", str, None)}, {})
     merged = resolve(defaults, {"a": "2.0"}, {"b": "y"})
     assert merged == {"a": 2.0, "b": "y"}
     with pytest.raises(ConfigError):

@@ -809,8 +809,8 @@ def test_search_does_not_depend_on_the_worker_count(monkeypatch, spec):
     threads = threading.active_count()
     runs = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(opnorm, "_worker_count",
-                            lambda cells, w=workers: w)
+        monkeypatch.setattr(util, "_worker_count",
+                            lambda cells, cell_bytes, w=workers: w)
         for nu in (math.inf, 2.0):
             for budget in (1, 5, 48):
                 est = estimate_lower(mult, axes, 1.2, nu, budget=budget,
@@ -829,14 +829,16 @@ def test_search_does_not_depend_on_the_worker_count(monkeypatch, spec):
 def test_worker_count_follows_the_cpus_and_the_memory_cap(monkeypatch):
     monkeypatch.setattr(util.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2, 3})
-    assert opnorm._worker_count(util.PARALLEL_MIN_POINTS - 1) == 1
-    assert opnorm._worker_count(util.PARALLEL_MIN_POINTS) == 4
+    def count(cells):
+        return util._worker_count(cells, opnorm.WORKSPACE_CELL_BYTES)
+    assert count(util.PARALLEL_MIN_POINTS - 1) == 1
+    assert count(util.PARALLEL_MIN_POINTS) == 4
     # at 2^20 cells a workspace is 24 MiB, so the 64 MiB cap allows two
     # extra ones; at 2^22 cells none
-    assert opnorm._worker_count(2 ** 20) == 3
-    assert opnorm._worker_count(2 ** 22) == 1
+    assert count(2 ** 20) == 3
+    assert count(2 ** 22) == 1
     monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0})
-    assert opnorm._worker_count(2 ** 18) == 1
+    assert count(2 ** 18) == 1
 
 
 def test_workspace_team_shares_the_symbol_and_not_the_buffers():
