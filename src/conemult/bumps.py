@@ -82,3 +82,15 @@ def edge_flat_bump(x):
     means see (``bochner.BRProfile``).
     """
     return smooth_window(x, -0.25, -0.125, 0.125, 4.0)
+
+
+def tent_profile(u):
+    return np.clip(1.0 - 4.0 * np.abs(np.asarray(u, dtype=float)), 0.0, None)
+
+
+def bump_profile(u):
+    return smooth_window(np.asarray(u, float), -0.25, -0.125, 0.125, 0.25)
+
+
+# a line profile's support: the interval off which it vanishes
+tent_profile.support = bump_profile.support = (-0.25, 0.25)

@@ -114,6 +114,16 @@ def check_kernel_dim(dim, params, rho_max):
                           f"{rho_max / 2 ** _DOUBLINGS:g} underflows float64")
 
 
+def check_line_support(what, support, spatial_truncation):
+    """Reject a sample line [-h, h), h the spatial truncation, that cuts
+    ``support``, the interval off which the sampled ``what`` vanishes."""
+    lo, hi = support
+    h = spatial_truncation
+    if not -h <= lo <= hi <= h:
+        raise DomainError(f"spatial_truncation = {h}: the sample line [-{h}, "
+                          f"{h}) cuts the {what}'s support ({lo:g}, {hi:g})")
+
+
 def _kernel_radii(rho_max):
     """Radii of the kernel side: a geometric grid out to rho_max, after
     one radius below it."""

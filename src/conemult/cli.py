@@ -9,6 +9,7 @@ excluded from determinism comparisons.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -16,18 +17,20 @@ import sys
 import numpy as np
 
 from . import bumps, report
-from .bochner import (BRProfile, build_bochner_riesz_cone, critical_scan,
-                      edge_decay_fit)
-from .characterize import (check_kernel_dim, fourier_side_quantity,
-                           kernel_side_quantity, radial_symbol_quantity)
-from .config import (REQUIRED, Options, Range, effective_text, load_config,
-                     require, resolve)
+from .bochner import (_DETECTOR_WINDOW, BRProfile, build_bochner_riesz_cone,
+                      critical_scan, edge_decay_fit)
+from .characterize import (check_kernel_dim, check_line_support,
+                           fourier_side_quantity, kernel_side_quantity,
+                           radial_symbol_quantity)
+from .config import (REQUIRED, Options, Range, Spec, effective_text,
+                     load_config, require, resolve)
 from .errors import BudgetError, ConfigError, DomainError
 from .lorentz import LorentzParams, WeightedSampleSet, lorentz_quasinorm
-from .multipliers import (CSV_MAX_CELLS, MAX_AXES, GridField, apply_multiplier,
+from .multipliers import (CSV_MAX_CELLS, MAX_AXES, apply_multiplier,
                           build_axes, build_dyadic_cone_multiplier,
-                          export_field_csv, field_symbol, freq_magnitude,
-                          load_field, save_field, wraparound_fraction)
+                          export_field_csv, field_symbol, gauss_field,
+                          halfspace_field, load_field, radial_field,
+                          save_field, wraparound_fraction)
 from .opnorm import (SWEEP_DILATIONS, estimate_lower,
                      scaling_sweep_experiment)
 from .util import CubicSpline1D
@@ -53,94 +56,33 @@ MAX_WITNESS_CELLS = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
-# named building blocks
+# named specs: the option table lists each form with its builder
 
 
-def tent_profile(u):
-    return np.clip(1.0 - 4.0 * np.abs(np.asarray(u, dtype=float)), 0.0, None)
+def csv_profile(path):
+    """The cubic spline through a CSV's (u, value) knots, zero off them."""
+    u, value = report.read_float_columns(path, ("u", "value"))
+    spline = CubicSpline1D(u, value)
+    lo, hi = float(u[0]), float(u[-1])
+
+    def sampled(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > lo) & (x < hi), spline(x), 0.0)
+    sampled.support = (lo, hi)
+    return sampled
 
 
 def line_profile(spec):
-    """Edge profiles on the line, supported in (-1/4, 1/4) unless noted."""
-    if spec == "tent":
-        return tent_profile
-    if spec == "bump":
-        return lambda u: bumps.smooth_window(np.asarray(u, float),
-                                             -0.25, -0.125, 0.125, 0.25)
-    if spec.startswith("br:"):
-        return BRProfile(float(spec.split(":", 1)[1]))
-    if spec.startswith("csv:"):
-        u, value = report.read_float_columns(spec.split(":", 1)[1],
-                                             ("u", "value"))
-        spline = CubicSpline1D(u, value)
-        lo, hi = float(u[0]), float(u[-1])
-
-        def sampled(x):
-            x = np.asarray(x, dtype=float)
-            return np.where((x > lo) & (x < hi), spline(x), 0.0)
-        return sampled
-    raise ConfigError(f"unknown line profile {spec!r}")
+    return PROFILE.parse("profile", spec).built
 
 
 def radial_symbol(spec):
-    """Bounded radial symbols m0(r) on (0, inf)."""
-    if spec == "one":
-        return lambda r: np.ones_like(np.asarray(r, dtype=float))
-    if spec.startswith("scalar:"):
-        c = float(spec.split(":", 1)[1])
-        return lambda r: c * np.ones_like(np.asarray(r, dtype=float))
-    if spec.startswith("br:"):
-        lam = float(spec.split(":", 1)[1])
-        return lambda r: np.clip(1.0 - np.asarray(r, dtype=float) ** 2,
-                                 0.0, None) ** lam
-    if spec == "gauss":
-        return lambda r: np.exp(-0.5 * np.asarray(r, dtype=float) ** 2)
-    if spec == "indicator":
-        return lambda r: (np.asarray(r, dtype=float) <= 1.0).astype(float)
-    if spec.startswith("oscillatory:"):
-        omega = float(spec.split(":", 1)[1])
-        def symb(r):
-            r = np.asarray(r, dtype=float)
-            return np.exp(1j * omega * r) * bumps.smooth_window(r, 0.25, 0.5,
-                                                                2.0, 4.0)
-        return symb
-    raise ConfigError(f"unknown radial symbol {spec!r}")
+    build = SYMBOL.parse("symbol", spec).build
+    return lambda r: build(np.asarray(r, dtype=float))
 
 
 def grid_multiplier(spec, axes):
-    """Multiplier usable by apply/opnorm on the given grid.
-
-    Radial symbols are evaluated once, as a frequency field on the grid.
-    """
-    if spec.startswith(("one", "scalar:", "br:", "gauss", "indicator",
-                        "oscillatory:")):
-        m0 = radial_symbol(spec)
-        return GridField(axes, m0(freq_magnitude(axes)), rep="frequency")
-    if spec == "halfspace":
-        xi1 = axes[0].freq_coords()
-        shape = [1] * len(axes)
-        shape[0] = axes[0].resolution
-        vals = np.broadcast_to((xi1 >= 0).reshape(shape).astype(complex),
-                               [ax.resolution for ax in axes]).copy()
-        return GridField(axes, vals, rep="frequency")
-    if spec.startswith("cone_br:"):
-        lam = float(spec.split(":", 1)[1])
-        return build_bochner_riesz_cone(lam, axes)
-    if spec == "cone_tent":
-        return build_dyadic_cone_multiplier(tent_profile, axes)
-    raise ConfigError(f"unknown multiplier {spec!r}")
-
-
-def input_field(spec, axes):
-    if spec.startswith("gauss:"):
-        width = float(spec.split(":", 1)[1])
-        coords = np.meshgrid(*[ax.space_coords() for ax in axes],
-                             indexing="ij", sparse=True)
-        rsq = sum(c ** 2 for c in coords)
-        return GridField(axes, np.exp(-0.5 * rsq / width ** 2).astype(complex))
-    if spec.startswith("field:"):
-        return load_field(spec.split(":", 1)[1])
-    raise ConfigError(f"unknown input field {spec!r}")
+    return MULTIPLIER.parse("multiplier", spec).build(axes)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +111,44 @@ def _dilation_count(o):
     return math.log2(o["t_hi"] / o["t_lo"]) * o["t_per_octave"] + 1
 
 
+# spec arguments: WIDTH^2 is a normal float, and C and OMEGA times a grid
+# coordinate (|xi| < 2^512 as build_axes keeps |xi|^2 finite) are finite
+ARG_MAX = 2.0 ** 511
+FINITE_ARG = Range(f"[{-ARG_MAX!r}, {ARG_MAX!r}]")
+WIDTH = Range(f"[{1.0 / ARG_MAX!r}, {ARG_MAX!r}]")
+KERNEL_SUPPORT = (0.0, 0.3)   # the radii of the kernel side
+
+PROFILE = Spec({
+    "tent": (None, lambda: bumps.tent_profile),
+    "bump": (None, lambda: bumps.bump_profile),
+    "br:LAM": (POSITIVE, BRProfile),   # one-sided: no kernel side
+    "csv:PATH": (REQUIRED, csv_profile),
+})
+SYMBOL = Spec({
+    "one": (None, np.ones_like),
+    "scalar:C": (FINITE_ARG, lambda c, r: c * np.ones_like(r)),
+    "br:LAM": (POSITIVE,
+               lambda lam, r: np.clip(1.0 - r ** 2, 0.0, None) ** lam),
+    "gauss": (None, lambda r: np.exp(-0.5 * r ** 2)),
+    "indicator": (None, lambda r: (r <= 1.0).astype(float)),
+    "oscillatory:OMEGA": (FINITE_ARG, lambda omega, r: np.exp(1j * omega * r)
+                          * bumps.smooth_window(r, 0.25, 0.5, 2.0, 4.0)),
+})
+MULTIPLIER = Spec({
+    **{form: (domain, functools.partial(radial_field, m0))
+       for form, (domain, m0) in SYMBOL.forms.items()},
+    "halfspace": (None, halfspace_field),
+    # builders looked up at call time, as perfbench's tracer wraps the names
+    "cone_br:LAM": (POSITIVE, lambda *args: build_bochner_riesz_cone(*args)),
+    "cone_tent": (None, lambda axes: build_dyadic_cone_multiplier(
+        bumps.tent_profile, axes)),
+})
+INPUT = Spec({
+    "gauss:WIDTH": (WIDTH, gauss_field),
+    "field:PATH": (REQUIRED, lambda path, axes: load_field(path)),
+})
+
+
 DEFAULTS = {
     "lorentz-norm": Options({
         "input": ("", str, REQUIRED),
@@ -177,8 +157,8 @@ DEFAULTS = {
     }, {"nu >= p": _exponents}),
     "characterize": Options({
         "mode": ("profile", str, ("profile", "symbol")),
-        "profile": ("tent", str, None),   # one-sided br:LAM: no kernel side
-        "symbol": ("br:1.0", str, None),
+        "profile": ("tent", str, PROFILE),
+        "symbol": ("br:1.0", str, SYMBOL),
         "dim": (4, int, DIM),
         "p": (8.0 / 7.0, float, P),
         "nu": (math.inf, float, EXPONENT),
@@ -197,6 +177,17 @@ DEFAULTS = {
         # with the least kernel_rho_max, 8 x the kernel grid's first radius
         "kernel side": lambda o: o["mode"] != "profile" or check_kernel_dim(
             o["dim"], _exponents(o), o["kernel_rho_max"]),
+        "line covers the profile": lambda o: o["mode"] != "profile" or
+        check_line_support("profile", o["profile"].built.support,
+                           o["spatial_truncation"]),
+        "line covers the window": lambda o: o["mode"] != "symbol" or
+        check_line_support("window", bumps.BumpPhi.support,
+                           o["spatial_truncation"]),
+        "kernel side covers the profile": require(
+            lambda o: o["mode"] != "profile"
+            or o["profile"].built.support[1] <= KERNEL_SUPPORT[1],
+            f"profile = {{profile}} reaches past u = {KERNEL_SUPPORT[1]}, "
+            f"where the kernel side's radii stop"),
         "t_lo < t_hi": require(
             lambda o: o["mode"] != "symbol" or o["t_lo"] < o["t_hi"],
             "dilation range needs t_lo < t_hi, got {t_lo} and {t_hi}"),
@@ -218,7 +209,9 @@ DEFAULTS = {
         "lam_lo": (0.6, float, POSITIVE),
         "lam_hi": (1.8, float, POSITIVE),
         "lam_step": (0.05, float, POSITIVE),
-        "truncation": (16384.0, float, R),
+        "truncation": (16384.0, float, Range(
+            f"({16 * _DETECTOR_WINDOW:g}, inf)", "truncation R = {value} must"
+            f" be finite, R/8 above twice the window {_DETECTOR_WINDOW:g}")),
         "resolution": (2 ** 17, int, LINE_POINTS),
         "decay_fit": (True, bool, None),
     }, {
@@ -249,7 +242,9 @@ DEFAULTS = {
         "shells": (16, int, Range("[1, inf)", cap=MAX_SHELLS)),
         "budget": (36, int, COUNT),
         "radius0": (0.0625, float, POSITIVE),
-        "vanishing_order": (5, int, Range("[0, inf)")),
+        # the kernel's bump degree is at least 2 vanishing_order + 2
+        "vanishing_order": (5, int, Range(
+            f"[0, {(SmoothingKernel.bump_degree - 2) // 2}]")),
         "spreads": ([0.25, 1.0], "float_list", POSITIVE),
     }, {
         "r_lo <= r_hi": require(
@@ -258,7 +253,7 @@ DEFAULTS = {
     }),
     "opnorm": Options({
         "mode": ("sweep", str, ("estimate", "sweep")),
-        "multiplier": ("br:2.0", str, None),
+        "multiplier": ("br:2.0", str, MULTIPLIER),
         "ndim": (2, int, AXES),
         "extent": (16.0, float, POSITIVE),
         "resolution": (64, int, GRID_POINTS),
@@ -277,8 +272,8 @@ DEFAULTS = {
             f"{MAX_WITNESS_CELLS} cells", 3),
     }),
     "apply": Options({
-        "multiplier": ("cone_tent", str, None),
-        "input": ("gauss:1.0", str, None),
+        "multiplier": ("cone_tent", str, MULTIPLIER),
+        "input": ("gauss:1.0", str, INPUT),
         "ndim": (3, int, AXES),
         "extent": (16.0, float, POSITIVE),
         "resolution": (32, int, GRID_POINTS),
@@ -307,11 +302,11 @@ def run_characterize(opts, outdir, seed):
     summary = {"mode": opts["mode"], "dim": dim, "p": opts["p"],
                "nu": opts["nu"]}
     if opts["mode"] == "profile":
-        gamma = line_profile(opts["profile"])
+        gamma = opts["profile"].built
         fq = fourier_side_quantity(gamma, dim, params, opts["truncation"],
                                    opts["spatial_truncation"],
                                    opts["resolution"])
-        kq = kernel_side_quantity(gamma, dim, params, support=(0.0, 0.3),
+        kq = kernel_side_quantity(gamma, dim, params, support=KERNEL_SUPPORT,
                                   rho_max=opts["kernel_rho_max"])
         ratio = fq.value / kq.value if kq.value else math.inf
         summary.update(profile=opts["profile"], fourier_side=fq,
@@ -426,7 +421,7 @@ def run_opnorm(opts, outdir, seed):
 
 def run_apply(opts, outdir, seed):
     axes = _grid(opts)
-    f = input_field(opts["input"], axes)
+    f = opts["input"].build(axes)
     if f.axes != axes:
         raise ConfigError("input field grid does not match requested axes")
     mult = grid_multiplier(opts["multiplier"], axes)

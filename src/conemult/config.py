@@ -6,6 +6,8 @@ checks them against a subcommand's option table, so an effective config
 can be echoed back out and reread identically.
 """
 
+import functools
+
 from .errors import BudgetError, ConfigError
 
 REQUIRED = "required"   # the domain of a key that needs a nonempty value
@@ -33,10 +35,53 @@ class Range:
             raise BudgetError(f"{key} = {value} exceeds the cap {self.cap}")
 
 
+class Spec:
+    """The admissible values of a named spec: ``forms`` maps each form as
+    written (``tent``, ``br:LAM``) to the domain of its argument (a
+    ``Range`` of floats, ``REQUIRED`` for nonempty text such as a path, or
+    None for no argument) and its builder, which takes the argument, then
+    the context its caller passes."""
+
+    def __init__(self, forms):
+        self.forms = forms
+
+    def parse(self, key, text):
+        """``text`` as a ``Named`` of its form, or a config error."""
+        name, colon, arg = text.partition(":")
+        form = next((f for f in self.forms if f.split(":")[0] == name), "")
+        domain, builder = self.forms.get(form, (None, None))
+        if builder is None or (domain is None) == bool(colon) or \
+                (colon and not arg):
+            raise ConfigError(f"{key} = {text!r} is not one of "
+                              f"{', '.join(self.forms)}")
+        if isinstance(domain, Range):
+            what = f"{key} = {text!r}: {form.split(':')[1]}"
+            try:
+                arg = float(arg)
+            except ValueError:
+                raise ConfigError(f"{what} = {arg!r} is not a float") from None
+            domain.check(what, arg)
+        named = Named(text)
+        named.build = functools.partial(
+            builder, *(() if domain is None else (arg,)))
+        return named
+
+
+class Named(str):
+    """A spec value as written, whose ``build(*context)`` is its form's
+    builder given its argument; ``built``, the object built without
+    context, is made once, so a file that a check reads is not read again."""
+
+    @functools.cached_property
+    def built(self):
+        return self.build()
+
+
 class Options(dict):
     """A subcommand's keys, name -> (default, kind, domain), the domain a
-    ``Range``, a tuple of choices, ``REQUIRED`` or None, and its checks
-    across keys, name -> a function of the options raising its error."""
+    ``Range``, a tuple of choices, a ``Spec``, ``REQUIRED`` or None, and
+    its checks across keys, name -> a function of the options raising its
+    error."""
 
     def __init__(self, keys, checks):
         super().__init__(keys)
@@ -106,7 +151,8 @@ def resolve(table, file_values, overrides):
     """defaults < config file < command-line overrides, typed per the
     ``Options`` table; unknown keys are rejected so typos cannot silently
     pass.  Then each key is checked against its domain (a list entry by
-    entry), in table order, and last the checks across keys."""
+    entry; a spec is kept as its ``Named``), in table order, and last the
+    checks across keys."""
     merged = {key: default for key, (default, _, _) in table.items()}
     for source in (file_values, overrides):
         for key, value in source.items():
@@ -123,6 +169,8 @@ def resolve(table, file_values, overrides):
         elif isinstance(domain, tuple) and value not in domain:
             raise ConfigError(f"{key} = {value!r} is not one of "
                               f"{', '.join(domain)}")
+        elif isinstance(domain, Spec):
+            merged[key] = domain.parse(key, value)
     for check in table.checks.values():
         check(merged)
     return merged

@@ -7,6 +7,7 @@ resolution N is xi_m = 2 pi m / L for m = -N/2 .. N/2 - 1.  A multiplier
 field is a GridField in frequency form whose values are the symbol.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -108,11 +109,51 @@ class GridField:
         return float(np.linalg.norm(self.values.ravel())) * self.cell_volume() ** 0.5
 
 
+def sparse_coords(axes, rep):
+    """The coordinates of ``axes`` in ``rep`` ("space", or "frequency" in
+    FFT order), one per axis, as a sparse grid."""
+    return np.meshgrid(*[ax.space_coords() if rep == "space" else
+                         ax.freq_coords() for ax in axes],
+                       indexing="ij", sparse=True)
+
+
+def radius_sq(axes, rep, out=None):
+    """|x|^2 or |xi|^2 over the grid of ``axes``, into ``out`` when given.
+
+    The squared coordinates are added in axis order, all but the last on
+    the sparse grid of the axes before it, so the only full-grid array is
+    the result.
+    """
+    coords = sparse_coords(axes, rep)
+    return np.add(sum(c ** 2 for c in coords[:-1]), coords[-1] ** 2,
+                  out=out)
+
+
 def freq_magnitude(axes):
     """|xi| over the grid spanned by ``axes`` (FFT order per axis)."""
-    coords = np.meshgrid(*[ax.freq_coords() for ax in axes],
-                         indexing="ij", sparse=True)
-    return np.sqrt(sum(c ** 2 for c in coords))
+    return np.sqrt(radius_sq(axes, "frequency"))
+
+
+def radial_field(m0, *args):
+    """The multiplier m0(*arg, |xi|) of a radial symbol on the grid of
+    ``axes``: ``args`` is the symbol's arguments ``arg``, then ``axes``."""
+    *arg, axes = args
+    return GridField(axes, m0(*arg, freq_magnitude(axes)), rep="frequency")
+
+
+def halfspace_field(axes):
+    """The multiplier 1 on xi_1 >= 0, 0 elsewhere."""
+    on = sparse_coords(axes, "frequency")[0] >= 0
+    return GridField(axes, np.broadcast_to(on, [ax.resolution for ax in axes]),
+                     rep="frequency")
+
+
+def gauss_field(width, axes):
+    """exp(-|x|^2 / (2 width^2)) on the grid, in space."""
+    # a ratio |x|^2 / width^2 past the float range gives exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        values = np.exp(-0.5 * radius_sq(axes, "space") / width ** 2)
+    return GridField(axes, values.astype(complex))
 
 
 def _check_profile_support(profile):
@@ -266,16 +307,9 @@ def apply_multiplier(f, m):
 
 def wraparound_fraction(f):
     """Fraction of |f| mass in the outer ``_WRAP_SHELL`` of each axis extent."""
-    masks = []
-    for i, ax in enumerate(f.axes):
-        x = np.abs(ax.space_coords())
-        m = x >= (0.5 - _WRAP_SHELL) * ax.extent
-        shape = [1] * f.ndim
-        shape[i] = ax.resolution
-        masks.append(m.reshape(shape))
-    boundary = np.zeros(f.values.shape, dtype=bool)
-    for m in masks:
-        boundary |= m
+    boundary = functools.reduce(np.logical_or, [
+        np.abs(x) >= (0.5 - _WRAP_SHELL) * ax.extent
+        for x, ax in zip(sparse_coords(f.axes, "space"), f.axes)])
     total = np.sum(np.abs(f.values))
     if total == 0:
         return 0.0
@@ -283,14 +317,24 @@ def wraparound_fraction(f):
 
 
 def save_field(f, path):
-    """Flat binary format: header (dims, extents, resolutions, rep) + complex64."""
+    """Flat binary format: header (dims, extents, resolutions, rep) + complex64.
+
+    A finite value past the complex64 range is a domain error, raised
+    before the file is opened.
+    """
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(f.values.astype("<c8"))
+    except FloatingPointError:
+        raise DomainError(f"a value of the field leaves the complex64 range "
+                          f"of {os.path.basename(path)}") from None
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IBBH", 1, 1 if f.rep == "frequency" else 0,
                              f.ndim, 0))
         for ax in f.axes:
             fh.write(struct.pack("<dQ", ax.extent, ax.resolution))
-        fh.write(np.ascontiguousarray(f.values.astype("<c8")).tobytes())
+        fh.write(payload.tobytes())
 
 
 def load_field(path):

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .lorentz import (LorentzParams, WeightedSampleSet, lorentz_quasinorm,
                       rounded_up)
 from .multipliers import (GridField, _apply_in_place, _support_box,
-                          field_symbol)
+                          field_symbol, radius_sq, sparse_coords)
 
 FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
@@ -160,27 +160,6 @@ def default_eta(x_sq):
     return np.exp(-0.5 * x_sq)
 
 
-def _radius_sq(coords, out):
-    """sum(c ** 2 for c in coords) of sparse per-axis ``coords``, into ``out``.
-
-    The squares are added in the same order, and all but the last summed
-    on the sparse grid of the axes before it, so the only full-grid array
-    is ``out``.
-    """
-    squares = [c ** 2 for c in coords]
-    if len(squares) == 1:
-        out[...] = squares[0]
-        return out
-    return np.add(functools.reduce(np.add, squares[:-1]), squares[-1],
-                  out=out)
-
-
-def _sparse_coords(axes, rep):
-    return np.meshgrid(*[ax.space_coords() if rep == "space" else
-                         ax.freq_coords() for ax in axes],
-                       indexing="ij", sparse=True)
-
-
 def _outer(factors, out):
     """The full-grid outer product of per-axis factors, into ``out``."""
     grids = np.meshgrid(*factors, indexing="ij", sparse=True)
@@ -217,7 +196,7 @@ def _knapp_sector(axes, prm):
     sparse grid of the first two frequency axes, or None without one."""
     if not (prm.get("sector_width") and len(axes) >= 2):
         return None
-    coords = _sparse_coords(axes, "frequency")
+    coords = sparse_coords(axes, "frequency")
     angle = np.arctan2(coords[1], coords[0] + 1e-300)
     delta = np.angle(np.exp(1j * (angle - prm["sector_angle"])))
     return np.exp(-0.5 * (delta / prm["sector_width"]) ** 2)
@@ -227,8 +206,7 @@ def _knapp_window(axes, prm, sector, out):
     """Spectrum of an ``annulus_knapp`` witness (FFT order), into the float
     grid ``out``: exp(-((|xi| - r0) / w)^2 / 2), times its ``sector``
     factor (``_knapp_sector``), built in place."""
-    window = np.sqrt(_radius_sq(_sparse_coords(axes, "frequency"), out),
-                     out=out)
+    window = np.sqrt(radius_sq(axes, "frequency", out), out=out)
     window -= prm["r0"]
     window /= prm["w"]
     window **= 2
@@ -317,8 +295,8 @@ def witness_input(spec, axes, p, work=None):
         return denom, GridField(axes, out, rep="frequency")
     if family == "radial_focus":
         # exp(-((|x| - a) / s)^2 / 2), step by step in place
-        rad = np.sqrt(_radius_sq(_sparse_coords(axes, "space"),
-                                 work.magnitude), out=work.magnitude)
+        rad = np.sqrt(radius_sq(axes, "space", work.magnitude),
+                      out=work.magnitude)
         rad -= prm["a"]
         rad /= prm["s"]
         rad **= 2

@@ -271,6 +271,38 @@ def test_field_binary_roundtrip(tmp_path):
     assert np.array_equal(g.values, f.values)
 
 
+def test_field_past_the_complex64_range_is_not_written(tmp_path):
+    path = tmp_path / "field.cmf"
+    values = np.ones((16, 8), complex)
+    values[3, 4] = 1e39j
+    with pytest.raises(DomainError, match="complex64 range of field.cmf"):
+        save_field(GridField((Axis(8.0, 16), Axis(4.0, 8)), values), path)
+    assert not path.exists()
+    values[3, 4] = np.inf      # an infinite value is stored as it is
+    save_field(GridField((Axis(8.0, 16), Axis(4.0, 8)), values), path)
+    assert np.isinf(load_field(path).values[3, 4])
+
+
+@pytest.mark.parametrize("axes", [
+    (Axis(8.0, 16),), (Axis(8.0, 16), Axis(4.0, 32)),
+    (Axis(8.0, 32), Axis(16.0, 64), Axis(12.0, 16)),
+    tuple(Axis(16.0, 16) for _ in range(4))])
+def test_radius_sq_is_the_sum_of_the_squared_coordinates(axes):
+    # bit for bit the expression it replaces, with and without ``out``
+    shape = [ax.resolution for ax in axes]
+    for rep in ("space", "frequency"):
+        coords = np.meshgrid(*[ax.space_coords() if rep == "space" else
+                               ax.freq_coords() for ax in axes],
+                             indexing="ij", sparse=True)
+        want = sum(c ** 2 for c in coords)
+        assert np.array_equal(multipliers.radius_sq(axes, rep), want)
+        out = np.empty(shape)
+        assert multipliers.radius_sq(axes, rep, out) is out
+        assert np.array_equal(out, want)
+    assert np.array_equal(freq_magnitude(axes),
+                          np.sqrt(multipliers.radius_sq(axes, "frequency")))
+
+
 def _set_ndim(data, ndim):
     return data[:9] + bytes([ndim]) + data[10:]      # header byte 9
 

@@ -747,10 +747,6 @@ def test_radial_focus_magnitudes_equal_the_full_transform(monkeypatch):
                                   cli.build_axes(16.0, 16, 4)])
 def test_buffer_built_witnesses_equal_their_full_grid_formulas(axes):
     shape = [ax.resolution for ax in axes]
-    for rep in ("space", "frequency"):
-        coords = opnorm._sparse_coords(axes, rep)
-        got = opnorm._radius_sq(coords, np.empty(shape))
-        assert np.array_equal(got, sum(c ** 2 for c in coords))
     for spec in _family_specs(axes, "annulus_knapp"):
         prm = spec["params"]
         got = opnorm._knapp_window(axes, prm, opnorm._knapp_sector(axes, prm),
