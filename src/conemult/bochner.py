@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .characterize import LineSamples
+from .characterize import scan_line
 from .errors import DomainError
-from .lorentz import LorentzParams, rearranged_quasinorm
+from .lorentz import LorentzParams
 from .multipliers import GridField, _check_cone_axes, freq_magnitude
-from .radial import LineBuffers, _checked_line_grids, fourier_1d
-from .util import (LINE_POINT_BYTES, _ordered_map, _worker_count,
-                   doubling_trend, dyadic_envelope_fit)
+from .radial import fourier_1d
+from .util import doubling_trend, dyadic_envelope_fit
 
 # critical_scan: half-width of the profile's sample line, and the lower end
 # |s| of the tail window its divergence flags read
@@ -133,17 +132,13 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
     masks the tail trend at reachable truncations.  The estimate is the
     smallest unflagged lambda, reported with the analytic threshold
     d/p - (d+1)/2.
-    The orders share the line, whose reach is checked before any
-    transform, and the profile's support; they are evaluated on
-    ``util._ordered_map``, one worker per CPU (``util._worker_count``),
-    each in the ``LineBuffers`` of its worker, and scored in order, each
-    exactly as alone.
+    The orders are the items of one ``characterize.scan_line``.
     """
     lam_grid = sorted(lam_grid)
     if not p_list:
         raise DomainError("p_list is empty: name at least one exponent")
-    for p in p_list:
-        LorentzParams(p, math.inf)   # checked before any prediction divides by p
+    # each p is checked before any prediction divides by it
+    params = [LorentzParams(p, math.inf) for p in p_list]
     if truncation / 8.0 <= 2.0 * _DETECTOR_WINDOW:
         raise DomainError(
             f"truncation ladder starting at {truncation / 8.0:.0f} is too "
@@ -159,30 +154,14 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
         [(_DETECTOR_WINDOW, r) for r in radii]
     for lam in lam_grid:
         _check_order(lam)
-    x, sigma = _checked_line_grids(_SCAN_SPATIAL_TRUNCATION, resolution)
-    line = LineSamples.covering(sigma, dim, windows)
-    profiles = _edge_profiles(x)
-    params = [LorentzParams(p, math.inf) for p in p_list]
-    workers = _worker_count(len(x), LINE_POINT_BYTES)
-    buffers = [LineBuffers(len(x)) for _ in range(workers)]
-
-    def order_values(worker, lam):
-        # one transform and one sort per order, in the worker's buffers
-        buf = buffers[worker]
-        ghat = fourier_1d(profiles(lam, buf.samples),
-                          _SCAN_SPATIAL_TRUNCATION, resolution, buf)[1]
-        rearranged = line.rearrangements(ghat, windows)
-        return [[rearranged_quasinorm(r, prm) for r in rearranged]
-                for prm in params]
-
     tables = [[] for _ in p_list]
-    for lam, per_p in zip(lam_grid, _ordered_map(order_values, lam_grid,
-                                                 workers)):
+    for lam, per_p in zip(lam_grid, scan_line(
+            _edge_profiles, lam_grid, dim, windows, params,
+            _SCAN_SPATIAL_TRUNCATION, resolution)):
         for values, table in zip(per_p, tables):
             full = dict(zip(radii, values[:4]))
             tail = dict(zip(radii, values[4:]))
-            trend = doubling_trend(tail)
-            table.append((lam, full, tail, trend["divergent"]))
+            table.append((lam, full, tail, doubling_trend(tail)["divergent"]))
     results = []
     for p, table in zip(p_list, tables):
         estimate = next((lam for lam, _, _, div in table if not div),

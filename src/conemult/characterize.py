@@ -15,6 +15,7 @@ truncations; a >= 10% growth per doubling across three doublings is
 flagged as a divergent trend.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -65,7 +66,7 @@ def _power(params):
     return max(1.0, (1.0 if params.weak else params.nu) / params.p)
 
 
-def _check_line_measure(dim, truncation, power=1.0):
+def _check_line_measure(dim, truncation, power):
     # the line's measure, 2((1 + R)^dim - 1) / dim, stays below (1 + R)^dim
     if power * dim * math.log1p(truncation) >= _LOG_FLOAT_MAX:
         raise DomainError(f"dim = {dim}: the line measure (1 + |s|)^(dim "
@@ -133,14 +134,15 @@ def _kernel_radii(rho_max):
 
 
 class LineSamples:
-    """Weighted samples of |g_hat(s)| (1+|s|)^(-(d-1)/2) on |s| <= R.
+    """Weighted samples of |g_hat(s)| (1+|s|)^(-(d-1)/2) on the windows
+    lo <= |s| <= hi of a line.
 
-    Each grid point of ``sigma`` (ascending, uniform) inside the truncation
-    carries the cell measure h (1+|s|)^(d-1).  Everything but |g_hat| is
-    fixed by the grid, d and R, so one instance serves every transform
-    tabulated on the same grid.  A truncation that is not finite and
-    positive, or that the grid stops short of, is rejected rather than
-    silently cut off, and so is a dim whose line measure overflows.
+    Each grid point of ``sigma`` (ascending, uniform) out to the widest
+    window carries the cell measure h (1+|s|)^(d-1).  Everything but
+    |g_hat| is fixed by the grid, d and the windows, so one instance serves
+    every transform on the same grid.  A window's upper end that is not
+    finite and positive, or that the grid stops short of, is rejected, the
+    ends in ascending order, rather than silently cut off.
 
     When the kept points are mirror-symmetric, as on the grid of
     ``fourier_1d``, and |g_hat| is too (the transform of a real profile),
@@ -150,79 +152,99 @@ class LineSamples:
     only ties are mirror pairs.
     """
 
-    def __init__(self, sigma, dim, truncation):
-        _check_truncation(sigma, truncation)
-        _check_line_measure(dim, truncation)
+    def __init__(self, sigma, dim, windows):
+        tops = sorted(hi for _, hi in windows)
+        for hi in tops:
+            if not 0 < hi < math.inf:
+                raise DomainError(f"truncation R = {hi} must be finite and "
+                                  f"positive")
+            if sigma[-1] < hi:
+                raise DomainError(
+                    f"frequency grid reaches |s| = {sigma[-1]:.3g} < R = "
+                    f"{hi:.6g}; raise the resolution")
         h = sigma[1] - sigma[0]
-        self.keep = np.abs(sigma) <= truncation
+        # the points |s| <= R of the ascending grid, as a slice
+        self.keep = slice(np.searchsorted(sigma, -tops[-1], side="left"),
+                          np.searchsorted(sigma, tops[-1], side="right"))
         s = sigma[self.keep]
         self.abs_s = np.abs(s)
         self.divisor = (1.0 + self.abs_s) ** ((dim - 1) / 2.0)
         self.weights = h * (1.0 + self.abs_s) ** (dim - 1)
+        # None: a window over the whole line, which needs no mask
+        self.windows = [None if lo <= 0 and hi == tops[-1] else (lo, hi)
+                        for lo, hi in windows]
         self.half = None    # the s >= 0 points, when the line can fold
         if np.array_equal(s, -s[::-1]):
             self.half = slice(len(s) // 2, None)
             self.half_weights = np.where(s[self.half] > 0, 2.0, 1.0) \
                 * self.weights[self.half]
 
-    @classmethod
-    def covering(cls, sigma, dim, windows):
-        """The line of the widest window lo <= |s| <= hi of ``windows``.
-
-        The windows' upper ends are checked in ascending order, so a grid
-        short of several is reported at the smallest.
-        """
-        tops = sorted(hi for _, hi in windows)
-        for hi in tops:
-            _check_truncation(sigma, hi)
-        return cls(sigma, dim, tops[-1])
-
-    def samples(self, ghat):
-        """(|s|, weighted samples) of ``ghat``, on the folded line if it folds."""
+    def rearrangements(self, ghat):
+        """Rearranged weighted samples of ``ghat`` on each window of this
+        line, on the folded line if it folds: one sort serves them all."""
         g = np.abs(ghat[self.keep])
-        half = self.half
+        a, half, weights = self.abs_s, self.half, self.weights
         if half is not None and np.array_equal(g, g[::-1]):
-            return self.abs_s[half], WeightedSampleSet(
-                g[half] / self.divisor[half], self.half_weights)
-        return self.abs_s, WeightedSampleSet(g / self.divisor, self.weights)
-
-    def rearrangements(self, ghat, windows):
-        """Rearranged weighted samples of ``ghat`` on each window
-        lo <= |s| <= hi of this line: one sort serves them all."""
-        a, samples = self.samples(ghat)
+            a, weights = a[half], self.half_weights
+            g = g[half] / self.divisor[half]
+        else:
+            g /= self.divisor
         return subset_rearrangements(
-            samples, [(a >= lo) & (a <= hi) for lo, hi in windows])
+            WeightedSampleSet.of_magnitudes(g, weights),
+            [None if w is None else (a >= w[0]) & (a <= w[1])
+             for w in self.windows])
 
 
-def _check_truncation(sigma, truncation):
-    if not 0 < truncation < math.inf:
-        raise DomainError(f"truncation R = {truncation} must be finite and "
-                          f"positive")
-    if sigma[-1] < truncation:
-        raise DomainError(
-            f"frequency grid reaches |s| = {sigma[-1]:.3g} < R = "
-            f"{truncation:.6g}; raise the resolution")
+def scan_line(sampler, items, dim, windows, params_list, spatial_truncation,
+              resolution):
+    """``[[[quasi-norm per window] per exponent] per item]`` of the items'
+    transforms on one line.
+
+    ``sampler(x)`` returns ``(item, out) ->`` the item's samples on the
+    line's points ``x``, in ``out`` where it can.  Every check runs before
+    the first transform: the line measure at each exponent's power, the
+    grid, and each window's reach.  Each item then takes one transform and
+    one sort, on ``util._ordered_map`` (workers by ``util._worker_count``),
+    in the ``LineBuffers`` of its worker and exactly as alone.
+    """
+    top = max(hi for _, hi in windows)
+    for params in params_list:
+        _check_line_measure(dim, top, _power(params))
+    x, sigma = _checked_line_grids(spatial_truncation, resolution)
+    line = LineSamples(sigma, dim, windows)
+    sample = sampler(x)
+    workers = min(len(items), _worker_count(len(x), LINE_POINT_BYTES))
+    buffers = [LineBuffers(len(x)) for _ in range(workers)]
+
+    def values(worker, item):
+        buf = buffers[worker]
+        ghat = fourier_1d(sample(item, buf.samples), spatial_truncation,
+                          resolution, buf)[1]
+        rearranged = line.rearrangements(ghat)
+        return [[rearranged_quasinorm(r, params) for r in rearranged]
+                for params in params_list]
+    return _ordered_map(values, items, workers)
+
+
+def _truncation_ladder(truncation):
+    """The truncations R/2^_DOUBLINGS .. R, and the window 0 <= |s| <= r
+    of each."""
+    radii = [truncation / 2 ** i for i in range(_DOUBLINGS, -1, -1)]
+    return radii, [(0.0, r) for r in radii]
 
 
 def fourier_side_quantity(gamma, dim, params, truncation=4096.0,
                           spatial_truncation=8.0, resolution=2 ** 16):
     """Weighted Lorentz size of the profile's 1-d Fourier transform.
 
-    The transform is computed and its samples sorted once, after the
-    line's reach is checked; the quasi-norm is reported at truncations
-    R/2^_DOUBLINGS .. R for convergence assessment.
+    The one item of ``scan_line``: the quasi-norm is reported at
+    truncations R/2^_DOUBLINGS .. R for convergence assessment.
     """
-    _check_line_measure(dim, truncation, _power(params))
-    radii = [truncation / 2 ** i for i in range(_DOUBLINGS, -1, -1)]
-    windows = [(0.0, r) for r in radii]
-    line = LineSamples.covering(
-        _checked_line_grids(spatial_truncation, resolution)[1], dim, windows)
-    ghat = fourier_1d(gamma, spatial_truncation, resolution)[1]
-    rearranged = line.rearrangements(ghat, windows)
-    by_r = {r: rearranged_quasinorm(rr, params)
-            for r, rr in zip(radii, rearranged)}
-    trend = doubling_trend(by_r)
-    return QuantityResult(by_r[truncation], by_r, trend,
+    radii, windows = _truncation_ladder(truncation)
+    [[values]] = scan_line(lambda x: lambda g, out: g(x), [gamma], dim,
+                           windows, [params], spatial_truncation, resolution)
+    by_r = dict(zip(radii, values))
+    return QuantityResult(by_r[truncation], by_r, doubling_trend(by_r),
                           {"side": "fourier", "dim": dim, "p": params.p,
                            "nu": params.nu, "truncation": truncation,
                            "resolution": resolution,
@@ -292,35 +314,20 @@ def radial_symbol_quantity(m0, dim, params, t_grid, resolution,
     the fourier-side quantity is taken; the sup and its maximizer over the
     finite scan grid are reported, together with truncation diagnostics at
     the maximizing t, on a line of 4 * ``resolution`` points.
-    The dilates share the line, whose reach is checked before any
-    transform, and phi on its support; they are evaluated on
-    ``util._ordered_map``, one worker per CPU (``util._worker_count``),
-    each in the ``LineBuffers`` of its worker and exactly as alone.
+    The dilates are the items of one ``scan_line``, whose whole line is
+    their one window; the diagnostic is the one item of another.
     """
-    _check_line_measure(dim, truncation, _power(params))
-    x, sigma = _checked_line_grids(spatial_truncation, resolution)
-    line = LineSamples(sigma, dim, truncation)
-    windowed = _windowed_dilates(m0, x)
-    workers = _worker_count(len(x), LINE_POINT_BYTES)
-    buffers = [LineBuffers(len(x)) for _ in range(workers)]
-
-    def quantity(worker, t):
-        buf = buffers[worker]
-        khat = fourier_1d(windowed(t, buf.samples), spatial_truncation,
-                          resolution, buf)[1]
-        return lorentz_quasinorm(line.samples(khat)[1], params)
-
+    dilates = functools.partial(_windowed_dilates, m0)
     t_values = np.asarray(t_grid, dtype=float)
-    per_t = dict(zip(t_values.tolist(),
-                     _ordered_map(quantity, t_values, workers)))
-    # the scan's line goes before the diagnostic's, four times finer
-    del x, sigma, line, windowed, buffers
+    per_t = {t: value for t, [[value]] in zip(t_values.tolist(), scan_line(
+        dilates, t_values, dim, [(0.0, truncation)], [params],
+        spatial_truncation, resolution))}
     arg = max(per_t, key=per_t.get)
-    x = _checked_line_grids(spatial_truncation, 4 * resolution)[0]
-    diag = fourier_side_quantity(_windowed_dilates(m0, x)(arg), dim, params,
-                                 truncation, spatial_truncation,
-                                 4 * resolution)
-    return SymbolScanResult(per_t[arg], arg, per_t, diag.trend,
+    radii, windows = _truncation_ladder(truncation)
+    [[diag]] = scan_line(dilates, [arg], dim, windows, [params],
+                         spatial_truncation, 4 * resolution)
+    return SymbolScanResult(per_t[arg], arg, per_t,
+                            doubling_trend(dict(zip(radii, diag))),
                             {"dim": dim, "p": params.p, "nu": params.nu,
                              "truncation": truncation,
                              "t_grid": [float(t) for t in t_grid]})
@@ -330,16 +337,16 @@ def _windowed_dilates(m0, r):
     """t -> phi(r) m0(t r) on the grid ``r``: phi is evaluated once, and
     m0 only where phi(r) != 0.
 
-    Real values go into ``out`` (zero where phi(r) = 0) when it is given;
-    complex ones take a new array.
+    Real values go into ``out``, which is zero where phi(r) = 0; complex
+    ones take a new array.
     """
     w = _WINDOW(r)
     on = w != 0
     r_on, w_on = r[on], w[on]
 
-    def windowed(t, out=None):
+    def windowed(t, out):
         vals = w_on * np.asarray(m0(t * r_on))
-        if out is None or np.iscomplexobj(vals):
+        if np.iscomplexobj(vals):
             out = np.zeros(r.shape, dtype=vals.dtype)
         out[on] = vals
         return out

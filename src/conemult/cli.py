@@ -117,6 +117,9 @@ ARG_MAX = 2.0 ** 511
 FINITE_ARG = Range(f"[{-ARG_MAX!r}, {ARG_MAX!r}]")
 WIDTH = Range(f"[{1.0 / ARG_MAX!r}, {ARG_MAX!r}]")
 KERNEL_SUPPORT = (0.0, 0.3)   # the radii of the kernel side
+# a dilation t: t r on the window's support (1/2, 2) stays within ARG_MAX,
+# as a spec argument does, so a symbol's r^2 is finite
+DILATION = Range(f"(0, {ARG_MAX / bumps.BumpPhi.support[1]!r}]")
 
 PROFILE = Spec({
     "tent": (None, lambda: bumps.tent_profile),
@@ -169,8 +172,8 @@ DEFAULTS = {
             "got {value}")),
         "kernel_rho_max": (256.0, float, Range("(0, inf)",
                                                cap=MAX_KERNEL_RHO)),
-        "t_lo": (0.0625, float, POSITIVE),
-        "t_hi": (16.0, float, POSITIVE),
+        "t_lo": (0.0625, float, DILATION),
+        "t_hi": (16.0, float, DILATION),
         "t_per_octave": (16, int, COUNT),
     }, {
         "nu >= p": _exponents,

@@ -155,16 +155,20 @@ def subset_rearrangements(samples, masks):
 
     The set is sorted once; each subset reads its ascending order off that
     sort.  Its result is bit-identical to ``decreasing_rearrangement`` of
-    the subset, since ties are merged in sample order as there.  An empty
-    subset raises DomainError.
+    the subset, since ties are merged in sample order as there.  A mask
+    of None selects every sample, with no gather.  An empty subset raises
+    DomainError.
     """
     order = np.argsort(samples.values)
     out = []
     for keep in masks:
-        keep = np.asarray(keep, dtype=bool)
-        if not keep.any():
-            raise DomainError("subset mask selects no sample")
-        sub = order[keep[order]]
+        if keep is None:
+            sub = order
+        else:
+            keep = np.asarray(keep, dtype=bool)
+            if not keep.any():
+                raise DomainError("subset mask selects no sample")
+            sub = order[keep[order]]
         if samples.uniform:
             out.append(_uniform_merged(samples.values[sub], samples.weights))
         else:

@@ -130,8 +130,8 @@ def _checked_line_grids(truncation, resolution):
 
 class LineBuffers:
     """Memory that the transforms of one scan worker reuse on a line of
-    ``n`` points: real samples (zero until written), the real FFT and the
-    values of ``fourier_1d``.
+    ``n`` points: real samples (zero until written) and the values of
+    ``fourier_1d``, which hold its real FFT first.
 
     Line-sized arrays allocated afresh for each item go back to the
     system when freed and are faulted in again by the next: in fresh
@@ -142,7 +142,6 @@ class LineBuffers:
 
     def __init__(self, n):
         self.samples = np.zeros(n)
-        self.spectrum = np.empty(n // 2 + 1, dtype=complex)
         self.values = np.empty(n, dtype=complex)
 
 
@@ -160,9 +159,10 @@ def fourier_1d(f, truncation, resolution, buffers=None):
 
     The phase exp(i R sigma_m) of the shift to x_0 = -R is exactly
     (-1)^m, so it is applied as a sign rather than computed.  Real
-    samples take a real FFT of the m >= 0 half, and the line is completed
-    by the conjugate mirror values(-sigma) = conj(values(sigma)), so it
-    is exactly Hermitian; the bin m = -N/2 is the real FFT's last.
+    samples take a real FFT of the m >= 0 half, in the first N/2 + 1
+    entries of the returned array, and the line is completed in place by
+    the conjugate mirror values(-sigma) = conj(values(sigma)), so it is
+    exactly Hermitian; the bin m = -N/2 is the real FFT's last.
     With ``buffers`` (``LineBuffers`` of the line), real samples are
     transformed in its memory, and the values returned are its
     ``values``, valid until its next transform; complex samples take new
@@ -175,9 +175,12 @@ def fourier_1d(f, truncation, resolution, buffers=None):
         raise DomainError(f"expected {n} samples, got shape {samples.shape}")
     h = 2.0 * truncation / n
     real = not np.iscomplexobj(samples)
+    mid = n // 2
     if real:
+        out = np.empty(n, dtype=complex) if buffers is None \
+            else buffers.values
         vals = np.fft.rfft(samples.astype(float, copy=False),
-                           out=None if buffers is None else buffers.spectrum)
+                           out=out[:mid + 1])
     else:
         vals = np.fft.fft(samples.astype(complex, copy=False))
     vals *= h
@@ -186,10 +189,12 @@ def fourier_1d(f, truncation, resolution, buffers=None):
     np.negative(odd, out=odd)
     if not real:
         return sigma, np.fft.fftshift(vals)
-    mid = n // 2
-    out = np.empty(n, dtype=complex) if buffers is None else buffers.values
-    out[mid:] = vals[:mid]
-    np.conjugate(vals[mid:0:-1], out=out[:mid])
+    # m >= 0 moves up by N/2 (over the bin N/2, read first), and m = -k < 0
+    # takes the conjugate of m = k
+    last = vals[mid]
+    out[mid:] = out[:mid]
+    np.conjugate(out[:mid:-1], out=out[1:mid])
+    out[0] = np.conjugate(last)
     return sigma, out
 
 

@@ -18,10 +18,10 @@ GROWTH_THRESHOLD = 1.10
 PARALLEL_MIN_POINTS = 2 ** 16
 # cap on the bytes the extra workers of a loop hold at once
 EXTRA_WORKER_BYTES = 64 * 2 ** 20
-# bytes per point a worker of a loop of 1-d line transforms holds at its
-# peak: its radial.LineBuffers (32), then an item's |g_hat| and its sort
-# (tracemalloc read 53 for br-scan's orders at 2^17 points, 42 for
-# characterize's dilates at 2^16)
+# a bound on the bytes per point a worker of a loop of 1-d line transforms
+# holds at its peak: its radial.LineBuffers (24), then an item's |g_hat|
+# and its sort (tracemalloc read 45 for br-scan's orders at 2^17 points,
+# 34 for characterize's dilates at 2^16)
 LINE_POINT_BYTES = 56
 
 

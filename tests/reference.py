@@ -6,8 +6,10 @@ Each is a direct formula, written without the package's own shortcuts.
 import numpy as np
 
 from conemult.bessel import bessel_j_scaled, surface_area
-from conemult.lorentz import WeightedSampleSet
+from conemult.bumps import BumpPhi
+from conemult.lorentz import WeightedSampleSet, lorentz_quasinorm
 from conemult.multipliers import GridField
+from conemult.radial import fourier_1d
 
 
 def apply_full_transforms(f, sym):
@@ -41,6 +43,28 @@ def weighted_line_samples(f, weight_exponent, truncation, resolution):
     s = -truncation + (np.arange(resolution) + 0.5) * h
     return WeightedSampleSet(np.abs(np.asarray(f(s), dtype=float)),
                              h * (1.0 + np.abs(s)) ** weight_exponent)
+
+
+def symbol_scan_per_t(m0, dim, params, t_grid, truncation,
+                      spatial_truncation, resolution):
+    """t -> the symbol scan's value at each dilation t of ``t_grid``.
+
+    The windowed dilate phi(r) m0(t r) is transformed, and the quasi-norm
+    taken of the full line's samples |g_hat(s)| (1+|s|)^(-(d-1)/2) on
+    |s| <= R, each cell h (1+|s|)^(d-1): no fold, one dilation at a time.
+    """
+    phi = BumpPhi()
+    per_t = {}
+    for t in t_grid:
+        sigma, ghat = fourier_1d(lambda r: phi(r) * m0(t * r),
+                                 spatial_truncation, resolution)
+        keep = np.abs(sigma) <= truncation
+        s = np.abs(sigma[keep])
+        samples = WeightedSampleSet(
+            np.abs(ghat[keep]) / (1.0 + s) ** ((dim - 1) / 2.0),
+            (sigma[1] - sigma[0]) * (1.0 + s) ** (dim - 1))
+        per_t[float(t)] = lorentz_quasinorm(samples, params)
+    return per_t
 
 
 def sphere_hat(radius, dim, xi):

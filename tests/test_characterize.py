@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from conemult import characterize, cli
 from conemult.bessel import surface_area
 from conemult.bumps import BumpPhi, smooth_window
 from conemult.characterize import (LineSamples, fourier_side_quantity,
                                    kernel_side_quantity, polar_sample_set,
-                                   radial_symbol_quantity)
+                                   radial_symbol_quantity, scan_line)
 from conemult.errors import DomainError
 from conemult.lorentz import LorentzParams
 from conemult.util import geometric_grid
+from reference import symbol_scan_per_t
 
 
 def gauss_windowed(u):
@@ -194,6 +196,20 @@ def test_symbol_scan_matches_per_dilation_route():
         assert res.per_t[float(t)] == q.value
 
 
+@pytest.mark.parametrize("symbol", ["br:1.0", "oscillatory:3"])
+@pytest.mark.parametrize("params", [LorentzParams(8.0 / 7.0, math.inf),
+                                    LorentzParams(1.3, 2.0)])
+def test_symbol_scan_equals_the_full_line_oracle(symbol, params):
+    # a real symbol's line folds; a complex one's takes the full line
+    m0 = cli.radial_symbol(symbol)
+    t_grid = np.geomspace(0.25, 4.0, 9)
+    res = radial_symbol_quantity(m0, 3, params, t_grid=t_grid,
+                                 resolution=2 ** 13, truncation=512.0,
+                                 spatial_truncation=8.0)
+    assert res.per_t == symbol_scan_per_t(m0, 3, params, t_grid, 512.0,
+                                          8.0, 2 ** 13)
+
+
 @pytest.mark.parametrize("params", [LorentzParams(8.0 / 7.0, math.inf),
                                     LorentzParams(1.3, 2.0)])
 def test_symbol_scan_does_not_depend_on_the_worker_count(monkeypatch,
@@ -251,14 +267,28 @@ def test_dilation_off_grid_within_scan_tolerance():
     assert abs(ratio - 1.0) <= 0.02
 
 
-def test_line_samples_dim_range_ends_at_the_float_range():
+def test_line_samples_dim_range_ends_at_the_float_range(monkeypatch):
     # the default grid: 2^16 points on [-8, 8), reaching |s| = 8192 pi
-    sigma = (math.pi / 8.0) * np.arange(-2 ** 15, 2 ** 15)
+    windows = [(0.0, 2048.0), (0.0, 4096.0)]
+    weak = LorentzParams(8.0 / 7.0, math.inf)
+    sampler = lambda x: lambda g, out: g(x)
     # 85 ln(4097) = 707.1, below ln(max float) = 709.8
-    line = LineSamples(sigma, 85, 4096.0)
-    assert np.isfinite(np.cumsum(line.weights)[-1])
+    [[values]] = scan_line(sampler, [gauss_windowed], 85, windows, [weak],
+                           8.0, 2 ** 16)
+    assert all(math.isfinite(v) and v > 0 for v in values)
+    sigma = (math.pi / 8.0) * np.arange(-2 ** 15, 2 ** 15)
+    assert np.isfinite(np.cumsum(LineSamples(sigma, 85, windows).weights)[-1])
+
+    def no_transform(*a, **k):
+        raise AssertionError("a transform ran before the line measure check")
+    monkeypatch.setattr(characterize, "fourier_1d", no_transform)
     with pytest.raises(DomainError, match="dim = 86"):
-        LineSamples(sigma, 86, 4096.0)
+        scan_line(sampler, [gauss_windowed], 86, windows, [weak], 8.0,
+                  2 ** 16)
+    # at the power nu/p = 2 of each exponent, not at 1: 2 * 85 ln(4097)
+    with pytest.raises(DomainError, match="dim = 85.*power 2,"):
+        scan_line(sampler, [gauss_windowed], 85, windows,
+                  [weak, LorentzParams(1.0, 2.0)], 8.0, 2 ** 16)
 
 
 def test_polar_sample_set_measures():

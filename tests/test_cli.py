@@ -261,12 +261,30 @@ def test_sph_probe_exponent_and_budget_checked_first(tmp_path, capsys,
 def test_br_scan_exponents_checked_first(tmp_path, capsys, monkeypatch,
                                          args, what):
     transformed = []
-    monkeypatch.setattr(bochner, "fourier_1d",
-                        lambda *a: transformed.append(a))
+    for module in (bochner, characterize):
+        monkeypatch.setattr(module, "fourier_1d",
+                            lambda *a: transformed.append(a))
     assert run_cli(["br-scan", "--out", str(tmp_path / "s"), *args]) == 2
     err = capsys.readouterr().err
     assert _one_line_error_text(err) and what in err
     assert transformed == []
+
+
+def test_br_scan_line_measure_at_the_power_1_over_p_exits_2_first(
+        tmp_path, capsys, monkeypatch):
+    # p = 0.05 brackets its threshold 77.5 at dim 4, and the weak
+    # quasi-norm raises the line measure to 1/p = 20: 20 * 4 ln(16385) is
+    # past ln(max float)
+    def no_transform(*a, **k):
+        raise AssertionError("a transform ran before the line measure check")
+    monkeypatch.setattr(characterize, "fourier_1d", no_transform)
+    monkeypatch.setattr(bochner, "fourier_1d", no_transform)
+    assert run_cli(["br-scan", "--out", str(tmp_path / "s"), "--p-list",
+                    "0.05", "--lam-lo", "77", "--lam-hi", "78",
+                    "--lam-step", "0.5", "--decay-fit", "0"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err) and "dim = 4: the line measure" in err
+    assert "raised to the power 20," in err
 
 
 @pytest.mark.parametrize("args", [
@@ -390,7 +408,7 @@ def test_br_scan_worker_failure_exits_2_with_every_thread_stopped(
     from conemult import util
     monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(util, "PARALLEL_MIN_POINTS", 1)
-    transform = bochner.fourier_1d
+    transform = characterize.fourier_1d
     workers = set()
 
     def failing_off_the_main_thread(*a, **k):
@@ -398,7 +416,8 @@ def test_br_scan_worker_failure_exits_2_with_every_thread_stopped(
         if threading.current_thread() is not threading.main_thread():
             raise DomainError("injected in a worker")
         return transform(*a, **k)
-    monkeypatch.setattr(bochner, "fourier_1d", failing_off_the_main_thread)
+    monkeypatch.setattr(characterize, "fourier_1d",
+                        failing_off_the_main_thread)
     threads = threading.active_count()
     out = tmp_path / "s"
     assert run_cli(["br-scan", "--out", str(out), "--truncation", "8192",

@@ -191,18 +191,17 @@ def test_ghat_weak_norm_stabilizes_at_critical_order():
     from conemult.radial import fourier_1d
     sigma, ghat = fourier_1d(BRProfile(1.0), 4.0, 2 ** 16)
     d, p = 4, 8.0 / 7.0
-    windows = [(0.0, 1e2), (0.0, 1e3), (0.0, 1e4)]
-    line = LineSamples.covering(sigma, d, windows)
+    line = LineSamples(sigma, d, [(0.0, 1e2), (0.0, 1e3), (0.0, 1e4)])
     vals = [rearranged_quasinorm(r, LorentzParams(p, math.inf))
-            for r in line.rearrangements(ghat, windows)]
+            for r in line.rearrangements(ghat)]
     assert max(vals) / min(vals) <= 1.05
 
 
 def test_grid_samples_truncation_empty():
     from conemult.characterize import LineSamples
-    line = LineSamples(np.linspace(-1, 1, 32), 1, truncation=1e-9)
+    line = LineSamples(np.linspace(-1, 1, 32), 1, [(0.0, 1e-9)])
     with pytest.raises(DomainError):
-        line.samples(np.ones(32))
+        line.rearrangements(np.ones(32))
 
 
 def _stable_sort_rearrangement(samples):
@@ -277,6 +276,11 @@ def test_subset_rearrangements_equal_rearranging_each_subset(data):
         want = decreasing_rearrangement(samples(values[keep], weights[keep]))
         assert np.array_equal(got.levels, want.levels)
         assert np.array_equal(got.breakpoints, want.breakpoints)
+    # a mask of None: the whole set
+    [got] = subset_rearrangements(s, [None])
+    want = decreasing_rearrangement(s)
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
 
 
 def test_subset_rearrangements_reject_empty_subset():

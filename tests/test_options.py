@@ -308,6 +308,20 @@ def test_in_domain_spec_arguments_run_to_exit_0_2_or_3(command, key, data):
     assert err.count("\n") == (got != 0) or err.startswith("warning:"), err
 
 
+@pytest.mark.parametrize("text", [text for text, code
+                                  in _spec_cases(cli.SYMBOL) if code is None])
+def test_symbol_forms_run_at_the_largest_dilation(text):
+    # t r reaches 2^511 on the window's support (1/2, 2), each argument at
+    # either end of its range
+    t_hi = cli.DILATION.hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, err = _run("characterize", "symbol", text,
+                        [*_TINY["characterize", "symbol"],
+                         f"--t-lo={t_hi / 2!r}", f"--t-hi={t_hi!r}"])
+    assert got == 0, (text, err)
+
+
 @pytest.mark.parametrize("argv, what", [
     (["characterize", "--profile", "br:abc"], "'br:abc': LAM = 'abc' is not"),
     (["characterize", "--profile", "br:"], "'br:' is not one of tent, bump"),
@@ -335,6 +349,9 @@ def test_in_domain_spec_arguments_run_to_exit_0_2_or_3(command, key, data):
       repr(math.nextafter(2.0, 0))], "cuts the window's support (0.5, 2)"),
     # a profile past the kernel side's radii (0, 0.3)
     (["characterize", "--profile", "csv:{wide}"], "past u = 0.3"),
+    # t r past 2^511 on the window's support: br:1.0 would square it
+    (["characterize", "--mode", "symbol", "--t-lo", "1e300", "--t-hi",
+      "1e301", "--t-per-octave", "1"], "t_lo = 1e+300 is outside (0, 3.35"),
 ])
 def test_named_bad_inputs_exit_2_before_the_output_directory(
         tmp_path, capsys, monkeypatch, argv, what):

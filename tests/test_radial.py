@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conemult import radial, wave
+from conemult import characterize, radial, wave
 from conemult.bessel import surface_area
 from conemult.bumps import smooth_window
 from conemult.characterize import LineSamples
 from conemult.errors import BudgetError, DomainError
-from conemult.lorentz import WeightedSampleSet, decreasing_rearrangement
+from conemult.lorentz import (WeightedSampleSet, decreasing_rearrangement,
+                              subset_rearrangements)
 from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
                              inverse_radial, radial_transform, space_grid)
 from conemult.util import dyadic_envelope_fit, next_pow2
@@ -112,45 +113,80 @@ def test_real_samples_match_the_complex_route(f):
         assert vals[n // 2].imag == 0.0 and vals[0].imag == 0.0
 
 
-def _full_line_rearrangement(line, ghat):
-    """The unfolded samples of ``line`` on its whole window (oracle)."""
-    g = np.abs(ghat[line.keep])
-    return decreasing_rearrangement(
-        WeightedSampleSet(g / line.divisor, line.weights))
+def _separate_spectrum_mirror(samples, truncation):
+    """The real FFT into an array of its own, mirrored into a new line:
+    the route fourier_1d took for real samples before it mirrored in
+    place (oracle)."""
+    n = len(samples)
+    vals = np.fft.rfft(samples)
+    vals *= 2.0 * truncation / n
+    odd = vals[1::2]
+    np.negative(odd, out=odd)
+    mid = n // 2
+    out = np.empty(n, dtype=complex)
+    out[mid:] = vals[:mid]
+    np.conjugate(vals[mid:0:-1], out=out[:mid])
+    return out
+
+
+@pytest.mark.parametrize("f", _REAL_PROFILES)
+def test_in_place_mirror_equals_the_separate_spectrum(f):
+    for k in range(1, 17):
+        n = 2 ** k
+        want = _separate_spectrum_mirror(f(space_grid(3.0, n)), 3.0)
+        buf = radial.LineBuffers(n)
+        for got in (fourier_1d(f, 3.0, n)[1], fourier_1d(f, 3.0, n, buf)[1]):
+            # bit for bit, the signs of zeros included
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _full_line_rearrangement(sigma, ghat, dim, lo, hi):
+    """The unfolded weighted samples on the window lo <= |s| <= hi
+    (oracle)."""
+    a = np.abs(sigma)
+    keep = (a >= lo) & (a <= hi)
+    return decreasing_rearrangement(WeightedSampleSet(
+        np.abs(ghat[keep]) / (1.0 + a[keep]) ** ((dim - 1) / 2.0),
+        (sigma[1] - sigma[0]) * (1.0 + a[keep]) ** (dim - 1)))
+
+
+def _rearranged_with_count(monkeypatch, line, ghat):
+    """``line.rearrangements(ghat)``, and the samples its one sort took."""
+    counts = []
+
+    def counted(samples, masks):
+        counts.append(len(samples.values))
+        return subset_rearrangements(samples, masks)
+    monkeypatch.setattr(characterize, "subset_rearrangements", counted)
+    return line.rearrangements(ghat), counts
 
 
 @pytest.mark.parametrize("f", _REAL_PROFILES)
 @pytest.mark.parametrize("dim", [2, 4])
-def test_line_fold_matches_the_full_line_exactly(f, dim):
+def test_line_fold_matches_the_full_line_exactly(monkeypatch, f, dim):
     sigma, ghat = fourier_1d(f, 3.0, 2 ** 12)
-    line = LineSamples(sigma, dim, 600.0)
-    a, samples = line.samples(ghat)
-    assert len(a) == (line.keep.sum() + 1) // 2 and a[0] == 0.0
-    want = _full_line_rearrangement(line, ghat)
-    got = decreasing_rearrangement(samples)
-    assert np.array_equal(got.levels, want.levels)
-    assert np.array_equal(got.breakpoints, want.breakpoints)
-    # the windows of one sort, against each window's full line
     windows = [(0.0, 150.0), (0.0, 600.0), (40.0, 300.0)]
-    for (lo, hi), r in zip(windows, line.rearrangements(ghat, windows)):
-        full = np.abs(sigma[line.keep])
-        keep = (full >= lo) & (full <= hi)
-        g = np.abs(ghat[line.keep])[keep]
-        want = decreasing_rearrangement(WeightedSampleSet(
-            g / line.divisor[keep], line.weights[keep]))
+    line = LineSamples(sigma, dim, windows)
+    got, counts = _rearranged_with_count(monkeypatch, line, ghat)
+    # the s >= 0 half of the line |s| <= 600, from s = 0
+    assert counts == [(np.sum(np.abs(sigma) <= 600.0) + 1) // 2]
+    assert line.abs_s[line.half][0] == 0.0
+    # each window of the one sort, the whole line among them, against
+    # its full line
+    for (lo, hi), r in zip(windows, got):
+        want = _full_line_rearrangement(sigma, ghat, dim, lo, hi)
         assert np.array_equal(r.levels, want.levels)
         assert np.array_equal(r.breakpoints, want.breakpoints)
 
 
-def test_line_with_one_perturbed_value_is_not_folded():
+def test_line_with_one_perturbed_value_is_not_folded(monkeypatch):
     sigma, ghat = fourier_1d(_REAL_PROFILES[0], 3.0, 2 ** 12)
     ghat = ghat.copy()
     ghat[len(ghat) // 2 + 7] *= 1.0 + 2.0 ** -40
-    line = LineSamples(sigma, 3, 600.0)
-    a, samples = line.samples(ghat)
-    assert len(a) == line.keep.sum()
-    want = _full_line_rearrangement(line, ghat)
-    got = decreasing_rearrangement(samples)
+    line = LineSamples(sigma, 3, [(0.0, 600.0)])
+    [got], counts = _rearranged_with_count(monkeypatch, line, ghat)
+    assert counts == [np.sum(np.abs(sigma) <= 600.0)]
+    want = _full_line_rearrangement(sigma, ghat, 3, 0.0, 600.0)
     assert np.array_equal(got.levels, want.levels)
     assert np.array_equal(got.breakpoints, want.breakpoints)
 
