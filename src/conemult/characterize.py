@@ -55,10 +55,6 @@ class QuantityResult:
     trend: dict
     meta: dict = field(default_factory=dict)
 
-    @property
-    def divergent(self):
-        return self.trend.get("divergent", False)
-
 
 def _power(params):
     """The largest power, at least 1, to which a quasi-norm of ``params``
@@ -334,15 +330,16 @@ def radial_symbol_quantity(m0, dim, params, t_grid, resolution,
 
 
 def _windowed_dilates(m0, r):
-    """t -> phi(r) m0(t r) on the grid ``r``: phi is evaluated once, and
-    m0 only where phi(r) != 0.
+    """t -> phi(r) m0(t r) on the ascending grid ``r``: phi is evaluated
+    once, and both only on the run of ``r`` inside phi's support.
 
-    Real values go into ``out``, which is zero where phi(r) = 0; complex
-    ones take a new array.
+    Real values go into ``out``, which is zero off that run; complex ones
+    take a new array.
     """
-    w = _WINDOW(r)
-    on = w != 0
-    r_on, w_on = r[on], w[on]
+    lo, hi = _WINDOW.support
+    on = slice(np.searchsorted(r, lo, side="right"),
+               np.searchsorted(r, hi, side="left"))
+    r_on, w_on = r[on], _WINDOW(r[on])
 
     def windowed(t, out):
         vals = w_on * np.asarray(m0(t * r_on))

@@ -35,8 +35,9 @@ from .opnorm import (SWEEP_DILATIONS, estimate_lower,
                      scaling_sweep_experiment)
 from .util import CubicSpline1D
 from .wave import (MAX_SHELL_DIM, MAX_SHELLS, MAX_WAVE_SCALE, SmoothingKernel,
-                   decompose_radii, decompose_range, shell_l1_ratios,
-                   shell_operator_lower_bound, wave_kernel_plan)
+                   check_shell_grid, decompose_radii, decompose_range,
+                   shell_l1_ratios, shell_operator_lower_bound,
+                   wave_kernel_plan)
 
 # Caps on the scan grids (points): each order costs one transform ladder,
 # each dilation one weighted functional, so the caps keep a run to minutes
@@ -72,10 +73,6 @@ def csv_profile(path):
     return sampled
 
 
-def line_profile(spec):
-    return PROFILE.parse("profile", spec).built
-
-
 def radial_symbol(spec):
     build = SYMBOL.parse("symbol", spec).build
     return lambda r: build(np.asarray(r, dtype=float))
@@ -105,6 +102,10 @@ def _exponents(o):
 
 def _grid(o):
     return build_axes(o["extent"], o["resolution"], o["ndim"])
+
+
+def _shell_radii(o):
+    return np.linspace(o["r_lo"], o["r_hi"], o["shells"])
 
 
 def _dilation_count(o):
@@ -253,6 +254,9 @@ DEFAULTS = {
         "r_lo <= r_hi": require(
             lambda o: o["r_lo"] <= o["r_hi"],
             "shell radii need r_lo <= r_hi, got {r_lo} and {r_hi}"),
+        # before the kernel, whose polynomial a tiny radius0 underflows
+        "shell grid": lambda o: check_shell_grid(
+            _shell_radii(o), o["radius0"], o["spreads"]),
     }),
     "opnorm": Options({
         "mode": ("sweep", str, ("estimate", "sweep")),
@@ -388,7 +392,7 @@ def run_wave_check(opts, outdir, seed):
 
 
 def run_sph_probe(opts, outdir, seed):
-    r_grid = np.linspace(opts["r_lo"], opts["r_hi"], opts["shells"])
+    r_grid = _shell_radii(opts)
     kernel = SmoothingKernel(opts["dim"], radius0=opts["radius0"],
                              vanishing_order=opts["vanishing_order"])
     est = shell_operator_lower_bound(opts["dim"], opts["p"], r_grid,

@@ -63,7 +63,7 @@ class WeightedSampleSet:
 
         ``magnitudes`` is a 1-d float64 array of values >= 0, such as
         ``np.abs`` returns, that no one else reads afterwards: under a
-        scalar weight the rearrangement sorts it in place, which leaves the
+        scalar weight ``lorentz_quasinorm`` sorts it in place, which leaves the
         set (values of equal weight, in no particular order) unchanged.
         ``scratch``, a float64 array of at least one entry per sample, takes
         the terms of a finite-nu quasi-norm in place of a new array.
@@ -101,9 +101,6 @@ class WeightedSampleSet:
             return float(self.weights * len(self.values))
         return float(self.weights.sum())
 
-    def scaled(self, c):
-        return WeightedSampleSet(c * self.values, self.weights.copy())
-
 
 @dataclass
 class RearrangedFunction:
@@ -117,14 +114,6 @@ class RearrangedFunction:
         count = int(np.sum(self.levels > lam))
         return float(self.breakpoints[count])
 
-    def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        out = np.zeros_like(t)
-        inside = (idx >= 0) & (idx < len(self.levels))
-        out[inside] = self.levels[idx[inside]]
-        return out
-
 
 def decreasing_rearrangement(samples):
     """Decreasing rearrangement of a weighted sample set.
@@ -133,21 +122,9 @@ def decreasing_rearrangement(samples):
     change any of the derived quasi-norms.  Each piece's measure is summed
     in sample order (``bincount`` walks the samples by index), so the sort
     need not be stable and the result does not depend on how ties sort.
-    Under a scalar weight the values are sorted alone, with the same sums,
-    in place when the set owns them (``WeightedSampleSet.of_magnitudes``).
+    A scalar weight is summed as the array of that weight per sample.
     """
-    if samples.uniform:
-        return _uniform_merged(_ascending(samples), samples.weights)
-    order = np.argsort(samples.values)
-    return _tie_merged(samples.values, samples.weights, order)
-
-
-def _ascending(samples):
-    """The values of a set, sorted: in place when the set owns them."""
-    if samples._owns_values:
-        samples.values.sort()
-        return samples.values
-    return np.sort(samples.values)
+    return subset_rearrangements(samples, [None])[0]
 
 
 def subset_rearrangements(samples, masks):
@@ -160,6 +137,7 @@ def subset_rearrangements(samples, masks):
     DomainError.
     """
     order = np.argsort(samples.values)
+    weights = np.broadcast_to(samples.weights, samples.values.shape)
     out = []
     for keep in masks:
         if keep is None:
@@ -169,19 +147,15 @@ def subset_rearrangements(samples, masks):
             if not keep.any():
                 raise DomainError("subset mask selects no sample")
             sub = order[keep[order]]
-        if samples.uniform:
-            out.append(_uniform_merged(samples.values[sub], samples.weights))
-        else:
-            out.append(_tie_merged(samples.values, samples.weights, sub,
-                                   keep))
+        out.append(_tie_merged(samples.values, weights, sub, keep))
     return out
 
 
-def _tie_merged(values, weights, order, keep=None):
+def _tie_merged(values, weights, order, keep):
     """Rearrangement of the samples ``order`` lists in ascending value.
 
-    ``keep`` marks the samples ``order`` covers when it is not all of
-    them; the merged measures are summed over those in index order.
+    ``keep`` marks the samples ``order`` covers, None for all of them;
+    the merged measures are summed over those in index order.
     """
     v = values[order]
     start = np.empty(len(v), dtype=bool)
@@ -199,14 +173,6 @@ def _tie_merged(values, weights, order, keep=None):
 
 # pieces of a rearrangement per chunk, where it is formed or read in chunks
 _CHUNK = 2 ** 14
-
-
-def _uniform_merged(v, weight):
-    """Rearrangement of the ascending values ``v``, each of measure ``weight``."""
-    chunks = list(_uniform_pieces(v, weight))
-    return RearrangedFunction(
-        np.concatenate([[0.0]] + [ends for _, ends in chunks]),
-        np.concatenate([levels for levels, _ in chunks]))
 
 
 def _uniform_pieces(v, weight):
@@ -321,10 +287,11 @@ def lorentz_quasinorm(samples, params):
     is formed, with the values of ``rearranged_quasinorm`` bit for bit.
     """
     if samples.uniform:
-        return _pieces_quasinorm(_uniform_pieces(_ascending(samples),
-                                                 samples.weights),
-                                 params, len(samples.values),
-                                 samples._scratch)
+        # sorted in place when the set owns its values (``of_magnitudes``)
+        v = samples.values if samples._owns_values else samples.values.copy()
+        v.sort()
+        return _pieces_quasinorm(_uniform_pieces(v, samples.weights), params,
+                                 len(v), samples._scratch)
     return rearranged_quasinorm(decreasing_rearrangement(samples), params)
 
 

@@ -29,6 +29,18 @@ SWEEP_DILATIONS = 13
 WORKSPACE_CELL_BYTES = 24
 
 
+def _float_power(base, exponent, p):
+    """base ** exponent > 0 as a float; DomainError out of the float range."""
+    try:
+        value = float(base) ** exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"p = {p}: the power {base:.6g} ** {exponent:.6g} "
+                          f"leaves the float range")
+    return value
+
+
 def _lp_norm(mags, cell_volume, p):
     """||f||_p from the raveled |f| ``mags``, which it overwrites."""
     if not np.any(mags > 0):
@@ -36,7 +48,7 @@ def _lp_norm(mags, cell_volume, p):
     peak = mags.max()
     mags /= peak
     mags **= p
-    return float(np.sum(mags) * cell_volume) ** (1.0 / p) * peak
+    return _float_power(np.sum(mags) * cell_volume, 1.0 / p, p) * peak
 
 
 def _grid_samples(mags, cell_volume, scratch=None):
@@ -244,7 +256,7 @@ def _separable_lp_norm(factors, cell_volume, p):
         return 0.0
     total = math.prod(float(np.sum((m / peak) ** p))
                       for m, peak in zip(mags, peaks))
-    return (total * cell_volume) ** (1.0 / p) * math.prod(peaks)
+    return _float_power(total * cell_volume, 1.0 / p, p) * math.prod(peaks)
 
 
 def witness_input(spec, axes, p, work=None):
@@ -537,8 +549,9 @@ def scaling_sweep_experiment(m0, axes, p, nu, budget, seed=0):
     rhs_per_t, scale_per_t, swept = {}, {}, []
     for t, (denom, num) in zip(t_used, norms):
         swept.append((t, (denom, num)))
-        rhs_per_t[t] = t ** (d / p) * num
-        scale_per_t[t] = t ** (d / p) * denom
+        weight = _float_power(t, d / p, p)
+        rhs_per_t[t] = weight * num
+        scale_per_t[t] = weight * denom
     rhs = max(rhs_per_t.values())
     scale_sup = max(scale_per_t.values())
 

@@ -649,8 +649,8 @@ class SphericalMeans:
     window: O(1) per (r, rho) pair.  Their tables are read between nodes by
     cubic Hermite interpolation with the exact slopes x^(2j+1) f(x).  In
     even d the power is a half-integer, so the angular integral is taken by
-    ``_window_integral`` on the cubic spline of f.  At rho = 0 the mean is
-    |S^(d-1)| r^(d-1) f(r), with f(r) transformed directly.
+    ``_window_integral`` on the cubic spline of f.  The means are taken
+    at r > 0 and rho > 0 alone.
     """
 
     def __init__(self, symbol, dim, support, step, band):
@@ -661,15 +661,14 @@ class SphericalMeans:
         if not (0.0 <= lo < hi < math.inf and step > 0):
             raise DomainError(f"invalid support ({lo}, {hi}) or step {step}")
         self.dim, self.step, self.lo, self.hi = int(dim), float(step), lo, hi
-        # any positive alias margin puts the aliases of the table radii
-        # past hi, where f vanishes
-        self.symbol, self.band, self.margin = symbol, band, hi - lo
         count = int(math.ceil((hi - lo) / step)) + 1 + _TABLE_PAD
         if count > INVERSE_FFT_CAP:
             raise BudgetError(f"spherical-mean tables of {count} points exceed "
                               f"the cap of {INVERSE_FFT_CAP}")
         x = lo + step * np.arange(count)
-        self.values = inverse_radial(symbol, dim, x, band, self.margin).real
+        # any positive alias margin puts the aliases of the table radii
+        # past hi, where f vanishes
+        self.values = inverse_radial(symbol, dim, x, band, hi - lo).real
         self.top = x[-1]
         if self.dim % 2:
             slope = x * self.values
@@ -697,25 +696,17 @@ class SphericalMeans:
                 + self.step * t * u * (u * s0 - t * s1))
 
     def __call__(self, r, rho):
-        """(f * sigma_r)(rho); r > 0 and rho >= 0 broadcast."""
+        """(f * sigma_r)(rho); r > 0 and rho > 0 broadcast."""
         r, rho = np.broadcast_arrays(np.asarray(r, dtype=float),
                                      np.asarray(rho, dtype=float))
+        if not (np.all(r > 0) and np.all(rho > 0)):
+            raise DomainError("spherical means need radii r > 0 and rho > 0")
         shape = r.shape
         r, rho = r.ravel(), rho.ravel()
         out = np.empty(r.shape)
         for lo in range(0, len(r), self._block):
             sl = slice(lo, lo + self._block)
             out[sl] = self._means(r[sl], rho[sl])
-        centre = rho == 0
-        if np.any(centre):
-            rc = r[centre]
-            inside = (rc >= self.lo) & (rc <= self.top)
-            f = np.zeros(rc.shape)
-            if np.any(inside):
-                radii, back = np.unique(rc[inside], return_inverse=True)
-                f[inside] = inverse_radial(self.symbol, self.dim, radii,
-                                           self.band, self.margin).real[back]
-            out[centre] = surface_area(self.dim) * rc ** (self.dim - 1) * f
         return out.reshape(shape)
 
     def _window_means(self, r, rho):
@@ -737,7 +728,6 @@ class SphericalMeans:
                     nxt[i + k] += c * q
             coef = nxt
         total = sum(c * d for c, d in zip(coef, diff))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pref = surface_area(self.dim - 1) * r ** (self.dim - 2) / rho \
-                * (2.0 * rho * r) ** (-2 * n)
-            return np.where(rho > 0, pref * total, 0.0)
+        pref = surface_area(self.dim - 1) * r ** (self.dim - 2) / rho \
+            * (2.0 * rho * r) ** (-2 * n)
+        return pref * total

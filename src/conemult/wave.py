@@ -126,12 +126,9 @@ class SmoothingKernel:
         self._psi0_coeffs = _laplacian_iterate(binom, self.dim,
                                                self.vanishing_order)
         # normalize to unit L1 mass so derived quantities sit near unit scale
-        self._scale = 1.0
         probe = np.linspace(0.0, self.radius0, 4097)
-        vals = np.abs(np.polynomial.polynomial.polyval(probe ** 2,
-                                                       self._psi0_coeffs))
         mass = surface_area(self.dim) * np.trapezoid(
-            vals * probe ** (self.dim - 1), probe)
+            np.abs(self.psi0_profile(probe)) * probe ** (self.dim - 1), probe)
         self._scale = 1.0 / mass
         self._psi0_coeffs = self._psi0_coeffs * self._scale
         band = np.linspace(0.125, 8.0, 400)
@@ -139,6 +136,13 @@ class SmoothingKernel:
         if margin < 1e-6:
             raise DomainError(
                 f"bump transform margin {margin:.2e} < 1e-6 on the band")
+        # the frequency ``band`` returns, scanned once per kernel
+        rho = np.geomspace(1.0 / self.radius0, 2.0 ** 16 / self.radius0, 1024)
+        mag = np.abs(self.psi_hat(rho)) * rho ** self.dim
+        last = np.flatnonzero(mag > 1e-16 * mag.max())[-1]
+        if last == len(rho) - 1:
+            raise DomainError("kernel transform does not decay in the scan range")
+        self._band = float(rho[last + 1])
 
     # -- frequency side -----------------------------------------------------
 
@@ -181,12 +185,7 @@ class SmoothingKernel:
         the weight rho^d makes 1e-16 about the share of the transform's
         mass that the cut drops.
         """
-        rho = np.geomspace(1.0 / self.radius0, 2.0 ** 16 / self.radius0, 1024)
-        mag = np.abs(self.psi_hat(rho)) * rho ** self.dim
-        last = np.flatnonzero(mag > 1e-16 * mag.max())[-1]
-        if last == len(rho) - 1:
-            raise DomainError("kernel transform does not decay in the scan range")
-        return float(rho[last + 1])
+        return self._band
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +339,22 @@ def _ball_lp(a, dim, p):
 class _ShellBasis:
     """Precomputed spread-bump x shell convolution profiles on a global grid."""
 
-    rho: np.ndarray
+    rho: np.ndarray     # rho[0] = 0, whose column is left zero
     profiles: dict      # spread radius a -> (n_shells, n_rho) array
     shell_radii: np.ndarray
     dr: float
-    kernel: object
-    dim: int
+
+
+def check_shell_grid(r_grid, radius0, spread_radii):
+    """The outer radius of the shell profiles' grid, of step radius0 / 6
+    (2 radius0 is the support radius of psi); BudgetError past
+    MAX_RHO_POINTS radii."""
+    rho_max = np.max(r_grid) + 2.0 * radius0 + max(spread_radii) + 0.5
+    if rho_max / (radius0 / 6.0) > MAX_RHO_POINTS:
+        raise BudgetError(f"shell profiles out to {rho_max:.4g} at step "
+                          f"{radius0 / 6.0:.3g} exceed the cap of "
+                          f"{MAX_RHO_POINTS} radii")
+    return rho_max
 
 
 def _spread_support(kernel, a):
@@ -378,25 +387,23 @@ def _build_shell_basis(dim, r_grid, kernel, spread_radii):
 
     By associativity one profile v_a = psi * u_a per spread serves every
     shell: each row is the spherical mean of v_a (``_spread_means``),
-    nonzero only where |rho - r| <= a + w.
+    nonzero only where |rho - r| <= a + w, and taken at rho > 0 alone (no
+    norm reads the centre, a set of measure zero).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     w = kernel.support_radius
     dr = r_grid[1] - r_grid[0] if len(r_grid) > 1 else 1.0
-    rho_max = r_grid.max() + w + max(spread_radii) + 0.5
-    if rho_max / (kernel.radius0 / 6.0) > MAX_RHO_POINTS:
-        raise BudgetError(f"shell profiles out to {rho_max:.4g} at step "
-                          f"{kernel.radius0 / 6.0:.3g} exceed the cap of "
-                          f"{MAX_RHO_POINTS} radii")
+    rho_max = check_shell_grid(r_grid, kernel.radius0, spread_radii)
     rho = np.arange(0.0, rho_max, kernel.radius0 / 6.0)
     means = {a: _spread_means(dim, kernel, a) for a in spread_radii}
     profiles = {}
     for a in spread_radii:
-        shell, k = np.nonzero(np.abs(rho - r_grid[:, None]) <= a + w)
+        shell, k = np.nonzero(np.abs(rho[1:] - r_grid[:, None]) <= a + w)
+        k += 1
         rows = np.zeros((len(r_grid), len(rho)))
         rows[shell, k] = means[a](r_grid[shell], rho[k])
         profiles[a] = rows
-    return _ShellBasis(rho, profiles, r_grid, dr, kernel, dim)
+    return _ShellBasis(rho, profiles, r_grid, dr)
 
 
 def _witness_ratio(basis, weights, a, p, dim):
@@ -479,7 +486,9 @@ def shell_l1_ratios(dim, r_grid, kernel):
                            kernel.radius0 / _TABLE_CELLS, kernel.band())
     for r in np.asarray(r_grid, dtype=float):
         window = np.linspace(max(r - w, 0.0), r + w, 513)
-        vals = shell(r, window)
+        # a window from the centre (r <= w) weighs it by rho^(d-1) = 0
+        vals = np.zeros(window.shape)
+        vals[window > 0] = shell(r, window[window > 0])
         mass = surface_area(dim) * np.trapezoid(np.abs(vals)
                                                 * window ** (dim - 1), window)
         out[float(r)] = float(mass / r ** (dim - 1))

@@ -36,7 +36,7 @@ def test_zero_profile_gives_zero():
     q = fourier_side_quantity(zero, 4, LorentzParams(1.2, math.inf),
                               truncation=512.0, resolution=2 ** 13)
     assert q.value == 0.0
-    assert not q.divergent
+    assert not q.trend["divergent"]
 
 
 def test_rapid_decay_profile_converges():
@@ -45,7 +45,7 @@ def test_rapid_decay_profile_converges():
     rs = sorted(q.by_truncation)
     assert abs(q.by_truncation[rs[-1]] - q.by_truncation[rs[-2]]) \
         <= 0.01 * q.value
-    assert not q.divergent
+    assert not q.trend["divergent"]
 
 
 def test_edge_profile_weak_quantities_follow_threshold():
@@ -55,18 +55,18 @@ def test_edge_profile_weak_quantities_follow_threshold():
     q1 = fourier_side_quantity(BRProfile(1.0), d, LorentzParams(p, math.inf),
                                truncation=16384.0, spatial_truncation=4.0,
                                resolution=2 ** 17)
-    assert not q1.divergent
+    assert not q1.trend["divergent"]
     # wider exponent range: still finite
     q2 = fourier_side_quantity(BRProfile(1.0), d,
                                LorentzParams(1.25, math.inf),
                                truncation=16384.0, spatial_truncation=4.0,
                                resolution=2 ** 17)
-    assert not q2.divergent
+    assert not q2.trend["divergent"]
     # well below the threshold: at least 10% growth per doubling
     q3 = fourier_side_quantity(BRProfile(0.5), d, LorentzParams(p, math.inf),
                                truncation=16384.0, spatial_truncation=4.0,
                                resolution=2 ** 17)
-    assert q3.divergent
+    assert q3.trend["divergent"]
 
 
 def test_scaling_of_fourier_side():

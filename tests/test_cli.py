@@ -52,6 +52,11 @@ def test_lorentz_norm_prints_sqrt5(tmp_path, sample_csv, capsys):
     ["opnorm", "--mode", "estimate", "--nu", "1e300"],
     # total ** (1 / nu) raised OverflowError
     ["lorentz-norm", "--p", "1e-300", "--nu", "1e-300"],
+    # an L^p norm's root, or the sweep's weight t^(d/p), raised OverflowError
+    ["opnorm", "--p", "1e-3"],
+    ["opnorm", "--mode", "estimate", "--p", "1e-3"],
+    ["opnorm", "--ndim", "3", "--resolution", "16", "--p", "0.01"],
+    ["opnorm", "--extent", "0.5", "--p", "0.01"],
 ])
 def test_quasinorm_out_of_the_float_range_exits_2(tmp_path, capsys,
                                                   sample_csv, args):
@@ -64,7 +69,8 @@ def test_quasinorm_out_of_the_float_range_exits_2(tmp_path, capsys,
                        [*args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert _one_line_error_text(err) and "float range" in err
-    assert "p = " in err and "nu = " in err
+    # a quasi-norm names both exponents, an L^p norm's power p alone
+    assert "p = " in err and ("nu = " in err) == ("--nu" in args)
     assert not out.exists()
 
 
@@ -500,10 +506,42 @@ def test_sph_probe_dimension_range_ends_run(tmp_path, dim):
                     "--shells", "2", "--r-hi", "2", "--budget", "3"]) == 0
 
 
+@pytest.mark.parametrize("dim", ["2", "3", "4", "5"])
+def test_sph_probe_shell_window_from_the_centre_runs(tmp_path, dim):
+    # radius0 = 1/2: the L1 window of the shell r = 1 starts at rho = 0,
+    # where the spherical means are not taken and the mass weight is 0
+    assert run_cli(["sph-probe", "--out", str(tmp_path / "s"), "--dim", dim,
+                    "--shells", "2", "--r-hi", "2", "--budget", "3",
+                    "--radius0", "0.5"]) == 0
+
+
 def test_sph_probe_oversized_radius_grid_exits_3(tmp_path, capsys):
     assert run_cli(["sph-probe", "--out", str(tmp_path / "s"),
                     "--r-hi", "100000"]) == 3
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("radius0, code", [
+    # the kernel's polynomial underflowed (ZeroDivisionError), or warned
+    # before the shell grid's cap was checked
+    ("1e-30", 3), ("1e-10", 3),
+    # about the smallest radius0 the default shell grid admits
+    ("9e-4", 0),
+])
+def test_sph_probe_kernel_radius_meets_the_grid_cap_first(
+        tmp_path, capsys, monkeypatch, radius0, code):
+    import warnings
+    if code == 3:
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the kernel was built before the check")
+        monkeypatch.setattr(cli, "SmoothingKernel", unbuilt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a numpy warning fails the run
+        assert run_cli(["sph-probe", "--out", str(tmp_path / "s"),
+                        "--radius0", radius0]) == code
+    if code == 3:
+        err = capsys.readouterr().err
+        assert _one_line_error_text(err) and "exceed the cap" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -663,7 +701,7 @@ def test_csv_line_profile_is_the_spline_on_its_open_support(tmp_path):
     path.write_text("u,value\n" + "".join(f"{a!r},{b!r}\n"
                                            for a, b in zip(u.tolist(),
                                                            value.tolist())))
-    prof = cli.line_profile(f"csv:{path}")
+    prof = cli.PROFILE.parse("profile", f"csv:{path}").built
     x = np.linspace(-0.5, 0.5, 401)
     want = np.where((x > -0.25) & (x < 0.25), CubicSpline1D(u, value)(x), 0.0)
     assert np.array_equal(prof(x), want)

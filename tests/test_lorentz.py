@@ -102,7 +102,8 @@ def test_homogeneity():
     params = LorentzParams(1.3, 2.6)
     base = lorentz_quasinorm(s, params)
     for c in (0.25, 3.0, 17.5):
-        assert math.isclose(lorentz_quasinorm(s.scaled(c), params), c * base,
+        scaled = WeightedSampleSet(c * s.values, s.weights)
+        assert math.isclose(lorentz_quasinorm(scaled, params), c * base,
                             rel_tol=1e-12)
 
 
@@ -384,7 +385,9 @@ def test_scalar_weight_equals_its_full_array_bit_for_bit(data):
     assert uniform.total_measure == float(np.float64(weight) * n)
     assert math.isclose(uniform.total_measure, full.total_measure,
                         rel_tol=1e-12)
-    _assert_same_samples(uniform.scaled(-2.0), samples(2.0 * values, weight))
+    _assert_same_samples(WeightedSampleSet(-2.0 * uniform.values,
+                                           uniform.weights),
+                         samples(2.0 * values, weight))
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])

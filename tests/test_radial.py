@@ -493,7 +493,7 @@ def _ball_bump_means(dim, a, r, rho):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
 def test_spherical_means_against_angular_quadrature(dim):
     # u = (1 - |x|^2)_+^4 is C^3 with the closed-form K = 4 bump transform,
-    # so its tables converge; rho = 0 takes the direct transform
+    # so its tables converge
     a, k = 1.0, 4
     from conemult.bessel import bessel_j_scaled
 
@@ -502,11 +502,21 @@ def test_spherical_means_against_angular_quadrature(dim):
             * np.pi ** (dim / 2.0) * bessel_j_scaled(dim / 2.0 + k, a * s)
 
     means = SphericalMeans(symbol, dim, (0.0, a), 1.0 / 2048, 4000.0)
-    pairs = [(0.5, 0.0), (0.5, 0.2), (1.0, 0.4), (3.0, 2.5), (3.0, 3.6),
-             (0.3, 1.1)]
+    pairs = [(0.5, 0.2), (1.0, 0.4), (3.0, 2.5), (3.0, 3.6), (0.3, 1.1)]
     got = means(np.array([r for r, _ in pairs]),
                 np.array([rho for _, rho in pairs]))
     want = np.array([_ball_bump_means(dim, a, r, rho) for r, rho in pairs])
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
     with pytest.raises(DomainError):
         SphericalMeans(symbol, 1, (0.0, a), 1e-3, 100.0)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("r, rho", [(0.0, 0.5), (-1.0, 0.5), (0.5, 0.0),
+                                    (0.5, -0.2), (math.nan, 0.5)])
+def test_spherical_means_take_positive_radii_only(dim, r, rho):
+    # the means are tabled for r > 0 and rho > 0 alone, odd d and even d
+    means = SphericalMeans(lambda s: np.exp(-s ** 2), dim, (0.0, 1.0),
+                           1.0 / 256, 16.0)
+    with pytest.raises(DomainError, match="r > 0 and rho > 0"):
+        means(np.array([1.0, r]), np.array([0.5, rho]))
