@@ -161,12 +161,17 @@ def _tie_merged(values, weights, order, keep):
     start = np.empty(len(v), dtype=bool)
     start[0] = True
     start[1:] = v[1:] != v[:-1]
-    group = np.empty(len(values), dtype=np.intp)
-    group[order] = np.cumsum(start) - 1
-    if keep is not None:
-        group, weights = group[keep], weights[keep]
-    merged = np.bincount(group, weights=weights)[::-1]
-    levels = v[start][::-1]
+    if start.all():
+        # no ties: every piece is one sample, whose measure is its weight
+        # (what ``bincount`` sums, adding it to 0.0)
+        merged, levels = weights[order][::-1], v[::-1]
+    else:
+        group = np.empty(len(values), dtype=np.intp)
+        group[order] = np.cumsum(start) - 1
+        if keep is not None:
+            group, weights = group[keep], weights[keep]
+        merged = np.bincount(group, weights=weights)[::-1]
+        levels = v[start][::-1]
     breakpoints = np.concatenate(([0.0], np.cumsum(merged)))
     return RearrangedFunction(breakpoints, levels)
 

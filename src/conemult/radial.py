@@ -71,6 +71,10 @@ _ABEL_BLOCK = 1 << 14
 
 # Quadrature nodes per oscillation of the Bessel kernel in radial_transform.
 _NODES_PER_PERIOD = 16
+# Arguments per Bessel call of radial_transform (one radius's node set when
+# that is larger): the integral rule's 65-node rows of 2^14 arguments take
+# about 8.5 MiB.
+_BESSEL_ARGS = 1 << 14
 
 
 @dataclass
@@ -205,7 +209,11 @@ def radial_transform(m0, dim, radii, support=None, inverse=False,
     ``m0`` is a vectorized callable, and ``support = (a, b)`` (required)
     bounds the integration range.  Points whose oscillatory quadrature
     would exceed ``panel_budget`` panels are flagged (reliable mask False,
-    value NaN) rather than silently extrapolated.
+    value NaN) rather than silently extrapolated.  The Bessel kernel of a
+    node set is evaluated for as many of its radii as fit ``_BESSEL_ARGS``
+    arguments in one call, one row per radius, each row summed on its own;
+    as every Bessel value equals its one-point call, each radius's value
+    is that of a call of its own, bit for bit.
     """
     if support is None:
         raise DomainError("a support interval (a, b) is required")
@@ -235,8 +243,11 @@ def radial_transform(m0, dim, radii, support=None, inverse=False,
             reliable[idx] = False
             continue
         mvals = np.asarray(m0(r), dtype=complex) * r ** (dim - 1) * w
-        for i in idx:
-            values[i] = pref * np.sum(mvals * bessel_j_scaled(nu, r * radii[i]))
+        rows = max(1, _BESSEL_ARGS // len(r))
+        for lo in range(0, len(idx), rows):
+            sub = idx[lo:lo + rows]
+            kernel = bessel_j_scaled(nu, np.outer(radii[sub], r))
+            values[sub] = pref * np.sum(mvals * kernel, axis=1)
     return RadialProfile(radii, values, dim, reliable)
 
 
@@ -367,16 +378,18 @@ def _abel_samples(symbol, h, nt):
     pi int |m(s)| s ds, which bounds int |P_2(t)| dt; so a symbol that
     the samples resolve keeps q = 1, and q stops at _ABEL_Q_CAP.  Each
     refinement is checked against INVERSE_ABEL_BUDGET before it is
-    sampled, and raises BudgetError past it.
+    sampled, and raises BudgetError past it.  A refinement samples the
+    odd nodes alone: its even nodes j h/q are the nodes (j/2) h/(q/2) of
+    the step before, bit for bit, as halving the step is exact.
     """
     q = 1
+    samples = np.asarray(symbol(h * np.arange(nt - 1 + _ABEL_REACH)),
+                         dtype=complex)
     while True:
-        s = h / q * np.arange(q * (nt - 1) + _ABEL_REACH)
-        samples = np.asarray(symbol(s), dtype=complex)
         rows = _abel_rows(q, nt)
         error = np.abs(_abel_correction(samples, q, rows, _ABEL_RULE)
                        - _abel_correction(samples, q, rows, _ABEL_CHECK))
-        scale = 0.5 * np.pi / q * (np.abs(samples) @ np.arange(len(s)))
+        scale = 0.5 * np.pi / q * (np.abs(samples) @ np.arange(len(samples)))
         if error.sum() <= _ABEL_TOL * scale or q == _ABEL_Q_CAP:
             return q, samples
         q *= 2
@@ -385,6 +398,10 @@ def _abel_samples(symbol, h, nt):
                 f"the Abel rule on {nt} t-points needs the sample step "
                 f"h/{q}, {_abel_terms(nt, q):.3g} multiply-adds; the cap is "
                 f"{INVERSE_ABEL_BUDGET:.3g}")
+        finer = np.empty(q * (nt - 1) + _ABEL_REACH, dtype=complex)
+        finer[::2] = samples[:(len(finer) + 1) // 2]
+        finer[1::2] = symbol(h / q * np.arange(1, len(finer), 2))
+        samples = finer
 
 
 def _abel_far(values, q, rows):

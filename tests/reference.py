@@ -5,11 +5,15 @@ Each is a direct formula, written without the package's own shortcuts.
 
 import numpy as np
 
+from conemult import radial
 from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.bumps import BumpPhi
-from conemult.lorentz import WeightedSampleSet, lorentz_quasinorm
+from conemult.errors import BudgetError
+from conemult.lorentz import (RearrangedFunction, WeightedSampleSet,
+                              lorentz_quasinorm)
 from conemult.multipliers import GridField
-from conemult.radial import fourier_1d
+from conemult.radial import RadialProfile, fourier_1d
+from conemult.util import panel_nodes
 
 
 def apply_full_transforms(f, sym):
@@ -83,3 +87,66 @@ def plancherel_radial(profile_values, radii, dim):
     r = np.asarray(radii, dtype=float)
     f2 = np.abs(np.asarray(profile_values)) ** 2 * r ** (dim - 1)
     return surface_area(dim) * float(np.trapezoid(f2, r))
+
+
+def radial_transform_per_radius(m0, dim, radii, support, inverse=False,
+                                panel_budget=400_000):
+    """``radial_transform`` with one Bessel call per radius: each radius's
+    node-set sum of m0(r) r^(d-1) w g_nu(r rho), on the node set of its
+    octave group."""
+    a, b = float(support[0]), float(support[1])
+    radii = np.asarray(radii, dtype=float)
+    nu = dim / 2.0 - 1.0
+    pref = (2.0 * np.pi) ** (dim / 2.0)
+    if inverse:
+        pref *= (2.0 * np.pi) ** (-dim)
+    values = np.empty(len(radii), dtype=complex)
+    reliable = np.ones(len(radii), dtype=bool)
+    order = np.argsort(radii)
+    for sel in radial._dyadic_groups(radii[order]):
+        idx = order[sel]
+        try:
+            r, w = panel_nodes(a, b, radii[idx].max(),
+                               radial._NODES_PER_PERIOD, panel_budget)
+        except BudgetError:
+            values[idx] = np.nan
+            reliable[idx] = False
+            continue
+        mvals = np.asarray(m0(r), dtype=complex) * r ** (dim - 1) * w
+        for i in idx:
+            values[i] = pref * np.sum(mvals * bessel_j_scaled(nu, r * radii[i]))
+    return RadialProfile(radii, values, dim, reliable)
+
+
+def abel_samples_resampled(symbol, h, nt):
+    """``radial._abel_samples`` sampling the symbol afresh on every node
+    of each step h/q, q = 1, 2, 4, ..."""
+    q = 1
+    while True:
+        s = h / q * np.arange(q * (nt - 1) + radial._ABEL_REACH)
+        samples = np.asarray(symbol(s), dtype=complex)
+        rows = radial._abel_rows(q, nt)
+        error = np.abs(
+            radial._abel_correction(samples, q, rows, radial._ABEL_RULE)
+            - radial._abel_correction(samples, q, rows, radial._ABEL_CHECK))
+        scale = 0.5 * np.pi / q * (np.abs(samples) @ np.arange(len(s)))
+        if error.sum() <= radial._ABEL_TOL * scale \
+                or q == radial._ABEL_Q_CAP:
+            return q, samples
+        q *= 2
+
+
+def tie_merged_bincount(values, weights, order, keep):
+    """``lorentz._tie_merged`` with every piece's measure summed by
+    ``bincount``, ties or none."""
+    v = values[order]
+    start = np.empty(len(v), dtype=bool)
+    start[0] = True
+    start[1:] = v[1:] != v[:-1]
+    group = np.empty(len(values), dtype=np.intp)
+    group[order] = np.cumsum(start) - 1
+    if keep is not None:
+        group, weights = group[keep], weights[keep]
+    merged = np.bincount(group, weights=weights)[::-1]
+    breakpoints = np.concatenate(([0.0], np.cumsum(merged)))
+    return RearrangedFunction(breakpoints, v[start][::-1])

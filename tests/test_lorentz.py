@@ -12,7 +12,8 @@ from conemult.lorentz import (LorentzParams, RearrangedFunction,
                               decreasing_rearrangement, lorentz_quasinorm,
                               rearranged_quasinorm, rounded_up,
                               subset_rearrangements)
-from reference import weighted_line_samples, weighted_lp_norm
+from reference import (tie_merged_bincount, weighted_line_samples,
+                       weighted_lp_norm)
 
 
 def samples(values, weights):
@@ -280,6 +281,39 @@ def test_subset_rearrangements_equal_rearranging_each_subset(data):
     # a mask of None: the whole set
     [got] = subset_rearrangements(s, [None])
     want = decreasing_rearrangement(s)
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tie_merge_equals_the_bincount_route(data):
+    # distinct values (the no-tie path), a few tied levels, or mirror
+    # pairs |x| = |-x| as on a Hermitian line; one weight or one per
+    # sample; the whole set or a mask
+    kind = data.draw(st.sampled_from(["distinct", "ties", "mirror"]))
+    n = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
+        values = rng.permutation(np.arange(n) + rng.random())
+    elif kind == "ties":
+        values = rng.choice(rng.uniform(0.0, 1e3, 4), n)
+    else:
+        half = rng.uniform(-1e3, 1e3, (n + 1) // 2)
+        values = rng.permutation(np.abs(np.concatenate([half, -half])))[:n]
+    if data.draw(st.booleans()):
+        weights = np.broadcast_to(rng.uniform(1e-3, 10.0), n)
+    else:
+        weights = rng.uniform(1e-3, 10.0, n) * 10.0 ** rng.integers(-3, 4, n)
+    order = np.argsort(values)
+    keep = None
+    if data.draw(st.booleans()):
+        keep = rng.random(n) < rng.random()
+        keep[rng.integers(0, n)] = True
+        order = order[keep[order]]
+    got = lorentz._tie_merged(values, weights, order, keep)
+    want = tie_merged_bincount(values, weights, order, keep)
     assert np.array_equal(got.levels, want.levels)
     assert np.array_equal(got.breakpoints, want.breakpoints)
 

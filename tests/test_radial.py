@@ -5,15 +5,17 @@ import pytest
 
 from conemult import characterize, radial, wave
 from conemult.bessel import surface_area
-from conemult.bumps import smooth_window
+from conemult.bumps import smooth_window, tent_profile
 from conemult.characterize import LineSamples
+from conemult.cli import KERNEL_SUPPORT
 from conemult.errors import BudgetError, DomainError
 from conemult.lorentz import (WeightedSampleSet, decreasing_rearrangement,
                               subset_rearrangements)
 from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
                              inverse_radial, radial_transform, space_grid)
-from conemult.util import dyadic_envelope_fit, next_pow2
-from reference import plancherel_radial, sphere_hat
+from conemult.util import dyadic_envelope_fit, next_pow2, panel_nodes
+from reference import (abel_samples_resampled, plancherel_radial,
+                       radial_transform_per_radius, sphere_hat)
 
 
 def test_tent_transform_closed_form():
@@ -349,6 +351,74 @@ def test_unreliable_points_flagged_not_silent():
     assert np.isnan(prof.values[1])
 
 
+def _kernel_side_transform(transform, dim, rho_max):
+    """``transform`` as the kernel side of ``characterize`` calls it, on
+    its default profile."""
+    return transform(tent_profile, dim, characterize._kernel_radii(rho_max),
+                     support=KERNEL_SUPPORT, inverse=True)
+
+
+def _assert_same_profile(got, want):
+    assert np.array_equal(got.radii, want.radii)
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert np.array_equal(got.reliable, want.reliable)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_batched_bessel_rows_equal_per_radius_calls(dim):
+    # the characterize defaults: every octave group in one Bessel call
+    _assert_same_profile(
+        _kernel_side_transform(radial_transform, dim, 256.0),
+        _kernel_side_transform(radial_transform_per_radius, dim, 256.0))
+
+
+def test_batched_bessel_rows_equal_per_radius_calls_in_chunks():
+    # at rho_max 4096 a group's rows pass 2^14 arguments and are split;
+    # radii of 2e4-3e4 have node sets of more than 2^14 nodes, one radius
+    # per call; the last radius is past the panel budget
+    for radii in (characterize._kernel_radii(4096.0),
+                  np.array([1.0, 2.0e4, 2.5e4, 3.0e4, 5.0e6])):
+        got, want = (transform(lambda r: np.exp(-r), 3, radii,
+                               support=(0.0, 0.3), panel_budget=4000)
+                     for transform in (radial_transform,
+                                       radial_transform_per_radius))
+        _assert_same_profile(got, want)
+    assert not got.reliable[-1]
+
+
+def _bessel_calls(monkeypatch):
+    """The argument count of each Bessel call radial_transform makes."""
+    calls = []
+    scaled = radial.bessel_j_scaled
+
+    def counted(order, x):
+        calls.append(np.size(x))
+        return scaled(order, x)
+
+    monkeypatch.setattr(radial, "bessel_j_scaled", counted)
+    return calls
+
+
+def test_kernel_side_makes_one_bessel_call_per_node_group(monkeypatch):
+    calls = _bessel_calls(monkeypatch)
+    prof = _kernel_side_transform(radial_transform, 4, 256.0)
+    # 705 radii in 16 octave groups
+    assert len(prof.radii) == 705
+    assert len(calls) == 16
+    assert sum(calls) == 53056
+
+
+def test_bessel_calls_are_bounded_by_the_larger_of_a_cap_and_a_node_set(
+        monkeypatch):
+    calls = _bessel_calls(monkeypatch)
+    radii = np.concatenate([characterize._kernel_radii(4096.0), [3.0e4]])
+    radial_transform(lambda r: np.exp(-r), 3, radii, support=(0.0, 0.3))
+    nodes = len(panel_nodes(0.0, 0.3, 3.0e4)[0])
+    assert nodes > radial._BESSEL_ARGS
+    assert max(calls[:-1]) <= radial._BESSEL_ARGS
+    assert calls[-1] == nodes
+
+
 def test_profile_validation():
     with pytest.raises(DomainError):
         RadialProfile(np.array([0.2, 0.1]), np.array([1.0, 2.0]), 3)
@@ -420,6 +490,27 @@ def test_abel_step_for_bump_is_pinned(abel_steps):
     inverse_radial(lambda s: wave._bump_hat(2, 8, 1.0, s), 2,
                    np.linspace(0.0, 1.2, 49), 400.0, 1.0)
     assert abel_steps == [4]
+
+
+_ABEL_SYMBOLS = {
+    "bump": (lambda dim: lambda s: wave._bump_hat(dim, 8, 1.0, s), 400.0),
+    # a jump is never resolved: the ladder runs to the cap
+    "jump": (lambda dim: lambda s: (s < 10.0).astype(float), 40.0),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("kind, steps", [("bump", 4),
+                                         ("jump", radial._ABEL_Q_CAP)])
+def test_abel_refinement_equals_resampling_every_node(dim, kind, steps):
+    build, band = _ABEL_SYMBOLS[kind]
+    symbol = build(dim)
+    h, nt, _ = radial.inverse_radial_plan(dim, np.linspace(0.0, 1.2, 49),
+                                          band, 1.0)
+    q, samples = radial._abel_samples(symbol, h, nt)
+    want_q, want = abel_samples_resampled(symbol, h, nt)
+    assert q == want_q == steps
+    assert np.array_equal(samples, want)
 
 
 def test_abel_refinement_checked_against_budget():
