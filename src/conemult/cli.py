@@ -34,10 +34,10 @@ from .multipliers import (CSV_MAX_CELLS, MAX_AXES, apply_multiplier,
 from .opnorm import (SWEEP_DILATIONS, estimate_lower,
                      scaling_sweep_experiment)
 from .util import CubicSpline1D
-from .wave import (MAX_SHELL_DIM, MAX_SHELLS, MAX_WAVE_SCALE, SmoothingKernel,
-                   check_shell_grid, decompose_radii, decompose_range,
-                   shell_l1_ratios, shell_operator_lower_bound,
-                   wave_kernel_plan)
+from .wave import (MAX_RADIUS0, MAX_SHELL_DIM, MAX_SHELLS, MAX_WAVE_SCALE,
+                   SmoothingKernel, check_shell_grid, decompose_radii,
+                   decompose_range, shell_l1_ratios,
+                   shell_operator_lower_bound, wave_kernel_plan)
 
 # Caps on the scan grids (points): each order costs one transform ladder,
 # each dilation one weighted functional, so the caps keep a run to minutes
@@ -50,11 +50,6 @@ MAX_KERNEL_RHO = 65536
 # the largest default line, characterize's symbol-mode diagnostic at four
 # times its resolution, has 2^18
 MAX_LINE_POINTS = 2 ** 22
-# largest sph-probe radius0: radius0 ** (2 bump_degree), which divides the
-# top coefficient of the smoothing kernel's polynomial, stays below 2^1024
-# (finite) up to 2^31
-RADIUS0_MAX = 2 ** ((sys.float_info.max_exp - 1)
-                    // (2 * SmoothingKernel.bump_degree))
 # cap on an opnorm run's witness work, its steps times the grid cells: an
 # estimate on 64^3 cells (57 steps, 1.5e7 cells) takes about 1 s on a
 # 2-vCPU machine, so the cap allows about a minute
@@ -250,7 +245,7 @@ DEFAULTS = {
         "r_hi": (8.0, float, Range("[1, inf)")),
         "shells": (16, int, Range("[1, inf)", cap=MAX_SHELLS)),
         "budget": (36, int, COUNT),
-        "radius0": (0.0625, float, Range(f"(0, {RADIUS0_MAX}]")),
+        "radius0": (0.0625, float, Range(f"(0, {MAX_RADIUS0}]")),
         # the kernel's bump degree is at least 2 vanishing_order + 2
         "vanishing_order": (5, int, Range(
             f"[0, {(SmoothingKernel.bump_degree - 2) // 2}]")),

@@ -34,6 +34,7 @@ of one inverse transform (``radial.SphericalMeans``) in every dimension.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,13 @@ class SmoothingKernel:
         mass that the cut drops.
         """
         return self._band
+
+
+# Largest kernel radius0: radius0 ** (2 bump_degree), which divides the top
+# coefficient of the kernel's polynomial, stays below 2^1024 (finite) up to
+# 2^31.
+MAX_RADIUS0 = 2 ** ((sys.float_info.max_exp - 1)
+                    // (2 * SmoothingKernel.bump_degree))
 
 
 # ---------------------------------------------------------------------------
