@@ -31,7 +31,7 @@ from .multipliers import (CSV_MAX_CELLS, MAX_AXES, apply_multiplier,
                           export_field_csv, field_symbol, gauss_field,
                           halfspace_field, load_field, radial_field,
                           save_field, wraparound_fraction)
-from .opnorm import (SWEEP_DILATIONS, estimate_lower,
+from .opnorm import (MAX_SEARCH_STEPS, SWEEP_DILATIONS, estimate_lower,
                      scaling_sweep_experiment)
 from .util import CubicSpline1D
 from .wave import (MAX_RADIUS0, MAX_SHELL_DIM, MAX_SHELLS, MAX_WAVE_SCALE,
@@ -94,6 +94,7 @@ LINE_POINTS = Range("[2, inf)", pow2=True, cap=MAX_LINE_POINTS)
 P = Range("(0, inf)", "p must be a positive real, got {value}")
 R = Range("(0, inf)", "truncation R = {value} must be finite and positive")
 COUNT = Range("[1, inf)", "{key} must be at least 1, got {value}")
+BUDGET = Range(COUNT.text, COUNT.message, cap=MAX_SEARCH_STEPS)
 
 
 def _exponents(o):
@@ -244,7 +245,7 @@ DEFAULTS = {
         "r_lo": (1.0, float, Range("[1, inf)")),
         "r_hi": (8.0, float, Range("[1, inf)")),
         "shells": (16, int, Range("[1, inf)", cap=MAX_SHELLS)),
-        "budget": (36, int, COUNT),
+        "budget": (36, int, BUDGET),
         "radius0": (0.0625, float, Range(f"(0, {MAX_RADIUS0}]")),
         # the kernel's bump degree is at least 2 vanishing_order + 2
         "vanishing_order": (5, int, Range(
@@ -266,7 +267,7 @@ DEFAULTS = {
         "resolution": (64, int, GRID_POINTS),
         "p": (1.2, float, P),
         "nu": (math.inf, float, EXPONENT),
-        "budget": (48, int, COUNT),
+        "budget": (48, int, BUDGET),
     }, {
         "nu >= p": _exponents,
         "grid": _grid,

@@ -2,9 +2,10 @@
 
 Only lower bounds are claimed: the estimate is the best Rayleigh-type ratio
 ||Tf||_{p,nu} / ||f||_p over an explicitly recorded witness family, so it is
-valid by construction.  The search is an anytime loop (two exploration steps,
-one refinement step, repeating), which makes the estimate nondecreasing in
-the step budget for a fixed seed.
+valid by construction.  The search, ``_search``, is an anytime loop (two
+exploration steps, one refinement step, repeating), which makes the estimate
+nondecreasing in the step budget for a fixed seed; the shell-operator bound
+of ``wave`` runs on it too.
 """
 
 import copy
@@ -27,6 +28,9 @@ FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
 SWEEP_DILATIONS = 13
 # bytes per grid cell of a workspace's buffers (one complex, one float64)
 WORKSPACE_CELL_BYTES = 24
+# cap on a search's steps: the set of the specs it has seen grows by about
+# 330 B a step, so the cap keeps it under about 90 MB
+MAX_SEARCH_STEPS = 2 ** 18
 
 
 def _float_power(base, exponent, p):
@@ -329,21 +333,21 @@ def _dilation_bounds(axes):
 
 
 class _WitnessStream:
-    """Deterministic exploration sequence cycling through ``FAMILIES``.
+    """Deterministic exploration sequence cycling through ``FAMILIES``,
+    with refinements of the best witness, the grid search's proposer.
 
-    It opens with plain dilated bumps; each step yields ``(spec, norms)``,
-    where ``norms`` is None unless the opening dilation was passed in
-    ``swept`` together with its already computed norms.
+    It opens with plain dilated bumps eta(t .), at the dilations ``ts``
+    (9 geometric steps across the admissible ones when None).
     """
 
-    def __init__(self, axes, rng, swept=None):
+    def __init__(self, axes, rng, ts):
         self.axes = axes
         self.rng = rng
         self.tmin, self.tmax = _dilation_bounds(axes)
-        if swept is None:
-            swept = [(t, None) for t in np.geomspace(self.tmin, self.tmax, 9)]
-        self.queue = [({"family": "dilated_bump", "params": {"t": float(t)}},
-                       norms) for t, norms in swept]
+        if ts is None:
+            ts = np.geomspace(self.tmin, self.tmax, 9)
+        self.queue = [{"family": "dilated_bump", "params": {"t": float(t)}}
+                      for t in ts]
         self.counter = 0
 
     def _draw_t(self):
@@ -358,10 +362,12 @@ class _WitnessStream:
         return [float(self.rng.uniform(-0.5, 0.5) * np.pi / ax.step)
                 for ax in self.axes]
 
-    def __next__(self):
-        if self.queue:
-            return self.queue.pop(0)
-        return self._draw(), None
+    def propose(self, step, best):
+        """A refinement of ``best`` (``_refine``) at each step ``step % 3 ==
+        2`` once there is one, else the next witness of the sequence."""
+        if best is not None and step % 3 == 2:
+            return _refine(best, self.rng, self.tmin, self.tmax)
+        return self.queue.pop(0) if self.queue else self._draw()
 
     def _draw(self):
         family = FAMILIES[self.counter % len(FAMILIES)]
@@ -419,97 +425,83 @@ def _refine(spec, rng, tmin, tmax):
     return probe
 
 
+def _search(propose, evaluate, budget, workers, tail):
+    """The anytime witness search, as (best ratio, its spec, improvements).
+
+    Step ``step`` proposes the spec ``propose(step, best spec so far)``; a
+    spec proposed before (by ``repr``) is skipped, though it consumes its
+    step.  ``evaluate(worker, spec, beat)`` gives (||f||_p, ||T f||), the
+    second None when f vanishes or the ratio cannot exceed ``beat > 0``.
+    A ratio strictly above the best becomes the best, recorded as (step,
+    ratio) in ``improvements``.  After the last step the specs of
+    ``tail()`` are scored as steps ``budget, budget + 1, ...``.
+    The steps form rounds, each ending before a step ``step % 3 == 2``, so
+    that a proposer may refine there the best of every step before it; the
+    tail is a round of its own.  With ``workers > 1`` the witnesses of a
+    round are evaluated at once on the worker map against the best ratio
+    before the round, and scored in step order: as a rejected ratio cannot
+    beat ``beat``, the result is the serial loop's, bit for bit.
+    """
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+    best_ratio, best_spec, improvements, seen = 0.0, None, [], set()
+    starts = [0, *range(2, budget, 3), budget]
+    for start, end in zip(starts, starts[1:] + [None]):
+        specs = enumerate(tail(), start=budget) if end is None else \
+            ((step, propose(step, best_spec)) for step in range(start, end))
+        entries = []
+        for step, spec in specs:
+            key = repr(spec)
+            if key not in seen:
+                seen.add(key)
+                entries.append((step, spec))
+        found = util._ordered_map(
+            lambda worker, entry: evaluate(worker, entry[1], best_ratio),
+            entries, workers) if workers > 1 and len(entries) > 1 else None
+        for i, (step, spec) in enumerate(entries):
+            denom, num = found[i] if found else evaluate(0, spec, best_ratio)
+            if denom == 0.0 or num is None:
+                continue
+            ratio = num / denom
+            if ratio > best_ratio:
+                best_ratio, best_spec = ratio, spec
+                improvements.append((step, float(ratio)))
+    return float(best_ratio), best_spec, improvements
+
+
 def estimate_lower(operator, axes, p, nu, budget=48, seed=0, swept=None):
-    """Best witness ratio ||T f||_{p,nu} / ||f||_p within a budget of steps.
+    """Best witness ratio ||T f||_{p,nu} / ||f||_p over ``budget`` steps
+    of ``_search``, proposed by ``_WitnessStream``.
 
     ``operator`` is a multiplier field (a GridField in frequency form),
     applied through each witness's spectrum, or any map GridField ->
     GridField, linear on the grid, called on the witness in space.  Either
     way every witness comes from its one definition in ``witness_input``.
-    Each step proposes one witness.  A witness whose norm vanishes, or
-    that was proposed before, is skipped without an operator call; one
-    whose rounded-up majorant shows that its ratio cannot beat the best so
-    far is skipped after T f, without the exact Lorentz norm.  Skipped
-    witnesses still consume budget.
     ``swept`` lists ``(t, (||f||_p, ||T f||_{p,nu}))`` for dilated bumps
     f = eta(t .) already evaluated: the search opens with them instead of
-    its default dilations, and their steps reuse the recorded norms.  Those
-    the budget does not reach are scored after the last step, as steps
-    ``budget, budget + 1, ...``, at no operator call.
-    The steps form rounds, each ending before a refinement step.  Through
-    a multiplier field on a grid of at least ``util.PARALLEL_MIN_POINTS``
-    cells (``util._worker_count``), the witnesses of a round are evaluated at
-    once, each worker thread in its own workspace, against the best ratio
-    before the round, and scored in step order: as the majorant test is sound,
-    the result is the serial loop's, bit for bit, at any worker count.
+    its default dilations and takes their norms, and those the budget does
+    not reach are its tail.  Each worker thread evaluates in a workspace
+    of its own (``_Workspace.team``, ``util._worker_count``).
     """
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
     LorentzParams(p, nu)   # checked before any witness norm divides by p
     work = _Workspace.of(operator, axes)
     team = work.team(util._worker_count(work.magnitude.size,
                                         WORKSPACE_CELL_BYTES)) \
         if work else [operator]
     rng = np.random.default_rng(seed)
-    stream = _WitnessStream(axes, rng, swept)
-    best_ratio = 0.0
-    best_spec = None
-    improvements = []
-    seen = set()
+    stream = _WitnessStream(axes, rng, None if swept is None
+                            else [t for t, _ in swept])
+    known = {repr(spec): norms
+             for spec, (_, norms) in zip(stream.queue, swept or ())}
 
-    def score(step, spec, norms):
-        nonlocal best_ratio, best_spec
-        denom, num = norms or _witness_norms(team[0], spec, axes, p, nu,
-                                             best_ratio)
-        if denom == 0.0 or num is None:
-            return
-        ratio = num / denom
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_spec = spec
-            improvements.append((step, float(ratio)))
+    def evaluate(worker, spec, beat):
+        return known.get(repr(spec)) or _witness_norms(team[worker], spec,
+                                                       axes, p, nu, beat)
 
-    def score_round(entries):
-        # the witnesses of a round are evaluated at once against the best
-        # ratio before it; a witness that ratio rejects cannot beat the
-        # later best, and one it lets through gets its exact norm
-        todo = [i for i, (_, _, norms) in enumerate(entries) if norms is None]
-        if len(team) > 1 and len(todo) > 1:
-            found = util._ordered_map(
-                lambda worker, spec: _witness_norms(team[worker], spec, axes,
-                                                    p, nu, best_ratio),
-                [entries[i][1] for i in todo], len(team))
-            for i, norms in zip(todo, found):
-                entries[i] = entries[i][:2] + (norms,)
-        for entry in entries:
-            score(*entry)
-
-    def fresh(spec):
-        key = repr(spec)
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
-
-    # a round ends before each refinement step (step % 3 == 2), which needs
-    # the best witness of every step before it
-    starts = [0, *range(2, budget, 3)]
-    for start, end in zip(starts, starts[1:] + [budget]):
-        entries = []
-        for step in range(start, end):
-            if best_spec is not None and step % 3 == 2:
-                spec, norms = _refine(best_spec, rng, stream.tmin,
-                                      stream.tmax), None
-            else:
-                spec, norms = next(stream)
-            if fresh(spec):
-                entries.append((step, spec, norms))
-        score_round(entries)
-    leftover = [(spec, norms) for spec, norms in stream.queue if norms]
-    score_round([(step, spec, norms) for step, (spec, norms)
-                 in enumerate(leftover, start=budget) if fresh(spec)])
-    return OpNormEstimate(float(best_ratio), best_spec, p, nu, budget, seed,
-                          improvements)
+    best, spec, improvements = _search(stream.propose, evaluate, budget,
+                                       len(team),
+                                       lambda: stream.queue if known else [])
+    return OpNormEstimate(best, spec, p, nu, budget, seed, improvements)
 
 
 def evaluate_witness(operator, spec, axes, p, nu):
@@ -546,9 +538,8 @@ def scaling_sweep_experiment(m0, axes, p, nu, budget, seed=0):
         lambda worker, spec: _witness_norms(team[worker], spec, axes, p, nu,
                                             0.0),
         specs, len(team))
-    rhs_per_t, scale_per_t, swept = {}, {}, []
+    rhs_per_t, scale_per_t = {}, {}
     for t, (denom, num) in zip(t_used, norms):
-        swept.append((t, (denom, num)))
         weight = _float_power(t, d / p, p)
         rhs_per_t[t] = weight * num
         scale_per_t[t] = weight * denom
@@ -556,7 +547,7 @@ def scaling_sweep_experiment(m0, axes, p, nu, budget, seed=0):
     scale_sup = max(scale_per_t.values())
 
     est = estimate_lower(work, axes, p, nu, budget=budget, seed=seed,
-                         swept=swept)
+                         swept=list(zip(t_used, norms)))
     contained = rhs <= est.lower_bound * scale_sup * (1.0 + 1e-12)
     return {
         "p": p, "nu": nu, "dim": d,

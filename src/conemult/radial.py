@@ -371,7 +371,8 @@ def _abel_correction(samples, q, rows, table):
 
 
 def _abel_samples(symbol, h, nt):
-    """The step h/q of the Abel rule and the symbol's samples at it.
+    """The step h/q of the Abel rule, the symbol's samples at it and the
+    rule's correction at each row (``_abel_correction``).
 
     q doubles from 1 until the error estimate, the rule's correction less
     the lower-order one, integrated over t is at most _ABEL_TOL of
@@ -387,11 +388,12 @@ def _abel_samples(symbol, h, nt):
                          dtype=complex)
     while True:
         rows = _abel_rows(q, nt)
-        error = np.abs(_abel_correction(samples, q, rows, _ABEL_RULE)
+        correction = _abel_correction(samples, q, rows, _ABEL_RULE)
+        error = np.abs(correction
                        - _abel_correction(samples, q, rows, _ABEL_CHECK))
         scale = 0.5 * np.pi / q * (np.abs(samples) @ np.arange(len(samples)))
         if error.sum() <= _ABEL_TOL * scale or q == _ABEL_Q_CAP:
-            return q, samples
+            return q, samples, correction
         q *= 2
         if _abel_terms(nt, q) > INVERSE_ABEL_BUDGET:
             raise BudgetError(
@@ -436,13 +438,12 @@ def _abel_projection(symbol, h, nt):
     is spectrally accurate, and its aliases lie at perpendicular distance
     2 pi / h, as far out as those of the t-line.
     """
-    q, samples = _abel_samples(symbol, h, nt)
+    q, samples, correction = _abel_samples(symbol, h, nt)
     rows = _abel_rows(q, nt)
     scaled = samples * np.arange(len(samples))
     far = _abel_far(scaled.view(float).reshape(-1, 2), q, rows)
     proj = np.empty(nt, dtype=complex)
-    proj[rows] = 2.0 * h / q * (far.view(complex)[:, 0] - _abel_correction(
-        samples, q, rows, _ABEL_RULE))
+    proj[rows] = 2.0 * h / q * (far.view(complex)[:, 0] - correction)
     u = h * np.arange(nt)
     wu = np.full(nt, 2.0 * h)
     wu[0] = h

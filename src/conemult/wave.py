@@ -44,7 +44,7 @@ from .bessel import bessel_j_scaled, surface_area
 from .characterize import polar_sample_set
 from .errors import BudgetError, DomainError
 from .lorentz import lorentz_quasinorm, LorentzParams
-from .opnorm import OpNormEstimate
+from .opnorm import OpNormEstimate, _search
 from .radial import (RadialProfile, SphericalMeans, inverse_radial,
                      inverse_radial_plan)
 
@@ -414,15 +414,27 @@ def _build_shell_basis(dim, r_grid, kernel, spread_radii):
     return _ShellBasis(rho, profiles, r_grid, dr)
 
 
-def _witness_ratio(basis, weights, a, p, dim):
+def _shell_norms(basis, spec, p, dim):
+    """(||h||_p, ||T h||_p) for the witness h = u_a w of ``spec``: each
+    family's one definition of the shell weights w."""
+    prm = spec["params"]
+    radii = basis.shell_radii
+    if spec["family"] == "single_shell":
+        weights = np.zeros(len(radii))
+        weights[prm["index"]] = 1.0
+    elif spec["family"] == "coherent_profile":
+        weights = radii ** prm["beta"]
+    else:
+        weights = np.asarray(prm["signs"]) * radii ** prm["beta"]
+    a = prm["spread"]
+    wnorm = float(np.sum(np.abs(weights) ** p * radii ** (dim - 1)
+                         * basis.dr)) ** (1.0 / p)
+    denom = _ball_lp(a, dim, p) * wnorm
     th = basis.dr * (weights @ basis.profiles[a])
     if not np.any(th != 0):
-        return 0.0
-    num = lorentz_quasinorm(polar_sample_set(basis.rho[1:], th[1:], dim),
-                            LorentzParams(p, p))
-    wnorm = float(np.sum(np.abs(weights) ** p * basis.shell_radii ** (dim - 1)
-                         * basis.dr)) ** (1.0 / p)
-    return num / (_ball_lp(a, dim, p) * wnorm)
+        return denom, 0.0
+    return denom, lorentz_quasinorm(polar_sample_set(basis.rho[1:], th[1:],
+                                                     dim), LorentzParams(p, p))
 
 
 def shell_operator_lower_bound(dim, p, r_grid, kernel, budget, spread_radii,
@@ -434,10 +446,9 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel, budget, spread_radii,
     single shells, coherent power profiles w(r) = r^beta, and random-sign
     profiles.  The output field of every witness is radial, so norms are
     evaluated in polar coordinates; no d-dimensional grid is involved.
+    The steps run on ``opnorm._search``, serially, and skip repeats.
     """
     LorentzParams(p, p)   # checked before any witness divides by p
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) > MAX_SHELLS:
         raise BudgetError(f"{len(r_grid)} shells exceed the cap {MAX_SHELLS}")
@@ -451,34 +462,29 @@ def shell_operator_lower_bound(dim, p, r_grid, kernel, budget, spread_radii,
     rng = np.random.default_rng(seed)
     basis = _build_shell_basis(dim, r_grid, kernel, spread_radii)
     nsh = len(r_grid)
-    best, best_spec = 0.0, None
-    improvements = []
     betas = [0.0, -(dim - 1) / p, -(dim - 1), 1.0 - dim / p]
-    for step in range(budget):
+
+    def propose(step, best):
+        # the draws of the random-sign steps come in step order
         kind = step % 3
         if kind == 0:
-            j = (step // 3) % nsh
-            weights = np.zeros(nsh)
-            weights[j] = 1.0
-            spec = {"family": "single_shell", "params": {"index": int(j)}}
+            spec = {"family": "single_shell",
+                    "params": {"index": (step // 3) % nsh}}
         elif kind == 1:
-            beta = betas[(step // 3) % len(betas)]
-            weights = basis.shell_radii ** beta
-            spec = {"family": "coherent_profile", "params": {"beta": beta}}
+            spec = {"family": "coherent_profile",
+                    "params": {"beta": betas[(step // 3) % len(betas)]}}
         else:
-            beta = betas[int(rng.integers(0, len(betas)))]
-            signs = rng.choice([-1.0, 1.0], size=nsh)
-            weights = signs * basis.shell_radii ** beta
             spec = {"family": "random_signs",
-                    "params": {"beta": beta, "signs": signs.tolist()}}
-        a = spread_radii[step % len(spread_radii)]
-        spec["params"]["spread"] = a
-        ratio = _witness_ratio(basis, weights, a, p, dim)
-        if ratio > best:
-            best, best_spec = ratio, spec
-            improvements.append((step, float(ratio)))
-    return OpNormEstimate(float(best), best_spec, p, float(p), budget, seed,
-                          improvements)
+                    "params": {"beta": betas[int(rng.integers(0, len(betas)))],
+                               "signs": rng.choice([-1.0, 1.0],
+                                                   size=nsh).tolist()}}
+        spec["params"]["spread"] = spread_radii[step % len(spread_radii)]
+        return spec
+
+    best, spec, improvements = _search(
+        propose, lambda worker, spec, beat: _shell_norms(basis, spec, p, dim),
+        budget, 1, lambda: [])
+    return OpNormEstimate(best, spec, p, float(p), budget, seed, improvements)
 
 
 def shell_l1_ratios(dim, r_grid, kernel):

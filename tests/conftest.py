@@ -14,9 +14,9 @@ def abel_steps(monkeypatch):
     pick = radial._abel_samples
 
     def recorded(*args):
-        q, samples = pick(*args)
+        q, samples, correction = pick(*args)
         steps.append(q)
-        return q, samples
+        return q, samples, correction
 
     monkeypatch.setattr(radial, "_abel_samples", recorded)
     return steps

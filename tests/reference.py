@@ -5,13 +5,15 @@ Each is a direct formula, written without the package's own shortcuts.
 
 import numpy as np
 
-from conemult import radial
+from conemult import radial, wave
 from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.bumps import BumpPhi
+from conemult.characterize import polar_sample_set
 from conemult.errors import BudgetError
-from conemult.lorentz import (RearrangedFunction, WeightedSampleSet,
-                              lorentz_quasinorm)
+from conemult.lorentz import (LorentzParams, RearrangedFunction,
+                              WeightedSampleSet, lorentz_quasinorm)
 from conemult.multipliers import GridField
+from conemult.opnorm import OpNormEstimate
 from conemult.radial import RadialProfile, fourier_1d
 from conemult.util import panel_nodes
 
@@ -150,3 +152,51 @@ def tie_merged_bincount(values, weights, order, keep):
     merged = np.bincount(group, weights=weights)[::-1]
     breakpoints = np.concatenate(([0.0], np.cumsum(merged)))
     return RearrangedFunction(breakpoints, v[start][::-1])
+
+
+def _shell_witness_ratio(basis, weights, a, p, dim):
+    th = basis.dr * (weights @ basis.profiles[a])
+    if not np.any(th != 0):
+        return 0.0
+    num = lorentz_quasinorm(polar_sample_set(basis.rho[1:], th[1:], dim),
+                            LorentzParams(p, p))
+    wnorm = float(np.sum(np.abs(weights) ** p * basis.shell_radii ** (dim - 1)
+                         * basis.dr)) ** (1.0 / p)
+    return num / (wave._ball_lp(a, dim, p) * wnorm)
+
+
+def shell_lower_bound_every_step(dim, p, r_grid, kernel, budget,
+                                 spread_radii, seed):
+    """``wave.shell_operator_lower_bound`` as its own serial loop, which
+    evaluates the witness of every step, a repeated one too."""
+    rng = np.random.default_rng(seed)
+    basis = wave._build_shell_basis(dim, r_grid, kernel, spread_radii)
+    nsh = len(r_grid)
+    best, best_spec = 0.0, None
+    improvements = []
+    betas = [0.0, -(dim - 1) / p, -(dim - 1), 1.0 - dim / p]
+    for step in range(budget):
+        kind = step % 3
+        if kind == 0:
+            j = (step // 3) % nsh
+            weights = np.zeros(nsh)
+            weights[j] = 1.0
+            spec = {"family": "single_shell", "params": {"index": int(j)}}
+        elif kind == 1:
+            beta = betas[(step // 3) % len(betas)]
+            weights = basis.shell_radii ** beta
+            spec = {"family": "coherent_profile", "params": {"beta": beta}}
+        else:
+            beta = betas[int(rng.integers(0, len(betas)))]
+            signs = rng.choice([-1.0, 1.0], size=nsh)
+            weights = signs * basis.shell_radii ** beta
+            spec = {"family": "random_signs",
+                    "params": {"beta": beta, "signs": signs.tolist()}}
+        a = spread_radii[step % len(spread_radii)]
+        spec["params"]["spread"] = a
+        ratio = _shell_witness_ratio(basis, weights, a, p, dim)
+        if ratio > best:
+            best, best_spec = ratio, spec
+            improvements.append((step, float(ratio)))
+    return OpNormEstimate(float(best), best_spec, p, float(p), budget, seed,
+                          improvements)

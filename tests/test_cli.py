@@ -19,6 +19,7 @@ from conemult.config import (ConfigError, Options, coerce,
                              parse_config_text, resolve)
 from conemult.errors import DomainError
 from conemult.multipliers import MAX_GRID_CELLS, freq_magnitude, load_field
+from conemult.opnorm import MAX_SEARCH_STEPS
 
 
 def run_cli(args):
@@ -679,12 +680,34 @@ def test_opnorm_witness_work_past_the_cap_exits_3_before_allocating(
     monkeypatch.setattr(cli, "grid_multiplier",
                         lambda *args: built.append(args))
     start = time.perf_counter()
-    assert run_cli(["opnorm", "--out", str(tmp_path / "o"),
-                    "--budget", "100000000"]) == 3
+    # 100000 steps pass the step cap; on 64^3 cells they pass the work cap
+    assert run_cli(["opnorm", "--out", str(tmp_path / "o"), "--ndim", "3",
+                    "--budget", "100000"]) == 3
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
-    assert _one_line_error_text(err) and "exceed the cap" in err
+    assert _one_line_error_text(err) and "witness cells exceed the cap" in err
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [["sph-probe"],
+                                  ["opnorm", "--mode", "estimate"]])
+@pytest.mark.parametrize("budget, code", [(MAX_SEARCH_STEPS, 2),
+                                          (MAX_SEARCH_STEPS + 1, 3),
+                                          (10 ** 8, 3)])
+def test_search_steps_cap_ends(tmp_path, capsys, monkeypatch, argv, budget,
+                               code):
+    # the step cap of both subcommands; a run under it reaches its runner,
+    # stubbed here to end the run at once
+    def reached(opts, outdir, seed):
+        raise ConfigError("runner reached")
+    monkeypatch.setattr(cli, "RUNNERS", dict.fromkeys(cli.DEFAULTS, reached))
+    assert run_cli([*argv, "--out", str(tmp_path / "o"),
+                    "--budget", str(budget)]) == code
+    err = capsys.readouterr().err
+    assert _one_line_error_text(err)
+    assert ("runner reached" in err) == (code == 2)
+    if code == 3:
+        assert f"budget = {budget} exceeds the cap {MAX_SEARCH_STEPS}" in err
 
 
 @pytest.mark.parametrize("mode, budget, code", [

@@ -30,6 +30,8 @@ _COMPANIONS = {
     ("wave-check", "n_hi"): ["--n-lo=1"],
     # 64^4 cells reach the witness-work cap at the default budget
     ("opnorm", "ndim"): ["--resolution=16"],
+    # in sweep mode the 13 dilations take the step cap past the work cap
+    ("opnorm", "budget"): ["--mode=estimate"],
 }
 
 

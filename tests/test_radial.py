@@ -507,10 +507,13 @@ def test_abel_refinement_equals_resampling_every_node(dim, kind, steps):
     symbol = build(dim)
     h, nt, _ = radial.inverse_radial_plan(dim, np.linspace(0.0, 1.2, 49),
                                           band, 1.0)
-    q, samples = radial._abel_samples(symbol, h, nt)
+    q, samples, correction = radial._abel_samples(symbol, h, nt)
     want_q, want = abel_samples_resampled(symbol, h, nt)
     assert q == want_q == steps
     assert np.array_equal(samples, want)
+    # the rule's correction on those samples, as the projection once formed it
+    assert np.array_equal(correction, radial._abel_correction(
+        want, q, radial._abel_rows(q, nt), radial._ABEL_RULE))
 
 
 def test_abel_refinement_checked_against_budget():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conemult import bumps, radial, wave
+from conemult import bumps, cli, radial, wave
 from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.bumps import band_cutoff
 from conemult.errors import BudgetError, DomainError
@@ -14,6 +14,7 @@ from conemult.util import CubicSpline1D, panel_nodes
 from conemult.wave import (SmoothingKernel, decompose, decompose_range,
                            shell_l1_ratios, shell_operator_lower_bound,
                            wave_kernel)
+from reference import shell_lower_bound_every_step
 
 
 @pytest.fixture(scope="module")
@@ -505,6 +506,43 @@ def test_shell_cap_enforced(kernel3):
         shell_operator_lower_bound(3, 1.2, np.linspace(1, 16, 80),
                                    kernel=kernel3, budget=60,
                                    spread_radii=(0.25, 0.5, 1.0))
+
+
+def _sph_probe_kernel(dim):
+    """``sph-probe``'s kernel at its default options."""
+    opts = {key: default for key, (default, _, _)
+            in cli.DEFAULTS["sph-probe"].items()}
+    return SmoothingKernel(dim, radius0=opts["radius0"],
+                           vanishing_order=opts["vanishing_order"])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("r_hi, shells, budget", [(8.0, 16, 36),
+                                                  (16.0, 64, 200)])
+def test_shell_search_equals_the_loop_of_every_step(dim, r_hi, shells,
+                                                    budget):
+    # sph-probe's defaults, and its run at 64 shells with budget 200
+    kernel = _sph_probe_kernel(dim)
+    r_grid = np.linspace(1.0, r_hi, shells)
+    args = (dim, 1.2, r_grid, kernel, budget, (0.25, 1.0), 7)
+    # == on every field of the two OpNormEstimates
+    assert shell_operator_lower_bound(*args) == \
+        shell_lower_bound_every_step(*args)
+
+
+def test_shell_search_evaluates_each_distinct_witness_once(monkeypatch):
+    calls = []
+    norms = wave._shell_norms
+
+    def counted(basis, spec, p, dim):
+        calls.append(repr(spec))
+        return norms(basis, spec, p, dim)
+    monkeypatch.setattr(wave, "_shell_norms", counted)
+    shell_operator_lower_bound(3, 1.2, np.linspace(1.0, 8.0, 16),
+                               _sph_probe_kernel(3), 36, (0.25, 1.0), 7)
+    # the 12 coherent steps take 4 (beta, spread) pairs: beta's index
+    # (step // 3) % 4 fixes the parity of step, which picks the spread
+    assert len(calls) == len(set(calls)) == 28
 
 
 @pytest.mark.slow
