@@ -335,12 +335,12 @@ def run_characterize(opts, outdir, seed):
         summary["scan"] = res
         report.write_csv(os.path.join(outdir, "per_t.csv"),
                          ["t", "quantity"],
-                         [(float(t), float(v))
-                          for t, v in sorted(res.per_t.items())])
+                         zip(*[(float(t), float(v))
+                               for t, v in sorted(res.per_t.items())]))
         trunc_rows = [("symbol_argmax_t", float(r), float(v)) for r, v
                       in zip(res.trend["scales"], res.trend["values"])]
     report.write_csv(os.path.join(outdir, "truncation.csv"),
-                     ["side", "truncation", "value"], trunc_rows)
+                     ["side", "truncation", "value"], zip(*trunc_rows))
     return summary
 
 
@@ -355,9 +355,9 @@ def run_br_scan(opts, outdir, seed):
         report.write_csv(os.path.join(outdir, f"scan_p{res.p:.6g}.csv"),
                          ["lam", "full_value_at_R", "tail_value_at_R",
                           "divergent"],
-                         [(float(lam), float(full[max(full)]),
-                           float(tail[max(full)]), bool(divergent))
-                          for lam, full, tail, divergent in res.table])
+                         zip(*[(float(lam), float(full[max(full)]),
+                                float(tail[max(full)]), bool(divergent))
+                               for lam, full, tail, divergent in res.table]))
         per_p.append({"p": res.p, "prediction": res.prediction,
                       "estimate": res.estimate})
     summary = {"dim": opts["dim"], "per_p": per_p,
@@ -376,12 +376,14 @@ def run_wave_check(opts, outdir, seed):
     for dec in decs:
         report.write_csv(os.path.join(outdir, f"omega_n{dec.n}.csv"),
                          ["rho", "re", "im"],
-                         [(float(r), float(v.real), float(v.imag))
-                          for r, v in zip(dec.annulus_rho, dec.omega)])
+                         [dec.annulus_rho.tolist(), dec.omega.real.tolist(),
+                          dec.omega.imag.tolist()])
+        # hypot, not np.abs, is the abs of each complex scalar bit for bit
+        err = dec.error_values
         report.write_csv(os.path.join(outdir, f"error_n{dec.n}.csv"),
                          ["rho", "abs"],
-                         [(float(r), float(abs(v)))
-                          for r, v in zip(dec.error_rho, dec.error_values)])
+                         [dec.error_rho.tolist(),
+                          np.hypot(err.real, err.imag).tolist()])
     return {
         "dim": opts["dim"],
         "scales": n_list,
@@ -403,7 +405,8 @@ def run_sph_probe(opts, outdir, seed):
     ratios = shell_l1_ratios(opts["dim"], r_grid, kernel)
     report.write_csv(os.path.join(outdir, "shell_l1.csv"),
                      ["r", "l1_over_mass"],
-                     [(float(r), float(v)) for r, v in sorted(ratios.items())])
+                     zip(*[(float(r), float(v))
+                           for r, v in sorted(ratios.items())]))
     return {"dim": opts["dim"], "p": opts["p"],
             "estimate": report.fields_dict(est),
             "shells": [float(r) for r in r_grid]}
@@ -417,8 +420,8 @@ def run_opnorm(opts, outdir, seed):
                                        budget=opts["budget"], seed=seed)
         report.write_csv(os.path.join(outdir, "sweep.csv"),
                          ["t", "scaled_norm"],
-                         [(float(t), float(v))
-                          for t, v in sorted(out["rhs_per_t"].items())])
+                         zip(*[(float(t), float(v))
+                               for t, v in sorted(out["rhs_per_t"].items())]))
         return out
     est = estimate_lower(mult, axes, opts["p"], opts["nu"],
                          budget=opts["budget"], seed=seed)

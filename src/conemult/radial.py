@@ -37,7 +37,7 @@ _BLOCK = 1 << 12
 # longest FFT (a few complex arrays of it, about 0.3 GiB at the cap), terms
 # (symbol samples, near-origin u-sum terms and direct cosine-sum terms,
 # about a minute on one core), and in even d the multiply-adds of the Abel
-# rule (a few seconds on one core).
+# rule (about a second on one core).
 INVERSE_LINE_CAP = 1 << 19
 INVERSE_FFT_CAP = 1 << 21
 INVERSE_TERM_BUDGET = 400_000_000
@@ -63,11 +63,13 @@ _ABEL_POWERS = 12
 # The correction's nodes reach this many samples below the singular node,
 # so rows with K below it take the u-sum.
 _ABEL_REACH = 8
-# Relative accuracy asked of the rule, the sample refinement it may take
-# and the elements per block of its far-field weights.
+# Relative accuracy asked of the rule and the sample refinement it may take.
 _ABEL_TOL = 1e-13
 _ABEL_Q_CAP = 16
-_ABEL_BLOCK = 1 << 14
+# Far-field weights per row block of the rule (see ``_abel_far``): about
+# 256 KiB, enough rows of the short sums to amortize the per-block Python
+# work, while a row longer than half of it still goes alone.
+_ABEL_BLOCK = 1 << 15
 
 # Quadrature nodes per oscillation of the Bessel kernel in radial_transform.
 _NODES_PER_PERIOD = 16
@@ -410,19 +412,29 @@ def _abel_far(values, q, rows):
     """sum_(j > K) v_j / sqrt(j^2 - K^2) at each row K = q k.
 
     ``values`` holds v_j as real columns.  The weight is
-    (j - K)^(-1/2) (j + K)^(-1/2), a product of two slices of one table, so
-    each block of _ABEL_BLOCK weights costs one product and enters one
-    matrix product; the nt x nt matrix is never built.
+    (j - K)^(-1/2) (j + K)^(-1/2): row K of the windows of width n of one
+    table of m^(-1/2) starts at m = -K and m = K, and the table's left pad
+    of zeros weighs every j <= K as 0.  The rows go in blocks of about
+    _ABEL_BLOCK weights, j = K0 + 1 .. n - 1 for a block whose first row
+    is K0: each block is one product of two strided views of the windows
+    and one matrix product with the column-major values; the nt x nt
+    matrix is never built.
     """
     n = len(values)
-    inv_sqrt = np.zeros(2 * n)
-    inv_sqrt[1:] = 1.0 / np.sqrt(np.arange(1.0, 2 * n))
-    out = np.zeros((len(rows), values.shape[1]))
-    for i, k in enumerate(q * rows):
-        for lo in range(k + 1, n, _ABEL_BLOCK):
-            hi = min(lo + _ABEL_BLOCK, n)
-            out[i] += (inv_sqrt[lo - k:hi - k] * inv_sqrt[lo + k:hi + k]) \
-                @ values[lo:hi]
+    table = np.zeros(3 * n)           # table[n + m] = m^(-1/2), 0 for m <= 0
+    table[n + 1:] = 1.0 / np.sqrt(np.arange(1.0, 2 * n))
+    windows = np.lib.stride_tricks.sliding_window_view(table, n)
+    values = np.asfortranarray(values)
+    out = np.empty((len(rows), values.shape[1]))
+    big_k = q * rows
+    lo = 0
+    while lo < len(big_k):
+        k0 = int(big_k[lo])
+        hi = min(lo + max(1, _ABEL_BLOCK // (n - 1 - k0)), len(big_k))
+        weights = windows[n - k0::-q][:hi - lo, k0 + 1:] \
+            * windows[n + k0::q][:hi - lo, k0 + 1:]
+        out[lo:hi] = weights @ values[k0 + 1:]
+        lo = hi
     return out
 
 

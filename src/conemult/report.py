@@ -82,13 +82,16 @@ def write_run_meta(path, extra=None):
                                        indent=1) + "\n")
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
     """Plot-ready CSV: one observable per file, repr-formatted floats.
 
-    ``str`` of a Python float is its ``repr``, so cells are joined as ``str``.
+    ``columns`` gives one sequence of Python scalars per header name, all
+    of one length, such as an array's ``.tolist()``.  ``str`` of a Python
+    float is its ``repr``, so each column is formatted by one
+    ``map(str, column)`` and the rows are joined from the formatted columns.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    cells = [map(str, column) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -138,6 +138,23 @@ def abel_samples_resampled(symbol, h, nt):
         q *= 2
 
 
+def abel_far_per_row(values, q, rows):
+    """``radial._abel_far`` one row at a time: at each row K = q k, the
+    weights (j - K)^(-1/2) (j + K)^(-1/2), j > K, as the product of two
+    slices of one table, in columns of 2^14 weights, each one matrix
+    product added to the row."""
+    n = len(values)
+    inv_sqrt = np.zeros(2 * n)
+    inv_sqrt[1:] = 1.0 / np.sqrt(np.arange(1.0, 2 * n))
+    out = np.zeros((len(rows), values.shape[1]))
+    for i, k in enumerate(q * rows):
+        for lo in range(k + 1, n, 1 << 14):
+            hi = min(lo + (1 << 14), n)
+            out[i] += (inv_sqrt[lo - k:hi - k] * inv_sqrt[lo + k:hi + k]) \
+                @ values[lo:hi]
+    return out
+
+
 def tie_merged_bincount(values, weights, order, keep):
     """``lorentz._tie_merged`` with every piece's measure summed by
     ``bincount``, ties or none."""

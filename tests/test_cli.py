@@ -97,6 +97,22 @@ def test_wave_check_writes_per_scale_tables(tmp_path):
     assert os.path.exists(os.path.join(out, "error_n3.csv"))
 
 
+def test_wave_check_tables_hold_each_value_as_written_per_row(tmp_path):
+    # the columns give the text of the per-row cells, float(abs(v)) too
+    out = tmp_path / "wave"
+    assert run_cli(["wave-check", "--out", str(out), "--dim", "4",
+                    "--n-lo", "2", "--n-hi", "3"]) == 0
+    for dec in wave.decompose_range([2, 3], 4)[0]:
+        omega = [f"{float(r)!r},{float(v.real)!r},{float(v.imag)!r}\n"
+                 for r, v in zip(dec.annulus_rho, dec.omega)]
+        error = [f"{float(r)!r},{float(abs(v))!r}\n"
+                 for r, v in zip(dec.error_rho, dec.error_values)]
+        assert (out / f"omega_n{dec.n}.csv").read_text() \
+            == "".join(["rho,re,im\n", *omega])
+        assert (out / f"error_n{dec.n}.csv").read_text() \
+            == "".join(["rho,abs\n", *error])
+
+
 def test_apply_writes_loadable_field(tmp_path):
     out = str(tmp_path / "apply")
     assert run_cli(["apply", "--out", out, "--ndim", "2", "--extent", "8",
@@ -450,6 +466,50 @@ def test_cli_import_loads_no_concurrency_framework():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    # numpy.ma costs 10-16 ms to import; each subcommand at a small config
+    # runs in one fresh interpreter, which names those after which it is
+    # loaded
+    samples = tmp_path / "samples.csv"
+    samples.write_text("value,weight\n1,1\n2,1\n")
+    grid = ["--ndim", "2", "--extent", "8", "--resolution", "16"]
+    runs = [
+        ["lorentz-norm", "--input", str(samples), "--p", "2", "--nu", "2"],
+        ["br-scan", "--p-list", "1.142857142857143", "--lam-lo", "0.5",
+         "--lam-hi", "1.0", "--lam-step", "0.5", "--truncation", "8192",
+         "--resolution", "65536", "--decay-fit", "false"],
+        ["characterize", "--kernel-rho-max", "0.08"],
+        ["characterize", "--mode", "symbol", "--t-per-octave", "2"],
+        ["wave-check", "--dim", "3", "--n-lo", "2", "--n-hi", "3"],
+        ["wave-check", "--dim", "4", "--n-lo", "2", "--n-hi", "3"],
+        ["sph-probe", "--dim", "2", "--shells", "6", "--r-hi", "3",
+         "--budget", "9", "--radius0", "0.125"],
+        ["opnorm", "--mode", "estimate", "--multiplier", "one", *grid,
+         "--budget", "9", "--p", "2", "--nu", "2"],
+        ["opnorm", "--mode", "sweep", "--multiplier", "br:2.0", *grid,
+         "--budget", "9"],
+        ["apply", *grid, "--input", "gauss:0.5", "--multiplier",
+         "scalar:0.5"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from conemult.cli import main\n"
+        "loaded = []\n"
+        "for i, args in enumerate(json.loads(sys.argv[1])):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main([*args, '--out', f'{sys.argv[2]}/{i}'])\n"
+        "    assert code == 0, (args, code)\n"
+        "    if 'numpy.ma' in sys.modules:\n"
+        "        loaded.append(' '.join(args[:3]))\n"
+        "print(json.dumps(loaded))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == []
 
 
 def test_default_lines_sit_under_the_point_cap():

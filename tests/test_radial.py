@@ -14,8 +14,9 @@ from conemult.lorentz import (WeightedSampleSet, decreasing_rearrangement,
 from conemult.radial import (RadialProfile, SphericalMeans, fourier_1d,
                              inverse_radial, radial_transform, space_grid)
 from conemult.util import dyadic_envelope_fit, next_pow2, panel_nodes
-from reference import (abel_samples_resampled, plancherel_radial,
-                       radial_transform_per_radius, sphere_hat)
+from reference import (abel_far_per_row, abel_samples_resampled,
+                       plancherel_radial, radial_transform_per_radius,
+                       sphere_hat)
 
 
 def test_tent_transform_closed_form():
@@ -526,6 +527,42 @@ def test_abel_refinement_checked_against_budget():
         < radial._abel_terms(nt, 2)
     with pytest.raises(BudgetError):
         inverse_radial(step, 4, radii, 9000.0, 8.0)
+
+
+def _abel_far_case(q, nt, seed):
+    """Far-field values as the projection forms them, v_j = j m_j, on the
+    rows of the rule on nt t-points at the sample step h/q."""
+    n = q * (nt - 1) + radial._ABEL_REACH
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    scaled = samples * np.arange(n)
+    return scaled.view(float).reshape(-1, 2), radial._abel_rows(q, nt)
+
+
+def _one_block_holds_every_row(q, nt):
+    values, rows = _abel_far_case(q, nt, 0)
+    width = len(values) - 1 - q * rows[0]
+    return len(rows) <= max(1, radial._ABEL_BLOCK // width)
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 16])
+def test_abel_far_blocks_equal_the_per_row_sums(q):
+    # nt below, at and past the edge of the first block: the largest nt
+    # whose rows one block holds, then one more row; and the first rows of
+    # an nt whose rows are longer than half a block, so go one at a time
+    first = -(-radial._ABEL_REACH // q) + 1        # the first with a row
+    edge = next(nt for nt in range(first, 4096)
+                if not _one_block_holds_every_row(q, nt + 1))
+    long_rows = -(-(radial._ABEL_BLOCK // 2 + 2) // q) + 2
+    for nt in (first, edge - 1, edge, edge + 1, long_rows):
+        values, rows = _abel_far_case(q, nt, nt)
+        # the first row's correction starts at _ABEL_REACH (one step h/q
+        # past it when q is larger)
+        assert q * rows[0] == max(q, radial._ABEL_REACH)
+        rows = rows[:64] if nt == long_rows else rows
+        got = radial._abel_far(values, q, rows)
+        want = abel_far_per_row(values, q, rows)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), nt
 
 
 def _complex_line_walk(proj, h):

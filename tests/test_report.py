@@ -105,7 +105,8 @@ def test_header_only_file_reads_no_rows_and_no_warning(tmp_path, text):
 
 
 def _loop_csv_text(header, rows):
-    """The per-cell loop ``write_csv`` used to run, kept as its oracle."""
+    """The per-cell loop ``write_csv`` ran before the row writer, kept as
+    its oracle."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -118,6 +119,14 @@ def _loop_csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _row_csv_text(header, rows):
+    """The row writer ``write_csv`` ran before it took columns, kept as its
+    oracle: one ``map(str, row)`` per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 _CSV_CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
@@ -126,14 +135,25 @@ _CSV_CELLS = st.one_of(
     st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
 
 
+@st.composite
+def _csv_columns(draw):
+    """Up to 4 columns of one length, up to 6; no column, no row."""
+    length = draw(st.integers(0, 6))
+    return draw(st.lists(st.lists(_CSV_CELLS, min_size=length,
+                                  max_size=length), max_size=4))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=6))
-def test_write_csv_equals_the_per_cell_loop(rows):
+@given(_csv_columns())
+def test_write_csv_equals_the_per_cell_loop(columns):
+    rows = list(zip(*columns))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
-        report.write_csv(path, ["r", "value"], rows)
+        report.write_csv(path, ["r", "value"], columns)
         with open(path, newline="") as fh:
-            assert fh.read() == _loop_csv_text(["r", "value"], rows)
+            text = fh.read()
+    assert text == _loop_csv_text(["r", "value"], rows)
+    assert text == _row_csv_text(["r", "value"], rows)
 
 
 def test_summary_writes_a_result_from_its_fields(tmp_path):
