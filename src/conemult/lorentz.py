@@ -58,7 +58,7 @@ class WeightedSampleSet:
         self._check()
 
     @classmethod
-    def of_magnitudes(cls, magnitudes, weights, scratch=None):
+    def of_magnitudes(cls, magnitudes, weights, scratch=None, peak=None):
         """The sample set over ``magnitudes`` itself, taken without a copy.
 
         ``magnitudes`` is a 1-d float64 array of values >= 0, such as
@@ -67,16 +67,18 @@ class WeightedSampleSet:
         set (values of equal weight, in no particular order) unchanged.
         ``scratch``, a float64 array of at least one entry per sample, takes
         the terms of a finite-nu quasi-norm in place of a new array.
+        ``peak``, the values' max when the caller has it, spares the check
+        its own pass.
         """
         samples = cls.__new__(cls)
         samples.values = magnitudes
         samples.weights = weights
         samples._owns_values = True
         samples._scratch = scratch
-        samples._check()
+        samples._check(peak)
         return samples
 
-    def _check(self):
+    def _check(self, peak=None):
         self.weights = np.asarray(self.weights, dtype=float)
         if self.values.ndim != 1 or not (self.uniform or
                                          self.values.shape == self.weights.shape):
@@ -85,7 +87,7 @@ class WeightedSampleSet:
         if len(self.values) == 0:
             raise DomainError("sample set must be nonempty")
         # the values are >= 0 or NaN, so they are finite when their max is
-        if not math.isfinite(self.values.max()):
+        if not math.isfinite(self.values.max() if peak is None else peak):
             raise DomainError("sample values must be finite")
         if not (np.all(self.weights > 0) and np.all(np.isfinite(self.weights))):
             raise DomainError("weights must be positive and finite")
@@ -242,55 +244,171 @@ def _repeated_sums(counts, weight):
     return out
 
 
-_BITS = 4
+def _sums_exact(weight, count):
+    """True when every sum of up to ``count`` copies of ``weight`` > 0 is
+    exact: each is j * weight, j <= count, and that is a float when the
+    odd part of the significand times ``count`` is below 2^53."""
+    significand = int(math.ldexp(math.frexp(weight)[0], 53))
+    odd = significand >> ((significand & -significand).bit_length() - 1)
+    return odd * count < 2 ** 53
 
 
-def rounded_up(samples, out=None):
-    """Pointwise majorant of ``samples`` on a coarse level grid.
+_BITS = 8
+
+# pieces per block of the weak supremum's bounds, and the relative slack
+# of a bound; it covers the rounding of the power and the product
+_BLOCK = 64
+_BOUND_SLACK = 1e-12
+
+
+class LevelBins:
+    """The values of a sample set grouped into level bins.
+
+    The bins cut every binade [2^e, 2^(e+1)) into 2^_BITS equal pieces
+    and hold the zeros apart.  A positive value v lies in the bin
+    [bottom, top) with bottom <= v < top; the keys are read off the
+    float64 bit pattern, so they are monotone and exact, and this is the
+    one place they are formed.  Per present bin, ascending: ``tops`` (0
+    for the zeros), ``bottoms``, ``measures`` (the weights of its samples
+    summed in sample order, as ``bincount`` sums them) and, under a scalar
+    weight, ``counts``.  At most 2^_BITS bins per binade are present.
+
+    ``out``, an int64 array with one entry per sample, receives the keys
+    instead of a new array; they are not kept.
+    """
+
+    def __init__(self, samples, out=None):
+        shift = 52 - _BITS
+        v = samples.values
+        keys = np.right_shift(v.view(np.int64), shift, out=out)
+        keys += v > 0
+        lo = int(keys.min())
+        zeros = lo == 0
+        if zeros and keys.max() > 0:
+            # the zeros take the key below the least positive value's, so
+            # the keys span the positive values' binades alone
+            lo = int(np.min(keys, where=keys > 0, initial=keys.max())) - 1
+            np.maximum(keys, lo, out=keys)
+        keys -= lo
+        if samples.uniform:
+            counts = np.bincount(keys)
+            present = np.flatnonzero(counts)
+            self.counts = counts[present]
+            weight = float(samples.weights)
+            # exact sums are the counts times the weight, bit for bit
+            self.measures = self.counts * weight \
+                if _sums_exact(weight, len(v)) else \
+                _repeated_sums(self.counts, samples.weights)
+        else:
+            self.counts = None
+            measures = np.bincount(keys, weights=samples.weights)
+            present = np.flatnonzero(measures)
+            self.measures = measures[present]
+        present += lo
+        self.tops = (present << shift).view(np.float64)
+        self.bottoms = ((present - 1) << shift).view(np.float64)
+        if zeros:
+            self.tops[0] = self.bottoms[0] = 0.0
+        self.samples = samples
+
+    def majorant(self):
+        """The samples raised to their bins' tops, one per bin
+        (``rounded_up``)."""
+        return WeightedSampleSet(self.tops, self.measures)
+
+    def majorant_quasinorm(self, params):
+        """||rounded_up(samples)||_{p,nu}, bit for bit, read off the bins:
+        their tops ascend, so they need no sort."""
+        levels = self.tops[::-1]
+        return _levels_quasinorm(levels, np.cumsum(self.measures[::-1]),
+                                 params)
+
+    def weak_quasinorm(self, p):
+        """||samples||_{p,inf} from the candidate bins alone, bit for bit
+        the full rearrangement's; None where that route does not apply.
+
+        It applies under a scalar weight c whose sums up to the sample
+        count are exact (``_sums_exact``): the piece of each value v then
+        ends at c times the count of samples >= v on both routes.  With
+        N_b c the measure at or above bin b and X_b = (N_b c)^(1/p), the
+        supremum is at least max_b bottom_b X_b (the least value of bin b
+        reaches it) and a value of bin b is below top_b X_b.  A bin whose
+        bound, raised by ``_BOUND_SLACK``, stays below that floor holds no
+        value of the supremum; the samples from the lowest to the highest
+        bin that does (the candidates) are gathered, sorted, and their
+        pieces evaluated as ``_weak_top`` evaluates them.  Where a power
+        or a product leaves the float range the full route decides.
+        """
+        s = self.samples
+        if not s.uniform or not _sums_exact(float(s.weights), len(s.values)):
+            return None
+        if self.tops[-1] == 0.0:
+            return 0.0
+        e = 1.0 / p
+        above = np.cumsum(self.counts[::-1])[::-1]
+        with np.errstate(over="ignore", under="ignore"):
+            reach = above * float(s.weights)
+            reach **= e
+            floor = np.max(self.bottoms * reach)
+            bound = self.tops * reach
+            bound *= 1.0 + _BOUND_SLACK
+        # an overflowing reach leaves NaN (0 * inf) for the zeros' piece,
+        # which the full route keeps
+        if not (np.isfinite(reach[0]) and 0.0 < floor < math.inf):
+            return None
+        hit = np.flatnonzero(bound >= floor)
+        first, last = hit[0], hit[-1]
+        v = s.values
+        picked = np.sort(v[(v >= self.bottoms[first]) & (v < self.tops[last])])
+        # samples >= each picked value: those above the last candidate bin,
+        # and the picked ones from its own value up
+        count = len(picked) - np.searchsorted(picked, picked, side="left")
+        if last + 1 < len(above):
+            count += above[last + 1]
+        # the ends contiguous, as on the full route: numpy's vector power
+        # can differ in the last bit from its strided one
+        ends = count[::-1] * float(s.weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _weak_top(picked[::-1], ends, e, 0.0)
+        return _checked(value, p, math.inf)
+
+
+def rounded_up(samples):
+    """Pointwise majorant of ``samples`` on a fine level grid.
 
     Each positive value is raised to the top of its bin, the bins cutting
-    every binade [2^e, 2^(e+1)) into 16 equal pieces; zeros stay zero.
-    The bins are read off the float64 bit pattern, so the map is monotone
-    and exact, and each value grows by a factor of at most 17/16, attained
-    at the bottom of the first bin of a binade (a subnormal value grows by
-    less than 2^-1026).  The weights of a bin are summed into one sample,
-    leaving at most 16 samples per binade present.  As the Lorentz
-    quasi-norms are monotone under pointwise majorants and homogeneous,
+    every binade [2^e, 2^(e+1)) into 2^_BITS = 256 equal pieces
+    (``LevelBins``); zeros stay zero.  The map is monotone and exact, and
+    each value grows by a factor of at most 1 + 2^-_BITS, attained at the
+    bottom of the first bin of a binade (a subnormal value grows by less
+    than 2^-1030).  The weights of a bin are summed into one sample, so
+    the bin count stays bounded: at most 2^_BITS samples per binade, and
+    no more than the samples.  As the Lorentz quasi-norms are monotone
+    under pointwise majorants and homogeneous,
 
-        ||f||_{p,nu} <= ||rounded_up(f)||_{p,nu} <= (17/16) ||f||_{p,nu},
+        ||f||_{p,nu} <= ||rounded_up(f)||_{p,nu}
+                     <= (1 + 2^-_BITS) ||f||_{p,nu},
 
     the right-hand inequality for samples free of subnormals.
 
     A value in the top bin below the float64 overflow threshold has no
     finite majorant there and is rejected like any non-finite sample.
-
-    ``out``, an int64 array with one entry per sample, receives the bin
-    keys instead of a new array.
     """
-    shift = 52 - _BITS
-    v = samples.values
-    keys = np.right_shift(v.view(np.int64), shift, out=out)
-    keys += v > 0
-    k0 = int(keys.min())
-    keys -= k0
-    if samples.uniform:
-        counts = np.bincount(keys)
-        present = np.flatnonzero(counts)
-        merged = _repeated_sums(counts[present], samples.weights)
-    else:
-        merged = np.bincount(keys, weights=samples.weights)
-        present = np.flatnonzero(merged)
-        merged = merged[present]
-    tops = ((present + k0) << shift).view(np.float64)
-    return WeightedSampleSet(tops, merged)
+    return LevelBins(samples).majorant()
 
 
-def lorentz_quasinorm(samples, params):
+def lorentz_quasinorm(samples, params, bins=None):
     """Lorentz L^{p,nu} quasi-norm of a weighted sample set.
 
     Under a scalar weight the rearrangement is read chunk by chunk as it
     is formed, with the values of ``rearranged_quasinorm`` bit for bit.
+    ``bins``, the ``LevelBins`` of ``samples``, lets a weak quasi-norm
+    read its supremum off the candidate bins alone, with the same value.
     """
+    if bins is not None and params.weak:
+        value = bins.weak_quasinorm(params.p)
+        if value is not None:
+            return value
     if samples.uniform:
         # sorted in place when the set owns its values (``of_magnitudes``)
         v = samples.values if samples._owns_values else samples.values.copy()
@@ -302,16 +420,15 @@ def lorentz_quasinorm(samples, params):
 
 def rearranged_quasinorm(r, params):
     """Lorentz L^{p,nu} quasi-norm from the decreasing rearrangement ``r``."""
-    levels, ends = r.levels, r.breakpoints[1:]
+    return _levels_quasinorm(r.levels, r.breakpoints[1:], params)
+
+
+def _levels_quasinorm(levels, ends, params):
+    """The quasi-norm of the step function of the descending ``levels``
+    whose pieces end at ``ends``."""
     return _pieces_quasinorm(((levels[i:i + _CHUNK], ends[i:i + _CHUNK])
                               for i in range(0, len(levels), _CHUNK)),
                              params, len(levels))
-
-
-# pieces per block of the weak supremum's bounds, and the relative slack
-# of a bound; it covers the rounding of the power and the product
-_BLOCK = 64
-_BOUND_SLACK = 1e-12
 
 
 def _weak_top(lv, t, e, top):
@@ -348,9 +465,8 @@ def _pieces_quasinorm(chunks, params, count, scratch=None):
 
     The weak supremum is taken chunk by chunk.  The finite-nu integral is
     summed by one ``np.sum`` over the pieces' terms, each formed per chunk,
-    so it adds them in the order of a sum over whole arrays.  A power or
-    the root out of the float range (at an extreme p or nu) leaves 0, inf
-    or NaN in place of the positive quasi-norm: that is a ``DomainError``.
+    so it adds them in the order of a sum over whole arrays; the value is
+    ``_checked``.
     """
     chunks = iter(chunks)
     lv, t = next(chunks)
@@ -378,6 +494,13 @@ def _pieces_quasinorm(chunks, params, count, scratch=None):
                 below = tq[-1]
                 n += len(lv)
             value = peak * ((p / nu) * np.sum(contrib[:n])) ** (1.0 / nu)
+    return _checked(value, p, nu)
+
+
+def _checked(value, p, nu):
+    """The positive quasi-norm ``value`` as a float; a power or the root
+    out of the float range (at an extreme p or nu) leaves 0, inf or NaN in
+    its place, which is a ``DomainError``."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"p = {p}, nu = {nu}: the quasi-norm leaves the "
                           f"float range")

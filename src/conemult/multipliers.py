@@ -117,14 +117,18 @@ def sparse_coords(axes, rep):
                        indexing="ij", sparse=True)
 
 
-def radius_sq(axes, rep, out=None):
+def radius_sq(axes, rep, out=None, block=None):
     """|x|^2 or |xi|^2 over the grid of ``axes``, into ``out`` when given.
 
     The squared coordinates are added in axis order, all but the last on
     the sparse grid of the axes before it, so the only full-grid array is
-    the result.
+    the result.  ``block``, one slice per axis, restricts the grid to the
+    cells it indexes, each with the value of the whole grid's.
     """
     coords = sparse_coords(axes, rep)
+    if block is not None:
+        coords = [c[(slice(None),) * k + (s,)]
+                  for k, (c, s) in enumerate(zip(coords, block))]
     return np.add(sum(c ** 2 for c in coords[:-1]), coords[-1] ** 2,
                   out=out)
 
@@ -238,6 +242,24 @@ def _support_box(sym):
         box.append([slice(start, stop)] if start < stop else
                    [slice(start, n), slice(0, stop)])
     return box
+
+
+def _box_complement(box, shape):
+    """Index blocks that cover the cells outside the support ``box`` (not
+    empty) of a grid of ``shape``, each cell once: for each axis k, the
+    cells inside the box on the axes before k and outside it on axis k."""
+    blocks = []
+    for k, (runs, n) in enumerate(zip(box, shape)):
+        if runs == [slice(None)]:
+            continue
+        # one run [a, b) leaves [0, a) and [b, n); a run that wraps
+        # around the end, [a, n) and [0, b), leaves [b, a)
+        gaps = [slice(runs[1].stop, runs[0].start)] if len(runs) == 2 else \
+            [g for g in (slice(0, runs[0].start), slice(runs[0].stop, n))
+             if g.start < g.stop]
+        blocks += [head + (gap,) for head in itertools.product(*box[:k])
+                   for gap in gaps]
+    return blocks
 
 
 def _inverse_in_place(values, box):

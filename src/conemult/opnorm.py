@@ -10,6 +10,7 @@ of ``wave`` runs on it too.
 
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,17 +18,26 @@ import numpy as np
 
 from . import util
 from .errors import DomainError
-from .lorentz import (LorentzParams, WeightedSampleSet, lorentz_quasinorm,
-                      rounded_up)
-from .multipliers import (GridField, _apply_in_place, _support_box,
-                          field_symbol, radius_sq, sparse_coords)
+from .lorentz import (LevelBins, LorentzParams, WeightedSampleSet,
+                      lorentz_quasinorm)
+from .multipliers import (GridField, _apply_in_place, _box_complement,
+                          _inverse_in_place, _support_box, field_symbol,
+                          radius_sq, sparse_coords)
 
 FAMILIES = ("dilated_bump", "random_superposition", "radial_focus",
             "annulus_knapp")
+# the families defined by their spectrum: at p <= 2 a search takes a lower
+# bound of their ||f||_p first (``witness_input``)
+DEFERRED_FAMILIES = ("random_superposition", "annulus_knapp")
 # dilations of the default scan grid of scaling_sweep_experiment
 SWEEP_DILATIONS = 13
 # bytes per grid cell of a workspace's buffers (one complex, one float64)
 WORKSPACE_CELL_BYTES = 24
+# the largest share of the grid a support box may hold for the spectra to be
+# formed inside it alone: the strided blocks of a larger box cost more than
+# they save (cone_tent's half box: 6.2 against 5.9 ms a witness at 64^3 on
+# a 2-vCPU x86 VM)
+BOX_SHARE = 0.25
 # cap on a search's steps: the set of the specs it has seen grows by about
 # 330 B a step, so the cap keeps it under about 90 MB
 MAX_SEARCH_STEPS = 2 ** 18
@@ -45,11 +55,20 @@ def _float_power(base, exponent, p):
     return value
 
 
+def _peak(mags):
+    """max(mags) of magnitudes >= 0 or NaN, in one pass; 0.0 when none is
+    positive (zeros and NaN alone), as the test ``np.any(mags > 0)`` finds."""
+    peak = mags.max()
+    if peak != peak and not np.any(mags > 0):   # NaN, read again
+        return 0.0
+    return peak
+
+
 def _lp_norm(mags, cell_volume, p):
     """||f||_p from the raveled |f| ``mags``, which it overwrites."""
-    if not np.any(mags > 0):
+    peak = _peak(mags)
+    if peak == 0.0:
         return 0.0
-    peak = mags.max()
     mags /= peak
     mags **= p
     return _float_power(np.sum(mags) * cell_volume, 1.0 / p, p) * peak
@@ -59,14 +78,21 @@ def _grid_samples(mags, cell_volume, scratch=None):
     """The raveled |f| ``mags`` with cell-volume weights, or None when f
     vanishes; the sample set takes ``mags`` over (and ``scratch``, as
     ``WeightedSampleSet.of_magnitudes`` does)."""
-    if not np.any(mags > 0):
+    peak = _peak(mags)
+    if peak == 0.0:
         return None
-    return WeightedSampleSet.of_magnitudes(mags, cell_volume, scratch)
+    return WeightedSampleSet.of_magnitudes(mags, cell_volume, scratch, peak)
 
 
 # relative slack of the majorant test; it covers the rounding of the cumsum
 # and the powers in the two quasi-norms it compares
 _MAJORANT_SLACK = 1e-9
+
+
+def _defers(spec, p):
+    """True when a search may take a lower bound of the witness's ||f||_p
+    first (``witness_input``)."""
+    return p <= 2.0 and spec["family"] in DEFERRED_FAMILIES
 
 
 def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
@@ -78,11 +104,19 @@ def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
     F itself for a radial focus, F's inverse DFT for every other family.
     T is not applied when ||f||_p vanishes; the second entry is then None.
     It is None as well when the ratio cannot exceed ``beat > 0``: the norm
-    of the rounded-up majorant of |T f| (``lorentz.rounded_up``) bounds
-    ||T f||_{p,nu} from above and is checked before the exact rearrangement.
+    of the rounded-up majorant of |T f| (``lorentz.LevelBins``) bounds
+    ||T f||_{p,nu} from above and is checked before the exact norm, which
+    reads the same bins.  Through a workspace, a witness of
+    ``DEFERRED_FAMILIES`` at p <= 2 with ``beat > 0`` is checked first
+    against a lower bound of ||f||_p; when that rejects it the result is
+    (None, None).  A witness that survives gets its exact ||T f||_{p,nu},
+    then its exact ||f||_p (built in the workspace's buffers) and the
+    majorant check against that norm, so the second entry is the one of
+    the route that takes ||f||_p first.
     """
     work = _Workspace.of(operator, axes)
-    denom, f = witness_input(spec, axes, p, work)
+    deferred = beat > 0.0 and work is not None and _defers(spec, p)
+    denom, f = witness_input(spec, axes, p, work, deferred)
     if denom == 0.0:
         return 0.0, None
     if work is not None:
@@ -94,34 +128,55 @@ def _witness_norms(operator, spec, axes, p, nu, beat=0.0):
         samples = _grid_samples(np.abs(tf.values).ravel(), tf.cell_volume())
         keys = None
     if samples is None:
-        return denom, 0.0
+        return (_witness_lp_norm(spec, axes, p, work) if deferred
+                else denom), 0.0
     params = LorentzParams(p, nu)
-    if beat > 0.0 and lorentz_quasinorm(rounded_up(samples, keys), params) \
-            <= beat * denom * (1.0 - _MAJORANT_SLACK):
-        return denom, None
-    return denom, lorentz_quasinorm(samples, params)
+    bins = LevelBins(samples, keys) if beat > 0.0 or params.weak else None
+    if beat > 0.0:
+        bound = bins.majorant_quasinorm(params)
+        if bound <= beat * denom * (1.0 - _MAJORANT_SLACK):
+            return None if deferred else denom, None
+    num = lorentz_quasinorm(samples, params, bins)
+    if deferred:
+        denom = _witness_lp_norm(spec, axes, p, work)
+        if bound <= beat * denom * (1.0 - _MAJORANT_SLACK):
+            return denom, None
+    return denom, num
 
 
 class _Workspace:
     """The memory every witness of one search through a multiplier reuses.
 
-    It holds the symbol, its support box (``multipliers._support_box``), one
-    complex grid buffer for the witness's spectrum and T f, and one float64
-    grid buffer for |f| and |T f|.  The majorant's int64 bin keys go into
+    It holds the symbol, its support box (``multipliers._support_box``),
+    one complex grid buffer for the witness's spectrum and T f, and one
+    float64 grid buffer for |f| and |T f|.  As the symbol vanishes outside
+    the box, a spectrum is formed in ``blocks`` alone: the box's index
+    blocks when it holds at most ``BOX_SHARE`` of the grid, the whole grid
+    otherwise; ``outside`` covers the other cells
+    (``multipliers._box_complement``).  The level bins' int64 keys go into
     the complex buffer, which is free once |T f| is taken, and after them
-    the terms of a finite-nu exact norm.  Without a multiplier it holds
-    the buffers alone: ``witness_input`` builds one such per witness for
-    an operator given as a function, and drops it with that witness.  Its
-    siblings (``team``) share the symbol and the box and have buffers of
-    their own, one workspace per worker thread.
+    the terms of a finite-nu exact norm; a deferred ||f||_p
+    (``_witness_norms``) is built in both buffers after the exact norm of
+    T f.  Without a multiplier it holds the buffers alone, and its one
+    block is the whole grid: ``witness_input`` builds one such per witness
+    for an operator given as a function, and drops it with that witness.
+    Its siblings (``team``) share the symbol and the blocks and have
+    buffers of their own, one workspace per worker thread.
     """
 
     def __init__(self, axes, multiplier=None):
+        shape = tuple(ax.resolution for ax in axes)
+        self.blocks, self.outside = [(slice(None),) * len(axes)], []
         if multiplier is not None:
             self.sym = field_symbol(multiplier, axes)
             self.box = _support_box(self.sym)
+            inside = math.prod(sum(len(range(n)[run]) for run in runs)
+                               for runs, n in zip(self.box, shape))
+            if 0 < inside <= BOX_SHARE * math.prod(shape):
+                self.blocks = list(itertools.product(*self.box))
+                self.outside = _box_complement(self.box, shape)
         self.cell_volume = float(np.prod([ax.step for ax in axes]))
-        self._allocate(tuple(ax.resolution for ax in axes))
+        self._allocate(shape)
         self._siblings = []
 
     def _allocate(self, shape):
@@ -149,8 +204,22 @@ class _Workspace:
 
     def apply(self, f):
         """|T f| as grid samples (None when T f vanishes); f's values are
-        the complex buffer, a spectrum or, for a space field, the witness."""
-        out = _apply_in_place(f.values, f.rep, self.sym, self.box)
+        the complex buffer, a spectrum formed in ``blocks`` or, for a space
+        field, the witness.  A spectrum's cells ``outside`` are set to
+        zero, each once, and the symbol multiplies the blocks alone, before
+        ``_inverse_in_place``: |T f| is that of ``_apply_in_place``, bit
+        for bit."""
+        out = f.values
+        if f.rep == "frequency" and all(self.box):
+            for block in self.outside:
+                out[block] = 0.0
+            for block in self.blocks:
+                # sym first: numpy's complex product is not bitwise
+                # commutative
+                np.multiply(self.sym[block], out[block], out=out[block])
+            _inverse_in_place(out, self.box)
+        else:
+            _apply_in_place(out, f.rep, self.sym, self.box)
         mags = np.abs(out, out=self.magnitude).reshape(-1)
         # the keys' memory, spent once the majorant is taken, is the
         # scratch of the exact norm
@@ -218,18 +287,19 @@ def _knapp_sector(axes, prm):
     return np.exp(-0.5 * (delta / prm["sector_width"]) ** 2)
 
 
-def _knapp_window(axes, prm, sector, out):
+def _knapp_window(axes, prm, sector, out, block=None):
     """Spectrum of an ``annulus_knapp`` witness (FFT order), into the float
     grid ``out``: exp(-((|xi| - r0) / w)^2 / 2), times its ``sector``
-    factor (``_knapp_sector``), built in place."""
-    window = np.sqrt(radius_sq(axes, "frequency", out), out=out)
+    factor (``_knapp_sector``), built in place.  ``block``, one slice per
+    axis, restricts it to the cells it indexes, ``out`` of their shape."""
+    window = np.sqrt(radius_sq(axes, "frequency", out, block), out=out)
     window -= prm["r0"]
     window /= prm["w"]
     window **= 2
     window *= -0.5
     np.exp(window, out=window)
     if sector is not None:
-        window *= sector
+        window *= sector if block is None else sector[block[:2]]
     return window
 
 
@@ -263,7 +333,7 @@ def _separable_lp_norm(factors, cell_volume, p):
     return _float_power(total * cell_volume, 1.0 / p, p) * math.prod(peaks)
 
 
-def witness_input(spec, axes, p, work=None):
+def witness_input(spec, axes, p, work=None, floor=False):
     """(||f||_p, F) for the witness f of ``spec``: each family's one definition.
 
     F is f's forward DFT, in frequency form, where that is cheaper than f:
@@ -273,41 +343,30 @@ def witness_input(spec, axes, p, work=None):
     bump is taken from per-axis sums, so no full-grid space values are
     built for it.  F's values are the complex buffer of ``work`` (a
     ``_Workspace``, or new arrays when None), whose float buffer holds the
-    |f| a norm is taken of.  An operator that is not a multiplier field
-    receives f in space, F's inverse DFT (``_witness_norms``).
+    |f| a norm is taken of.  A spectrum is formed in the workspace's
+    ``blocks`` alone, inside the multiplier's support box; the cells
+    outside them are left as they are, for ``_Workspace.apply`` to clear.
+    An operator that is not a multiplier field receives f in space, F's
+    inverse DFT (``_witness_norms``).
+
+    With ``floor``, a witness of ``DEFERRED_FAMILIES`` (a superposition or
+    an annulus-Knapp witness) at p <= 2 takes a lower bound of ||f||_p in
+    place of the norm (``_parseval_floor``): F over the whole grid gives
+    it, and f's space values are not built; ``_witness_lp_norm`` builds
+    them when the norm is needed.  The norm itself stands where the bound
+    leaves the float range.
     """
     work = work or _Workspace(axes)
-    out, mags = work.spectrum, work.magnitude.reshape(-1)
+    out = work.spectrum
     family = spec["family"]
     prm = spec["params"]
     if family == "dilated_bump":
         factors = _bump_factors(axes, prm)
-        _outer([np.fft.fft(g) for g in factors], out)
+        spectra = [np.fft.fft(g) for g in factors]
+        for block in work.blocks:
+            _outer([g[k] for g, k in zip(spectra, block)], out[block])
         denom = _separable_lp_norm(factors, math.prod(ax.step for ax in axes),
                                    p)
-        return denom, GridField(axes, out, rep="frequency")
-    vol = work.cell_volume
-    if family == "random_superposition":
-        pieces = [_bump_factors(axes, piece, piece["coef_re"]
-                                + 1j * piece["coef_im"])
-                  for piece in prm["pieces"]]
-        out[...] = 0.0
-        for factors in pieces:
-            _add_outer(factors, out)
-        denom = _lp_norm(np.abs(out.reshape(-1), out=mags), vol, p)
-        out[...] = 0.0
-        for factors in pieces:
-            _add_outer([np.fft.fft(g) for g in factors], out)
-        return denom, GridField(axes, out, rep="frequency")
-    if family == "annulus_knapp":
-        # the window is built twice in the float buffer, once for the
-        # inverse DFT whose norm is ||f||_p and once as F: the buffers hold
-        # two grids of F's size, and the norm needs three
-        sector = _knapp_sector(axes, prm)
-        out[...] = _knapp_window(axes, prm, sector, work.magnitude)
-        np.fft.ifftn(out, out=out)
-        denom = _lp_norm(np.abs(out.reshape(-1), out=mags), vol, p)
-        out[...] = _knapp_window(axes, prm, sector, work.magnitude)
         return denom, GridField(axes, out, rep="frequency")
     if family == "radial_focus":
         # exp(-((|x| - a) / s)^2 / 2), step by step in place
@@ -319,8 +378,100 @@ def witness_input(spec, axes, p, work=None):
         rad *= -0.5
         np.exp(rad, out=rad)
         out[...] = rad
-        return _lp_norm(mags, vol, p), GridField(axes, out)
-    raise DomainError(f"unknown witness family {spec['family']!r}")
+        return _lp_norm(work.magnitude.reshape(-1), work.cell_volume, p), \
+            GridField(axes, out)
+    if family not in DEFERRED_FAMILIES:
+        raise DomainError(f"unknown witness family {spec['family']!r}")
+    if floor and _defers(spec, p):
+        bound = _parseval_floor(spec, axes, p, work)
+        if bound is not None:
+            return bound, GridField(axes, out, rep="frequency")
+    denom = _witness_lp_norm(spec, axes, p, work)
+    if family == "random_superposition":
+        spectra = [[np.fft.fft(g) for g in factors]
+                   for factors in _piece_factors(axes, prm)]
+        for block in work.blocks:
+            out[block] = 0.0
+            for factors in spectra:
+                _add_outer([g[k] for g, k in zip(factors, block)], out[block])
+    else:
+        sector = _knapp_sector(axes, prm)
+        for block in work.blocks:
+            out[block] = _knapp_window(axes, prm, sector,
+                                       work.magnitude[block], block)
+    return denom, GridField(axes, out, rep="frequency")
+
+
+def _piece_factors(axes, prm):
+    """The per-axis factors of each piece of a superposition."""
+    return [_bump_factors(axes, piece, piece["coef_re"] + 1j * piece["coef_im"])
+            for piece in prm["pieces"]]
+
+
+def _witness_lp_norm(spec, axes, p, work):
+    """||f||_p of a witness of ``DEFERRED_FAMILIES``, from its space values
+    built over the whole grid in both buffers of ``work``: a superposition
+    as the sum of its pieces' outer products, an annulus-Knapp witness as
+    the inverse DFT of its window."""
+    out, mags = work.spectrum, work.magnitude.reshape(-1)
+    prm = spec["params"]
+    if spec["family"] == "random_superposition":
+        out[...] = 0.0
+        for factors in _piece_factors(axes, prm):
+            _add_outer(factors, out)
+    else:
+        out[...] = _knapp_window(axes, prm, _knapp_sector(axes, prm),
+                                 work.magnitude)
+        np.fft.ifftn(out, out=out)
+    return _lp_norm(np.abs(out.reshape(-1), out=mags), work.cell_volume, p)
+
+
+# relative slack of the Parseval lower bound of ||f||_p; it covers the
+# rounding of the two sums and of the inverse DFT behind the exact norm
+_PARSEVAL_SLACK = 1e-6
+
+
+def _parseval_floor(spec, axes, p, work):
+    """A lower bound of ||f||_p, p <= 2, from the spectrum F over the whole
+    grid of N cells of volume v, or None when it leaves the float range.
+
+    As |f|^p >= |f|^2 / ||f||_inf^(2 - p), with ||f||_2^2 = v sum |F|^2 / N
+    (Parseval) and ||f||_inf <= sum |F| / N,
+
+        ||f||_p >= m (v (sum |F|^2 / N) / m^2)^(1/p),   m = sum |F| / N,
+
+    lowered by ``_PARSEVAL_SLACK``.  F is left in the complex buffer, in
+    the workspace's blocks at least: a superposition is summed there over
+    the whole grid, and its sum |F|^2 is a ``np.dot`` of the buffer's
+    floats with themselves; an annulus-Knapp window is built in the float
+    buffer, where both sums are read without a temporary, and copied in.
+    """
+    out, mags = work.spectrum, work.magnitude
+    prm = spec["params"]
+    if spec["family"] == "random_superposition":
+        out[...] = 0.0
+        for factors in _piece_factors(axes, prm):
+            _add_outer([np.fft.fft(g) for g in factors], out)
+        flat = out.reshape(-1).view(np.float64)
+        square = float(np.dot(flat, flat))
+        total = float(np.sum(np.abs(out, out=mags)))
+    else:
+        window = _knapp_window(axes, prm, _knapp_sector(axes, prm), mags)
+        flat = window.reshape(-1)
+        square = float(np.dot(flat, flat))
+        total = float(np.sum(flat))
+        for block in work.blocks:
+            out[block] = window[block]
+    if total == 0.0:
+        return 0.0
+    n = mags.size
+    mean = total / n
+    try:
+        bound = mean * (work.cell_volume * (square / n) / (mean * mean)) \
+            ** (1.0 / p) * (1.0 - _PARSEVAL_SLACK)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return bound if 0.0 < bound < math.inf else None
 
 
 def _dilation_bounds(axes):
@@ -431,7 +582,8 @@ def _search(propose, evaluate, budget, workers, tail):
     Step ``step`` proposes the spec ``propose(step, best spec so far)``; a
     spec proposed before (by ``repr``) is skipped, though it consumes its
     step.  ``evaluate(worker, spec, beat)`` gives (||f||_p, ||T f||), the
-    second None when f vanishes or the ratio cannot exceed ``beat > 0``.
+    second None when f vanishes or the ratio cannot exceed ``beat > 0``,
+    and both None when a lower bound of ||f||_p showed the latter.
     A ratio strictly above the best becomes the best, recorded as (step,
     ratio) in ``improvements``.  After the last step the specs of
     ``tail()`` are scored as steps ``budget, budget + 1, ...``.

@@ -260,7 +260,8 @@ class WaveDecomposition:
     omega_l1: float
     error_rho: np.ndarray
     error_values: np.ndarray
-    error_sup: float
+    error_abs: np.ndarray        # |error_values|, the abs of each scalar
+    error_sup: float             # max(error_abs)
 
 
 def decompose_radii(n):
@@ -309,8 +310,10 @@ def decompose(n, dim):
     omega = scale * kvals[ann_idx]
     omega_l1 = float(np.sum(np.abs(omega)) * step)
     err_vals = kvals[err_idx]
+    # hypot, not np.abs, is the abs of each complex scalar bit for bit
+    err_abs = np.hypot(err_vals.real, err_vals.imag)
     return WaveDecomposition(n, dim, ann_rho, omega, omega_l1, err_rho,
-                             err_vals, float(np.max(np.abs(err_vals))))
+                             err_vals, err_abs, float(np.max(err_abs)))
 
 
 def decompose_range(n_list, dim):

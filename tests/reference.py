@@ -10,9 +10,11 @@ from conemult.bessel import bessel_j_scaled, surface_area
 from conemult.bumps import BumpPhi
 from conemult.characterize import polar_sample_set
 from conemult.errors import BudgetError
+from conemult import opnorm
 from conemult.lorentz import (LorentzParams, RearrangedFunction,
-                              WeightedSampleSet, lorentz_quasinorm)
-from conemult.multipliers import GridField
+                              WeightedSampleSet, lorentz_quasinorm,
+                              rounded_up)
+from conemult.multipliers import GridField, field_symbol
 from conemult.opnorm import OpNormEstimate
 from conemult.radial import RadialProfile, fourier_1d
 from conemult.util import panel_nodes
@@ -24,6 +26,28 @@ def apply_full_transforms(f, sym):
     ``sym * F`` and the full ``ifftn``, as a field in space."""
     spectrum = f.values if f.rep == "frequency" else np.fft.fftn(f.values)
     return GridField(f.axes, np.fft.ifftn(sym * spectrum))
+
+
+def witness_norms_eager(mult, spec, axes, p, nu, beat=0.0):
+    """``opnorm._witness_norms`` of the multiplier field ``mult`` evaluated
+    eagerly: ||f||_p first and F over the whole grid (``witness_input``
+    without a workspace), the full product and transforms, and every
+    witness through the rearrangement of all its samples.  The second
+    entry is None when the sorted quasi-norm of ``rounded_up(|T f|)``
+    shows the ratio cannot exceed ``beat > 0``."""
+    denom, f = opnorm.witness_input(spec, axes, p)
+    if denom == 0.0:
+        return 0.0, None
+    tf = apply_full_transforms(f, field_symbol(mult, axes))
+    mags = np.abs(tf.values).ravel()
+    if not np.any(mags > 0):
+        return denom, 0.0
+    samples = WeightedSampleSet(mags, tf.cell_volume())
+    params = LorentzParams(p, nu)
+    if beat > 0.0 and lorentz_quasinorm(rounded_up(samples), params) \
+            <= beat * denom * (1.0 - opnorm._MAJORANT_SLACK):
+        return denom, None
+    return denom, lorentz_quasinorm(samples, params)
 
 
 def critical_exponent_alt(dim, p):

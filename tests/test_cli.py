@@ -113,6 +113,22 @@ def test_wave_check_tables_hold_each_value_as_written_per_row(tmp_path):
             == "".join(["rho,abs\n", *error])
 
 
+@pytest.mark.parametrize("extra", [[], ["--dim", "4", "--n-lo", "7",
+                                         "--n-hi", "8"], ["--dim", "6"]])
+def test_wave_check_error_sup_is_the_largest_value_of_its_table(tmp_path,
+                                                                 extra):
+    # the summary's sup is read off the magnitudes the table holds, so it
+    # is one of them; np.abs of the complex array differed in the last
+    # bit at n = 5 (d = 3), n = 8 (d = 4) and n = 4 (d = 6)
+    out = tmp_path / "wave"
+    assert run_cli(["wave-check", "--out", str(out), *extra]) == 0
+    summary = read_summary(str(out))
+    assert summary["error_sup"]
+    for n, sup in summary["error_sup"].items():
+        rows = (out / f"error_n{n}.csv").read_text().splitlines()[1:]
+        assert sup == max(float(row.split(",")[1]) for row in rows)
+
+
 def test_apply_writes_loadable_field(tmp_path):
     out = str(tmp_path / "apply")
     assert run_cli(["apply", "--out", out, "--ndim", "2", "--extent", "8",

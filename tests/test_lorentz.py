@@ -356,29 +356,77 @@ def test_rounded_up_bounds_every_quasinorm(data):
     up = rounded_up(s)
     assert np.all(np.diff(np.sort(up.values)) > 0)
     assert math.isclose(up.total_measure, s.total_measure, rel_tol=1e-12)
-    # up to the rounding of the two cumsums: the factor 17/16 is attained
-    # (one bin [1, 1.0625) holding 1 and 1.03125), and then either side
-    # can come out one ulp over it
+    # up to the rounding of the two cumsums: the factor 1 + 2^-8 is
+    # attained (one bin [1, 1.00390625) holding 1 and 1.001953125), and
+    # then either side can come out one ulp over it
     for nu in (p, 2.0 * p, math.inf):
         prm = LorentzParams(p, nu)
         exact = lorentz_quasinorm(s, prm)
         bound = lorentz_quasinorm(up, prm)
         assert exact <= bound * (1.0 + 1e-12)
-        assert bound <= (1.0 + 2.0 ** -4) * exact * (1.0 + 1e-12)
+        assert bound <= (1.0 + 2.0 ** -8) * exact * (1.0 + 1e-12)
 
 
 def test_rounded_up_bin_tops():
-    # 1.0 opens its bin and rises by the full 1/16; the top of one bin
+    # 1.0 opens its bin and rises by the full 1/256; the top of one bin
     # opens the next; zeros stay zero and merge
-    s = samples([1.0, 1.0 + 1 / 16, 0.0, 1.0 + 1 / 32, 0.0, 3.0],
+    s = samples([1.0, 1.0 + 1 / 256, 0.0, 1.0 + 1 / 512, 0.0, 3.0],
                 [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     up = rounded_up(s)
     order = np.argsort(up.values)
-    assert up.values[order].tolist() == [0.0, 1.0625, 1.125, 3.125]
+    assert up.values[order].tolist() == [0.0, 1.00390625, 1.0078125,
+                                         3.0078125]
     assert up.weights[order].tolist() == [8.0, 5.0, 2.0, 6.0]
     got = lorentz_quasinorm(rounded_up(samples([1.0], [2.0])),
                             LorentzParams(1.5, math.inf))
-    assert got == 1.0625 * 2.0 ** (1 / 1.5)
+    assert got == 1.00390625 * 2.0 ** (1 / 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_candidate_bins_give_the_weak_norm_of_the_full_sort(data):
+    # ties from a small pool, power laws and values spread over many
+    # binades, each with zeros, under one weight whose sums are exact: the
+    # supremum read off the candidate bins is the full sort's, bit for bit
+    n = data.draw(st.integers(1, 400))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    kind = data.draw(st.sampled_from(["ties", "power", "spread"]))
+    if kind == "ties":
+        atoms = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1,
+                                   max_size=4))
+        values = rng.choice(np.array(atoms), n)
+    elif kind == "power":
+        values = rng.permutation((np.arange(1.0, n + 1.0) * rng.uniform(
+            0.1, 10.0)) ** -rng.uniform(0.2, 3.0))
+    else:
+        values = rng.random(n) ** rng.uniform(1.0, 30.0)
+    values[rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    p = data.draw(st.floats(0.5, 4.0))
+    weight = math.ldexp(data.draw(st.sampled_from([1, 3, 5, 125, 1023])),
+                        data.draw(st.integers(-30, 30)))
+    params = LorentzParams(p, math.inf)
+    s = WeightedSampleSet(values, weight)
+    want = lorentz_quasinorm(s, params)
+    bins = lorentz.LevelBins(s)
+    assert bins.weak_quasinorm(p) == want
+    assert lorentz_quasinorm(s, params, bins) == want
+    assert bins.majorant_quasinorm(params) == \
+        lorentz_quasinorm(rounded_up(s), params)
+    # a weight whose sums round takes the sort
+    third = WeightedSampleSet(values, 1.0 / 3.0)
+    bins = lorentz.LevelBins(third)
+    assert (bins.weak_quasinorm(p) is None) == (n > 1)
+    assert lorentz_quasinorm(third, params, bins) == \
+        lorentz_quasinorm(third, params)
+
+
+def test_exact_sums_of_a_weight():
+    # 5 * 2^-7 has odd significand 5: 2^53 / 5 copies sum exactly
+    assert lorentz._sums_exact(5 * 2.0 ** -7, 2 ** 53 // 5)
+    assert not lorentz._sums_exact(5 * 2.0 ** -7, 2 ** 53 // 5 + 1)
+    assert lorentz._sums_exact(2.0 ** -6, 2 ** 52)
+    assert lorentz._sums_exact(0.1, 2) and not lorentz._sums_exact(0.1, 3)
+    assert not lorentz._sums_exact(1.0 / 3.0, 2)
 
 
 def _assert_same_samples(got, want):

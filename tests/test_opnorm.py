@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conemult import cli, multipliers, opnorm, util
+import reference
+from conemult import cli, lorentz, multipliers, opnorm, util
 from conemult.errors import DomainError
 from conemult.multipliers import Axis, GridField, apply_multiplier, \
     field_symbol, freq_magnitude
@@ -145,6 +148,33 @@ def test_identity_bound_stays_below_its_norm_at_nu_inf():
     # the weak norm is at most ||f||_p, with equality for indicators: 1; the
     # search reads 0.6844, 0.316 below it
     assert _identity_estimate(math.inf).lower_bound <= 1.0
+
+
+def _scalar_estimate(nu):
+    """``estimate_lower`` of the multiplier ``scalar:-2.5`` at p = 1.2 on
+    the default 64^2 grid of ``opnorm``: through the workspace, its support
+    box, the level bins and the deferred norms."""
+    axes = cli.build_axes(16.0, 64, 2)
+    return estimate_lower(cli.grid_multiplier("scalar:-2.5", axes), axes,
+                          1.2, nu, budget=48, seed=0)
+
+
+def test_scalar_multiplier_bound_is_its_norm_at_nu_p():
+    # ||T f||_p = 2.5 ||f||_p for every witness; the search reads
+    # 2.5 + 8.9e-16
+    assert abs(_scalar_estimate(1.2).lower_bound - 2.5) <= 1e-12
+
+
+def test_scalar_multiplier_bound_stays_below_its_norm_at_nu_2():
+    # 2.5 (p/nu)^(1/nu) = 1.9365 at p = 1.2, nu = 2; the search reads
+    # 1.8131, 0.123 below it (2.5 times the identity's)
+    assert _scalar_estimate(2.0).lower_bound <= 2.5 * (1.2 / 2.0) ** 0.5
+
+
+def test_scalar_multiplier_bound_stays_below_its_norm_at_nu_inf():
+    # 2.5 ||f||_p bounds the weak norm; the search reads 1.7111, 0.789
+    # below it
+    assert _scalar_estimate(math.inf).lower_bound <= 2.5
 
 
 def test_no_admissible_dilation_rejected():
@@ -430,10 +460,10 @@ def test_majorant_rejects_losers_without_the_exact_norm(monkeypatch):
     exact = []
     norm = opnorm.lorentz_quasinorm
 
-    def counted(samples, params):
+    def counted(samples, params, bins=None):
         if len(samples.values) == 32 ** 3:
             exact.append(1)
-        return norm(samples, params)
+        return norm(samples, params, bins)
     monkeypatch.setattr(opnorm, "lorentz_quasinorm", counted)
     spec = {"family": "dilated_bump", "params": {"t": 1.0}}
     denom, num = opnorm._witness_norms(op, spec, axes, 1.2, math.inf)
@@ -442,10 +472,109 @@ def test_majorant_rejects_losers_without_the_exact_norm(monkeypatch):
     assert opnorm._witness_norms(op, spec, axes, 1.2, math.inf,
                                  0.5 * num / denom) == (denom, num)
     assert len(exact) == 2
-    # one 1.1 times above it is out of reach of the 17/16 majorant
+    # one 1.1 times above it is out of reach of the (1 + 2^-8) majorant
     assert opnorm._witness_norms(op, spec, axes, 1.2, math.inf,
                                  1.1 * num / denom) == (denom, None)
     assert len(exact) == 2
+
+
+def test_default_searches_take_few_exact_numerators(monkeypatch):
+    # with 2^8 level bins per binade the majorant leaves 12 witnesses of
+    # the 3-axis estimate (cone_tent) and 13 of the sweep (br:2.0, its 13
+    # dilations) at seed 1 for their exact numerator, against 16 and 15
+    # with 2^4; none of those weak norms sorts the 2^18 samples
+    monkeypatch.setattr(util, "_worker_count", lambda cells, cell_bytes: 1)
+    axes = cli.build_axes(16.0, 64, 3)
+    exact, sorted_counts = [], []
+    norm, pieces = opnorm.lorentz_quasinorm, lorentz._uniform_pieces
+
+    def counted(samples, params, bins=None):
+        if len(samples.values) == 64 ** 3:
+            exact.append(1)
+        return norm(samples, params, bins)
+
+    def sorted_pieces(v, weight):
+        sorted_counts.append(len(v))
+        return pieces(v, weight)
+    monkeypatch.setattr(opnorm, "lorentz_quasinorm", counted)
+    monkeypatch.setattr(lorentz, "_uniform_pieces", sorted_pieces)
+    estimate_lower(cli.grid_multiplier("cone_tent", axes), axes, 1.2,
+                   math.inf, budget=48, seed=1)
+    assert len(exact) == 12
+    exact.clear()
+    scaling_sweep_experiment(cli.grid_multiplier("br:2.0", axes), axes, 1.2,
+                             math.inf, budget=48, seed=1)
+    assert len(exact) == 13
+    assert 64 ** 3 not in sorted_counts
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("spec", ["cone_tent", "br:2.0", "oscillatory:3",
+                                  "scalar:2"])
+def test_witness_norms_equal_the_eager_route(spec, ndim):
+    # the support box, the level bins and the deferred ||f||_p change how
+    # much of a witness is evaluated, not its numerator: below and above
+    # its own ratio (and far above, where the Parseval bound rejects it
+    # before ||f||_p is built) the second entry is the eager route's
+    axes = cli.build_axes(16.0, 32 if ndim == 3 else 64, ndim)
+    mult = cli.grid_multiplier(spec, axes)
+    work = opnorm._Workspace(axes, mult)
+    witnesses = [w for family in opnorm.FAMILIES
+                 for w in _family_specs(axes, family, count=2)]
+    deferred = 0
+    for witness in witnesses:
+        for p in (1.2, 2.0, 3.0):
+            for nu in sorted({nu for nu in (p, 2.0, math.inf) if nu >= p}):
+                want = reference.witness_norms_eager(mult, witness, axes, p,
+                                                     nu)
+                assert opnorm._witness_norms(work, witness, axes, p, nu) \
+                    == want
+                denom, num = want
+                if not num:
+                    continue
+                for beat in (0.5, 1.1, 10.0):
+                    beat *= num / denom
+                    want = reference.witness_norms_eager(mult, witness, axes,
+                                                         p, nu, beat)
+                    got = opnorm._witness_norms(work, witness, axes, p, nu,
+                                                beat)
+                    assert got[1] == want[1]
+                    if got[0] is None:
+                        assert opnorm._defers(witness, p) and got[1] is None
+                        deferred += 1
+                    else:
+                        assert got[0] == want[0]
+    assert deferred > 0
+
+
+_FLOOR_AXES = [axes2(res=32), cli.build_axes(16.0, 16, 3),
+               (Axis(8.0, 32), Axis(16.0, 64), Axis(12.0, 16)),
+               (Axis(8.0, 64),)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_parseval_floor_stays_below_the_norm(data):
+    axes = data.draw(st.sampled_from(_FLOOR_AXES))
+    family = data.draw(st.sampled_from(opnorm.DEFERRED_FAMILIES))
+    spec = _family_specs(axes, family, count=1,
+                         seed=data.draw(st.integers(0, 2 ** 32 - 1)))[0]
+    p = data.draw(st.floats(0.5, 2.0))
+    floor, _ = opnorm.witness_input(spec, axes, p, None, True)
+    denom, _ = opnorm.witness_input(spec, axes, p)
+    assert 0.0 < floor <= denom
+
+
+def test_only_spectral_families_at_p_up_to_2_defer():
+    axes = axes2(res=32)
+    for family in opnorm.FAMILIES:
+        spec = _family_specs(axes, family, count=1)[0]
+        for p in (1.2, 2.0, 2.5):
+            floor, _ = opnorm.witness_input(spec, axes, p, None, True)
+            denom, _ = opnorm.witness_input(spec, axes, p)
+            assert opnorm._defers(spec, p) == (
+                family in opnorm.DEFERRED_FAMILIES and p <= 2.0)
+            assert (floor < denom) == opnorm._defers(spec, p)
 
 
 def test_sweep_scores_dilations_the_budget_does_not_reach(monkeypatch):
@@ -501,9 +630,9 @@ def test_general_operators_take_the_space_route(monkeypatch):
     seen, spectra = [], []
     spectrum = opnorm.witness_input
 
-    def counted_spectrum(spec, ax, p, work=None):
+    def counted_spectrum(spec, ax, p, work=None, floor=False):
         spectra.append(spec["family"])
-        return spectrum(spec, ax, p, work)
+        return spectrum(spec, ax, p, work, floor)
     monkeypatch.setattr(opnorm, "witness_input", counted_spectrum)
     applied = _counting_multiplier(monkeypatch)
 
@@ -619,6 +748,31 @@ def test_grid_norms_equal_the_new_array_route():
     assert _lp_norm(GridField(axes, np.zeros(shape)), 1.2) == 0.0
 
 
+@pytest.mark.parametrize("case", [[0.0, 0.0], [math.nan, 0.0],
+                                  [math.nan, math.nan], [math.nan, 1.0],
+                                  [1.0, 2.0], [0.0, 3.0], [math.inf, 1.0]])
+def test_vanishing_check_agrees_with_the_any_test(case):
+    # one max decides what np.any(mags > 0) decided: no positive value
+    # (zeros and NaN alone) is a vanishing f, and a NaN or inf beside a
+    # positive value is rejected
+    mags = np.array(case)
+    if not np.any(mags > 0):
+        assert opnorm._grid_samples(mags.copy(), 0.5) is None
+        assert opnorm._lp_norm(mags.copy(), 0.5, 1.2) == 0.0
+    elif not np.isfinite(mags.max()):
+        with pytest.raises(DomainError, match="finite"):
+            opnorm._grid_samples(mags.copy(), 0.5)
+        if np.isnan(mags).any():
+            with pytest.raises(DomainError, match="float range"):
+                opnorm._lp_norm(mags.copy(), 0.5, 1.2)
+    else:
+        owned = mags.copy()
+        assert opnorm._grid_samples(owned, 0.5).values is owned
+        want = float(np.sum((mags / mags.max()) ** 1.2) * 0.5) ** (1 / 1.2) \
+            * mags.max()
+        assert opnorm._lp_norm(mags.copy(), 0.5, 1.2) == want
+
+
 def _oracle_numerator(tf, denom, p, nu, beat):
     """_witness_norms' ||T f||_{p,nu} from new arrays: None when the
     rounded-up majorant shows the ratio cannot exceed ``beat > 0``."""
@@ -627,8 +781,8 @@ def _oracle_numerator(tf, denom, p, nu, beat):
         return 0.0
     samples = opnorm.WeightedSampleSet(vals, tf.cell_volume())
     params = opnorm.LorentzParams(p, nu)
-    if beat > 0.0 and opnorm.lorentz_quasinorm(
-            opnorm.rounded_up(samples), params) \
+    if beat > 0.0 and lorentz.lorentz_quasinorm(
+            lorentz.rounded_up(samples), params) \
             <= beat * denom * (1.0 - opnorm._MAJORANT_SLACK):
         return None
     return opnorm.lorentz_quasinorm(samples, params)
@@ -758,6 +912,47 @@ def test_pruned_forward_equals_fftn_inside_the_box(shape):
                                   np.abs(np.fft.ifftn(sym * want)))
 
 
+@pytest.mark.parametrize("shape", [(16,), (8, 16), (4, 8, 16), (8, 4, 4, 8)])
+def test_box_apply_equals_the_full_product(shape):
+    # a spectrum formed in the workspace's blocks alone (the support box's
+    # when it holds at most BOX_SHARE of the grid): the workspace clears
+    # each cell outside them once and multiplies the blocks, and |T f| is
+    # that of the full product's inverse DFT, bit for bit
+    rng = np.random.default_rng(20 + len(shape))
+    ndim = len(shape)
+    axes = tuple(Axis(8.0, n) for n in shape)
+    cuts = [set(c) for r in range(ndim + 1)
+            for c in itertools.combinations(range(ndim), r)]
+    point = np.zeros(shape, dtype=complex)
+    point[(1,) * ndim] = 2.0 - 1.0j   # a box of one cell
+    boxed = set()
+    for sym in [_boxed_symbol(rng, shape, cut)[0] for cut in cuts * 2] \
+            + [point]:
+        work = opnorm._Workspace(axes, GridField(axes, sym, rep="frequency"))
+        in_box = np.zeros(shape, dtype=bool)
+        for block in itertools.product(*work.box):
+            in_box[block] = True
+        small = in_box.sum() <= opnorm.BOX_SHARE * sym.size
+        boxed.add(small)
+        inside = np.zeros(shape, dtype=bool)
+        for block in work.blocks:
+            inside[block] = True
+        assert np.array_equal(inside, in_box if small else
+                              np.ones(shape, dtype=bool))
+        covered = np.zeros(shape, dtype=int)
+        for block in work.outside:
+            covered[block] += 1
+        assert np.array_equal(covered, (~inside).astype(int))
+        spectrum = rng.standard_normal(shape) \
+            + 1j * rng.standard_normal(shape)
+        work.spectrum[...] = np.nan
+        work.spectrum[inside] = spectrum[inside]
+        samples = work.apply(GridField(axes, work.spectrum, rep="frequency"))
+        want = np.abs(np.fft.ifftn(sym * spectrum)).ravel()
+        assert np.array_equal(samples.values, want)
+    assert boxed == {True, False}
+
+
 def test_radial_focus_magnitudes_equal_the_full_transform(monkeypatch):
     axes, mult = _grid_multiplier("br:2.0")
     work = opnorm._Workspace(axes, mult)
@@ -795,11 +990,13 @@ def test_buffer_built_witnesses_equal_their_full_grid_formulas(axes):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("path", ["exact", "rejected"])
+@pytest.mark.parametrize("path", ["exact", "rejected", "far"])
 @pytest.mark.parametrize("family", opnorm.FAMILIES)
 def test_witness_allocates_less_than_a_grid_array(family, path):
-    # a witness evaluation allocates no full-grid temporary, on either
-    # path: only its workspace's buffers are grid-sized
+    # a witness evaluation allocates no full-grid temporary, on any path:
+    # only its workspace's buffers are grid-sized.  Far above its ratio a
+    # deferred witness (a spectral family at p = 1.2) is rejected on the
+    # Parseval bound of ||f||_p, before the norm: (None, None)
     import tracemalloc
     axes, mult = _grid_multiplier("br:2.0", res=64)
     work = opnorm._Workspace(axes, mult)
@@ -813,10 +1010,14 @@ def test_witness_allocates_less_than_a_grid_array(family, path):
             denom, num = opnorm._witness_norms(work, spec, axes, 1.2, nu)
             if path == "exact":
                 beat, want = 0.0, (denom, num)
-            else:
-                if not num:
-                    continue   # T f vanishes: there is no norm to reject
+            elif not num:
+                continue   # T f vanishes: there is no norm to reject
+            elif path == "rejected":
                 beat, want = 1.1 * num / denom, (denom, None)
+            else:
+                beat = 100.0 * num / denom
+                want = (None if family in opnorm.DEFERRED_FAMILIES
+                        else denom, None)
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()

@@ -19,6 +19,10 @@ from conemult import cli
 from conemult.config import REQUIRED, Range, Spec, effective_text
 from conemult.multipliers import Axis, GridField, save_field
 
+# the header of a Python traceback; a drawn value may be the bare word,
+# which an error message echoes
+TRACEBACK = "Traceback (most recent call last)"
+
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                     "config.md")
 
@@ -170,7 +174,7 @@ def test_bounds_reach_the_runner_and_values_past_them_do_not(no_runner,
         got, err = _run(command, key, value)
         assert got == code, (key, value, err)
         if code is not None:
-            assert err.count("\n") == 1 and "Traceback" not in err, err
+            assert err.count("\n") == 1 and TRACEBACK not in err, err
 
 
 def _outside(domain, kind):
@@ -225,7 +229,7 @@ def test_any_value_outside_a_domain_exits_with_its_code(data):
     finally:
         cli.RUNNERS = saved
     assert got == code, (command, key, value, err)
-    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.count("\n") == 1 and TRACEBACK not in err, err
 
 
 _SPECS = [(command, key, domain) for command, table in cli.DEFAULTS.items()
@@ -255,7 +259,7 @@ def test_any_text_of_a_spec_key_is_a_form_or_exits_2(data):
         cli.RUNNERS = saved
     assert got in (None, 2), (command, key, value, err)
     if got == 2:
-        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.count("\n") == 1 and TRACEBACK not in err, err
 
 
 def _inside(arg):
@@ -306,7 +310,7 @@ def test_in_domain_spec_arguments_run_to_exit_0_2_or_3(command, key, data):
             got, err = _run(command, key, value.replace("{file}", path),
                             _TINY[command, key])
     assert got in (0, 2, 3), (command, key, value, err)
-    assert "Traceback" not in err
+    assert TRACEBACK not in err
     assert err.count("\n") == (got != 0) or err.startswith("warning:"), err
 
 
