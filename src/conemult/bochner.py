@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bumps
-from .characterize import scan_line
+from .characterize import _truncation_ladder, scan_line
 from .errors import DomainError
 from .lorentz import LorentzParams
 from .multipliers import GridField, _check_cone_axes, freq_magnitude
@@ -124,8 +124,9 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
     """Estimate, per p, the smallest order lambda with a convergent functional.
 
     For each lambda the weak-type weighted functional of the edge profile's
-    transform is evaluated at nested truncations R/8 .. R, both over the full
-    line and restricted to |s| >= ``_DETECTOR_WINDOW``.  The divergence flag
+    transform is evaluated at nested truncations R/8 .. R (the ladder of
+    ``characterize._truncation_ladder``), both over the full line and
+    restricted to |s| >= ``_DETECTOR_WINDOW``.  The divergence flag
     (>= 10% growth per doubling across three doublings) is taken from the
     windowed values: the admissible flat bump's width-1/8 ramp contributes a
     fixed spectral hump below s ~ 250 that otherwise pins the supremum and
@@ -139,9 +140,10 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
         raise DomainError("p_list is empty: name at least one exponent")
     # each p is checked before any prediction divides by it
     params = [LorentzParams(p, math.inf) for p in p_list]
-    if truncation / 8.0 <= 2.0 * _DETECTOR_WINDOW:
+    radii, windows = _truncation_ladder(truncation)
+    if radii[0] <= 2.0 * _DETECTOR_WINDOW:
         raise DomainError(
-            f"truncation ladder starting at {truncation / 8.0:.0f} is too "
+            f"truncation ladder starting at {radii[0]:.0f} is too "
             f"shallow for a detector window at {_DETECTOR_WINDOW:.0f}")
     predictions = {p: critical_exponent(dim, p) for p in p_list}
     for p, pred in predictions.items():
@@ -149,9 +151,7 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
             raise DomainError(
                 f"lambda grid [{lam_grid[0]}, {lam_grid[-1]}] does not bracket "
                 f"the predicted threshold {pred:.4f} for p = {p}")
-    radii = [truncation / 2 ** i for i in (3, 2, 1, 0)]
-    windows = [(0.0, r) for r in radii] + \
-        [(_DETECTOR_WINDOW, r) for r in radii]
+    windows += [(_DETECTOR_WINDOW, r) for r in radii]
     for lam in lam_grid:
         _check_order(lam)
     tables = [[] for _ in p_list]
@@ -159,8 +159,8 @@ def critical_scan(dim, p_list, lam_grid, truncation=16384.0,
             _edge_profiles, lam_grid, dim, windows, params,
             _SCAN_SPATIAL_TRUNCATION, resolution)):
         for values, table in zip(per_p, tables):
-            full = dict(zip(radii, values[:4]))
-            tail = dict(zip(radii, values[4:]))
+            full = dict(zip(radii, values[:len(radii)]))
+            tail = dict(zip(radii, values[len(radii):]))
             table.append((lam, full, tail, doubling_trend(tail)["divergent"]))
     results = []
     for p, table in zip(p_list, tables):

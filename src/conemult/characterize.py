@@ -32,7 +32,8 @@ from .radial import (LineBuffers, _checked_line_grids, fourier_1d,
 from .util import (LINE_POINT_BYTES, _ordered_map, _worker_count,
                    doubling_trend, geometric_grid)
 
-# both sides: values at the truncations R / 2^i for i <= _DOUBLINGS
+# both sides and the critical scan: values at the truncations R / 2^i for
+# i <= _DOUBLINGS (``_truncation_ladder``)
 _DOUBLINGS = 3
 # kernel side: the smallest radius of its geometric grid, and the grid's
 # points per octave
@@ -278,8 +279,7 @@ def kernel_side_quantity(gamma, dim, params, support, rho_max=256.0):
     ok = prof.reliable
     radii, vals = prof.radii[ok], np.abs(prof.values[ok])
     by_r = {}
-    for i in range(_DOUBLINGS, -1, -1):
-        r = rho_max / 2 ** i
+    for r in _truncation_ladder(rho_max)[0]:
         keep = radii <= r
         samples = polar_sample_set(radii[keep], vals[keep], dim)
         by_r[r] = lorentz_quasinorm(samples, params)

@@ -8,6 +8,12 @@ Conventions (fixed; no gamma-factor normalization):
 with f* the right-continuous decreasing rearrangement.  On a step function
 the finite-nu integral is evaluated in closed form piece by piece, and the
 weak-type supremum uses the right endpoint of each constant piece.
+
+A piece of the rearrangement ends at the measure of the samples at or
+above its level.  Under a scalar weight c (a uniform measure, such as grid
+cells) that is c times their count, one rounding, on every route: the
+rearrangement, the chunked stream, the level bins and the weak norm read
+off them.  An array of weights is summed per piece in sample order.
 """
 
 import itertools
@@ -111,20 +117,16 @@ class RearrangedFunction:
     breakpoints: np.ndarray  # increasing, breakpoints[0] == 0
     levels: np.ndarray       # strictly decreasing
 
-    def measure_above(self, lam):
-        """Measure of {f* > lam}; equals the weighted measure of {|f| > lam}."""
-        count = int(np.sum(self.levels > lam))
-        return float(self.breakpoints[count])
-
 
 def decreasing_rearrangement(samples):
     """Decreasing rearrangement of a weighted sample set.
 
     Equal values are merged into a single constant piece; this does not
-    change any of the derived quasi-norms.  Each piece's measure is summed
-    in sample order (``bincount`` walks the samples by index), so the sort
-    need not be stable and the result does not depend on how ties sort.
-    A scalar weight is summed as the array of that weight per sample.
+    change any of the derived quasi-norms.  Under a scalar weight c a
+    piece ends at c times the count of samples at or above its level.  An
+    array of weights is summed per piece in sample order (``bincount``
+    walks the samples by index).  Either way the sort need not be stable
+    and the result does not depend on how ties sort.
     """
     return subset_rearrangements(samples, [None])[0]
 
@@ -134,12 +136,11 @@ def subset_rearrangements(samples, masks):
 
     The set is sorted once; each subset reads its ascending order off that
     sort.  Its result is bit-identical to ``decreasing_rearrangement`` of
-    the subset, since ties are merged in sample order as there.  A mask
-    of None selects every sample, with no gather.  An empty subset raises
-    DomainError.
+    the subset, since ties are merged as there.  A mask of None selects
+    every sample, with no gather.  An empty subset raises DomainError.
     """
     order = np.argsort(samples.values)
-    weights = np.broadcast_to(samples.weights, samples.values.shape)
+    v, w = samples.values, samples.weights
     out = []
     for keep in masks:
         if keep is None:
@@ -149,7 +150,11 @@ def subset_rearrangements(samples, masks):
             if not keep.any():
                 raise DomainError("subset mask selects no sample")
             sub = order[keep[order]]
-        out.append(_tie_merged(samples.values, weights, sub, keep))
+        if samples.uniform:
+            levels, ends = _uniform_chunk(v[sub], 0, w)
+            out.append(RearrangedFunction(np.append(0.0, ends), levels))
+        else:
+            out.append(_tie_merged(v, w, sub, keep))
     return out
 
 
@@ -178,79 +183,38 @@ def _tie_merged(values, weights, order, keep):
     return RearrangedFunction(breakpoints, levels)
 
 
+def _uniform_chunk(u, above, weight):
+    """``(levels, ends)`` of the pieces of the ascending values ``u``,
+    largest first, with ``above`` more samples above them all: each piece
+    ends at ``weight`` times the count of samples at or above its level,
+    the one measure rule of a scalar weight."""
+    start = np.empty(len(u), dtype=bool)
+    start[0] = True
+    np.not_equal(u[1:], u[:-1], out=start[1:])
+    if start.all():
+        # no ties: every piece is one sample
+        return u[::-1], np.arange(above + 1, above + len(u) + 1) * weight
+    first = np.flatnonzero(start)[::-1]
+    return u[first], (above + len(u) - first) * weight
+
+
 # pieces of a rearrangement per chunk, where it is formed or read in chunks
 _CHUNK = 2 ** 14
 
 
 def _uniform_pieces(v, weight):
     """The rearrangement of the ascending values ``v``, each of measure
-    ``weight``, as consecutive ``(levels, ends)`` chunks, largest first.
-
-    A chunk holds whole pieces, about ``_CHUNK`` of them: ``levels`` their
-    values, descending, and ``ends`` their right breakpoints.  The ends of
-    a chunk are one cumsum that carries the running total into its first
-    entry, so they are those of one cumsum over all pieces, bit for bit,
-    and no array of the sample count is formed (but for a chunk that
-    stretches over a long run of ties).
-    """
-    total = 0.0
+    ``weight``, as consecutive ``_uniform_chunk`` chunks, largest first,
+    each of whole pieces, about ``_CHUNK`` of them: no array of the sample
+    count is formed (but for a chunk that stretches over a long run of
+    ties), and no chunk depends on another's ends."""
     hi = len(v)
     while hi > 0:
         # the chunk starts where the run of its smallest value starts
         lo = 0 if hi <= _CHUNK else \
             int(np.searchsorted(v, v[hi - _CHUNK], side="left"))
-        u = v[lo:hi]
-        start = np.empty(len(u), dtype=bool)
-        start[0] = True
-        np.not_equal(u[1:], u[:-1], out=start[1:])
-        if start.all():
-            # no ties: every piece is one sample
-            levels = u[::-1]
-            ends = np.full(len(u), weight)
-        else:
-            first = np.flatnonzero(start)
-            levels = u[first[::-1]]
-            counts = np.empty_like(first)
-            np.subtract(first[1:], first[:-1], out=counts[:-1])
-            counts[-1] = len(u) - first[-1]
-            ends = _repeated_sums(counts[::-1], weight)
-        ends[0] += total
-        np.cumsum(ends, out=ends)
-        total = ends[-1]
-        yield levels, ends
+        yield _uniform_chunk(v[lo:hi], len(v) - hi, weight)
         hi = lo
-
-
-def _repeated_sums(counts, weight):
-    """``weight`` summed ``c`` times in sequence, for each count c >= 1.
-
-    The running sums are the ones ``bincount`` forms when it adds the same
-    weight once per sample, so a uniform measure merges bit-identically to
-    the array of its weights.  They are formed ``_CHUNK`` at a time, each
-    chunk's cumsum carrying the running total into its first entry.
-    """
-    last = counts - 1
-    top = int(counts.max())
-    block = np.empty(min(top, _CHUNK))
-    out = np.empty(len(counts))
-    total = 0.0
-    for lo in range(0, top, len(block)):
-        block[...] = weight
-        block[0] += total
-        np.cumsum(block, out=block)
-        total = block[-1]
-        hit = (last >= lo) & (last < lo + len(block))
-        out[hit] = block[last[hit] - lo]
-    return out
-
-
-def _sums_exact(weight, count):
-    """True when every sum of up to ``count`` copies of ``weight`` > 0 is
-    exact: each is j * weight, j <= count, and that is a float when the
-    odd part of the significand times ``count`` is below 2^53."""
-    significand = int(math.ldexp(math.frexp(weight)[0], 53))
-    odd = significand >> ((significand & -significand).bit_length() - 1)
-    return odd * count < 2 ** 53
 
 
 _BITS = 8
@@ -269,9 +233,10 @@ class LevelBins:
     [bottom, top) with bottom <= v < top; the keys are read off the
     float64 bit pattern, so they are monotone and exact, and this is the
     one place they are formed.  Per present bin, ascending: ``tops`` (0
-    for the zeros), ``bottoms``, ``measures`` (the weights of its samples
-    summed in sample order, as ``bincount`` sums them) and, under a scalar
-    weight, ``counts``.  At most 2^_BITS bins per binade are present.
+    for the zeros), ``bottoms``, ``counts`` (its samples, under a scalar
+    weight; else None) and ``measures``: under a scalar weight c, c times
+    the count, else the weights of its samples summed in sample order, as
+    ``bincount`` sums them.  At most 2^_BITS bins per binade are present.
 
     ``out``, an int64 array with one entry per sample, receives the keys
     instead of a new array; they are not kept.
@@ -294,11 +259,7 @@ class LevelBins:
             counts = np.bincount(keys)
             present = np.flatnonzero(counts)
             self.counts = counts[present]
-            weight = float(samples.weights)
-            # exact sums are the counts times the weight, bit for bit
-            self.measures = self.counts * weight \
-                if _sums_exact(weight, len(v)) else \
-                _repeated_sums(self.counts, samples.weights)
+            self.measures = self.counts * samples.weights
         else:
             self.counts = None
             measures = np.bincount(keys, weights=samples.weights)
@@ -317,19 +278,23 @@ class LevelBins:
         return WeightedSampleSet(self.tops, self.measures)
 
     def majorant_quasinorm(self, params):
-        """||rounded_up(samples)||_{p,nu}, bit for bit, read off the bins:
-        their tops ascend, so they need no sort."""
-        levels = self.tops[::-1]
-        return _levels_quasinorm(levels, np.cumsum(self.measures[::-1]),
-                                 params)
+        """||rounded_up(samples)||_{p,nu} read off the bins: their tops
+        ascend, so they need no sort.  Under a scalar weight c a bin's
+        piece ends at c times the count of samples in it and above (the
+        rearrangement's rule); else the measures are summed, bit for bit
+        the norm of ``rounded_up``."""
+        if self.counts is None:
+            ends = np.cumsum(self.measures[::-1])
+        else:
+            ends = np.cumsum(self.counts[::-1]) * self.samples.weights
+        return _levels_quasinorm(self.tops[::-1], ends, params)
 
     def weak_quasinorm(self, p):
         """||samples||_{p,inf} from the candidate bins alone, bit for bit
         the full rearrangement's; None where that route does not apply.
 
-        It applies under a scalar weight c whose sums up to the sample
-        count are exact (``_sums_exact``): the piece of each value v then
-        ends at c times the count of samples >= v on both routes.  With
+        It applies under a scalar weight c: the piece of each value v ends
+        at c times the count of samples >= v on both routes.  With
         N_b c the measure at or above bin b and X_b = (N_b c)^(1/p), the
         supremum is at least max_b bottom_b X_b (the least value of bin b
         reaches it) and a value of bin b is below top_b X_b.  A bin whose
@@ -340,7 +305,7 @@ class LevelBins:
         or a product leaves the float range the full route decides.
         """
         s = self.samples
-        if not s.uniform or not _sums_exact(float(s.weights), len(s.values)):
+        if not s.uniform:
             return None
         if self.tops[-1] == 0.0:
             return 0.0

@@ -711,7 +711,6 @@ def scaling_sweep_experiment(m0, axes, p, nu, budget, seed=0):
         "containment_ok": bool(contained),
         "ratio_band": est.lower_bound * scale_sup / rhs if rhs > 0 else
         float("inf"),
-        "t_excluded": [],   # every dilation of the scan is resolved
         "seed": seed,
         "improvements": est.improvements,
     }

@@ -195,6 +195,15 @@ def tie_merged_bincount(values, weights, order, keep):
     return RearrangedFunction(breakpoints, v[start][::-1])
 
 
+def uniform_pieces_sequential(v, weight):
+    """The rearrangement of the ascending values ``v``, each of measure
+    ``weight``, with the weight added up one sample at a time: each tied
+    level's measure is summed as ``bincount`` sums the array of that one
+    weight, and the ends are the cumsum of those measures."""
+    n = len(v)
+    return tie_merged_bincount(v, np.full(n, weight), np.arange(n), None)
+
+
 def _shell_witness_ratio(basis, weights, a, p, dim):
     th = basis.dr * (weights @ basis.profiles[a])
     if not np.any(th != 0):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from conemult.lorentz import (LorentzParams, RearrangedFunction,
                               decreasing_rearrangement, lorentz_quasinorm,
                               rearranged_quasinorm, rounded_up,
                               subset_rearrangements)
-from reference import (tie_merged_bincount, weighted_line_samples,
-                       weighted_lp_norm)
+from reference import (tie_merged_bincount, uniform_pieces_sequential,
+                       weighted_line_samples, weighted_lp_norm)
 
 
 def samples(values, weights):
@@ -46,8 +47,9 @@ def test_equimeasurability_against_distribution_function():
     # brute-force distribution function oracle
     for lam in np.concatenate(([0.0], np.sort(s.values), [5.5])):
         direct = float(np.sum(s.weights[s.values > lam]))
-        assert math.isclose(r.measure_above(lam), direct, rel_tol=1e-12,
-                            abs_tol=1e-12)
+        # the measure of {f* > lam}: the breakpoint past the levels > lam
+        above = float(r.breakpoints[np.sum(r.levels > lam)])
+        assert math.isclose(above, direct, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_total_measure_preserved():
@@ -387,7 +389,8 @@ def test_rounded_up_bin_tops():
 def test_candidate_bins_give_the_weak_norm_of_the_full_sort(data):
     # ties from a small pool, power laws and values spread over many
     # binades, each with zeros, under one weight whose sums are exact: the
-    # supremum read off the candidate bins is the full sort's, bit for bit
+    # supremum read off the candidate bins is the full sort's, bit for bit,
+    # and the majorant's norm is that of ``rounded_up``
     n = data.draw(st.integers(1, 400))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     kind = data.draw(st.sampled_from(["ties", "power", "spread"]))
@@ -412,21 +415,18 @@ def test_candidate_bins_give_the_weak_norm_of_the_full_sort(data):
     assert lorentz_quasinorm(s, params, bins) == want
     assert bins.majorant_quasinorm(params) == \
         lorentz_quasinorm(rounded_up(s), params)
-    # a weight whose sums round takes the sort
+    # a weight whose sums round: both routes end each piece at the count
+    # times the weight, so the candidate bins still give the sort's value;
+    # the majorant's norm counts too, while ``rounded_up`` carries per-bin
+    # weights that its norm sums, so those two agree up to that rounding
     third = WeightedSampleSet(values, 1.0 / 3.0)
+    want = lorentz_quasinorm(third, params)
     bins = lorentz.LevelBins(third)
-    assert (bins.weak_quasinorm(p) is None) == (n > 1)
-    assert lorentz_quasinorm(third, params, bins) == \
-        lorentz_quasinorm(third, params)
-
-
-def test_exact_sums_of_a_weight():
-    # 5 * 2^-7 has odd significand 5: 2^53 / 5 copies sum exactly
-    assert lorentz._sums_exact(5 * 2.0 ** -7, 2 ** 53 // 5)
-    assert not lorentz._sums_exact(5 * 2.0 ** -7, 2 ** 53 // 5 + 1)
-    assert lorentz._sums_exact(2.0 ** -6, 2 ** 52)
-    assert lorentz._sums_exact(0.1, 2) and not lorentz._sums_exact(0.1, 3)
-    assert not lorentz._sums_exact(1.0 / 3.0, 2)
+    assert bins.weak_quasinorm(p) == want
+    assert lorentz_quasinorm(third, params, bins) == want
+    assert math.isclose(bins.majorant_quasinorm(params),
+                        lorentz_quasinorm(rounded_up(third), params),
+                        rel_tol=1e-12)
 
 
 def _assert_same_samples(got, want):
@@ -434,10 +434,19 @@ def _assert_same_samples(got, want):
     assert np.array_equal(got.weights, want.weights)
 
 
+def _rearrangements_close(got, want):
+    """Equal levels, and ends within the rounding of a weight summed one
+    sample at a time."""
+    assert np.array_equal(got.levels, want.levels)
+    assert np.allclose(got.breakpoints, want.breakpoints, rtol=1e-12, atol=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_scalar_weight_equals_its_full_array_bit_for_bit(data):
-    # tied levels and zeros, with a share of free values, under one weight
+def test_scalar_weight_matches_its_full_array(data):
+    # tied levels and zeros, with a share of free values, under one weight:
+    # the same levels, and measures c times a count against the full
+    # array's sums of c, which agree up to the rounding of those sums
     atoms = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
     n = data.draw(st.integers(1, 300))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
@@ -449,20 +458,21 @@ def test_scalar_weight_equals_its_full_array_bit_for_bit(data):
     uniform = WeightedSampleSet(values, weight)
     full = samples(values, np.full(n, weight))
     assert uniform.uniform and not full.uniform
-    got, want = decreasing_rearrangement(uniform), decreasing_rearrangement(full)
-    assert np.array_equal(got.levels, want.levels)
-    assert np.array_equal(got.breakpoints, want.breakpoints)
+    _rearrangements_close(decreasing_rearrangement(uniform),
+                          decreasing_rearrangement(full))
     for nu in (math.inf, 2.0):
         prm = LorentzParams(1.2, nu)
-        assert lorentz_quasinorm(uniform, prm) == lorentz_quasinorm(full, prm)
-    _assert_same_samples(rounded_up(uniform), rounded_up(full))
+        assert math.isclose(lorentz_quasinorm(uniform, prm),
+                            lorentz_quasinorm(full, prm), rel_tol=1e-12)
+    up, full_up = rounded_up(uniform), rounded_up(full)
+    assert np.array_equal(up.values, full_up.values)
+    assert np.allclose(up.weights, full_up.weights, rtol=1e-12, atol=0)
     assert weighted_lp_norm(uniform, 1.3) == weighted_lp_norm(full, 1.3)
     masks = rng.random((3, n)) < rng.random((3, 1))
     masks[:, 0] = True
     for a, b in zip(subset_rearrangements(uniform, masks),
                     subset_rearrangements(full, masks)):
-        assert np.array_equal(a.levels, b.levels)
-        assert np.array_equal(a.breakpoints, b.breakpoints)
+        _rearrangements_close(a, b)
     # the measure is n * weight, rounded once
     assert uniform.total_measure == float(np.float64(weight) * n)
     assert math.isclose(uniform.total_measure, full.total_measure,
@@ -470,6 +480,96 @@ def test_scalar_weight_equals_its_full_array_bit_for_bit(data):
     _assert_same_samples(WeightedSampleSet(-2.0 * uniform.values,
                                            uniform.weights),
                          samples(2.0 * values, weight))
+
+
+def _sums_exact(weight, n):
+    """True when j * weight is a float for every j <= n, so that every sum
+    of up to n copies of ``weight`` is exact."""
+    return all(Fraction(j * weight) == j * Fraction(weight)
+               for j in range(1, n + 1))
+
+
+def _ends_by_count(values, ends, levels, weight):
+    """Each end is ``weight`` times the count of ``values`` at or above its
+    level."""
+    above = np.array([np.sum(values >= lv) for lv in levels])
+    assert np.array_equal(ends, above * weight)
+
+
+_RULE_WEIGHTS = [1.0 / 3.0, 0.1, 1e-300, 1e300, 2.0 ** -6]
+
+
+def _norm_or_error(norm):
+    """The quasi-norm ``norm()`` returns, or "float range" where it raises
+    that it leaves the float range."""
+    try:
+        return norm()
+    except DomainError as err:
+        assert "float range" in str(err)
+        return "float range"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_scalar_weight_route_ends_a_piece_at_its_count(data):
+    # ties, zeros and free values, the whole set and masks: every piece of
+    # every scalar-weight route ends at c times the count of samples at or
+    # above its level, the last at the total measure; the route that sums
+    # c one sample at a time agrees where those sums are exact
+    atoms = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    n = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.choice(np.array(atoms + [0.0]), n)
+    free = rng.random(n) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    values[free] = rng.uniform(0.0, 1e3, int(free.sum()))
+    weight = data.draw(st.sampled_from(_RULE_WEIGHTS))
+    s = WeightedSampleSet(values, weight)
+    masks = rng.random((2, n)) < rng.random((2, 1))
+    masks[:, rng.integers(0, n)] = True
+    rearranged = subset_rearrangements(s, [None, *masks])
+    for keep, r in zip([np.ones(n, dtype=bool), *masks], rearranged):
+        _ends_by_count(values[keep], r.breakpoints[1:], r.levels, weight)
+        assert r.breakpoints[-1] == \
+            WeightedSampleSet(values[keep], weight).total_measure
+    whole = decreasing_rearrangement(s)
+    assert np.array_equal(whole.levels, rearranged[0].levels)
+    assert np.array_equal(whole.breakpoints, rearranged[0].breakpoints)
+    # the chunked stream, a few pieces per chunk
+    saved = lorentz._CHUNK
+    lorentz._CHUNK = data.draw(st.sampled_from([1, 3, 7]))
+    try:
+        levels, ends = map(np.concatenate, zip(*lorentz._uniform_pieces(
+            np.sort(values), s.weights)))
+    finally:
+        lorentz._CHUNK = saved
+    assert np.array_equal(levels, whole.levels)
+    _ends_by_count(values, ends, levels, weight)
+    # the level bins: a bin's measure is c times its count, and the
+    # majorant's pieces end at c times the count at or above its top
+    bins = lorentz.LevelBins(s)
+    assert np.array_equal(bins.measures, bins.counts * weight)
+    assert bins.counts.sum() == n
+    up = rounded_up(samples(values, np.ones(n)))
+    order = np.argsort(up.values)[::-1]
+    majorant = RearrangedFunction(np.append(0.0, np.cumsum(
+        up.weights[order]) * weight), up.values[order])
+    for prm in (LorentzParams(1.2, math.inf), LorentzParams(1.2, 2.0)):
+        assert _norm_or_error(lambda: bins.majorant_quasinorm(prm)) == \
+            _norm_or_error(lambda: rearranged_quasinorm(majorant, prm))
+        # the weak norm off the candidate bins, where it applies, is the
+        # sort's
+        if prm.weak:
+            want = _norm_or_error(lambda: lorentz_quasinorm(s, prm))
+            got = _norm_or_error(lambda: bins.weak_quasinorm(prm.p))
+            assert got is None or got == want
+    # the oracle that sums the weight one sample at a time
+    sequential = uniform_pieces_sequential(np.sort(values), weight)
+    assert np.array_equal(sequential.levels, whole.levels)
+    if _sums_exact(weight, n):
+        assert np.array_equal(sequential.breakpoints, whole.breakpoints)
+    else:
+        assert np.allclose(sequential.breakpoints, whole.breakpoints,
+                           rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
@@ -495,15 +595,14 @@ def test_scalar_weight_rejects_non_finite_values():
 
 def _oracle_uniform_merged(v, weight):
     """The rearrangement of the ascending values ``v`` under one weight,
-    from whole arrays (the route before chunks)."""
+    from whole arrays (the route before chunks): each piece ends at the
+    weight times the count of values from its first on."""
     start = np.empty(len(v), dtype=bool)
     start[0] = True
     start[1:] = v[1:] != v[:-1]
-    first = np.flatnonzero(start)
-    counts = np.diff(np.append(first, len(v)))[::-1]
-    merged = np.cumsum(np.full(int(counts.max()), weight))[counts - 1]
-    return RearrangedFunction(np.concatenate(([0.0], np.cumsum(merged))),
-                              v[first[::-1]])
+    first = np.flatnonzero(start)[::-1]
+    return RearrangedFunction(np.append(0.0, (len(v) - first) * weight),
+                              v[first])
 
 
 def _oracle_quasinorm(r, params):
@@ -576,8 +675,11 @@ def _assert_chunked_route_is_the_whole_array_route(values, weight):
                 # the oracle's power or root left the float range
                 with pytest.raises(DomainError, match="float range"):
                     route()
+    # a bin's measure is the weight times its count, the weight of its
+    # bin under unit weights
+    ones = rounded_up(samples(values, np.ones(n)))
     _assert_same_samples(rounded_up(WeightedSampleSet(values, weight)),
-                         rounded_up(samples(values, np.full(n, weight))))
+                         samples(ones.values, ones.weights * weight))
 
 
 def test_chunked_rearrangement_on_a_grid_of_samples():

@@ -177,6 +177,34 @@ def test_scalar_multiplier_bound_stays_below_its_norm_at_nu_inf():
     assert _scalar_estimate(math.inf).lower_bound <= 2.5
 
 
+def _bound_without(monkeypatch, family, multiplier, seed):
+    """``estimate_lower`` of ``multiplier`` at p = 3, nu = inf on the
+    default 64^2 grid, with every family and with ``family`` left out."""
+    axes = cli.build_axes(16.0, 64, 2)
+    m = cli.grid_multiplier(multiplier, axes)
+
+    def bound():
+        return estimate_lower(m, axes, 3.0, math.inf, budget=48,
+                              seed=seed).lower_bound
+    full = bound()
+    monkeypatch.setattr(opnorm, "FAMILIES", tuple(
+        f for f in opnorm.FAMILIES if f != family))
+    return full, bound()
+
+
+def test_knapp_witnesses_raise_the_identity_bound_at_p_3(monkeypatch):
+    # an annulus Knapp witness wins: 0.938 with it, 0.828 without
+    full, without = _bound_without(monkeypatch, "annulus_knapp", "one", 3)
+    assert full > 1.05 * without
+
+
+def test_superpositions_raise_the_oscillatory_bound_at_p_3(monkeypatch):
+    # a random superposition wins: 0.700 with it, 0.568 without
+    full, without = _bound_without(monkeypatch, "random_superposition",
+                                   "oscillatory:3", 2)
+    assert full > 1.05 * without
+
+
 def test_no_admissible_dilation_rejected():
     ax = (Axis(4.0, 4), Axis(4.0, 4))
     with pytest.raises(DomainError):
@@ -216,7 +244,7 @@ def _double_evaluation_sweep(m0, axes, p, nu, budget, seed):
         "scale_sup": scale_sup, "containment_ok": bool(contained),
         "ratio_band": est.lower_bound * scale_sup / rhs if rhs > 0 else
         float("inf"),
-        "t_excluded": [], "seed": seed, "improvements": est.improvements,
+        "seed": seed, "improvements": est.improvements,
     }
 
 
@@ -274,7 +302,7 @@ def test_sweep_evaluates_each_dilation_once(monkeypatch, nu):
                   rep="frequency")
     calls = _counting_multiplier(monkeypatch)
     out = scaling_sweep_experiment(m, ax, 1.2, nu, budget=48, seed=3)
-    assert len(out["rhs_per_t"]) == 13 and not out["t_excluded"]
+    assert len(out["rhs_per_t"]) == 13
     # 13 swept steps come free and 11 refinements repeat an earlier witness
     assert len(calls) == 37
     calls.clear()
